@@ -214,7 +214,8 @@ class Sample:
     modality-private direction (`consistency_weight` controls the blend), with
     all units equal for `stable` samples and a late feature jump (from
     `jump_fraction` of the window onward, scaled by `jump_scale`) for
-    unstable ones.
+    unstable ones.  A window's payload is therefore built from one base row
+    and at most one jump row, each drawn once per (sample, modality).
     """
 
     id: int
@@ -251,8 +252,12 @@ class Sample:
         return base
 
     def window_payload(self, modality: Modality, units_per_window: int) -> np.ndarray:
-        rows = [self.unit_payload(modality, u, units_per_window) for u in range(units_per_window)]
-        return np.vstack(rows)
+        """All N unit payloads; row u equals unit_payload(modality, u, N) bitwise."""
+        base = self._base(modality)
+        rows = np.repeat(base[None, :], units_per_window, axis=0)
+        if not self.stable:
+            rows[self.jump_start(units_per_window) :] = base + self._jump(modality)
+        return rows
 
 
 @dataclass(frozen=True)
@@ -262,6 +267,11 @@ class Scenario:
     `sensing_space[i]` / `model_space[i]` are the config spaces of modality i.
     `resource_schedule` maps virtual time to profile resource levels; intervals
     are left-closed and the schedule must start at time 0.
+
+    Instances are immutable, so `scenario_io.fingerprint` memoizes the digest
+    on the instance (outside the dataclass fields, like
+    `functools.cached_property`); `dataclasses.replace` yields a new instance
+    with no memo.
     """
 
     name: str

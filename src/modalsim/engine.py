@@ -54,10 +54,10 @@ from .core import (
 )
 from .latency import unimodal_latency
 from .gating import SkipDecision, checkpoint_indices
+from .optimizer import PROBE_COST_US  # re-exported; decisions carry the probe cost
 from .scenario_io import fingerprint
 
 NUM_CLASSES = 8
-PROBE_COST_US = 1000
 
 DEFAULT_SHIFT = ShiftSpec(n_groups=3, shift_distance=1)
 DEFAULT_DIFF = DiffSpec(scales=(1, 2), encoder_width=8)
@@ -199,7 +199,7 @@ def run(
     it is required when the scenario configures skip checkpoints and the mode
     is pipelined.  `config_decision`, when given, is an optimizer decision
     record; it prepends a config_switch event and delays the window start by
-    the probe cost.
+    its `probe_cost_us`.
     """
     check_assignment(scenario, assignment)
     mode = scenario.execution_mode
@@ -209,13 +209,13 @@ def run(
     events: list[Event] = []
     window_start = 0
     if config_decision is not None:
-        window_start = PROBE_COST_US
+        window_start = config_decision.probe_cost_us
         events.append(
             _ev(
                 0,
                 EventKind.CONFIG_SWITCH,
                 pairs=tuple(assignment.pairs),
-                probe_cost_us=PROBE_COST_US,
+                probe_cost_us=window_start,
             )
         )
 

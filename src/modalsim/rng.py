@@ -9,7 +9,9 @@ generator state.
 The core primitive is SplitMix64 (Steele, Lea, Flood 2014): a 64-bit
 finalizer applied to a counter advanced by the golden-ratio increment.
 Only 64-bit integer arithmetic and IEEE-754 multiplies/adds are used, so
-outputs are reproducible across interpreters and architectures.
+outputs are reproducible across interpreters and architectures.  Bulk draws
+(`Stream.units` and everything built on it) run the same SplitMix64 over a
+numpy uint64 counter vector and are byte-identical to the scalar `unit`.
 """
 
 from __future__ import annotations
@@ -18,6 +20,10 @@ import numpy as np
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
 GOLDEN = 0x9E3779B97F4A7C15
+
+_GOLDEN_U64 = np.uint64(GOLDEN)
+_MUL1_U64 = np.uint64(0xBF58476D1CE4E5B9)
+_MUL2_U64 = np.uint64(0x94D049BB133111EB)
 
 
 def splitmix64(x: int) -> int:
@@ -63,7 +69,14 @@ class Stream:
         return (self.u64(index) >> 11) * 2.0**-53
 
     def units(self, count: int, offset: int = 0) -> np.ndarray:
-        return np.array([self.unit(offset + i) for i in range(count)], dtype=np.float64)
+        """unit(offset), ..., unit(offset + count - 1) as one float64 vector."""
+        start = np.uint64((self.key + (offset + 1) * GOLDEN) & MASK64)
+        with np.errstate(over="ignore"):  # uint64 multiplies wrap mod 2**64
+            x = start + np.arange(count, dtype=np.uint64) * _GOLDEN_U64 + _GOLDEN_U64
+            x = (x ^ (x >> np.uint64(30))) * _MUL1_U64
+            x = (x ^ (x >> np.uint64(27))) * _MUL2_U64
+            x ^= x >> np.uint64(31)
+        return (x >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
     def symmetric(self, count: int, offset: int = 0) -> np.ndarray:
         """Uniform float64 in [-1, 1)."""

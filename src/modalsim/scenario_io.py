@@ -79,7 +79,12 @@ def serialize(s: Scenario) -> str:
 
 
 def fingerprint(s: Scenario) -> str:
-    return hashlib.sha256(serialize(s).encode("utf-8")).hexdigest()
+    """SHA-256 of the canonical text, computed once per scenario instance."""
+    digest = s.__dict__.get("_fingerprint")
+    if digest is None:
+        digest = hashlib.sha256(serialize(s).encode("utf-8")).hexdigest()
+        s.__dict__["_fingerprint"] = digest  # frozen dataclass: bypass __setattr__
+    return digest
 
 
 def _need(doc: dict, key: str, kind, problems: list[str], default=None):

@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from modalsim import core, scenario_io, workload
 from modalsim.core import (
@@ -161,6 +163,40 @@ def test_sample_jump_applies_to_tail_only():
     head = s.unit_payload(m, 0, n)
     assert np.array_equal(head, s.unit_payload(m, start - 1, n))
     assert not np.array_equal(head, s.unit_payload(m, start, n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    stable=st.booleans(),
+    n=st.integers(1, 48),
+    channels=st.integers(1, 9),
+    jump_fraction=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+    jump_scale=st.sampled_from([0.0, 5.0]) | st.floats(-10.0, 10.0),
+    sample_id=st.integers(0, 2**20),
+)
+@example(stable=False, n=1, channels=4, jump_fraction=0.0, jump_scale=5.0, sample_id=1)
+@example(stable=False, n=1, channels=4, jump_fraction=1.0, jump_scale=5.0, sample_id=1)
+@example(stable=False, n=10, channels=4, jump_fraction=0.0, jump_scale=3.0, sample_id=2)
+@example(stable=False, n=10, channels=4, jump_fraction=1.0, jump_scale=3.0, sample_id=2)
+@example(stable=False, n=10, channels=4, jump_fraction=0.5, jump_scale=0.0, sample_id=3)
+@example(stable=True, n=1, channels=1, jump_fraction=0.8, jump_scale=0.0, sample_id=0)
+def test_window_payload_rows_equal_unit_payload(
+    stable, n, channels, jump_fraction, jump_scale, sample_id
+):
+    m = Modality(1, "v", channels)
+    s = Sample(
+        id=sample_id,
+        seed=7,
+        difficulty=Difficulty.HARD,
+        ground_truth_label=0,
+        stable=stable,
+        jump_fraction=jump_fraction,
+        jump_scale=jump_scale,
+    )
+    rows = s.window_payload(m, n)
+    assert rows.dtype == np.float64 and rows.shape == (n, channels)
+    for u in range(n):
+        assert rows[u].tobytes() == s.unit_payload(m, u, n).tobytes()
 
 
 def test_scenario_round_trip_canonical():

@@ -499,3 +499,15 @@ def test_config_switch_event_offsets_window():
     assert first_sense == engine.PROBE_COST_US
     plain = run(s, A, sample)
     assert trace.summary.reported_latency_us == plain.summary.reported_latency_us
+
+
+def test_config_switch_uses_the_decision_probe_cost():
+    from modalsim.optimizer import OptimizerDecision
+
+    s = scenario_2mod()
+    sample = one_sample(s)
+    decision = OptimizerDecision(assignment=A, score=0.0, decision_latency_us=1, probe_cost_us=2500)
+    trace = run(s, A, sample, config_decision=decision)
+    switch = events_of(trace, EventKind.CONFIG_SWITCH)[0]
+    assert switch.payload_dict()["probe_cost_us"] == 2500
+    assert min(e.time_us for e in events_of(trace, EventKind.UNIT_SENSED)) == 2500

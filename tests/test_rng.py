@@ -1,6 +1,7 @@
 """Golden-value and splitting tests for the counter-based RNG."""
 
 import numpy as np
+import pytest
 
 from modalsim import rng
 
@@ -60,3 +61,15 @@ def test_labels_reject_unsupported_types():
     except TypeError:
         return
     raise AssertionError("float labels should be rejected")
+
+
+@pytest.mark.parametrize("offset", [0, 3, 2**40, 2**63 - 2000])
+@pytest.mark.parametrize("count", [0, 1, 7, 16, 257])
+def test_bulk_units_match_scalar_unit_bitwise(count, offset):
+    # the vectorized block draw is the same function as the scalar draw
+    for labels in (("golden", 7), ("bulk", count, offset)):
+        s = rng.stream(42, *labels)
+        scalar = np.array([s.unit(offset + i) for i in range(count)], dtype=np.float64)
+        bulk = s.units(count, offset)
+        assert bulk.dtype == np.float64 and bulk.shape == (count,)
+        assert bulk.tobytes() == scalar.tobytes()

@@ -1,0 +1,51 @@
+"""Work done per window, pinned by call counts rather than timings.
+
+Each seeded quantity is computed once: a window's payload draws its base
+and jump rows once per (sample, modality), and a scenario is serialized for
+its fingerprint once per instance however many windows it serves.
+"""
+
+import pytest
+
+from modalsim import engine, rng, scenario_io, workload
+from modalsim.core import Difficulty, Modality, Sample
+
+
+def count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("stable", [True, False])
+@pytest.mark.parametrize("n", [1, 8, 64])
+def test_window_payload_builds_at_most_three_streams(monkeypatch, n, stable):
+    sample = Sample(
+        id=5,
+        seed=3,
+        difficulty=Difficulty.HARD,
+        ground_truth_label=2,
+        stable=stable,
+        jump_fraction=0.5,
+        jump_scale=4.0,
+    )
+    streams = count_calls(monkeypatch, rng, "stream")
+    rows = sample.window_payload(Modality(0, "v", 6), n)
+    assert rows.shape == (n, 6)
+    assert 2 <= len(streams) <= 3
+
+
+def test_two_runs_on_one_scenario_serialize_it_once(monkeypatch):
+    s = workload.gen_scenario("motivation-av", seed=0)
+    sample = workload.gen_samples(s, 1, "easy", seed=0)[0]
+    serialized = count_calls(monkeypatch, scenario_io, "serialize")
+    first = engine.run(s, s.max_assignment(), sample)
+    second = engine.run(s, s.max_assignment(), sample)
+    assert len(serialized) == 1
+    assert first == second
