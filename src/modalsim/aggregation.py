@@ -1,5 +1,6 @@
 """Temporal feature operators: alternating channel shift, multi-scale
-differences, and the pooled aggregate fed to fusion.
+differences, and the pooled aggregate fed to fusion (`aggregate_vector`, with
+`aggregate` as its strict front end).
 
 All operators are exact float64 transforms on FeatureMatrix inputs and never
 mutate their arguments, so every algebraic property (linearity, conservation,
@@ -140,30 +141,54 @@ def position_weights(rows: int) -> np.ndarray:
     return 1.0 + 0.25 * t * t
 
 
+def aggregate_vector(
+    rows: np.ndarray, shift: ShiftSpec, diff: DiffSpec, diff_on_shifted: bool = False
+) -> np.ndarray:
+    """Pooled unimodal feature vector of all `rows`, with a fixed output width.
+
+    Concatenates the global mean of the shifted rows with, per difference
+    scale, the position-weighted mean of the linearly encoded difference
+    rows.  Differences are taken on the pre-shift rows unless
+    `diff_on_shifted` is set.  Output length is C + sum of encoder widths for
+    every row count: the channel grouping shrinks to fit narrow matrices, and
+    a scale that does not fit the rows contributes a zero block, so gate and
+    fusion inputs keep one shape for every prefix length.
+    """
+    p, c = rows.shape
+    if shift.n_groups > c:
+        shift = ShiftSpec(c, shift.shift_distance)
+    shifted = alternating_shift(FeatureMatrix(rows, p), shift).values
+    diff_input = shifted if diff_on_shifted else rows
+    parts = [shifted.mean(axis=0)]
+    enc = diff.encoder_matrix(c)
+    for s in diff.scales:
+        if s < p:
+            d = (diff_input[s:p, :] - diff_input[: p - s, :]) @ enc
+            w = position_weights(p - s)
+            parts.append((w[:, None] * d).mean(axis=0))
+        else:
+            parts.append(np.zeros(diff.width(c)))
+    return np.concatenate(parts)
+
+
 def aggregate(
     features: FeatureMatrix,
     shift: ShiftSpec,
     diff: DiffSpec,
     diff_on_shifted: bool = False,
 ) -> np.ndarray:
-    """Pooled unimodal feature vector.
+    """`aggregate_vector` of the valid prefix, strict about its input.
 
-    Concatenates the global mean of the shifted rows with, per difference
-    scale, the position-weighted mean of the linearly encoded difference
-    rows.  Differences are taken on the pre-shift matrix unless
-    `diff_on_shifted` is set.  Output length is C + sum of encoder widths.
+    Raises GroupExceedsChannels when the shift needs more channel groups than
+    there are channels, and WindowTooShort when the prefix is too short for
+    the largest difference scale, where `aggregate_vector` would adapt.
     """
-    shifted = alternating_shift(features, shift)
-    diff_input = shifted if diff_on_shifted else features
-    diffs = temporal_differences(diff_input, diff)
     n = features.valid_prefix
-    parts = [shifted.values[:n, :].mean(axis=0)]
-    enc = diff.encoder_matrix(features.channels)
-    for mat in diffs:
-        rows = mat.values[: mat.valid_prefix, :] @ enc
-        w = position_weights(mat.valid_prefix)
-        parts.append((w[:, None] * rows).mean(axis=0))
-    return np.concatenate(parts)
+    if n and shift.n_groups > 1:
+        group_slices(features.channels, shift.n_groups)  # raises GroupExceedsChannels
+    if n < max(diff.scales) + 1:
+        raise WindowTooShort(f"valid prefix {n} too short for scales {diff.scales}")
+    return aggregate_vector(features.values[:n], shift, diff, diff_on_shifted)
 
 
 def aggregate_output_dim(channels: int, diff: DiffSpec) -> int:

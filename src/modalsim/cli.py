@@ -1,7 +1,8 @@
 """Command-line entry points.
 
-Exit codes: 0 success, 1 usage error, 2 scenario/input validation failure,
-3 runtime failure.  Failures print one machine-readable JSON line on stderr.
+Exit codes: 0 success, 1 usage error, 2 scenario/input validation failure
+(including a malformed model file), 3 runtime failure.  Failures print one
+machine-readable JSON line on stderr.
 Wall-clock measurements (optimizer decision latency) also go to stderr so
 every file and stdout byte is a pure function of the flags and seeds.
 """
@@ -21,6 +22,7 @@ from .core import (
     ModalsimError,
     validate_scenario,
 )
+from .nn import WeightFormatError
 from .scenario_io import ScenarioFormatError
 
 USAGE_ERROR = 1
@@ -292,7 +294,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (InvalidScenario, ScenarioFormatError) as exc:
+    except (InvalidScenario, ScenarioFormatError, WeightFormatError) as exc:
         detail = getattr(exc, "violations", None) or getattr(exc, "problems", None)
         _diag(type(exc).__name__, str(exc), detail=[str(v) for v in detail] if detail else None)
         return VALIDATION_ERROR

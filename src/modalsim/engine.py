@@ -36,13 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .aggregation import (
-    DiffSpec,
-    FeatureMatrix,
-    ShiftSpec,
-    alternating_shift,
-    position_weights,
-)
+from .aggregation import DiffSpec, ShiftSpec, aggregate_vector
 from .core import (
     AlreadyCompleted,
     ConfigAssignment,
@@ -138,30 +132,6 @@ def prediction_head(scenario: Scenario, fused_dim: int) -> np.ndarray:
     """Fixed seeded linear classifier used as the synthetic prediction stage."""
     s = rng.stream(scenario.accuracy_surface_seed, "fusion-head", fused_dim)
     return s.symmetric(NUM_CLASSES * fused_dim).reshape(NUM_CLASSES, fused_dim)
-
-
-def aggregate_vector(rows: np.ndarray, shift: ShiftSpec, diff: DiffSpec) -> np.ndarray:
-    """Aggregate over the given rows with a fixed output width.
-
-    Same transform as aggregation.aggregate, but the channel grouping adapts
-    to narrow matrices and scales that do not fit the prefix contribute a
-    zero block instead of failing, so gate and fusion inputs keep one shape
-    for every prefix length.
-    """
-    p, c = rows.shape
-    shift_eff = ShiftSpec(min(shift.n_groups, c), shift.shift_distance)
-    shifted = alternating_shift(FeatureMatrix(rows, p), shift_eff)
-    parts = [shifted.values[:p, :].mean(axis=0)]
-    enc = diff.encoder_matrix(c)
-    width = diff.width(c)
-    for s in diff.scales:
-        if s < p:
-            d = (rows[s:p, :] - rows[: p - s, :]) @ enc
-            w = position_weights(p - s)
-            parts.append((w[:, None] * d).mean(axis=0))
-        else:
-            parts.append(np.zeros(width))
-    return np.concatenate(parts)
 
 
 class _ModalityPlan:

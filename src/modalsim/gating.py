@@ -3,22 +3,23 @@ modalities' complete features, the slow modality's prefix features, and the
 checkpoint fraction, plus the checkpoint schedule arithmetic.
 
 Training minimizes binary cross-entropy by seeded full-batch gradient
-descent; dropout is applied only during training so evaluation stays
-deterministic.
+descent (`nn.fit_mlp`); dropout is applied only during training so evaluation
+stays deterministic.
 """
 
 from __future__ import annotations
 
 import math
+import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from . import nn, rng
+from . import nn
 from .core import ModalsimError, Scenario
-from .nn import EmptyDataset, NonFiniteLoss
+from .nn import EmptyDataset, NonFiniteLoss  # re-exported error types
 
 
 class DimensionMismatch(ModalsimError):
@@ -76,18 +77,18 @@ class GateModel:
         return self.fast_dim + self.slow_dim + 1
 
     def probability(self, f_fast: np.ndarray, f_slow_prefix: np.ndarray, fraction: float) -> float:
-        x = _gate_input(self, f_fast, f_slow_prefix, fraction)
+        x = _gate_input(self.fast_dim, self.slow_dim, f_fast, f_slow_prefix, fraction)
         xs = (x - self.x_mean) / self.x_scale
-        z = nn.softplus(xs @ self.w1 + self.b1) @ self.w2 + self.b2
+        z = nn.forward((self.w1, self.b1, self.w2, self.b2), xs)
         return float(nn.sigmoid(np.array([z]))[0])
 
 
-def _gate_input(model: GateModel, f_fast, f_slow, fraction: float) -> np.ndarray:
+def _gate_input(fast_dim: int, slow_dim: int, f_fast, f_slow, fraction: float) -> np.ndarray:
     f_fast = np.ravel(np.asarray(f_fast, dtype=np.float64))
     f_slow = np.ravel(np.asarray(f_slow, dtype=np.float64))
-    if len(f_fast) != model.fast_dim or len(f_slow) != model.slow_dim:
+    if len(f_fast) != fast_dim or len(f_slow) != slow_dim:
         raise DimensionMismatch(
-            f"gate expects dims ({model.fast_dim}, {model.slow_dim}), "
+            f"gate expects dims ({fast_dim}, {slow_dim}), "
             f"got ({len(f_fast)}, {len(f_slow)})"
         )
     return np.concatenate([f_fast, f_slow, [fraction]])
@@ -122,98 +123,26 @@ def gate_train(
     for f_fast, f_slow, fraction, label in dataset:
         if label not in (0, 1):
             raise ValueError(f"gate labels must be 0 or 1, got {label!r}")
-        ff = np.ravel(np.asarray(f_fast, dtype=np.float64))
-        fs = np.ravel(np.asarray(f_slow, dtype=np.float64))
-        if len(ff) != fast_dim or len(fs) != slow_dim:
-            raise DimensionMismatch("inconsistent feature dims in gate dataset")
-        x_rows.append(np.concatenate([ff, fs, [fraction]]))
+        x_rows.append(_gate_input(fast_dim, slow_dim, f_fast, f_slow, fraction))
         y_rows.append(float(label))
     x = np.vstack(x_rows)
     y = np.array(y_rows)
-
-    split = rng.stream(hyper.seed, "gate", "split")
-    order = list(range(len(y)))
-    for i in range(len(order) - 1, 0, -1):
-        j = split.u64(i) % (i + 1)
-        order[i], order[j] = order[j], order[i]
-    n_hold = max(1, int(round(hyper.holdout_fraction * len(y)))) if len(y) > 4 else 0
-    hold_idx, train_idx = order[:n_hold], order[n_hold:]
-    if not train_idx:
-        train_idx, hold_idx = order, []
-    xt, yt = x[train_idx], y[train_idx]
-
-    x_mean, x_scale = nn.standardize_fit(xt)
-    xs = (xt - x_mean) / x_scale
-
-    init = rng.stream(hyper.seed, "gate", "init")
-    dim = xs.shape[1]
-    w1 = nn.init_matrix(init.sub("w1"), dim, hyper.hidden)
-    b1 = np.zeros(hyper.hidden)
-    w2 = nn.init_matrix(init.sub("w2"), hyper.hidden, 1)[:, 0]
-    b2 = 0.0
-
-    drop_stream = rng.stream(hyper.seed, "gate", "dropout")
-    lr = hyper.learning_rate
-    n = xs.shape[0]
-    losses = []
-    for epoch in range(hyper.epochs):
-        z1 = xs @ w1 + b1
-        h = nn.softplus(z1)
-        if hyper.dropout > 0.0:
-            mask_vals = drop_stream.sub(epoch).units(hyper.hidden)
-            mask = (mask_vals >= hyper.dropout).astype(np.float64) / (1.0 - hyper.dropout)
-            h = h * mask
-        z2 = h @ w2 + b2
-        p = nn.sigmoid(z2)
-        eps = 1e-12
-        loss = float(-np.mean(yt * np.log(p + eps) + (1.0 - yt) * np.log(1.0 - p + eps)))
-        if not math.isfinite(loss):
-            raise NonFiniteLoss(f"gate loss became non-finite ({loss})")
-        losses.append(loss)
-
-        d_z2 = (p - yt) / n
-        g_w2 = h.T @ d_z2
-        g_b2 = float(np.sum(d_z2))
-        d_h = np.outer(d_z2, w2)
-        if hyper.dropout > 0.0:
-            d_h = d_h * mask
-        d_z1 = d_h * nn.softplus_grad(z1)
-        g_w1 = xs.T @ d_z1
-        g_b1 = d_z1.sum(axis=0)
-
-        w1 = w1 - lr * g_w1
-        b1 = b1 - lr * g_b1
-        w2 = w2 - lr * g_w2
-        b2 = b2 - lr * g_b2
+    fit = nn.fit_mlp(x, y, loss="bce", tag="gate", **dataclasses.asdict(hyper))
 
     def accuracy(idx) -> float:
-        if len(idx) == 0:
-            return float("nan")
-        xi = (x[idx] - x_mean) / x_scale
-        p = nn.sigmoid(nn.softplus(xi @ w1 + b1) @ w2 + b2)
+        p = nn.sigmoid(nn.forward(fit.params, (x[idx] - fit.x_mean) / fit.x_scale))
         return float(np.mean((p > 0.5).astype(np.float64) == y[idx]))
 
     info = GateTrainingInfo(
         seed=hyper.seed,
         epochs=hyper.epochs,
-        learning_rate=lr,
+        learning_rate=hyper.learning_rate,
         dropout=hyper.dropout,
-        train_accuracy=accuracy(train_idx),
-        holdout_accuracy=accuracy(hold_idx) if hold_idx else accuracy(train_idx),
-        loss_tail=tuple(losses[-5:]),
+        train_accuracy=accuracy(fit.train_idx),
+        holdout_accuracy=accuracy(fit.hold_idx or fit.train_idx),
+        loss_tail=tuple(fit.losses[-5:]),
     )
-    return GateModel(
-        fast_dim=fast_dim,
-        slow_dim=slow_dim,
-        w1=w1,
-        b1=b1,
-        w2=w2,
-        b2=b2,
-        x_mean=x_mean,
-        x_scale=x_scale,
-        dropout=hyper.dropout,
-        info=info,
-    )
+    return GateModel(fast_dim, slow_dim, **fit.weights, dropout=hyper.dropout, info=info)
 
 
 def gate_eval(
@@ -240,60 +169,28 @@ def checkpoint_schedule(scenario: Scenario, modality_id: int, sensing_level: int
 
 
 def save_gate(model: GateModel, path: str | Path) -> None:
-    info = model.info
     nn.write_weight_doc(
         path,
         "skip_gate",
         {
             "layout": {"fast_dim": model.fast_dim, "slow_dim": model.slow_dim},
             "dropout": model.dropout,
-            "weights": {
-                "w1": nn.to_lists(model.w1),
-                "b1": [float(v) for v in model.b1],
-                "w2": [float(v) for v in model.w2],
-                "b2": model.b2,
-                "x_mean": [float(v) for v in model.x_mean],
-                "x_scale": [float(v) for v in model.x_scale],
-            },
-            "training": None
-            if info is None
-            else {
-                "seed": info.seed,
-                "epochs": info.epochs,
-                "learning_rate": info.learning_rate,
-                "dropout": info.dropout,
-                "train_accuracy": info.train_accuracy,
-                "holdout_accuracy": info.holdout_accuracy,
-                "loss_tail": list(info.loss_tail),
-            },
+            "weights": nn.weight_block(model),
+            "training": None if model.info is None else dataclasses.asdict(model.info),
         },
     )
 
 
 def load_gate(path: str | Path) -> GateModel:
+    """Read a gate document; nn.WeightFormatError if it is malformed."""
     doc = nn.read_weight_doc(path, "skip_gate")
-    w = doc["weights"]
-    t = doc.get("training")
-    info = None
-    if t is not None:
-        info = GateTrainingInfo(
-            seed=t["seed"],
-            epochs=t["epochs"],
-            learning_rate=t["learning_rate"],
-            dropout=t["dropout"],
-            train_accuracy=t["train_accuracy"],
-            holdout_accuracy=t["holdout_accuracy"],
-            loss_tail=tuple(t["loss_tail"]),
-        )
+    fast_dim, slow_dim = nn.fields(doc, "layout", fast_dim="a count", slow_dim="a count")
+    (dropout,) = nn.fields(doc, None, dropout="a number")
+    training = None if doc.get("training") is None else nn.read_record(doc, "training", GateTrainingInfo)
     return GateModel(
-        fast_dim=doc["layout"]["fast_dim"],
-        slow_dim=doc["layout"]["slow_dim"],
-        w1=nn.from_lists(w["w1"]),
-        b1=np.asarray(w["b1"], dtype=np.float64),
-        w2=np.asarray(w["w2"], dtype=np.float64),
-        b2=float(w["b2"]),
-        x_mean=np.asarray(w["x_mean"], dtype=np.float64),
-        x_scale=np.asarray(w["x_scale"], dtype=np.float64),
-        dropout=float(doc["dropout"]),
-        info=info,
+        fast_dim=fast_dim,
+        slow_dim=slow_dim,
+        **nn.read_weight_block(doc, fast_dim + slow_dim + 1),
+        dropout=float(dropout),
+        info=training,
     )

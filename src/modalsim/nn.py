@@ -1,6 +1,8 @@
-"""Shared pieces for the two small feed-forward models (accuracy predictor
-and skip gate): activations, seeded initialization, and the versioned
-structured-text weight document both models serialize to.
+"""The one small feed-forward model behind both the accuracy predictor and the
+skip gate: a one-hidden-layer softplus MLP, its forward pass, its seeded
+full-batch gradient-descent trainer (mean-squared error or binary
+cross-entropy) with the holdout split, and the versioned structured-text
+weight document both models serialize to, with its shared weight block.
 
 Weights are written as JSON number literals produced by Python's float repr,
 which round-trips every float64 exactly.
@@ -8,14 +10,21 @@ which round-trips every float64 exactly.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
+import typing
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import rng
+from .core import ModalsimError
 
 WEIGHT_DOC_VERSION = 1
+WEIGHT_KEYS = ("w1", "b1", "w2", "b2", "x_mean", "x_scale")
+BCE_EPS = 1e-12
 
 
 class NonFiniteLoss(Exception):
@@ -26,13 +35,14 @@ class EmptyDataset(Exception):
     pass
 
 
+class WeightFormatError(ModalsimError):
+    """A weight document that is not valid JSON, lacks a key, holds a value of
+    the wrong type, or has weights whose shapes disagree."""
+
+
 def softplus(x: np.ndarray) -> np.ndarray:
     # log(1 + e^x) computed stably for large |x|
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-
-
-def softplus_grad(x: np.ndarray) -> np.ndarray:
-    return sigmoid(x)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -50,19 +60,125 @@ def init_matrix(stream: rng.Stream, rows: int, cols: int) -> np.ndarray:
     return flat.reshape(rows, cols) * np.sqrt(3.0 / max(rows, 1))
 
 
-def standardize_fit(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    mean = x.mean(axis=0)
-    std = x.std(axis=0)
-    std = np.where(std < 1e-9, 1.0, std)
-    return mean, std
+def shuffled(n: int, stream: rng.Stream) -> list[int]:
+    """Fisher-Yates permutation of range(n) driven by the counter stream."""
+    order = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = stream.u64(i) % (i + 1)
+        order[i], order[j] = order[j], order[i]
+    return order
 
 
-def to_lists(arr: np.ndarray) -> list:
-    return [[float(v) for v in row] for row in np.atleast_2d(arr)]
+def forward(params, x: np.ndarray) -> np.ndarray:
+    """Raw output (regression value or logit) for standardized inputs `x`."""
+    w1, b1, w2, b2 = params
+    return softplus(x @ w1 + b1) @ w2 + b2
 
 
-def from_lists(data: list) -> np.ndarray:
-    return np.asarray(data, dtype=np.float64)
+def loss_and_grads(params, x: np.ndarray, y: np.ndarray, loss: str = "mse", mask=None):
+    """Loss and analytic gradients of (w1, b1, w2, b2).
+
+    `loss` is "mse" (mean squared error of the raw output) or "bce" (binary
+    cross-entropy of its sigmoid); `mask` multiplies the hidden units (the
+    dropout mask).  Checked against finite differences in the tests.
+    """
+    w1, b1, w2, b2 = params
+    z = x @ w1 + b1
+    h = softplus(z)
+    if mask is not None:
+        h = h * mask
+    out = h @ w2 + b2
+    n = x.shape[0]
+    if loss == "mse":
+        err = out - y
+        value = float(np.mean(err**2))
+        d_out = 2.0 * err / n
+    elif loss == "bce":
+        p = sigmoid(out)
+        value = float(-np.mean(y * np.log(p + BCE_EPS) + (1.0 - y) * np.log(1.0 - p + BCE_EPS)))
+        d_out = (p - y) / n
+    else:
+        raise ValueError(f"unknown loss {loss!r}")
+    g_w2 = h.T @ d_out
+    g_b2 = float(np.sum(d_out))
+    d_h = np.outer(d_out, w2)
+    if mask is not None:
+        d_h = d_h * mask
+    d_z = d_h * sigmoid(z)  # the derivative of softplus
+    g_w1 = x.T @ d_z
+    g_b1 = d_z.sum(axis=0)
+    return value, (g_w1, g_b1, g_w2, g_b2)
+
+
+@dataclass(frozen=True)
+class MLPFit:
+    params: list  # [w1 (dim x hidden), b1, w2 (hidden), b2]
+    x_mean: np.ndarray
+    x_scale: np.ndarray
+    y_mean: float  # subtracted from the targets for "mse"; 0.0 for "bce"
+    train_idx: list[int]
+    hold_idx: list[int]
+    losses: list[float]  # training loss before each epoch's step
+
+    @property
+    def weights(self) -> dict:
+        """The WEIGHT_KEYS arrays, as `read_weight_block` returns them."""
+        return dict(zip(WEIGHT_KEYS, (*self.params, self.x_mean, self.x_scale)))
+
+
+def fit_mlp(
+    x: np.ndarray,
+    y: np.ndarray,
+    *,
+    loss: str,
+    tag: str,
+    seed: int,
+    epochs: int,
+    learning_rate: float,
+    hidden: int,
+    holdout_fraction: float,
+    dropout: float = 0.0,
+) -> MLPFit:
+    """Fit the MLP by deterministic full-batch gradient descent.
+
+    Every random draw (holdout split, init, dropout masks) comes from streams
+    labelled (seed, tag, ...), so a fit is a pure function of its arguments.
+    Datasets of at most four rows train on every row and hold none out.
+    """
+    n = len(y)
+    order = shuffled(n, rng.stream(seed, tag, "split"))
+    n_hold = max(1, int(round(holdout_fraction * n))) if n > 4 else 0
+    hold_idx, train_idx = order[:n_hold], order[n_hold:]
+    if not train_idx:
+        train_idx, hold_idx = order, []
+    xt, yt = x[train_idx], y[train_idx]
+
+    x_mean, std = xt.mean(axis=0), xt.std(axis=0)
+    x_scale = np.where(std < 1e-9, 1.0, std)
+    xs = (xt - x_mean) / x_scale
+    y_mean = float(yt.mean()) if loss == "mse" else 0.0
+    ys = yt - y_mean if loss == "mse" else yt
+
+    init = rng.stream(seed, tag, "init")
+    params = [
+        init_matrix(init.sub("w1"), xs.shape[1], hidden),
+        np.zeros(hidden),
+        init_matrix(init.sub("w2"), hidden, 1)[:, 0],
+        0.0,
+    ]
+    drop_stream = rng.stream(seed, tag, "dropout")
+    mask = None
+    losses = []
+    for epoch in range(epochs):
+        if dropout > 0.0:
+            keep = drop_stream.sub(epoch).units(hidden) >= dropout
+            mask = keep.astype(np.float64) / (1.0 - dropout)
+        value, grads = loss_and_grads(params, xs, ys, loss, mask)
+        if not math.isfinite(value):
+            raise NonFiniteLoss(f"{tag} loss became non-finite ({value})")
+        losses.append(value)
+        params = [p - learning_rate * g for p, g in zip(params, grads)]
+    return MLPFit(params, x_mean, x_scale, y_mean, train_idx, hold_idx, losses)
 
 
 def write_weight_doc(path: str | Path, kind: str, body: dict) -> None:
@@ -70,10 +186,80 @@ def write_weight_doc(path: str | Path, kind: str, body: dict) -> None:
     Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n", encoding="utf-8")
 
 
+def weight_block(model) -> dict:
+    """The weight block of a model (or fit) with the WEIGHT_KEYS attributes."""
+    return {k: np.asarray(getattr(model, k), dtype=np.float64).tolist() for k in WEIGHT_KEYS}
+
+
+def _is_number(v) -> bool:
+    # an int beyond the float range would overflow on conversion
+    return type(v) is float or (type(v) is int and abs(v) < 2**1023)
+
+
+_KINDS = {
+    "an object": lambda v: type(v) is dict,
+    "an integer": lambda v: type(v) is int,
+    "a count": lambda v: type(v) is int and v >= 0,
+    "a number": _is_number,
+    "a list of numbers": lambda v: type(v) is list and all(map(_is_number, v)),
+    "a list of positive counts": lambda v: type(v) is list
+    and all(type(c) is int and c > 0 for c in v),
+}
+
+
+def fields(doc: dict, section: str | None, **kinds: str) -> list:
+    """Values of the named keys of `doc[section]` (of `doc` itself when
+    `section` is None), each checked against its kind in `_KINDS`."""
+    where = doc if section is None else fields(doc, None, **{section: "an object"})[0]
+    values = []
+    for key, kind in kinds.items():
+        if key not in where or not _KINDS[kind](where[key]):
+            name = f"{section}.{key}" if section else key
+            raise WeightFormatError(f"{name} is missing or not {kind}")
+        values.append(where[key])
+    return values
+
+
+def read_record(doc: dict, section: str, cls):
+    """`cls`, a dataclass of int, float and tuple[float, ...] fields, built
+    from `doc[section]` with each value checked against its field's type."""
+    kinds = {int: "an integer", float: "a number", tuple[float, ...]: "a list of numbers"}
+    hints = typing.get_type_hints(cls)
+    values = fields(doc, section, **{f.name: kinds[hints[f.name]] for f in dataclasses.fields(cls)})
+    return cls(*(tuple(v) if type(v) is list else v for v in values))
+
+
 def read_weight_doc(path: str | Path, kind: str) -> dict:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or nesting too deep
+        raise WeightFormatError(f"not a JSON weight document: {exc}") from None
+    if type(doc) is not dict:
+        raise WeightFormatError("a weight document must be a JSON object")
     if doc.get("format_version") != WEIGHT_DOC_VERSION:
-        raise ValueError(f"unsupported weight document version {doc.get('format_version')!r}")
+        raise WeightFormatError(f"unsupported weight document version (expected {WEIGHT_DOC_VERSION})")
     if doc.get("kind") != kind:
-        raise ValueError(f"expected a {kind!r} document, found {doc.get('kind')!r}")
+        raise WeightFormatError(f"expected a {kind!r} document")
     return doc
+
+
+def read_weight_block(doc: dict, input_dim: int) -> dict:
+    """The float64 arrays of `doc["weights"]` (b2 as a float), checked to be
+    finite and to form an MLP over `input_dim` inputs."""
+    (weights,) = fields(doc, None, weights="an object")
+    block = {}
+    for key in WEIGHT_KEYS:
+        try:
+            arr = np.asarray(weights[key])
+        except (KeyError, ValueError):  # missing, or ragged nesting
+            arr = None
+        if arr is None or arr.dtype.kind not in "if" or not np.all(np.isfinite(arr)):
+            raise WeightFormatError(f"weights.{key} is missing or not finite numbers")
+        block[key] = arr.astype(np.float64)
+    hidden = block["b1"].size
+    shapes = {"w1": (input_dim, hidden), "b1": (hidden,), "w2": (hidden,), "b2": ()}
+    shapes.update(x_mean=(input_dim,), x_scale=(input_dim,))
+    if any(block[key].shape != shape for key, shape in shapes.items()):
+        raise WeightFormatError(f"weight shapes disagree; expected {shapes}")
+    block["b2"] = float(block["b2"])
+    return block

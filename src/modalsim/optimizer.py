@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from .core import ConfigAssignment, NoFeasibleAssignment, Sample, Scenario
 from .latency import end_to_end_latency, unimodal_latency
 from .predictor import ModalityIndicators, PredictorModel, indicators, predict_batch
-from .predictor import predict as predictor_predict
 
 PROBE_COST_US = 1000
 
@@ -36,26 +35,24 @@ class OptimizerDecision:
     probe_cost_us: int = PROBE_COST_US
 
 
-def _scorer(model, ind: ModalityIndicators):
-    if isinstance(model, PredictorModel):
-        return lambda a: predictor_predict(model, ind, a)
-    if callable(model):
-        return lambda a: float(model(ind, a))
-    raise TypeError(f"cannot score assignments with {type(model)!r}")
-
-
 def _batch_scorer(model, ind: ModalityIndicators):
+    """Scores of a list of assignments; a single score is `score_many([a])[0]`."""
     if isinstance(model, PredictorModel):
         return lambda assignments: predict_batch(model, ind, assignments)
-    single = _scorer(model, ind)
-    return lambda assignments: [single(a) for a in assignments]
+    if callable(model):
+        return lambda assignments: [float(model(ind, a)) for a in assignments]
+    raise TypeError(f"cannot score assignments with {type(model)!r}")
 
 
 def brute_force(
     scenario: Scenario, ind: ModalityIndicators, model, resource: str
 ) -> SearchResult:
-    """Exhaustive search; ties break to the lexicographically smallest assignment."""
-    score_of = _scorer(model, ind)
+    """Exhaustive search; ties break to the lexicographically smallest assignment.
+
+    Scores one assignment per call: a batched matrix product may round a row
+    differently, which could move a tie-break.
+    """
+    score_many = _batch_scorer(model, ind)
     best = None
     best_score = float("-inf")
     feasible = 0
@@ -63,7 +60,7 @@ def brute_force(
         if end_to_end_latency(scenario, assignment, resource).total_us > scenario.t_max_us:
             continue
         feasible += 1
-        score = score_of(assignment)
+        score = float(score_many([assignment])[0])
         if score > best_score:
             best, best_score = assignment, score
     if best is None:
@@ -124,7 +121,6 @@ def greedy_search(
     microsecond (free or latency-reducing gains rank highest); every step
     strictly improves the predicted accuracy, so termination is guaranteed.
     """
-    score_of = _scorer(model, ind)
     score_many = _batch_scorer(model, ind)
     table = _unimodal_table(scenario, resource)
     fusion = scenario.latency_profile.fusion_us
@@ -139,7 +135,7 @@ def greedy_search(
             )
         start_pairs.append(best_pair)
     current = ConfigAssignment(tuple(start_pairs))
-    current_score = score_of(current)
+    current_score = float(score_many([current])[0])
     current_latency = max(table[i][p] for i, p in enumerate(current.pairs)) + fusion
 
     while True:
@@ -180,7 +176,7 @@ def optimizer_step(
     t0 = time.perf_counter()
     ind = probe_indicators(scenario, sample)
     assignment = greedy_search(scenario, ind, model, resource)
-    score = _scorer(model, ind)(assignment)
+    score = float(_batch_scorer(model, ind)([assignment])[0])
     elapsed_us = int((time.perf_counter() - t0) * 1e6)
     return OptimizerDecision(
         assignment=assignment, score=score, decision_latency_us=elapsed_us

@@ -4,18 +4,19 @@ Consistency is the mean pairwise cosine similarity of first-unit features
 across modalities; complementarity is its complement to one.  The predictor
 is a one-hidden-layer feed-forward regressor over (consistency,
 complementarity, one-hot configuration code) trained offline by full-batch
-gradient descent against synthetic accuracy labels in percent.
+gradient descent (`nn.fit_mlp`) against synthetic accuracy labels in percent.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from . import nn, rng
+from . import nn
 from .core import ConfigAssignment, ModalsimError, Scenario
 from .nn import EmptyDataset, NonFiniteLoss  # re-exported error types
 
@@ -163,29 +164,7 @@ class PredictorModel:
     info: TrainingInfo
 
 
-def _forward_raw(params, x: np.ndarray) -> np.ndarray:
-    w1, b1, w2, b2 = params
-    return nn.softplus(x @ w1 + b1) @ w2 + b2
-
-
-def loss_and_grads(params, x: np.ndarray, y: np.ndarray):
-    """Mean-squared-error loss with analytic gradients (used by the training
-    loop and checked against finite differences in the tests)."""
-    w1, b1, w2, b2 = params
-    z = x @ w1 + b1
-    h = nn.softplus(z)
-    pred = h @ w2 + b2
-    err = pred - y
-    n = x.shape[0]
-    loss = float(np.mean(err**2))
-    d_pred = 2.0 * err / n
-    g_w2 = h.T @ d_pred
-    g_b2 = float(np.sum(d_pred))
-    d_h = np.outer(d_pred, w2)
-    d_z = d_h * nn.softplus_grad(z)
-    g_w1 = x.T @ d_z
-    g_b1 = d_z.sum(axis=0)
-    return loss, (g_w1, g_b1, g_w2, g_b2)
+loss_and_grads = nn.loss_and_grads  # re-exported; "mse" is its default loss
 
 
 def train(
@@ -202,38 +181,14 @@ def train(
 
     x = np.vstack([encoding.encode(ind, a) for ind, a, _ in dataset])
     y = np.array([acc for _, _, acc in dataset], dtype=np.float64)
+    fit = nn.fit_mlp(x, y, loss="mse", tag="predictor", **dataclasses.asdict(hyper))
 
-    order = _shuffled(len(dataset), rng.stream(hyper.seed, "predictor", "split"))
-    n_hold = max(1, int(round(hyper.holdout_fraction * len(dataset)))) if len(dataset) > 4 else 0
-    hold_idx, train_idx = order[:n_hold], order[n_hold:]
-    if len(train_idx) == 0:
-        train_idx, hold_idx = order, []
-    xt, yt = x[train_idx], y[train_idx]
-
-    x_mean, x_scale = nn.standardize_fit(xt)
-    y_mean = float(yt.mean())
-    xs = (xt - x_mean) / x_scale
-    ys = yt - y_mean
-
-    init = rng.stream(hyper.seed, "predictor", "init")
-    w1 = nn.init_matrix(init.sub("w1"), encoding.dim, hyper.hidden)
-    b1 = np.zeros(hyper.hidden)
-    w2 = nn.init_matrix(init.sub("w2"), hyper.hidden, 1)[:, 0]
-    b2 = 0.0
-    params = [w1, b1, w2, b2]
-
-    lr = hyper.learning_rate
-    for _ in range(hyper.epochs):
-        loss, grads = loss_and_grads(params, xs, ys)
-        if not np.isfinite(loss):
-            raise NonFiniteLoss(f"loss became non-finite ({loss})")
-        params = [p - lr * g for p, g in zip(params, grads)]
-
-    train_mse, _ = loss_and_grads(params, xs, ys)
-    if len(hold_idx):
-        xh = (x[hold_idx] - x_mean) / x_scale
-        yh = y[hold_idx]
-        pred_h = _forward_raw(params, xh) + y_mean
+    xt = (x[fit.train_idx] - fit.x_mean) / fit.x_scale
+    train_mse, _ = nn.loss_and_grads(fit.params, xt, y[fit.train_idx] - fit.y_mean)
+    if fit.hold_idx:
+        xh = (x[fit.hold_idx] - fit.x_mean) / fit.x_scale
+        yh = y[fit.hold_idx]
+        pred_h = nn.forward(fit.params, xh) + fit.y_mean
         hold_mse = float(np.mean((pred_h - yh) ** 2))
         var = float(np.var(yh))
         hold_r2 = 1.0 - hold_mse / var if var > 0 else (1.0 if hold_mse == 0.0 else 0.0)
@@ -243,31 +198,12 @@ def train(
     info = TrainingInfo(
         seed=hyper.seed,
         epochs=hyper.epochs,
-        learning_rate=lr,
-        train_mse=float(train_mse),
+        learning_rate=hyper.learning_rate,
+        train_mse=train_mse,
         holdout_mse=hold_mse,
         holdout_r2=hold_r2,
     )
-    return PredictorModel(
-        encoding=encoding,
-        w1=params[0],
-        b1=params[1],
-        w2=params[2],
-        b2=float(params[3]),
-        x_mean=x_mean,
-        x_scale=x_scale,
-        y_mean=y_mean,
-        info=info,
-    )
-
-
-def _shuffled(n: int, stream: rng.Stream) -> list[int]:
-    # Fisher-Yates driven by the counter stream
-    order = list(range(n))
-    for i in range(n - 1, 0, -1):
-        j = stream.u64(i) % (i + 1)
-        order[i], order[j] = order[j], order[i]
-    return order
+    return PredictorModel(encoding=encoding, **fit.weights, y_mean=fit.y_mean, info=info)
 
 
 def predict(model: PredictorModel, ind: ModalityIndicators, assignment: ConfigAssignment) -> float:
@@ -280,7 +216,7 @@ def predict_batch(
 ) -> np.ndarray:
     x = np.vstack([model.encoding.encode(ind, a) for a in assignments])
     xs = (x - model.x_mean) / model.x_scale
-    raw = _forward_raw((model.w1, model.b1, model.w2, model.b2), xs) + model.y_mean
+    raw = nn.forward((model.w1, model.b1, model.w2, model.b2), xs) + model.y_mean
     return np.clip(raw, 0.0, 100.0)
 
 
@@ -293,50 +229,24 @@ def save_model(model: PredictorModel, path: str | Path) -> None:
                 "sensing_counts": list(model.encoding.sensing_counts),
                 "model_counts": list(model.encoding.model_counts),
             },
-            "weights": {
-                "w1": nn.to_lists(model.w1),
-                "b1": [float(v) for v in model.b1],
-                "w2": [float(v) for v in model.w2],
-                "b2": model.b2,
-                "x_mean": [float(v) for v in model.x_mean],
-                "x_scale": [float(v) for v in model.x_scale],
-                "y_mean": model.y_mean,
-            },
-            "training": {
-                "seed": model.info.seed,
-                "epochs": model.info.epochs,
-                "learning_rate": model.info.learning_rate,
-                "train_mse": model.info.train_mse,
-                "holdout_mse": model.info.holdout_mse,
-                "holdout_r2": model.info.holdout_r2,
-            },
+            "weights": {**nn.weight_block(model), "y_mean": model.y_mean},
+            "training": dataclasses.asdict(model.info),
         },
     )
 
 
 def load_model(path: str | Path) -> PredictorModel:
+    """Read a predictor document; nn.WeightFormatError if it is malformed."""
     doc = nn.read_weight_doc(path, "accuracy_predictor")
-    enc = EncodingSpec(
-        sensing_counts=tuple(doc["encoding"]["sensing_counts"]),
-        model_counts=tuple(doc["encoding"]["model_counts"]),
-    )
-    w = doc["weights"]
-    t = doc["training"]
+    counts = "a list of positive counts"
+    sensing, models = nn.fields(doc, "encoding", sensing_counts=counts, model_counts=counts)
+    if len(sensing) != len(models):
+        raise nn.WeightFormatError("encoding.sensing_counts and model_counts differ in length")
+    enc = EncodingSpec(sensing_counts=tuple(sensing), model_counts=tuple(models))
+    (y_mean,) = nn.fields(doc, "weights", y_mean="a number")
     return PredictorModel(
         encoding=enc,
-        w1=nn.from_lists(w["w1"]),
-        b1=np.asarray(w["b1"], dtype=np.float64),
-        w2=np.asarray(w["w2"], dtype=np.float64),
-        b2=float(w["b2"]),
-        x_mean=np.asarray(w["x_mean"], dtype=np.float64),
-        x_scale=np.asarray(w["x_scale"], dtype=np.float64),
-        y_mean=float(w["y_mean"]),
-        info=TrainingInfo(
-            seed=t["seed"],
-            epochs=t["epochs"],
-            learning_rate=t["learning_rate"],
-            train_mse=t["train_mse"],
-            holdout_mse=t["holdout_mse"],
-            holdout_r2=t["holdout_r2"],
-        ),
+        **nn.read_weight_block(doc, enc.dim),
+        y_mean=float(y_mean),
+        info=nn.read_record(doc, "training", TrainingInfo),
     )

@@ -229,3 +229,89 @@ def test_trained_model_files_deterministic(scenario_file, tmp_path):
         )
         assert res.returncode == 0, res.stderr
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def _drop_b1(doc):
+    del doc["weights"]["b1"]
+
+
+def _set(section, key, value):
+    def edit(doc):
+        (doc if section is None else doc[section])[key] = value
+
+    return edit
+
+
+def _shorten(key):
+    def edit(doc):
+        doc["weights"][key] = doc["weights"][key][:-1]
+
+    return edit
+
+
+def _widen_layout(doc):
+    doc["layout"]["fast_dim"] += 1
+
+
+def _nan_weight(doc):
+    doc["weights"]["w2"][0] = float("nan")
+
+
+# each malformed gate document, given as raw text or as an edit of a trained one
+MALFORMED_GATES = {
+    "invalid-json": "{not json",
+    "top-level-list": "[]",
+    "weights-not-object": _set(None, "weights", "x"),
+    "missing-b1": _drop_b1,
+    "ill-typed-w2": _set("weights", "w2", "abc"),
+    "wrong-version": _set(None, "format_version", 2),
+    "wrong-kind": _set(None, "kind", "accuracy_predictor"),
+    "x_mean-vs-w1-rows": _shorten("x_mean"),
+    "b1-vs-hidden": _shorten("b1"),
+    "w2-vs-hidden": _shorten("w2"),
+    "layout-vs-w1-rows": _widen_layout,
+    "non-finite-weight": _nan_weight,
+    "missing-training-key": lambda doc: doc["training"].pop("seed"),
+}
+
+
+def _assert_weight_format_error(res):
+    assert res.returncode == 2, res.stderr
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1, res.stderr  # one JSON line, no traceback
+    assert json.loads(lines[0])["error"] == "WeightFormatError"
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_GATES))
+def test_malformed_gate_document_exit_code_2(case, scenario_file, gate_file, tmp_path):
+    bad = tmp_path / "gate.json"
+    edit = MALFORMED_GATES[case]
+    if isinstance(edit, str):
+        bad.write_text(edit)
+    else:
+        doc = json.loads(open(gate_file).read())
+        edit(doc)
+        bad.write_text(json.dumps(doc))
+    res = invoke("run", "--scenario", scenario_file, "--gate", str(bad), "--out", str(tmp_path / "t.jsonl"))
+    _assert_weight_format_error(res)
+
+
+def _grow_encoding(doc):
+    doc["encoding"]["sensing_counts"][0] += 1
+
+
+MALFORMED_PREDICTORS = {
+    "encoding-vs-w1-rows": _grow_encoding,
+    "y_mean-not-number": _set("weights", "y_mean", "70"),
+    "training-not-object": _set(None, "training", None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_PREDICTORS))
+def test_malformed_predictor_document_exit_code_2(case, scenario_file, predictor_file, tmp_path):
+    doc = json.loads(open(predictor_file).read())
+    MALFORMED_PREDICTORS[case](doc)
+    bad = tmp_path / "predictor.json"
+    bad.write_text(json.dumps(doc))
+    res = invoke("optimize", "--scenario", scenario_file, "--predictor", str(bad))
+    _assert_weight_format_error(res)

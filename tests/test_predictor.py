@@ -211,17 +211,25 @@ def test_prediction_lipschitz_in_indicators():
     assert abs(moved - base) < 1e-3  # finite perturbation stays bounded
 
 
-def test_gradient_check_against_finite_differences():
+@pytest.mark.parametrize("mask_kind", ["none", "dropout"])
+@pytest.mark.parametrize("loss", ["mse", "bce"])
+def test_gradient_check_against_finite_differences(loss, mask_kind):
+    # "mse" is the predictor's loss; "bce" with a dropout mask is the gate's
     s = rng.stream(0, "gradcheck")
     dim, hidden, n = 5, 4, 12
     x = s.symmetric(n * dim).reshape(n, dim)
     y = s.sub("y").symmetric(n) * 3.0
+    if loss == "bce":
+        y = (y > 0.0).astype(np.float64)
+    mask = None
+    if mask_kind == "dropout":
+        mask = (np.array([0.9, 0.1, 0.6, 0.8]) >= 0.3).astype(np.float64) / 0.7
     w1 = s.sub("w1").symmetric(dim * hidden).reshape(dim, hidden) * 0.7
     b1 = s.sub("b1").symmetric(hidden) * 0.2
     w2 = s.sub("w2").symmetric(hidden) * 0.9
     b2 = 0.1
     params = [w1, b1, w2, b2]
-    _, grads = loss_and_grads(params, x, y)
+    _, grads = loss_and_grads(params, x, y, loss, mask)
 
     h = 3e-6
     worst = 0.0
@@ -236,7 +244,7 @@ def test_gradient_check_against_finite_differences():
                 else:
                     p[pi] = p[pi].copy()
                     p[pi].ravel()[j] = v
-                return loss_and_grads(p, x, y)[0]
+                return loss_and_grads(p, x, y, loss, mask)[0]
 
             v0 = flat[j]
             num = (loss_at(v0 + h) - loss_at(v0 - h)) / (2 * h)
