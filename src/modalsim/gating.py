@@ -9,8 +9,8 @@ stays deterministic.
 
 from __future__ import annotations
 
-import math
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -186,11 +186,11 @@ def load_gate(path: str | Path) -> GateModel:
     doc = nn.read_weight_doc(path, "skip_gate")
     fast_dim, slow_dim = nn.fields(doc, "layout", fast_dim="a count", slow_dim="a count")
     (dropout,) = nn.fields(doc, None, dropout="a number")
-    training = None if doc.get("training") is None else nn.read_record(doc, "training", GateTrainingInfo)
+    info = None if doc.get("training") is None else nn.read_record(doc, "training", GateTrainingInfo)
     return GateModel(
         fast_dim=fast_dim,
         slow_dim=slow_dim,
         **nn.read_weight_block(doc, fast_dim + slow_dim + 1),
         dropout=float(dropout),
-        info=training,
+        info=info,
     )

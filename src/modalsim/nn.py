@@ -143,7 +143,9 @@ def fit_mlp(
 
     Every random draw (holdout split, init, dropout masks) comes from streams
     labelled (seed, tag, ...), so a fit is a pure function of its arguments.
-    Datasets of at most four rows train on every row and hold none out.
+    Datasets of at most four rows train on every row and hold none out.  The
+    keyword arguments after `tag` are the fields of the predictor's
+    TrainConfig and the gate's GateTrainConfig.
     """
     n = len(y)
     order = shuffled(n, rng.stream(seed, tag, "split"))
@@ -157,7 +159,7 @@ def fit_mlp(
     x_scale = np.where(std < 1e-9, 1.0, std)
     xs = (xt - x_mean) / x_scale
     y_mean = float(yt.mean()) if loss == "mse" else 0.0
-    ys = yt - y_mean if loss == "mse" else yt
+    ys = yt - y_mean
 
     init = rng.stream(seed, tag, "init")
     params = [

@@ -231,10 +231,6 @@ def test_trained_model_files_deterministic(scenario_file, tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def _drop_b1(doc):
-    del doc["weights"]["b1"]
-
-
 def _set(section, key, value):
     def edit(doc):
         (doc if section is None else doc[section])[key] = value
@@ -262,7 +258,7 @@ MALFORMED_GATES = {
     "invalid-json": "{not json",
     "top-level-list": "[]",
     "weights-not-object": _set(None, "weights", "x"),
-    "missing-b1": _drop_b1,
+    "missing-b1": lambda doc: doc["weights"].pop("b1"),
     "ill-typed-w2": _set("weights", "w2", "abc"),
     "wrong-version": _set(None, "format_version", 2),
     "wrong-kind": _set(None, "kind", "accuracy_predictor"),
