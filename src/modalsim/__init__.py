@@ -25,7 +25,7 @@ from .core import (
     validate_scenario,
 )
 from .aggregation import DiffSpec, ShiftSpec, aggregate, alternating_shift, temporal_differences
-from .engine import Event, EventKind, SimTrace, apply_resource_schedule, commit_skip, run
+from .engine import Event, EventKind, SimTrace, apply_resource_schedule, run
 from .gating import GateModel, SkipDecision, checkpoint_schedule, gate_eval, gate_train
 from .latency import end_to_end_latency, reported_latency, unimodal_latency
 from .optimizer import brute_force, greedy_search, optimizer_step
@@ -61,7 +61,6 @@ __all__ = [
     "apply_resource_schedule",
     "brute_force",
     "checkpoint_schedule",
-    "commit_skip",
     "consistency",
     "end_to_end_latency",
     "gate_eval",

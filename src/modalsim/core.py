@@ -36,10 +36,6 @@ class GateRequiredButMissing(ModalsimError):
     pass
 
 
-class AlreadyCompleted(ModalsimError):
-    """A skip commit arrived after the modality had finished naturally."""
-
-
 class NoFeasibleAssignment(ModalsimError):
     pass
 

@@ -7,6 +7,18 @@ unit is fully sensed, so with a constant resource level the pipelined encode
 of N units finishes at exactly N * max(L_E, L_S) and the trace agrees with
 the closed-form latency model to the microsecond.
 
+`run` goes through three stages, each over one plan per modality:
+  _schedule    per-unit sense and encode timing and the aggregation after
+               the last encode.  One formula serves every mode: a unit
+               starts when its sensing has begun and the encoder is free.
+               Blocking mode differs only in when the encoder is first
+               free: at the end of the window instead of its start.
+  _apply_skip  pipelined mode with checkpoints: asks the gate at each
+               checkpoint of the slow modality and commits the first that
+               fires, aggregating the prefix at the evaluation time.
+  _emit        the unit and aggregation events, truncated at a skip commit
+               or (non-blocking) at fusion, and the peak buffer count.
+
 Mode semantics:
   blocking      all units of all modalities are sensed first; each modality
                 then encodes its window as one back-to-back block of N jobs,
@@ -28,9 +40,7 @@ separately.
 from __future__ import annotations
 
 import bisect
-import dataclasses
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +48,6 @@ import numpy as np
 from . import rng
 from .aggregation import DiffSpec, ShiftSpec, aggregate_vector
 from .core import (
-    AlreadyCompleted,
     ConfigAssignment,
     ExecutionMode,
     GateRequiredButMissing,
@@ -134,23 +143,45 @@ def prediction_head(scenario: Scenario, fused_dim: int) -> np.ndarray:
     return s.symmetric(NUM_CLASSES * fused_dim).reshape(NUM_CLASSES, fused_dim)
 
 
-class _ModalityPlan:
-    """Scratch state for one modality's schedule within a window."""
+def slow_modality(scenario: Scenario, assignment: ConfigAssignment, at_us: int) -> int:
+    """The modality speculative skipping truncates: the one with the largest
+    projected unimodal latency at the resource level active at `at_us`."""
+    resource = apply_resource_schedule(scenario, at_us)
+    projected = [
+        unimodal_latency(scenario, assignment, m.id, resource) for m in scenario.modalities
+    ]
+    return int(np.argmax(projected))
 
-    def __init__(self, modality, n_units, interval_us):
+
+class _ModalityPlan:
+    """One modality's unit timing, aggregation and fused vector within a window."""
+
+    def __init__(self, scenario, assignment, modality, sample):
+        self.scenario = scenario
         self.modality = modality
-        self.n = n_units
-        self.interval = interval_us
+        self.levels = assignment.pairs[modality.id]
+        sensing = scenario.sensing(modality.id, self.levels[0])
+        self.n = sensing.units_per_window
+        self.interval = sensing.interval_us
+        self.rows = sample.window_payload(modality, self.n)
         self.sense_start: list[int] = []
         self.enc_start: list[int] = []
         self.enc_end: list[int] = []
         self.enc_resource: list[str] = []
         self.enc_cost: list[int] = []
-        self.rows: np.ndarray | None = None
-        self.agg_start = 0
-        self.agg_done = 0
-        self.agg_prefix = 0
+        self.agg_start = self.agg_done = self.agg_prefix = 0
         self.fused: np.ndarray | None = None
+        self.cut: int | None = None  # skip commit: units not encoded by then are dropped
+
+    def entry(self, resource: str):
+        return self.scenario.latency_profile.lookup(self.modality.id, *self.levels, resource)
+
+    def aggregate_at(self, time_us: int, prefix: int) -> None:
+        """Aggregate the first `prefix` units, starting at `time_us`."""
+        resource = apply_resource_schedule(self.scenario, time_us)
+        self.agg_start = time_us
+        self.agg_done = time_us + self.entry(resource).aggregation_us
+        self.agg_prefix = prefix
 
 
 def run(
@@ -159,8 +190,6 @@ def run(
     sample: Sample,
     gate=None,
     *,
-    shift_spec: ShiftSpec = DEFAULT_SHIFT,
-    diff_spec: DiffSpec = DEFAULT_DIFF,
     config_decision=None,
 ) -> SimTrace:
     """Simulate one sample and return its trace.
@@ -174,161 +203,26 @@ def run(
     check_assignment(scenario, assignment)
     mode = scenario.execution_mode
     t_w = scenario.window_us
-    profile = scenario.latency_profile
 
     events: list[Event] = []
     window_start = 0
     if config_decision is not None:
         window_start = config_decision.probe_cost_us
         events.append(
-            _ev(
-                0,
-                EventKind.CONFIG_SWITCH,
-                pairs=tuple(assignment.pairs),
-                probe_cost_us=window_start,
-            )
+            _ev(0, EventKind.CONFIG_SWITCH, pairs=tuple(assignment.pairs), probe_cost_us=window_start)
         )
 
-    if mode is ExecutionMode.PIPELINED and scenario.skip_checkpoints and gate is None:
-        raise GateRequiredButMissing(
-            "scenario configures skip checkpoints; pipelined runs need a gate"
-        )
+    skipping = mode is ExecutionMode.PIPELINED and bool(scenario.skip_checkpoints)
+    if skipping and gate is None:
+        raise GateRequiredButMissing("scenario configures skip checkpoints; pipelined runs need a gate")
 
-    plans: list[_ModalityPlan] = []
-    for m in scenario.modalities:
-        s_level, m_level = assignment.pairs[m.id]
-        sensing = scenario.sensing(m.id, s_level)
-        n = sensing.units_per_window
-        plan = _ModalityPlan(m, n, sensing.interval_us)
-        plan.rows = sample.window_payload(m, n)
+    plans = [_schedule(scenario, assignment, sample, m, window_start) for m in scenario.modalities]
+    if skipping:
+        _apply_skip(scenario, assignment, plans, gate, window_start, events)
 
-        prev_end = None
-        for u in range(n):
-            sense_start = window_start + u * plan.interval
-            sense_end = sense_start + plan.interval
-            plan.sense_start.append(sense_start)
-            if mode is ExecutionMode.BLOCKING:
-                start = window_start + t_w if prev_end is None else prev_end
-                resource = apply_resource_schedule(scenario, start)
-                cost = profile.lookup(m.id, s_level, m_level, resource).unit_encode_us
-                end = start + cost
-            else:
-                start = sense_start if prev_end is None else max(sense_start, prev_end)
-                resource = apply_resource_schedule(scenario, start)
-                cost = profile.lookup(m.id, s_level, m_level, resource).unit_encode_us
-                end = max(start + cost, sense_end)
-            plan.enc_start.append(start)
-            plan.enc_end.append(end)
-            plan.enc_resource.append(resource)
-            plan.enc_cost.append(cost)
-            prev_end = end
-
-        plan.agg_start = plan.enc_end[-1]
-        agg_resource = apply_resource_schedule(scenario, plan.agg_start)
-        plan.agg_done = (
-            plan.agg_start + profile.lookup(m.id, s_level, m_level, agg_resource).aggregation_us
-        )
-        plan.agg_prefix = n
-        plans.append(plan)
-
-    skipped_total = 0
-    skip_cut: dict[int, int] = {}  # modality id -> cut time for buffered units
-    checkpoint_events: list[Event] = []
-
-    if mode is ExecutionMode.PIPELINED and scenario.skip_checkpoints and gate is not None:
-        slow_id, cut = _apply_skip(
-            scenario, assignment, plans, sample, gate, shift_spec, diff_spec, checkpoint_events
-        )
-        if cut is not None:
-            skip_cut[slow_id] = cut
-            skipped_total = plans[slow_id].n - plans[slow_id].agg_prefix
-
-    if mode is ExecutionMode.NON_BLOCKING:
-        fusion_start = min(p.agg_done for p in plans)
-        waiting = 0
-    else:
-        fusion_start = max(p.agg_done for p in plans)
-        waiting = fusion_start - min(p.agg_done for p in plans)
-
-    # resolve per-modality aggregates; unfinished modalities in non-blocking
-    # mode contribute a zero-padded snapshot of the units encoded so far
-    for plan in plans:
-        if mode is ExecutionMode.NON_BLOCKING and plan.agg_done > fusion_start:
-            snapshot = np.zeros_like(plan.rows)
-            for u in range(plan.n):
-                if plan.enc_end[u] <= fusion_start:
-                    snapshot[u] = plan.rows[u]
-            plan.fused = aggregate_vector(snapshot, shift_spec, diff_spec)
-        elif plan.fused is None:
-            plan.fused = aggregate_vector(plan.rows[: plan.agg_prefix], shift_spec, diff_spec)
-
-    # emit per-modality events, applying skip/non-blocking truncation
-    buffer_intervals: dict[int, list[tuple[int, int]]] = {p.modality.id: [] for p in plans}
-    for plan in plans:
-        mid = plan.modality.id
-        unfinished = mode is ExecutionMode.NON_BLOCKING and plan.agg_done > fusion_start
-        cut = skip_cut.get(mid)
-        if unfinished:
-            cut = fusion_start
-        keep_prefix = plan.agg_prefix if mid in skip_cut else plan.n
-
-        for u in range(plan.n):
-            s_start = plan.sense_start[u]
-            if cut is not None and s_start >= cut:
-                continue  # sensing never began
-            events.append(
-                _ev(
-                    s_start,
-                    EventKind.UNIT_SENSED,
-                    mid,
-                    u,
-                    sense_end_us=s_start + plan.interval,
-                )
-            )
-            leave = None
-            e_start, e_end = plan.enc_start[u], plan.enc_end[u]
-            if cut is None or e_end <= cut or (u < keep_prefix and mid in skip_cut):
-                events.append(
-                    _ev(
-                        e_start,
-                        EventKind.ENCODE_START,
-                        mid,
-                        u,
-                        resource=plan.enc_resource[u],
-                        encode_cost_us=plan.enc_cost[u],
-                    )
-                )
-                events.append(_ev(e_end, EventKind.ENCODE_END, mid, u))
-                leave = e_end
-            elif e_start < cut:
-                events.append(
-                    _ev(
-                        e_start,
-                        EventKind.ENCODE_START,
-                        mid,
-                        u,
-                        resource=plan.enc_resource[u],
-                        encode_cost_us=plan.enc_cost[u],
-                    )
-                )
-                events.append(_ev(cut, EventKind.ENCODE_END, mid, u, aborted=True))
-                leave = cut
-            else:
-                leave = cut  # sensed (at least begun) but never encoded
-            buffer_intervals[mid].append((s_start, leave))
-
-        if not unfinished:
-            events.append(
-                _ev(
-                    plan.agg_done,
-                    EventKind.AGGREGATION_DONE,
-                    mid,
-                    prefix=plan.agg_prefix,
-                    started_us=plan.agg_start,
-                )
-            )
-
-    events.extend(checkpoint_events)
+    done = [p.agg_done for p in plans]
+    fusion_start = min(done) if mode is ExecutionMode.NON_BLOCKING else max(done)
+    peaks = tuple(_emit(plan, fusion_start, events) for plan in plans)
 
     # resource changes up to the fusion point
     for t, level in scenario.resource_schedule:
@@ -340,17 +234,16 @@ def run(
     label = int(np.argmax(head @ fused_all))
 
     events.append(_ev(fusion_start, EventKind.FUSION_START))
-    prediction_time = fusion_start + profile.fusion_us
+    prediction_time = fusion_start + scenario.latency_profile.fusion_us
     events.append(_ev(prediction_time, EventKind.PREDICTION_EMITTED, label=label))
 
     events.sort(key=Event.sort_key)
 
-    peaks = tuple(_peak_occupancy(buffer_intervals[p.modality.id]) for p in plans)
     summary = TraceSummary(
         reported_latency_us=(prediction_time - window_start) - t_w,
-        waiting_us=waiting,
+        waiting_us=fusion_start - min(done),
         peak_buffered_units=peaks,
-        skipped_unit_count=skipped_total,
+        skipped_unit_count=sum(p.n - p.agg_prefix for p in plans),
     )
     return SimTrace(
         fingerprint=fingerprint(scenario),
@@ -363,75 +256,59 @@ def run(
     )
 
 
-def commit_skip(
-    scenario: Scenario,
-    assignment: ConfigAssignment,
-    plan: _ModalityPlan,
-    decision: SkipDecision,
-    at_time: int,
-    shift_spec: ShiftSpec = DEFAULT_SHIFT,
-    diff_spec: DiffSpec = DEFAULT_DIFF,
-) -> SkipDecision:
-    """Apply a committed skip decision to one modality's schedule.
+def _schedule(scenario, assignment, sample, modality, window_start) -> _ModalityPlan:
+    """Per-unit sense and encode timing, then aggregation after the last encode.
 
-    Cancels everything past the checkpoint prefix, starts aggregation of the
-    prefix at `at_time`, and returns the decision with units_skipped filled.
-    Raises AlreadyCompleted when every unit has already finished encoding, so
-    a late checkpoint degrades to a logged no-op.
+    Unit u is sensed during [u*L_S, (u+1)*L_S) from the window start.  One
+    FIFO encoder starts it once sensing has begun and the encoder is free,
+    and is free again when the encode is done and the unit fully sensed.
+    Blocking mode differs only in that the encoder is first free at the end
+    of the window.
     """
-    if not decision.committed:
-        raise ValueError("commit_skip needs a committed decision")
-    if at_time >= plan.enc_end[-1]:
-        raise AlreadyCompleted(
-            f"modality {plan.modality.id} finished encoding before the "
-            f"{decision.checkpoint_fraction:.0%} checkpoint took effect"
-        )
-    prefix = min(max(math.ceil(decision.checkpoint_fraction * plan.n), 1), plan.n)
-    mid = plan.modality.id
-    s_level, m_level = assignment.pairs[mid]
-    resource = apply_resource_schedule(scenario, at_time)
-    la = scenario.latency_profile.lookup(mid, s_level, m_level, resource).aggregation_us
-    plan.agg_start = at_time
-    plan.agg_done = at_time + la
-    plan.agg_prefix = prefix
-    plan.fused = aggregate_vector(plan.rows[:prefix], shift_spec, diff_spec)
-    return dataclasses.replace(decision, units_skipped=plan.n - prefix)
+    plan = _ModalityPlan(scenario, assignment, modality, sample)
+    free = window_start
+    if scenario.execution_mode is ExecutionMode.BLOCKING:
+        free += scenario.window_us
+    for u in range(plan.n):
+        sense_start = window_start + u * plan.interval
+        start = max(sense_start, free)
+        resource = apply_resource_schedule(scenario, start)
+        cost = plan.entry(resource).unit_encode_us
+        free = max(start + cost, sense_start + plan.interval)
+        plan.sense_start.append(sense_start)
+        plan.enc_start.append(start)
+        plan.enc_end.append(free)
+        plan.enc_resource.append(resource)
+        plan.enc_cost.append(cost)
+    plan.aggregate_at(free, plan.n)
+    return plan
 
 
-def _apply_skip(scenario, assignment, plans, sample, gate, shift_spec, diff_spec, out_events):
+def _apply_skip(scenario, assignment, plans, gate, window_start, events) -> None:
     """Evaluate checkpoints on the slow modality; commit the first that fires.
 
-    Returns (slow_id, cut_time or None).
+    A checkpoint is evaluated once its prefix is encoded and every other
+    modality has aggregated.  A commit aggregates the prefix at that time
+    and cuts the slow modality's remaining units there.
     """
-    r0 = apply_resource_schedule(scenario, plans[0].sense_start[0] if plans[0].sense_start else 0)
-    projected = [
-        unimodal_latency(scenario, assignment, p.modality.id, r0) for p in plans
-    ]
-    slow_id = int(np.argmax(projected))
+    slow_id = slow_modality(scenario, assignment, window_start)
     slow = plans[slow_id]
-
-    others = [p for p in plans if p.modality.id != slow_id]
-    fast_done = max((p.agg_done for p in others), default=slow.sense_start[0])
+    others = [p for p in plans if p is not slow]
+    fast_done = max((p.agg_done for p in others), default=window_start)
     for p in others:
-        p.fused = aggregate_vector(p.rows[: p.n], shift_spec, diff_spec)
-    f_fast = (
-        np.concatenate([p.fused for p in others]) if others else np.zeros(0)
-    )
+        p.fused = aggregate_vector(p.rows, DEFAULT_SHIFT, DEFAULT_DIFF)
+    f_fast = np.concatenate([p.fused for p in others]) if others else np.zeros(0)
 
-    pairs = []  # (unit index, fraction), deduplicated keeping the earliest fraction
-    seen = set()
+    first_fraction: dict[int, float] = {}  # unit index -> earliest fraction naming it
     for f in scenario.skip_checkpoints:
         for idx in checkpoint_indices([f], slow.n):
-            if idx not in seen:
-                seen.add(idx)
-                pairs.append((idx, f))
-    pairs.sort()
+            first_fraction.setdefault(idx, f)
 
-    for idx, fraction in pairs:
+    for idx, fraction in sorted(first_fraction.items()):
         t_eval = max(slow.enc_end[idx], fast_done)
         if t_eval >= slow.enc_end[-1]:
             # nothing left to skip: the modality beat the checkpoint
-            out_events.append(
+            events.append(
                 _ev(
                     t_eval,
                     EventKind.CHECKPOINT_EVAL,
@@ -441,41 +318,91 @@ def _apply_skip(scenario, assignment, plans, sample, gate, shift_spec, diff_spec
                 )
             )
             continue
-        prefix = idx + 1
-        f_slow = aggregate_vector(slow.rows[:prefix], shift_spec, diff_spec)
+        f_slow = aggregate_vector(slow.rows[: idx + 1], DEFAULT_SHIFT, DEFAULT_DIFF)
         p = float(gate.probability(f_fast, f_slow, fraction))
-        decision = SkipDecision(
-            checkpoint_fraction=fraction, probability=p, committed=p > scenario.tau
-        )
-        out_events.append(
+        # the decision record validates the gate's probability
+        committed = SkipDecision(fraction, probability=p, committed=p > scenario.tau).committed
+        events.append(
             _ev(
                 t_eval,
                 EventKind.CHECKPOINT_EVAL,
                 slow_id,
                 fraction=fraction,
                 probability=p,
-                committed=decision.committed,
+                committed=committed,
             )
         )
-        if not decision.committed:
+        if not committed:
             continue
-
-        realized = commit_skip(
-            scenario, assignment, slow, decision, t_eval, shift_spec, diff_spec
-        )
-        out_events.append(
+        slow.aggregate_at(t_eval, idx + 1)
+        slow.fused = f_slow
+        slow.cut = t_eval
+        events.append(
             _ev(
                 t_eval,
                 EventKind.SKIP_COMMITTED,
                 slow_id,
                 fraction=fraction,
                 probability=p,
-                prefix=slow.agg_prefix,
-                units_skipped=realized.units_skipped,
+                prefix=idx + 1,
+                units_skipped=slow.n - idx - 1,
             )
         )
-        return slow_id, t_eval
-    return slow_id, None
+        return
+
+
+def _emit(plan, fusion_start, events) -> int:
+    """Append one modality's unit and aggregation events; return its peak
+    count of buffered units (sensing begun, encode not yet done).
+
+    A modality still aggregating at fusion time (non-blocking mode) is cut
+    there and fuses a zero-padded snapshot of the units encoded by then;
+    the snapshot costs no virtual time.
+    """
+    mid = plan.modality.id
+    cut = plan.cut
+    if plan.agg_done > fusion_start:
+        cut = fusion_start
+        encoded = np.array(plan.enc_end)[:, None] <= fusion_start
+        plan.fused = aggregate_vector(np.where(encoded, plan.rows, 0.0), DEFAULT_SHIFT, DEFAULT_DIFF)
+    else:
+        events.append(
+            _ev(
+                plan.agg_done,
+                EventKind.AGGREGATION_DONE,
+                mid,
+                prefix=plan.agg_prefix,
+                started_us=plan.agg_start,
+            )
+        )
+        if plan.fused is None:
+            plan.fused = aggregate_vector(plan.rows, DEFAULT_SHIFT, DEFAULT_DIFF)
+
+    intervals = []
+    for u, s_start in enumerate(plan.sense_start):
+        if cut is not None and s_start >= cut:
+            continue  # sensing never began
+        events.append(
+            _ev(s_start, EventKind.UNIT_SENSED, mid, u, sense_end_us=s_start + plan.interval)
+        )
+        e_start, e_end = plan.enc_start[u], plan.enc_end[u]
+        finished = cut is None or e_end <= cut
+        leave = e_end if finished else cut
+        if finished or e_start < cut:
+            events.append(
+                _ev(
+                    e_start,
+                    EventKind.ENCODE_START,
+                    mid,
+                    u,
+                    resource=plan.enc_resource[u],
+                    encode_cost_us=plan.enc_cost[u],
+                )
+            )
+            aborted = {} if finished else {"aborted": True}
+            events.append(_ev(leave, EventKind.ENCODE_END, mid, u, **aborted))
+        intervals.append((s_start, leave))
+    return _peak_occupancy(intervals)
 
 
 def _peak_occupancy(intervals: list[tuple[int, int]]) -> int:

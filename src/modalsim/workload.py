@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from . import engine, rng
-from .aggregation import DiffSpec, ShiftSpec
+from .aggregation import aggregate_output_dim
 from .core import (
     ConfigAssignment,
     Difficulty,
@@ -31,7 +31,7 @@ from .core import (
     SensingConfig,
     validate_scenario,
 )
-from .latency import unimodal_latency, end_to_end_latency
+from .latency import end_to_end_latency
 from .predictor import ModalityIndicators
 
 PRESETS = ("motivation-av", "lrw-like", "nuscenes-like", "uav-like", "random")
@@ -406,13 +406,9 @@ def gen_accuracy_surface(
 # Sample corpora
 
 
-def _canonical_slow(scenario: Scenario, assignment: ConfigAssignment) -> int:
-    """Slow modality as the engine sees it: argmax projected unimodal latency."""
-    r0 = engine.apply_resource_schedule(scenario, 0)
-    lat = [
-        unimodal_latency(scenario, assignment, m.id, r0) for m in scenario.modalities
-    ]
-    return int(np.argmax(lat))
+def _fused_dim(scenario: Scenario) -> int:
+    """Width of the fused vector the engine's prediction head reads."""
+    return sum(aggregate_output_dim(m.channels, engine.DEFAULT_DIFF) for m in scenario.modalities)
 
 
 def _window_prediction(
@@ -421,8 +417,6 @@ def _window_prediction(
     assignment: ConfigAssignment,
     slow_id: int,
     slow_prefix: int | None,
-    shift: ShiftSpec,
-    diff: DiffSpec,
     head: np.ndarray,
 ) -> int:
     parts = []
@@ -431,7 +425,7 @@ def _window_prediction(
         rows = sample.window_payload(m, n)
         if m.id == slow_id and slow_prefix is not None:
             rows = rows[: min(slow_prefix, n)]
-        parts.append(engine.aggregate_vector(rows, shift, diff))
+        parts.append(engine.aggregate_vector(rows, engine.DEFAULT_SHIFT, engine.DEFAULT_DIFF))
     fused = np.concatenate(parts)
     return int(np.argmax(head @ fused))
 
@@ -459,12 +453,8 @@ def gen_samples(
         rates.update({_as_difficulty(k): v for k, v in base_rates.items()})
 
     assignment = scenario.max_assignment()
-    slow_id = _canonical_slow(scenario, assignment)
-    shift, diff = engine.DEFAULT_SHIFT, engine.DEFAULT_DIFF
-    fused_dim = sum(
-        m.channels + len(diff.scales) * diff.width(m.channels) for m in scenario.modalities
-    )
-    head = engine.prediction_head(scenario, fused_dim)
+    slow_id = engine.slow_modality(scenario, assignment, 0)
+    head = engine.prediction_head(scenario, _fused_dim(scenario))
     slow_n = scenario.sensing(slow_id, assignment.sensing_level(slow_id)).units_per_window
 
     samples = []
@@ -483,12 +473,12 @@ def gen_samples(
             consistency_weight=float(cw),
         )
         if not stable:
-            sample = _calibrate_jump(scenario, sample, assignment, slow_id, slow_n, shift, diff, head)
+            sample = _calibrate_jump(scenario, sample, assignment, slow_id, slow_n, head)
         samples.append(sample)
     return samples
 
 
-def _calibrate_jump(scenario, sample, assignment, slow_id, slow_n, shift, diff, head) -> Sample:
+def _calibrate_jump(scenario, sample, assignment, slow_id, slow_n, head) -> Sample:
     """Search jump magnitude/direction until the full-window prediction
     differs from the constant-prefix prediction."""
     prefix = sample.jump_start(slow_n)
@@ -496,10 +486,8 @@ def _calibrate_jump(scenario, sample, assignment, slow_id, slow_n, shift, diff, 
         candidate = dataclasses.replace(
             sample, jump_nonce=nonce, jump_scale=6.0 * (1.6**nonce)
         )
-        full = _window_prediction(scenario, candidate, assignment, slow_id, None, shift, diff, head)
-        partial = _window_prediction(
-            scenario, candidate, assignment, slow_id, prefix, shift, diff, head
-        )
+        full = _window_prediction(scenario, candidate, assignment, slow_id, None, head)
+        partial = _window_prediction(scenario, candidate, assignment, slow_id, prefix, head)
         if full != partial:
             return candidate
     # pathological head; fall back to a stable sample so the label stays honest
@@ -539,29 +527,15 @@ class OracleGate:
     full-window prediction for this (scenario, sample, assignment), else 0.0;
     the reference implementation of the gate's label rule."""
 
-    def __init__(
-        self,
-        scenario: Scenario,
-        sample: Sample,
-        assignment: ConfigAssignment,
-        shift: ShiftSpec | None = None,
-        diff: DiffSpec | None = None,
-    ):
+    def __init__(self, scenario: Scenario, sample: Sample, assignment: ConfigAssignment):
         self.scenario = scenario
         self.sample = sample
         self.assignment = assignment
-        self.shift = shift or engine.DEFAULT_SHIFT
-        self.diff = diff or engine.DEFAULT_DIFF
-        self.slow_id = _canonical_slow(scenario, assignment)
-        dims = [
-            m.channels + len(self.diff.scales) * self.diff.width(m.channels)
-            for m in scenario.modalities
-        ]
-        self._dims = dims
-        self._head = engine.prediction_head(scenario, sum(dims))
+        self.slow_id = engine.slow_modality(scenario, assignment, 0)
+        self._head = engine.prediction_head(scenario, _fused_dim(scenario))
         n_slow = scenario.sensing(self.slow_id, assignment.sensing_level(self.slow_id)).units_per_window
         rows = sample.window_payload(scenario.modalities[self.slow_id], n_slow)
-        self._full_slow = engine.aggregate_vector(rows, self.shift, self.diff)
+        self._full_slow = engine.aggregate_vector(rows, engine.DEFAULT_SHIFT, engine.DEFAULT_DIFF)
 
     def probability(self, f_fast: np.ndarray, f_slow_prefix: np.ndarray, fraction: float) -> float:
         partial = self._fuse(f_fast, np.asarray(f_slow_prefix, dtype=np.float64))
@@ -577,7 +551,7 @@ class OracleGate:
             if m.id == self.slow_id:
                 parts.append(f_slow)
             else:
-                width = self._dims[m.id]
+                width = aggregate_output_dim(m.channels, engine.DEFAULT_DIFF)
                 parts.append(f_fast[off : off + width])
                 off += width
         return np.concatenate(parts)
@@ -587,19 +561,16 @@ def gate_dataset(
     scenario: Scenario,
     samples: Sequence[Sample],
     assignments: Sequence[ConfigAssignment] | None = None,
-    shift: ShiftSpec | None = None,
-    diff: DiffSpec | None = None,
 ) -> list[tuple[np.ndarray, np.ndarray, float, int]]:
     """Oracle-labelled gate training rows across configurations."""
-    shift = shift or engine.DEFAULT_SHIFT
-    diff = diff or engine.DEFAULT_DIFF
+    shift, diff = engine.DEFAULT_SHIFT, engine.DEFAULT_DIFF
     if assignments is None:
         assignments = [scenario.min_assignment(), scenario.max_assignment()]
     fractions = scenario.skip_checkpoints or (0.5,)
     rows = []
     for sample in samples:
         for assignment in assignments:
-            oracle = OracleGate(scenario, sample, assignment, shift, diff)
+            oracle = OracleGate(scenario, sample, assignment)
             slow_id = oracle.slow_id
             n_slow = scenario.sensing(slow_id, assignment.sensing_level(slow_id)).units_per_window
             fast_parts = []

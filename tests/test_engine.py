@@ -431,42 +431,18 @@ def test_oracle_gate_preserves_labels():
         assert gated.predicted_label() == plain.predicted_label()
 
 
-def test_commit_skip_direct_call_and_already_completed():
-    from modalsim.core import AlreadyCompleted
-    from modalsim.engine import commit_skip, _ModalityPlan
-    from modalsim.gating import SkipDecision
-
-    s = scenario_2mod(checkpoints=(0.5,))
+def test_skip_commit_after_resource_switch_aggregates_at_new_level():
+    # the switch to low at 500 ms doubles every cost; the commit at the
+    # audio aggregation (1_008_000) aggregates the video prefix at low L_A
+    s = scenario_2mod(checkpoints=(0.5,), schedule=((0, "high"), (500_000, "low")))
     sample = one_sample(s, seed=1)
-    # rebuild the slow modality's plan the way run() does
-    plan = _ModalityPlan(s.modalities[0], 25, 40_000)
-    plan.rows = sample.window_payload(s.modalities[0], 25)
-    prev = None
-    for u in range(25):
-        start = u * 40_000 if prev is None else max(u * 40_000, prev)
-        end = max(start + 46_000, (u + 1) * 40_000)
-        plan.enc_start.append(start)
-        plan.enc_end.append(end)
-        plan.enc_resource.append("high")
-        plan.enc_cost.append(46_000)
-        prev = end
-    plan.agg_start = plan.enc_end[-1]
-    plan.agg_done = plan.agg_start + 20_000
-    plan.agg_prefix = 25
-
-    decision = SkipDecision(checkpoint_fraction=0.5, probability=0.9, committed=True)
-    realized = commit_skip(s, A, plan, decision, at_time=700_000)
-    assert realized.units_skipped == 12
-    assert plan.agg_prefix == 13
-    assert plan.agg_start == 700_000
-    assert plan.agg_done == 720_000
-
-    # uncommitted decisions are a caller bug
-    with pytest.raises(ValueError):
-        commit_skip(s, A, plan, dataclasses.replace(decision, committed=False, probability=0.1), 700_000)
-    # after natural completion there is nothing to skip
-    with pytest.raises(AlreadyCompleted):
-        commit_skip(s, A, plan, decision, at_time=plan.enc_end[-1])
+    trace = run(s, A, sample, gate=OracleGate(s, sample, A))
+    commit = events_of(trace, EventKind.SKIP_COMMITTED)[0]
+    assert commit.time_us == 1_008_000
+    agg = events_of(trace, EventKind.AGGREGATION_DONE, modality=0)[0]
+    assert agg.payload_dict() == {"prefix": 13, "started_us": 1_008_000}
+    assert agg.time_us == 1_008_000 + 2 * 20_000
+    assert trace.summary.reported_latency_us == (1_048_000 + 12_000) - 1_000_000
 
 
 def test_second_checkpoint_can_commit():

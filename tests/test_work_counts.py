@@ -1,8 +1,9 @@
 """Work done per window, pinned by call counts rather than timings.
 
 Each seeded quantity is computed once: a window's payload draws its base
-and jump rows once per (sample, modality), and a scenario is serialized for
-its fingerprint once per instance however many windows it serves.
+and jump rows once per (sample, modality), a scenario is serialized for
+its fingerprint once per instance however many windows it serves, and a
+committed skip fuses the prefix vector the gate was shown.
 """
 
 import pytest
@@ -49,3 +50,31 @@ def test_two_runs_on_one_scenario_serialize_it_once(monkeypatch):
     second = engine.run(s, s.max_assignment(), sample)
     assert len(serialized) == 1
     assert first == second
+
+
+class LateGate:
+    """Declines every checkpoint before 70% and commits from 70% on."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def probability(self, f_fast, f_slow, fraction):
+        self.calls += 1
+        return 0.9 if fraction >= 0.7 else 0.1
+
+
+@pytest.mark.parametrize(
+    "preset, knobs",
+    [("lrw-like", {}), ("random", {"modalities": 3, "checkpoints": (0.5, 0.7)})],
+)
+def test_skip_commit_aggregates_each_vector_once(monkeypatch, preset, knobs):
+    # one aggregate per fast modality and one per gate evaluation; the
+    # committed prefix reuses the vector the gate saw
+    s = workload.gen_scenario(preset, seed=5, **knobs)
+    sample = workload.gen_samples(s, 1, "easy", seed=0)[0]
+    gate = LateGate()
+    aggregated = count_calls(monkeypatch, engine, "aggregate_vector")
+    trace = engine.run(s, s.max_assignment(), sample, gate=gate)
+    assert trace.summary.skipped_unit_count > 0
+    assert gate.calls == 2
+    assert len(aggregated) == (len(s.modalities) - 1) + gate.calls
