@@ -1,8 +1,9 @@
 """Command-line entry points.
 
-Exit codes: 0 success, 1 usage error, 2 scenario/input validation failure
-(including a malformed model file), 3 runtime failure.  Failures print one
-machine-readable JSON line on stderr.
+Exit codes: 0 success, 1 usage error (including a flag value the scenario
+cannot use), 2 scenario/input validation failure (including a malformed or
+unreadable model or scenario file, or a gate built for other modalities),
+3 runtime failure.  Failures print one machine-readable JSON line on stderr.
 Wall-clock measurements (optimizer decision latency) also go to stderr so
 every file and stdout byte is a pure function of the flags and seeds.
 """
@@ -15,11 +16,14 @@ import sys
 from pathlib import Path
 
 from . import engine, gating, optimizer, predictor, report, scenario_io, traceio, workload
+from .aggregation import aggregate_output_dim
 from .core import (
+    ConfigAssignment,
     Difficulty,
     ExecutionMode,
     InvalidScenario,
     ModalsimError,
+    check_assignment,
     validate_scenario,
 )
 from .nn import WeightFormatError
@@ -28,6 +32,10 @@ from .scenario_io import ScenarioFormatError
 USAGE_ERROR = 1
 VALIDATION_ERROR = 2
 RUNTIME_ERROR = 3
+
+
+class UsageError(Exception):
+    """A flag value that parses but that the command cannot use."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -43,6 +51,13 @@ def _diag(code: str, message: str, **extra) -> None:
 
 def _note(kind: str, **extra) -> None:
     print(json.dumps({"diagnostic": kind, **extra}, sort_keys=True), file=sys.stderr)
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -62,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--t-max", type=int, help="override latency budget, in ms")
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--samples", type=int, default=1)
+    run.add_argument("--samples", type=_positive_int, default=1)
     run.add_argument("--difficulty", default="easy", choices=[d.value for d in Difficulty])
     run.add_argument("--assignment", default="max", help='"min", "max", or "s:m,s:m,..."')
     run.add_argument("--out", required=True)
@@ -87,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     tp = sub.add_parser("train-predictor", help="train the accuracy predictor offline")
     tp.add_argument("--scenario", required=True)
     tp.add_argument("--seed", type=int, default=0)
-    tp.add_argument("--samples", type=int, default=120)
+    tp.add_argument("--samples", type=_positive_int, default=120)
     tp.add_argument("--epochs", type=int, default=4000)
     tp.add_argument("--noise", type=float, default=0.0, help="label noise sigma, percent")
     tp.add_argument("--out", required=True)
@@ -95,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     tg = sub.add_parser("train-gate", help="train the skip gate offline")
     tg.add_argument("--scenario", required=True)
     tg.add_argument("--seed", type=int, default=0)
-    tg.add_argument("--samples", type=int, default=60)
+    tg.add_argument("--samples", type=_positive_int, default=60)
     tg.add_argument("--epochs", type=int, default=3000)
     tg.add_argument("--out", required=True)
 
@@ -123,26 +138,38 @@ def _load_scenario(spec: str, mode: str | None = None, t_max_ms: int | None = No
 
 
 def _parse_assignment(text: str, scenario):
-    from .core import ConfigAssignment
-
     if text == "min":
         return scenario.min_assignment()
     if text == "max":
         return scenario.max_assignment()
-    pairs = []
-    for part in text.split(","):
-        s, m = part.split(":")
-        pairs.append((int(s), int(m)))
-    assignment = ConfigAssignment(tuple(pairs))
-    from .core import check_assignment
-
-    check_assignment(scenario, assignment)
+    try:
+        pairs = []
+        for part in text.split(","):
+            s, m = part.split(":")
+            pairs.append((int(s), int(m)))
+        assignment = ConfigAssignment(tuple(pairs))
+        check_assignment(scenario, assignment)
+    except ValueError as exc:
+        raise UsageError(f"--assignment {text!r}: {exc}") from None
     return assignment
+
+
+def _check_gate(gate, scenario) -> None:
+    """The gate must read the fused features of all but one modality (fast)
+    and of that one (slow), as the engine builds them for this scenario."""
+    widths = [aggregate_output_dim(m.channels, engine.DEFAULT_DIFF) for m in scenario.modalities]
+    if not any((gate.fast_dim, gate.slow_dim) == (sum(widths) - w, w) for w in widths):
+        raise WeightFormatError(
+            f"gate dims (fast {gate.fast_dim}, slow {gate.slow_dim}) do not fit "
+            f"scenario {scenario.name!r}, whose modality feature widths are {widths}"
+        )
 
 
 def _cmd_run(args) -> int:
     scenario = _load_scenario(args.scenario, args.mode, args.t_max)
     gate = gating.load_gate(args.gate) if args.gate else None
+    if gate is not None:
+        _check_gate(gate, scenario)
     model = predictor.load_model(args.predictor) if args.predictor else None
     samples = workload.gen_samples(scenario, args.samples, args.difficulty, seed=args.seed)
 
@@ -298,8 +325,14 @@ def main(argv=None) -> int:
         detail = getattr(exc, "violations", None) or getattr(exc, "problems", None)
         _diag(type(exc).__name__, str(exc), detail=[str(v) for v in detail] if detail else None)
         return VALIDATION_ERROR
+    except UsageError as exc:
+        _diag("UsageError", str(exc))
+        return USAGE_ERROR
     except FileNotFoundError as exc:
         _diag("FileNotFound", str(exc))
+        return VALIDATION_ERROR
+    except OSError as exc:
+        _diag(type(exc).__name__, str(exc))
         return VALIDATION_ERROR
     except ModalsimError as exc:
         _diag(type(exc).__name__, str(exc))

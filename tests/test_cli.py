@@ -311,3 +311,49 @@ def test_malformed_predictor_document_exit_code_2(case, scenario_file, predictor
     bad.write_text(json.dumps(doc))
     res = invoke("optimize", "--scenario", scenario_file, "--predictor", str(bad))
     _assert_weight_format_error(res)
+
+
+def _json_lines(stderr):
+    return [json.loads(line) for line in stderr.splitlines() if line.startswith("{")]
+
+
+@pytest.mark.parametrize("flag", ["--gate", "--scenario"])
+def test_directory_as_input_file_exit_code_2(flag, tmp_path):
+    args = {"--scenario": "lrw-like", "--gate": None, flag: str(tmp_path)}
+    flags = [x for k, v in args.items() if v is not None for x in (k, v)]
+    res = invoke("run", *flags, "--out", str(tmp_path / "t.jsonl"))
+    assert res.returncode == 2, res.stderr
+    assert len(res.stderr.splitlines()) == 1, res.stderr  # one JSON line, no traceback
+    assert json.loads(res.stderr)["error"] == "IsADirectoryError"
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--assignment", "1:1:1"],
+        ["--assignment", "5:0,0:0"],  # sensing level out of range
+        ["--samples", "0"],
+    ],
+)
+def test_unusable_flag_value_exit_code_1(flags, tmp_path):
+    res = invoke("run", "--scenario", "lrw-like", *flags, "--out", str(tmp_path / "t.jsonl"))
+    assert res.returncode == 1, res.stderr
+    errors = _json_lines(res.stderr)
+    assert [e["error"] for e in errors] == ["UsageError"]
+    assert "Traceback" not in res.stderr
+
+
+def test_gate_for_other_modalities_exit_code_2(tmp_path):
+    gate = tmp_path / "uav-gate.json"
+    res = invoke(
+        "train-gate", "--scenario", "uav-like", "--samples", "4", "--epochs", "50",
+        "--out", str(gate),
+    )
+    assert res.returncode == 0, res.stderr
+    out = tmp_path / "t.jsonl"
+    res = invoke("run", "--scenario", "lrw-like", "--gate", str(gate), "--out", str(out))
+    _assert_weight_format_error(res)
+    assert "(fast 22, slow 28)" in res.stderr
+    assert not out.exists()  # rejected before the first window
+    res = invoke("run", "--scenario", "uav-like", "--gate", str(gate), "--out", str(out))
+    assert res.returncode == 0, res.stderr
