@@ -352,8 +352,9 @@ def _apply_skip(scenario, assignment, plans, gate, window_start, events) -> None
 
 
 def _emit(plan, fusion_start, events) -> int:
-    """Append one modality's unit and aggregation events; return its peak
-    count of buffered units (sensing begun, encode not yet done).
+    """Append one modality's unit and aggregation events, settle the vector
+    it fuses, and return its peak count of buffered units (sensing begun,
+    encode not yet done).
 
     A modality still aggregating at fusion time (non-blocking mode) is cut
     there and fuses a zero-padded snapshot of the units encoded by then;

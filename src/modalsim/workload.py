@@ -411,6 +411,11 @@ def _fused_dim(scenario: Scenario) -> int:
     return sum(aggregate_output_dim(m.channels, engine.DEFAULT_DIFF) for m in scenario.modalities)
 
 
+def _window_rows(scenario: Scenario, sample: Sample, assignment: ConfigAssignment, m: Modality):
+    n = scenario.sensing(m.id, assignment.sensing_level(m.id)).units_per_window
+    return sample.window_payload(m, n)
+
+
 def _window_prediction(
     scenario: Scenario,
     sample: Sample,
@@ -421,10 +426,9 @@ def _window_prediction(
 ) -> int:
     parts = []
     for m in scenario.modalities:
-        n = scenario.sensing(m.id, assignment.sensing_level(m.id)).units_per_window
-        rows = sample.window_payload(m, n)
+        rows = _window_rows(scenario, sample, assignment, m)
         if m.id == slow_id and slow_prefix is not None:
-            rows = rows[: min(slow_prefix, n)]
+            rows = rows[:slow_prefix]
         parts.append(engine.aggregate_vector(rows, engine.DEFAULT_SHIFT, engine.DEFAULT_DIFF))
     fused = np.concatenate(parts)
     return int(np.argmax(head @ fused))
@@ -533,8 +537,7 @@ class OracleGate:
         self.assignment = assignment
         self.slow_id = engine.slow_modality(scenario, assignment, 0)
         self._head = engine.prediction_head(scenario, _fused_dim(scenario))
-        n_slow = scenario.sensing(self.slow_id, assignment.sensing_level(self.slow_id)).units_per_window
-        rows = sample.window_payload(scenario.modalities[self.slow_id], n_slow)
+        rows = _window_rows(scenario, sample, assignment, scenario.modalities[self.slow_id])
         self._full_slow = engine.aggregate_vector(rows, engine.DEFAULT_SHIFT, engine.DEFAULT_DIFF)
 
     def probability(self, f_fast: np.ndarray, f_slow_prefix: np.ndarray, fraction: float) -> float:
@@ -571,20 +574,15 @@ def gate_dataset(
     for sample in samples:
         for assignment in assignments:
             oracle = OracleGate(scenario, sample, assignment)
-            slow_id = oracle.slow_id
-            n_slow = scenario.sensing(slow_id, assignment.sensing_level(slow_id)).units_per_window
-            fast_parts = []
-            for m in scenario.modalities:
-                if m.id == slow_id:
-                    continue
-                n = scenario.sensing(m.id, assignment.sensing_level(m.id)).units_per_window
-                fast_parts.append(
-                    engine.aggregate_vector(sample.window_payload(m, n), shift, diff)
-                )
+            fast_parts = [
+                engine.aggregate_vector(_window_rows(scenario, sample, assignment, m), shift, diff)
+                for m in scenario.modalities
+                if m.id != oracle.slow_id
+            ]
             f_fast = np.concatenate(fast_parts) if fast_parts else np.zeros(0)
-            slow_rows = sample.window_payload(scenario.modalities[slow_id], n_slow)
+            slow_rows = _window_rows(scenario, sample, assignment, scenario.modalities[oracle.slow_id])
             for fraction in fractions:
-                prefix = max(1, math.ceil(fraction * n_slow))
+                prefix = max(1, math.ceil(fraction * len(slow_rows)))
                 f_slow = engine.aggregate_vector(slow_rows[:prefix], shift, diff)
                 label = int(oracle.probability(f_fast, f_slow, fraction))
                 rows.append((f_fast, f_slow, float(fraction), label))

@@ -445,6 +445,22 @@ def test_skip_commit_after_resource_switch_aggregates_at_new_level():
     assert trace.summary.reported_latency_us == (1_048_000 + 12_000) - 1_000_000
 
 
+def test_commit_fuses_the_prefix_not_the_window():
+    # the sample's feature jump lies past the committed prefix, and its
+    # jump was calibrated to flip the full-window label
+    class AlwaysCommit:
+        def probability(self, f_fast, f_slow, fraction):
+            return 1.0
+
+    s = scenario_2mod(checkpoints=(0.5,))
+    sample = workload.gen_samples(s, 1, "hard", seed=0, base_rates={"hard": 0.0})[0]
+    assert not sample.stable
+    gated = run(s, A, sample, gate=AlwaysCommit())
+    plain = run(s.without_skipping(), A, sample)
+    assert events_of(gated, EventKind.SKIP_COMMITTED)
+    assert gated.predicted_label() != plain.predicted_label()
+
+
 def test_second_checkpoint_can_commit():
     class ThresholdGate:
         # declines the 50% checkpoint, accepts the 70% one
