@@ -127,7 +127,11 @@ def _load_scenario(spec: str, mode: str | None = None, t_max_ms: int | None = No
 
     name, _, seed_text = spec.partition("@")
     if name in workload.PRESETS:
-        scenario = workload.gen_scenario(name, seed=int(seed_text) if seed_text else 0)
+        try:
+            seed = int(seed_text or 0)
+        except ValueError:
+            raise UsageError(f"--scenario {spec!r}: preset seed must be an integer") from None
+        scenario = workload.gen_scenario(name, seed=seed)
     else:
         scenario = scenario_io.load(spec)
     if mode:

@@ -8,6 +8,7 @@ after construction and safe to share across threads.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -292,17 +293,15 @@ class Scenario:
     def model(self, modality_id: int, level: int) -> ModelConfig:
         return self.model_space[modality_id][level]
 
+    def level_pairs(self, modality_id: int) -> list[tuple[int, int]]:
+        """Every (sensing, model) level pair of one modality, in lexicographic order."""
+        sensing, model = self.sensing_space[modality_id], self.model_space[modality_id]
+        return list(itertools.product(range(len(sensing)), range(len(model))))
+
     def assignments(self):
         """All config assignments in lexicographic (modality, sensing, model) order."""
-        def rec(i: int, acc: list[tuple[int, int]]):
-            if i == len(self.modalities):
-                yield ConfigAssignment(tuple(acc))
-                return
-            for s in range(len(self.sensing_space[i])):
-                for m in range(len(self.model_space[i])):
-                    yield from rec(i + 1, acc + [(s, m)])
-
-        yield from rec(0, [])
+        for pairs in itertools.product(*(self.level_pairs(i) for i in range(len(self.modalities)))):
+            yield ConfigAssignment(pairs)
 
     def min_assignment(self) -> ConfigAssignment:
         return ConfigAssignment(tuple((0, 0) for _ in self.modalities))
@@ -392,26 +391,21 @@ def scenario_violations(s: Scenario) -> list[Violation]:
     if prof.fusion_us < 0:
         out.append(Violation(BAD_DURATION, f"fusion_us={prof.fusion_us} < 0"))
     for i in range(len(s.modalities)):
-        for j in range(len(s.sensing_space[i])):
-            for k in range(len(s.model_space[i])):
-                for r in prof.resource_levels:
-                    entry = prof.entries.get((i, j, k, r))
-                    if entry is None:
-                        out.append(
-                            Violation(
-                                MISSING_PROFILE_ENTRY,
-                                f"no entry for modality={i} sensing={j} model={k} resource={r!r}",
-                            )
+        for j, k in s.level_pairs(i):
+            for r in prof.resource_levels:
+                entry = prof.entries.get((i, j, k, r))
+                if entry is None:
+                    out.append(
+                        Violation(
+                            MISSING_PROFILE_ENTRY,
+                            f"no entry for modality={i} sensing={j} model={k} resource={r!r}",
                         )
-                        continue
-                    if entry.unit_encode_us <= 0:
-                        out.append(
-                            Violation(BAD_DURATION, f"unit_encode_us <= 0 at ({i},{j},{k},{r!r})")
-                        )
-                    if entry.aggregation_us < 0:
-                        out.append(
-                            Violation(BAD_DURATION, f"aggregation_us < 0 at ({i},{j},{k},{r!r})")
-                        )
+                    )
+                    continue
+                if entry.unit_encode_us <= 0:
+                    out.append(Violation(BAD_DURATION, f"unit_encode_us <= 0 at ({i},{j},{k},{r!r})"))
+                if entry.aggregation_us < 0:
+                    out.append(Violation(BAD_DURATION, f"aggregation_us < 0 at ({i},{j},{k},{r!r})"))
 
     if s.t_max_us <= 0:
         out.append(Violation(BAD_DURATION, f"t_max_us={s.t_max_us} <= 0"))

@@ -55,7 +55,7 @@ from .core import (
     Scenario,
     check_assignment,
 )
-from .latency import unimodal_latency
+from .latency import end_to_end_latency
 from .gating import SkipDecision, checkpoint_indices
 from .optimizer import PROBE_COST_US  # re-exported; decisions carry the probe cost
 from .scenario_io import fingerprint
@@ -147,10 +147,7 @@ def slow_modality(scenario: Scenario, assignment: ConfigAssignment, at_us: int) 
     """The modality speculative skipping truncates: the one with the largest
     projected unimodal latency at the resource level active at `at_us`."""
     resource = apply_resource_schedule(scenario, at_us)
-    projected = [
-        unimodal_latency(scenario, assignment, m.id, resource) for m in scenario.modalities
-    ]
-    return int(np.argmax(projected))
+    return int(np.argmax(end_to_end_latency(scenario, assignment, resource).per_modality_us))
 
 
 class _ModalityPlan:

@@ -20,24 +20,39 @@ class LatencyBreakdown:
     waiting_us: int
 
 
+def _pair_latency(scenario: Scenario, modality_id: int, pair: tuple, resource: str) -> int:
+    """max(L_E, L_S) * N + L_A for one modality at one (sensing, model) pair, in µs."""
+    sensing = scenario.sensing(modality_id, pair[0])
+    entry = scenario.latency_profile.lookup(modality_id, *pair, resource)
+    slot = max(entry.unit_encode_us, sensing.interval_us)
+    return slot * sensing.units_per_window + entry.aggregation_us
+
+
 def unimodal_latency(
     scenario: Scenario, assignment: ConfigAssignment, modality_id: int, resource: str
 ) -> int:
     """max(L_E, L_S) * N + L_A for one modality under one assignment, in µs."""
     check_assignment(scenario, assignment)
-    s_level, m_level = assignment.pairs[modality_id]
-    sensing = scenario.sensing(modality_id, s_level)
-    entry = scenario.latency_profile.lookup(modality_id, s_level, m_level, resource)
-    slot = max(entry.unit_encode_us, sensing.interval_us)
-    return slot * sensing.units_per_window + entry.aggregation_us
+    return _pair_latency(scenario, modality_id, assignment.pairs[modality_id], resource)
+
+
+def unimodal_table(scenario: Scenario, resource: str) -> list[dict[tuple[int, int], int]]:
+    """Per modality, {(sensing, model): unimodal latency} in lexicographic order.
+    The budget binds each modality on its own (end-to-end latency is the
+    slowest modality plus fusion), so this answers every budget query."""
+    return [
+        {pair: _pair_latency(scenario, i, pair, resource) for pair in scenario.level_pairs(i)}
+        for i in range(len(scenario.modalities))
+    ]
 
 
 def end_to_end_latency(
     scenario: Scenario, assignment: ConfigAssignment, resource: str
 ) -> LatencyBreakdown:
     """Slowest modality plus fusion; waiting is the fastest modality's idle gap."""
+    check_assignment(scenario, assignment)
     per = tuple(
-        unimodal_latency(scenario, assignment, m.id, resource) for m in scenario.modalities
+        _pair_latency(scenario, i, pair, resource) for i, pair in enumerate(assignment.pairs)
     )
     total = max(per) + scenario.latency_profile.fusion_us
     waiting = max(per) - min(per)

@@ -1,20 +1,24 @@
 """Latency-constrained configuration search.
 
-`brute_force` enumerates the whole assignment space and is the oracle;
-`greedy_search` starts from the minimum-latency feasible assignment and
-repeatedly applies the single-coordinate upgrade with the best predicted
-accuracy gain per microsecond of added latency, staying feasible throughout.
-Both score assignments with either a trained PredictorModel or any callable
-(indicators, assignment) -> accuracy.
+End-to-end latency is the slowest modality plus fusion, so the budget binds
+each modality's (sensing, model) pair on its own and the feasible
+assignments are the product of per-modality feasible pairs, read from one
+unimodal latency table.  `brute_force` walks that feasible product and is
+the oracle; `greedy_search` starts from the minimum-latency feasible
+assignment and repeatedly applies the one-modality move with the best
+predicted accuracy gain per microsecond of added latency, staying feasible
+throughout.  Both score assignments with either a trained PredictorModel or
+any callable (indicators, assignment) -> accuracy.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
 
 from .core import ConfigAssignment, NoFeasibleAssignment, Sample, Scenario
-from .latency import end_to_end_latency, unimodal_latency
+from .latency import unimodal_table
 from .predictor import ModalityIndicators, PredictorModel, indicators, predict_batch
 
 PROBE_COST_US = 1000
@@ -44,34 +48,42 @@ def _batch_scorer(model, ind: ModalityIndicators):
     raise TypeError(f"cannot score assignments with {type(model)!r}")
 
 
+def _feasible_pairs(scenario: Scenario, resource: str):
+    """The unimodal latency table and each modality's in-budget pairs, in
+    lexicographic order; raises NoFeasibleAssignment if a modality has none."""
+    table = unimodal_table(scenario, resource)
+    budget = scenario.t_max_us - scenario.latency_profile.fusion_us
+    feasible = [[pair for pair, lat in row.items() if lat <= budget] for row in table]
+    if not all(feasible):
+        raise NoFeasibleAssignment(
+            f"every assignment exceeds t_max={scenario.t_max_us}µs at resource {resource!r}"
+        )
+    return table, feasible
+
+
 def brute_force(
     scenario: Scenario, ind: ModalityIndicators, model, resource: str
 ) -> SearchResult:
-    """Exhaustive search; ties break to the lexicographically smallest assignment.
+    """Exhaustive search over the feasible assignments; ties break to the
+    lexicographically smallest assignment.
 
     Scores one assignment per call: a batched matrix product may round a row
     differently, which could move a tie-break.
     """
     score_many = _batch_scorer(model, ind)
+    _, feasible = _feasible_pairs(scenario, resource)
     best = None
     best_score = float("-inf")
-    feasible = 0
-    for assignment in scenario.assignments():
-        if end_to_end_latency(scenario, assignment, resource).total_us > scenario.t_max_us:
-            continue
-        feasible += 1
+    for count, pairs in enumerate(itertools.product(*feasible), 1):
+        assignment = ConfigAssignment(pairs)
         score = float(score_many([assignment])[0])
         if score > best_score:
             best, best_score = assignment, score
-    if best is None:
-        raise NoFeasibleAssignment(
-            f"every assignment exceeds t_max={scenario.t_max_us}µs at resource {resource!r}"
-        )
-    return SearchResult(best=best, best_score=best_score, feasible_count=feasible)
+    return SearchResult(best=best, best_score=best_score, feasible_count=count)
 
 
-def _moves(scenario: Scenario, assignment: ConfigAssignment):
-    """Reconfigurations of one modality's (sensing, model) pair.
+def _moves(assignment: ConfigAssignment, feasible):
+    """Feasible reconfigurations of one modality's (sensing, model) pair.
 
     Single-coordinate upgrades alone can wedge in a corner of the feasible
     staircase (a free sensing upgrade can lock out every model upgrade), so
@@ -79,36 +91,13 @@ def _moves(scenario: Scenario, assignment: ConfigAssignment):
     other modalities is unaffected because the budget binds each modality's
     unimodal latency independently.
     """
-    for mid in range(len(scenario.modalities)):
-        current = assignment.pairs[mid]
-        for s2 in range(len(scenario.sensing_space[mid])):
-            for m2 in range(len(scenario.model_space[mid])):
-                if (s2, m2) == current:
-                    continue
-                pairs = list(assignment.pairs)
-                pairs[mid] = (s2, m2)
-                yield mid, (s2, m2), ConfigAssignment(tuple(pairs))
-
-
-def _unimodal_table(scenario: Scenario, resource: str) -> list[dict[tuple[int, int], int]]:
-    """Per-modality unimodal latency for every (sensing, model) pair.
-
-    The budget binds each modality independently (end-to-end latency is the
-    max of the unimodal latencies plus fusion), so this table answers every
-    feasibility and latency query the search needs without enumerating the
-    cross-product space.
-    """
-    table = []
-    for mid in range(len(scenario.modalities)):
-        row = {}
-        for s in range(len(scenario.sensing_space[mid])):
-            for m in range(len(scenario.model_space[mid])):
-                probe = ConfigAssignment(
-                    tuple((s, m) if i == mid else (0, 0) for i in range(len(scenario.modalities)))
-                )
-                row[(s, m)] = unimodal_latency(scenario, probe, mid, resource)
-        table.append(row)
-    return table
+    for mid, options in enumerate(feasible):
+        for pair in options:
+            if pair == assignment.pairs[mid]:
+                continue
+            pairs = list(assignment.pairs)
+            pairs[mid] = pair
+            yield mid, pair, ConfigAssignment(tuple(pairs))
 
 
 def greedy_search(
@@ -122,33 +111,24 @@ def greedy_search(
     strictly improves the predicted accuracy, so termination is guaranteed.
     """
     score_many = _batch_scorer(model, ind)
-    table = _unimodal_table(scenario, resource)
+    table, feasible = _feasible_pairs(scenario, resource)
     fusion = scenario.latency_profile.fusion_us
-    budget = scenario.t_max_us - fusion
 
-    start_pairs = []
-    for row in table:
-        best_pair = min(row, key=lambda p: (row[p], p))
-        if row[best_pair] > budget:
-            raise NoFeasibleAssignment(
-                f"every assignment exceeds t_max={scenario.t_max_us}µs at resource {resource!r}"
-            )
-        start_pairs.append(best_pair)
-    current = ConfigAssignment(tuple(start_pairs))
+    def latency(a: ConfigAssignment) -> int:
+        return max(table[i][p] for i, p in enumerate(a.pairs)) + fusion
+
+    current = ConfigAssignment(
+        tuple(min(options, key=lambda p: (row[p], p)) for row, options in zip(table, feasible))
+    )
     current_score = float(score_many([current])[0])
-    current_latency = max(table[i][p] for i, p in enumerate(current.pairs)) + fusion
+    current_latency = latency(current)
 
     while True:
-        feasible = []
-        for mid, pair, candidate in _moves(scenario, current):
-            if table[mid][pair] > budget:
-                continue
-            lat = max(table[i][p] for i, p in enumerate(candidate.pairs)) + fusion
-            feasible.append((mid, pair, candidate, lat))
+        moves = [(mid, pair, c, latency(c)) for mid, pair, c in _moves(current, feasible)]
         best_move = None
-        if feasible:
-            scores = score_many([c for _, _, c, _ in feasible])
-            for (mid, pair, candidate, lat), score in zip(feasible, scores):
+        if moves:
+            scores = score_many([c for _, _, c, _ in moves])
+            for (mid, pair, candidate, lat), score in zip(moves, scores):
                 gain = float(score) - current_score
                 if gain <= 0.0:
                     continue

@@ -82,10 +82,6 @@ class Stream:
         """Uniform float64 in [-1, 1)."""
         return self.units(count, offset) * 2.0 - 1.0
 
-    def integers(self, count: int, bound: int, offset: int = 0) -> list[int]:
-        """Integers in [0, bound) by rejection-free modulo (bias < 2**-40 for small bounds)."""
-        return [self.u64(offset + i) % bound for i in range(count)]
-
     def sub(self, *labels) -> "Stream":
         return Stream(_fold_labels(self.key, labels))
 

@@ -100,6 +100,54 @@ def _need(doc: dict, key: str, kind, problems: list[str], default=None):
     return value
 
 
+# Raised converting a wrongly typed JSON value (a short pair, an infinite number, ...).
+_MALFORMED = (KeyError, TypeError, ValueError, IndexError, OverflowError)
+
+
+def _rows(value, where: str, build, problems: list[str]) -> tuple:
+    """build(item) for each item of the JSON array `value`; a non-array value
+    and each item that does not convert are recorded as problems."""
+    if not isinstance(value, list):
+        problems.append(f"{where} should be a list, got {type(value).__name__}")
+        return ()
+    rows = []
+    for i, item in enumerate(value):
+        try:
+            rows.append(build(item))
+        except _MALFORMED as exc:
+            problems.append(f"{where}[{i}]: {exc}")
+    return tuple(rows)
+
+
+def _levels(doc: dict, key: str, build, problems: list[str]) -> tuple:
+    """One tuple of configs per modality from an array of arrays."""
+    return tuple(
+        _rows(levels, f"{key}[{i}]", build, problems)
+        for i, levels in enumerate(_rows(doc.get(key, []), key, lambda row: row, problems))
+    )
+
+
+def _scalar(doc: dict, key: str, convert, default, problems: list[str], prefix: str = ""):
+    try:
+        return convert(doc.get(key, default))
+    except _MALFORMED as exc:
+        problems.append(f"{prefix}{key}: {exc}")
+        return None
+
+
+def _modality(m) -> Modality:
+    return Modality(id=int(m["id"]), name=str(m["name"]), channels=int(m["channels"]))
+
+
+def _sensing_config(c) -> SensingConfig:
+    return SensingConfig(int(c["level"]), int(c["units_per_window"]), int(c["window_us"]))
+
+
+def _profile_entry(e) -> tuple:
+    key = (int(e["modality"]), int(e["sensing_level"]), int(e["model_level"]), str(e["resource"]))
+    return key, ProfileEntry(int(e["unit_encode_us"]), int(e["aggregation_us"]))
+
+
 def from_document(doc: dict) -> Scenario:
     problems: list[str] = []
     if not isinstance(doc, dict):
@@ -109,56 +157,23 @@ def from_document(doc: dict) -> Scenario:
         raise ScenarioFormatError([f"unsupported schema_version {version!r}"])
 
     name = _need(doc, "name", str, problems, "unnamed")
-    modalities = []
-    for i, m in enumerate(doc.get("modalities", [])):
-        try:
-            modalities.append(Modality(id=int(m["id"]), name=str(m["name"]), channels=int(m["channels"])))
-        except (KeyError, TypeError, ValueError) as exc:
-            problems.append(f"modalities[{i}]: {exc}")
+    modalities = _rows(doc.get("modalities", []), "modalities", _modality, problems)
     if not modalities:
         problems.append("no modalities declared")
-
-    sensing_space = []
-    for i, levels in enumerate(doc.get("sensing_configs", [])):
-        row = []
-        for j, c in enumerate(levels):
-            try:
-                row.append(
-                    SensingConfig(
-                        level=int(c["level"]),
-                        units_per_window=int(c["units_per_window"]),
-                        window_us=int(c["window_us"]),
-                    )
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                problems.append(f"sensing_configs[{i}][{j}]: {exc}")
-        sensing_space.append(tuple(row))
-
-    model_space = []
-    for i, levels in enumerate(doc.get("model_configs", [])):
-        row = []
-        for j, c in enumerate(levels):
-            try:
-                row.append(ModelConfig(level=int(c["level"]), label=str(c["label"])))
-            except (KeyError, TypeError, ValueError) as exc:
-                problems.append(f"model_configs[{i}][{j}]: {exc}")
-        model_space.append(tuple(row))
+    sensing_space = _levels(doc, "sensing_configs", _sensing_config, problems)
+    model_space = _levels(
+        doc, "model_configs", lambda c: ModelConfig(int(c["level"]), str(c["label"])), problems
+    )
 
     prof_doc = doc.get("latency_profile", {})
-    entries = {}
-    for i, e in enumerate(prof_doc.get("entries", [])):
-        try:
-            key = (int(e["modality"]), int(e["sensing_level"]), int(e["model_level"]), str(e["resource"]))
-            entries[key] = ProfileEntry(
-                unit_encode_us=int(e["unit_encode_us"]), aggregation_us=int(e["aggregation_us"])
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            problems.append(f"latency_profile.entries[{i}]: {exc}")
-    profile = LatencyProfile(
-        resource_levels=tuple(str(r) for r in prof_doc.get("resource_levels", [])),
-        fusion_us=int(prof_doc.get("fusion_us", 0)),
-        entries=entries,
-    )
+    if not isinstance(prof_doc, dict):
+        problems.append(f"latency_profile should be an object, got {type(prof_doc).__name__}")
+        prof_doc = {}
+    where = "latency_profile."
+    levels = _rows(prof_doc.get("resource_levels", []), where + "resource_levels", str, problems)
+    entries = _rows(prof_doc.get("entries", []), where + "entries", _profile_entry, problems)
+    fusion_us = _scalar(prof_doc, "fusion_us", int, 0, problems, where)
+    profile = LatencyProfile(resource_levels=levels, fusion_us=fusion_us, entries=dict(entries))
 
     mode_raw = _need(doc, "execution_mode", str, problems, "pipelined")
     try:
@@ -167,32 +182,27 @@ def from_document(doc: dict) -> Scenario:
         problems.append(f"unknown execution_mode {mode_raw!r}")
         mode = ExecutionMode.PIPELINED
 
-    schedule = []
-    for i, pair in enumerate(doc.get("resource_schedule", [])):
-        try:
-            schedule.append((int(pair[0]), str(pair[1])))
-        except (TypeError, ValueError, IndexError) as exc:
-            problems.append(f"resource_schedule[{i}]: {exc}")
-
+    scenario = Scenario(
+        name=name,
+        modalities=modalities,
+        sensing_space=sensing_space,
+        model_space=model_space,
+        latency_profile=profile,
+        t_max_us=_scalar(doc, "t_max_us", int, 0, problems),
+        execution_mode=mode,
+        skip_checkpoints=_rows(doc.get("skip_checkpoints", []), "skip_checkpoints", float, problems),
+        tau=_scalar(doc, "tau", float, 0.5, problems),
+        accuracy_surface_seed=_scalar(doc, "accuracy_surface_seed", int, 0, problems),
+        resource_schedule=_rows(
+            doc.get("resource_schedule", []),
+            "resource_schedule",
+            lambda pair: (int(pair[0]), str(pair[1])),
+            problems,
+        ),
+    )
     if problems:
         raise ScenarioFormatError(problems)
-
-    try:
-        return Scenario(
-            name=name,
-            modalities=tuple(modalities),
-            sensing_space=tuple(sensing_space),
-            model_space=tuple(model_space),
-            latency_profile=profile,
-            t_max_us=int(doc.get("t_max_us", 0)),
-            execution_mode=mode,
-            skip_checkpoints=tuple(float(f) for f in doc.get("skip_checkpoints", [])),
-            tau=float(doc.get("tau", 0.5)),
-            accuracy_surface_seed=int(doc.get("accuracy_surface_seed", 0)),
-            resource_schedule=tuple(schedule),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ScenarioFormatError([f"bad scalar field: {exc}"]) from None
+    return scenario
 
 
 def parse(text: str) -> Scenario:

@@ -31,7 +31,7 @@ from .core import (
     SensingConfig,
     validate_scenario,
 )
-from .latency import end_to_end_latency
+from .latency import unimodal_table
 from .predictor import ModalityIndicators
 
 PRESETS = ("motivation-av", "lrw-like", "nuscenes-like", "uav-like", "random")
@@ -280,9 +280,8 @@ def _random_scenario(
         accuracy_surface_seed=seed,
         resource_schedule=((0, "high"),),
     )
-    cheapest = min(
-        end_to_end_latency(scenario, a, "high").total_us for a in scenario.assignments()
-    )
+    # the slowest modality sets the latency, so each takes its cheapest pair
+    cheapest = max(min(row.values()) for row in unimodal_table(scenario, "high")) + profile.fusion_us
     t_max = cheapest + (cheapest // 4) + s.u64(2) % cheapest
     return dataclasses.replace(scenario, t_max_us=t_max)
 

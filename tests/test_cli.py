@@ -333,6 +333,7 @@ def test_directory_as_input_file_exit_code_2(flag, tmp_path):
         ["--assignment", "1:1:1"],
         ["--assignment", "5:0,0:0"],  # sensing level out of range
         ["--samples", "0"],
+        ["--scenario", "lrw-like@x"],  # preset seed is not an integer
     ],
 )
 def test_unusable_flag_value_exit_code_1(flags, tmp_path):
@@ -357,3 +358,14 @@ def test_gate_for_other_modalities_exit_code_2(tmp_path):
     assert not out.exists()  # rejected before the first window
     res = invoke("run", "--scenario", "uav-like", "--gate", str(gate), "--out", str(out))
     assert res.returncode == 0, res.stderr
+
+
+def test_wrongly_typed_scenario_field_exit_code_2(tmp_path):
+    doc = scenario_io.to_document(workload.gen_scenario("lrw-like", seed=3))
+    doc["modalities"] = 5
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    res = invoke("run", "--scenario", str(bad), "--out", str(tmp_path / "t.jsonl"))
+    assert res.returncode == 2, res.stderr
+    assert len(res.stderr.splitlines()) == 1, res.stderr  # one JSON line, no traceback
+    assert json.loads(res.stderr)["error"] == "ScenarioFormatError"

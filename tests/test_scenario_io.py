@@ -1,8 +1,11 @@
-"""Scenario fingerprint: memoized on the instance, invisible everywhere else."""
+"""Scenario documents: the fingerprint is memoized on the instance and
+invisible everywhere else, and a malformed document fails typed."""
 
 import dataclasses
 import hashlib
 import pickle
+
+import pytest
 
 from modalsim import scenario_io, workload
 
@@ -47,3 +50,30 @@ def test_memo_is_invisible_to_equality_repr_fields_and_documents():
     assert repr(again) == text_repr
     assert scenario_io.serialize(again) == text
     assert scenario_io.fingerprint(again) == scenario_io.fingerprint(plain_round_trip) == sha256_of(s)
+
+
+def _lrw_document():
+    return scenario_io.to_document(workload.gen_scenario("lrw-like", seed=3))
+
+
+@pytest.mark.parametrize(
+    "path, value, field",
+    [
+        (("modalities",), 5, "modalities"),
+        (("sensing_configs",), None, "sensing_configs"),
+        (("model_configs",), [5], "model_configs[0]"),
+        (("resource_schedule",), 5, "resource_schedule"),
+        (("latency_profile",), [], "latency_profile"),
+        (("latency_profile", "fusion_us"), "x", "latency_profile.fusion_us"),
+    ],
+)
+def test_wrongly_typed_field_raises_format_error(path, value, field):
+    doc = _lrw_document()
+    *outer, key = path
+    target = doc
+    for part in outer:
+        target = target[part]
+    target[key] = value
+    with pytest.raises(scenario_io.ScenarioFormatError) as err:
+        scenario_io.from_document(doc)
+    assert any(p.startswith(field) for p in err.value.problems), err.value.problems

@@ -2,14 +2,18 @@
 
 Each seeded quantity is computed once: a window's payload draws its base
 and jump rows once per (sample, modality), a scenario is serialized for
-its fingerprint once per instance however many windows it serves, and a
-committed skip fuses the prefix vector the gate was shown.
+its fingerprint once per instance however many windows it serves, a
+committed skip fuses the prefix vector the gate was shown, and a budget
+query reads each (modality, sensing, model) profile entry once.
 """
+
+import sys
 
 import pytest
 
-from modalsim import engine, rng, scenario_io, workload
-from modalsim.core import Difficulty, Modality, Sample
+from modalsim import engine, optimizer, rng, scenario_io, workload
+from modalsim.core import Difficulty, LatencyProfile, Modality, Sample
+from modalsim.predictor import ModalityIndicators
 
 
 def count_calls(monkeypatch, module, name):
@@ -21,6 +25,21 @@ def count_calls(monkeypatch, module, name):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def count_calls_everywhere(monkeypatch, name):
+    """Count calls of a package function through every module that imported it."""
+    calls = []
+    real = getattr(sys.modules["modalsim.core"], name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("modalsim") and getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -78,3 +97,18 @@ def test_skip_commit_aggregates_each_vector_once(monkeypatch, preset, knobs):
     assert trace.summary.skipped_unit_count > 0
     assert gate.calls == 2
     assert len(aggregated) == (len(s.modalities) - 1) + gate.calls
+
+
+def test_budget_queries_look_up_each_pair_once(monkeypatch):
+    # 4 modalities x 9 (sensing, model) pairs; enumerating the 9**4
+    # assignments instead would make 26,244 lookups and checks
+    lookups = count_calls(monkeypatch, LatencyProfile, "lookup")
+    checks = count_calls_everywhere(monkeypatch, "check_assignment")
+    s = workload.gen_scenario("random", seed=0, modalities=4)
+    assert (len(lookups), len(checks)) == (36, 0)
+
+    lookups.clear()
+    surface = workload.gen_accuracy_surface(s)
+    result = optimizer.brute_force(s, ModalityIndicators.from_consistency(0.5), surface, "high")
+    assert result.feasible_count > 0
+    assert (len(lookups), len(checks)) == (36, 0)
