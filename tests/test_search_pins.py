@@ -5,6 +5,9 @@ latency, so its fingerprint pins that derivation.  The search pin covers
 `brute_force` (best pairs, score repr, feasible count) and `greedy_search`
 (pairs) across resource levels, budgets from infeasible to unconstrained and
 two consistency indicators, recording the error name where one is raised.
+It scores with a callable `AccuracySurface`; the predictor pin repeats the
+searches, plus `optimizer_step`'s assignment and score repr, with a
+`PredictorModel` trained on each scenario.
 """
 
 import dataclasses
@@ -13,7 +16,7 @@ import hashlib
 
 import pytest
 
-from modalsim import optimizer, scenario_io, workload
+from modalsim import optimizer, predictor, scenario_io, workload
 from modalsim.core import ModalsimError
 from modalsim.predictor import ModalityIndicators
 
@@ -81,3 +84,64 @@ def test_search_results_pinned(shape):
         for row in _searches(s):
             h.update(f"{seed} {row}\n".encode())
     assert h.hexdigest() == SEARCH_DIGESTS[shape]
+
+
+# The PredictorModel path: a predictor trained on each scenario scores the
+# searches, with indicators probed from two samples.
+PREDICTOR_SEEDS = range(3)
+
+
+def _trained(s, seed):
+    samples = workload.gen_samples(s, 8, {"easy": 1.0, "hard": 1.0}, seed=seed)
+    rows = workload.predictor_dataset(
+        s, workload.gen_accuracy_surface(s), samples, seed=seed, noise_pct=1.0
+    )
+    spec = predictor.EncodingSpec.for_scenario(s)
+    return predictor.train(rows, spec, predictor.TrainConfig(seed=seed, epochs=300)), samples[:2]
+
+
+def _predictor_searches(s, seed):
+    model, samples = _trained(s, seed)
+    for resource in s.latency_profile.resource_levels:
+        for budget in (s.t_max_us, s.t_max_us * 3 // 4, 10**12):
+            scenario = dataclasses.replace(s, t_max_us=budget)
+            for sample in samples:
+                ind = optimizer.probe_indicators(scenario, sample)
+
+                def greedy():
+                    return optimizer.greedy_search(scenario, ind, model, resource).pairs
+
+                def step():
+                    d = optimizer.optimizer_step(sample, scenario, model, resource)
+                    return d.assignment.pairs, repr(d.score)
+
+                def brute():
+                    r = optimizer.brute_force(scenario, ind, model, resource)
+                    return r.best.pairs, repr(r.best_score), r.feasible_count
+
+                yield resource, budget, sample.id, _outcome(greedy), _outcome(step), _outcome(brute)
+
+
+PREDICTOR_CASES = {
+    **{shape: [(seed, presets(shape)[seed]) for seed in PREDICTOR_SEEDS] for shape in SHAPES},
+    "lrw-like": [(0, workload.gen_scenario("lrw-like", seed=0))],
+    "uav-like": [(0, workload.gen_scenario("uav-like", seed=0))],
+}
+
+PREDICTOR_DIGESTS = {
+    "default": "3f0bc08a695b9521e32e8e0fb05b7dd62279753260af3b18ab74285945936626",
+    "modalities=3": "fe24d412f7d717c385492556cd3346f87770ed904d0eea1d0bc2b677184e73de",
+    "modalities=4": "6861702323ff020ee1dfe18eb5f62a73e8c9aa24af80964df42914facdb10b59",
+    "sensing=5,model=4": "fa0723980de9d356c79410d4993c73c36c9c55ada4e00ffdce602a8d65a50488",
+    "lrw-like": "00a9e9ed87e8fc2a8dc7e32db4b2366c376573134fa97e068f799bbae51e7656",
+    "uav-like": "2741bda42892ce97d3be53b089ad070715460f9d0e59b884ff6fe942115ba72e",
+}
+
+
+@pytest.mark.parametrize("case", PREDICTOR_CASES)
+def test_predictor_search_results_pinned(case):
+    h = hashlib.sha256()
+    for seed, s in PREDICTOR_CASES[case]:
+        for row in _predictor_searches(s, seed):
+            h.update(f"{seed} {row}\n".encode())
+    assert h.hexdigest() == PREDICTOR_DIGESTS[case]
