@@ -73,6 +73,12 @@ BAD_DURATION = "BadDuration"
 BAD_TAU = "BadTau"
 BAD_SCHEDULE = "BadResourceSchedule"
 BAD_LEVELS = "BadLevels"
+SIZE_LIMIT = "SizeLimit"
+
+# A window holds units_per_window x channels floats per modality; these bounds
+# keep a scenario document from asking for more memory than a device has.
+MAX_CHANNELS = 4096
+MAX_UNITS_PER_WINDOW = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +272,9 @@ class Scenario:
     are left-closed and the schedule must start at time 0.
 
     Instances are immutable, so `scenario_io.fingerprint` memoizes the digest
-    on the instance (outside the dataclass fields, like
-    `functools.cached_property`); `dataclasses.replace` yields a new instance
-    with no memo.
+    and `latency.unimodal_table` each resource's latency table on the
+    instance (outside the dataclass fields, like `functools.cached_property`);
+    `dataclasses.replace` yields a new instance with no memo.
     """
 
     name: str
@@ -346,6 +352,10 @@ def scenario_violations(s: Scenario) -> list[Violation]:
     for m in s.modalities:
         if m.channels < 1:
             out.append(Violation(BAD_CHANNELS, f"modality {m.id} has channels={m.channels}"))
+        elif m.channels > MAX_CHANNELS:
+            out.append(
+                Violation(SIZE_LIMIT, f"modality {m.id} has channels={m.channels} > {MAX_CHANNELS}")
+            )
 
     if len(s.sensing_space) != len(s.modalities) or len(s.model_space) != len(s.modalities):
         out.append(Violation(EMPTY_CONFIG_SPACE, "config spaces must cover every modality"))
@@ -361,6 +371,14 @@ def scenario_violations(s: Scenario) -> list[Violation]:
             if sc.units_per_window < 1:
                 out.append(Violation(BAD_DURATION, f"modality {i} sensing level {j}: units_per_window < 1"))
                 continue
+            if sc.units_per_window > MAX_UNITS_PER_WINDOW:
+                out.append(
+                    Violation(
+                        SIZE_LIMIT,
+                        f"modality {i} sensing level {j}: units_per_window={sc.units_per_window} "
+                        f"> {MAX_UNITS_PER_WINDOW}",
+                    )
+                )
             if sc.window_us <= 0:
                 out.append(Violation(BAD_DURATION, f"modality {i} sensing level {j}: window_us <= 0"))
                 continue

@@ -9,19 +9,26 @@ assignment and repeatedly applies the one-modality move with the best
 predicted accuracy gain per microsecond of added latency, staying feasible
 throughout.  Both score assignments with either a trained PredictorModel or
 any callable (indicators, assignment) -> accuracy.
+
+Both searches hold assignments as (n, modalities, 2) integer arrays of
+(sensing, model) levels and build one row per candidate by array indexing;
+a callable scorer still gets one ConfigAssignment of Python ints per row.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import ConfigAssignment, NoFeasibleAssignment, Sample, Scenario
 from .latency import unimodal_table
-from .predictor import ModalityIndicators, PredictorModel, indicators, predict_batch
+from .predictor import ModalityIndicators, PredictorModel, indicators, predict_batch, score_rows
 
 PROBE_COST_US = 1000
+BRUTE_FORCE_CHUNK = 4096  # assignments encoded at a time, which bounds brute_force's memory
 
 
 @dataclass(frozen=True)
@@ -39,26 +46,46 @@ class OptimizerDecision:
     probe_cost_us: int = PROBE_COST_US
 
 
-def _batch_scorer(model, ind: ModalityIndicators):
-    """Scores of a list of assignments; a single score is `score_many([a])[0]`."""
+def _assignments(levels: np.ndarray) -> list[ConfigAssignment]:
+    """One assignment of Python ints per row of an (n, modalities, 2) levels array."""
+    return [ConfigAssignment(tuple(map(tuple, row))) for row in levels.tolist()]
+
+
+def _scorer(model, ind: ModalityIndicators, row_per_product: bool = False):
+    """Scores of an (n, modalities, 2) levels array, in row order.
+
+    A PredictorModel scores all rows in one matrix product, or each row in a
+    product of its own when `row_per_product` is set; a callable is called
+    once per row.
+    """
     if isinstance(model, PredictorModel):
-        return lambda assignments: predict_batch(model, ind, assignments)
+        if not row_per_product:
+            return lambda levels: predict_batch(model, ind, levels)
+
+        def score_each(levels):
+            x = model.encoding.encode_batch(ind, levels)
+            return [float(score_rows(model, x[k : k + 1])[0]) for k in range(len(x))]
+
+        return score_each
     if callable(model):
-        return lambda assignments: [float(model(ind, a)) for a in assignments]
+        return lambda levels: [float(model(ind, a)) for a in _assignments(levels)]
     raise TypeError(f"cannot score assignments with {type(model)!r}")
 
 
-def _feasible_pairs(scenario: Scenario, resource: str):
-    """The unimodal latency table and each modality's in-budget pairs, in
-    lexicographic order; raises NoFeasibleAssignment if a modality has none."""
-    table = unimodal_table(scenario, resource)
+def _feasible(scenario: Scenario, resource: str) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per modality, its in-budget (sensing, model) levels as a (k, 2) array in
+    lexicographic order and their unimodal latencies; raises
+    NoFeasibleAssignment if a modality has none."""
     budget = scenario.t_max_us - scenario.latency_profile.fusion_us
-    feasible = [[pair for pair, lat in row.items() if lat <= budget] for row in table]
-    if not all(feasible):
+    feasible = []
+    for row in unimodal_table(scenario, resource):
+        within = row <= budget
+        feasible.append((np.argwhere(within), row[within]))
+    if not all(len(latency) for _, latency in feasible):
         raise NoFeasibleAssignment(
             f"every assignment exceeds t_max={scenario.t_max_us}µs at resource {resource!r}"
         )
-    return table, feasible
+    return feasible
 
 
 def brute_force(
@@ -67,37 +94,27 @@ def brute_force(
     """Exhaustive search over the feasible assignments; ties break to the
     lexicographically smallest assignment.
 
-    Scores one assignment per call: a batched matrix product may round a row
-    differently, which could move a tie-break.
+    The feasible product is built in lexicographic order, BRUTE_FORCE_CHUNK
+    rows at a time, and a predictor scores each row in a matrix product of
+    its own, exactly as a one-assignment `predict_batch` call does: a batched
+    product may round a row differently, which could move a tie-break.
     """
-    score_many = _batch_scorer(model, ind)
-    _, feasible = _feasible_pairs(scenario, resource)
+    score_each = _scorer(model, ind, row_per_product=True)
+    options = [levels for levels, _ in _feasible(scenario, resource)]
+    count = math.prod(len(levels) for levels in options)
     best = None
     best_score = float("-inf")
-    for count, pairs in enumerate(itertools.product(*feasible), 1):
-        assignment = ConfigAssignment(pairs)
-        score = float(score_many([assignment])[0])
-        if score > best_score:
-            best, best_score = assignment, score
+    for start in range(0, count, BRUTE_FORCE_CHUNK):
+        index = np.arange(start, min(start + BRUTE_FORCE_CHUNK, count))
+        levels = np.empty((len(index), len(options), 2), dtype=np.intp)
+        for i in reversed(range(len(options))):  # the last modality varies fastest
+            index, digit = np.divmod(index, len(options[i]))
+            levels[:, i] = options[i][digit]
+        for k, score in enumerate(score_each(levels)):
+            if score > best_score:
+                best, best_score = levels[k : k + 1], score
+    best = None if best is None else _assignments(best)[0]
     return SearchResult(best=best, best_score=best_score, feasible_count=count)
-
-
-def _moves(assignment: ConfigAssignment, feasible):
-    """Feasible reconfigurations of one modality's (sensing, model) pair.
-
-    Single-coordinate upgrades alone can wedge in a corner of the feasible
-    staircase (a free sensing upgrade can lock out every model upgrade), so
-    the move set is any change to one modality's pair; feasibility of the
-    other modalities is unaffected because the budget binds each modality's
-    unimodal latency independently.
-    """
-    for mid, options in enumerate(feasible):
-        for pair in options:
-            if pair == assignment.pairs[mid]:
-                continue
-            pairs = list(assignment.pairs)
-            pairs[mid] = pair
-            yield mid, pair, ConfigAssignment(tuple(pairs))
 
 
 def greedy_search(
@@ -109,38 +126,64 @@ def greedy_search(
     the feasible one-modality move with the best accuracy gain per added
     microsecond (free or latency-reducing gains rank highest); every step
     strictly improves the predicted accuracy, so termination is guaranteed.
+
+    Single-coordinate upgrades alone can wedge in a corner of the feasible
+    staircase (a free sensing upgrade can lock out every model upgrade), so
+    a move is any change to one modality's pair; the other modalities stay
+    feasible because the budget binds each modality's unimodal latency
+    independently.
+
+    Each step scores all its moves in one call, in a fixed order: by
+    modality, then by (sensing, model) level.  A matrix product's rounding
+    depends only on the rows it multiplies, so the same rows in the same
+    order give the same scores bit for bit however the rows are built; ties
+    on (ratio, gain) go to the first move in that order, which has the
+    lowest modality and then the lowest levels.
     """
-    score_many = _batch_scorer(model, ind)
-    table, feasible = _feasible_pairs(scenario, resource)
-    fusion = scenario.latency_profile.fusion_us
+    score_many = _scorer(model, ind)
+    feasible = _feasible(scenario, resource)
+    # every feasible option of every modality, in the order moves are scored
+    option_mid = np.concatenate([np.full(len(lat), i) for i, (_, lat) in enumerate(feasible)])
+    option_levels = np.concatenate([levels for levels, _ in feasible])
+    option_latency = np.concatenate([lat for _, lat in feasible])
+    floor = option_latency.min()
 
-    def latency(a: ConfigAssignment) -> int:
-        return max(table[i][p] for i, p in enumerate(a.pairs)) + fusion
-
-    current = ConfigAssignment(
-        tuple(min(options, key=lambda p: (row[p], p)) for row, options in zip(table, feasible))
-    )
-    current_score = float(score_many([current])[0])
-    current_latency = latency(current)
+    # the chosen option of each modality: its fastest, lowest levels on ties
+    first = np.cumsum([0] + [len(lat) for _, lat in feasible[:-1]])
+    chosen = first + [int(np.argmin(lat)) for _, lat in feasible]
+    current = option_levels[chosen]
+    current_score = float(score_many(current[None])[0])
 
     while True:
-        moves = [(mid, pair, c, latency(c)) for mid, pair, c in _moves(current, feasible)]
-        best_move = None
-        if moves:
-            scores = score_many([c for _, _, c, _ in moves])
-            for (mid, pair, candidate, lat), score in zip(moves, scores):
-                gain = float(score) - current_score
-                if gain <= 0.0:
-                    continue
-                ratio = gain / max(lat - current_latency, 1)
-                # tie-break: ratio, then raw gain, then lower modality, lower levels
-                key = (ratio, gain, -mid, (-pair[0], -pair[1]))
-                if best_move is None or key > best_move[0]:
-                    best_move = (key, candidate, gain, lat)
-        if best_move is None:
-            return current
-        _, current, gain, current_latency = best_move
-        current_score += gain
+        moves = np.ones(len(option_mid), dtype=bool)
+        moves[chosen] = False
+        moves = np.flatnonzero(moves)
+        if not len(moves):
+            break
+        mids = option_mid[moves]
+        levels = np.repeat(current[None], len(moves), axis=0)
+        levels[np.arange(len(moves)), mids] = option_levels[moves]
+
+        # fusion cancels in a move's added latency: max(its pair's, the slowest other's) - peak
+        unimodal = option_latency[chosen]
+        slowest = int(np.argmax(unimodal))
+        ranked = np.sort(unimodal)
+        peak, runner_up = ranked[-1], ranked[-2] if len(ranked) > 1 else floor
+        latency = np.maximum(option_latency[moves], np.where(mids == slowest, runner_up, peak))
+        gains = np.asarray(score_many(levels), dtype=np.float64) - current_score
+        ratios = gains / np.maximum(latency - peak, 1)
+
+        # the best (ratio, gain); the first such move has the lowest modality and levels
+        best = gains > 0.0
+        if not best.any():
+            break
+        best &= ratios == ratios[best].max()
+        best &= gains == gains[best].max()
+        k = int(np.flatnonzero(best)[0])
+        chosen[mids[k]] = moves[k]
+        current = levels[k]
+        current_score += float(gains[k])
+    return _assignments(current[None])[0]
 
 
 def probe_indicators(scenario: Scenario, sample: Sample) -> ModalityIndicators:
@@ -156,7 +199,7 @@ def optimizer_step(
     t0 = time.perf_counter()
     ind = probe_indicators(scenario, sample)
     assignment = greedy_search(scenario, ind, model, resource)
-    score = float(_batch_scorer(model, ind)([assignment])[0])
+    score = float(_scorer(model, ind)(np.array([assignment.pairs]))[0])
     elapsed_us = int((time.perf_counter() - t0) * 1e6)
     return OptimizerDecision(
         assignment=assignment, score=score, decision_latency_us=elapsed_us

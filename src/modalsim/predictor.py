@@ -10,6 +10,7 @@ gradient descent (`nn.fit_mlp`) against synthetic accuracy labels in percent.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -112,24 +113,46 @@ class EncodingSpec:
     def dim(self) -> int:
         return 2 + sum(self.sensing_counts) + sum(self.model_counts)
 
+    @functools.cached_property
+    def _layout(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per modality, the column of level 0 of its sensing and model one-hot
+        blocks, and its sensing and model level counts; both (modalities, 2)."""
+        counts = np.column_stack((self.sensing_counts, self.model_counts))
+        starts = 2 + np.concatenate(([0], np.cumsum(counts)[:-1]))
+        return starts.reshape(counts.shape), counts
+
     def encode(self, ind: ModalityIndicators, assignment: ConfigAssignment) -> np.ndarray:
-        if len(assignment.pairs) != len(self.sensing_counts):
+        return self.encode_batch(ind, [assignment.pairs])[0]
+
+    def encode_batch(self, ind, levels) -> np.ndarray:
+        """One row per assignment of an (n, modalities, 2) array of (sensing,
+        model) levels; `ind` is one ModalityIndicators for every row or a
+        sequence with one per row.  Raises UnknownConfig for levels outside
+        the space or a modality count other than the encoding's."""
+        try:
+            levels = np.asarray(levels)
+        except ValueError:
+            raise UnknownConfig("assignments differ in shape") from None
+        if levels.ndim != 3 or levels.shape[2] != 2 or levels.dtype.kind not in "iu":
+            raise UnknownConfig(f"levels of shape {levels.shape} are not (sensing, model) pairs")
+        starts, counts = self._layout
+        if levels.shape[1] != len(counts):
             raise UnknownConfig(
-                f"assignment has {len(assignment.pairs)} modalities, encoding expects "
-                f"{len(self.sensing_counts)}"
+                f"assignment has {levels.shape[1]} modalities, encoding expects {len(counts)}"
             )
-        vec = np.zeros(self.dim)
-        vec[0] = ind.consistency
-        vec[1] = ind.complementarity
-        off = 2
-        for i, (s, m) in enumerate(assignment.pairs):
-            if not (0 <= s < self.sensing_counts[i]) or not (0 <= m < self.model_counts[i]):
-                raise UnknownConfig(f"levels ({s},{m}) outside modality {i}'s space")
-            vec[off + s] = 1.0
-            off += self.sensing_counts[i]
-            vec[off + m] = 1.0
-            off += self.model_counts[i]
-        return vec
+        outside = (levels < 0) | (levels >= counts)
+        if outside.any():
+            row, i, _ = np.argwhere(outside)[0]
+            s, m = levels[row, i].tolist()
+            raise UnknownConfig(f"levels ({s},{m}) outside modality {i}'s space")
+        n = len(levels)
+        x = np.zeros((n, self.dim))
+        if isinstance(ind, ModalityIndicators):
+            x[:, :2] = ind.consistency, ind.complementarity
+        else:
+            x[:, :2] = [(i.consistency, i.complementarity) for i in ind]
+        x[np.arange(n)[:, None], (starts + levels.astype(np.intp, copy=False)).reshape(n, -1)] = 1.0
+        return x
 
 
 @dataclass(frozen=True)
@@ -179,7 +202,7 @@ def train(
         if not (0.0 <= acc <= 100.0):
             raise ValueError(f"accuracy {acc} outside [0, 100]")
 
-    x = np.vstack([encoding.encode(ind, a) for ind, a, _ in dataset])
+    x = encoding.encode_batch([ind for ind, _, _ in dataset], [a.pairs for _, a, _ in dataset])
     y = np.array([acc for _, _, acc in dataset], dtype=np.float64)
     fit = nn.fit_mlp(x, y, loss="mse", tag="predictor", **dataclasses.asdict(hyper))
 
@@ -211,10 +234,18 @@ def predict(model: PredictorModel, ind: ModalityIndicators, assignment: ConfigAs
     return float(predict_batch(model, ind, [assignment])[0])
 
 
-def predict_batch(
-    model: PredictorModel, ind: ModalityIndicators, assignments: Sequence[ConfigAssignment]
-) -> np.ndarray:
-    x = np.vstack([model.encoding.encode(ind, a) for a in assignments])
+def predict_batch(model: PredictorModel, ind: ModalityIndicators, assignments) -> np.ndarray:
+    """Estimated accuracies of a sequence of assignments or an (n, modalities,
+    2) levels array, from one matrix product over all rows."""
+    if not isinstance(assignments, np.ndarray):
+        assignments = [a.pairs for a in assignments]
+    return score_rows(model, model.encoding.encode_batch(ind, assignments))
+
+
+def score_rows(model: PredictorModel, x: np.ndarray) -> np.ndarray:
+    """Estimated accuracies of encoded rows, clamped to [0, 100].  A row's
+    rounding may depend on how many rows share its matrix product, so a
+    caller that must reproduce a score bitwise scores the same batch again."""
     xs = (x - model.x_mean) / model.x_scale
     raw = nn.forward((model.w1, model.b1, model.w2, model.b2), xs) + model.y_mean
     return np.clip(raw, 0.0, 100.0)

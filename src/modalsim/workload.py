@@ -281,7 +281,7 @@ def _random_scenario(
         resource_schedule=((0, "high"),),
     )
     # the slowest modality sets the latency, so each takes its cheapest pair
-    cheapest = max(min(row.values()) for row in unimodal_table(scenario, "high")) + profile.fusion_us
+    cheapest = max(int(row.min()) for row in unimodal_table(scenario, "high")) + profile.fusion_us
     t_max = cheapest + (cheapest // 4) + s.u64(2) % cheapest
     return dataclasses.replace(scenario, t_max_us=t_max)
 

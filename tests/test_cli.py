@@ -369,3 +369,23 @@ def test_wrongly_typed_scenario_field_exit_code_2(tmp_path):
     assert res.returncode == 2, res.stderr
     assert len(res.stderr.splitlines()) == 1, res.stderr  # one JSON line, no traceback
     assert json.loads(res.stderr)["error"] == "ScenarioFormatError"
+
+
+@pytest.mark.parametrize("field", ["channels", "units_per_window"])
+def test_oversized_scenario_exit_code_2(field, tmp_path):
+    # rejected at load, before anything allocates units x channels floats
+    doc = scenario_io.to_document(workload.gen_scenario("lrw-like", seed=3))
+    if field == "channels":
+        doc["modalities"][0]["channels"] = 10**9
+    else:
+        doc["sensing_configs"][1][0]["units_per_window"] = 10**6
+    bad = tmp_path / "big.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "t.jsonl"
+    res = invoke("run", "--scenario", str(bad), "--out", str(out))
+    assert res.returncode == 2, res.stderr
+    assert len(res.stderr.splitlines()) == 1, res.stderr  # one JSON line, no traceback
+    err = json.loads(res.stderr)
+    assert err["error"] == "InvalidScenario"
+    assert [d.split(":")[0] for d in err["detail"]] == ["SizeLimit"]
+    assert not out.exists()

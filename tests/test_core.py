@@ -213,3 +213,32 @@ def test_scenario_parse_reports_all_problems():
     with pytest.raises(scenario_io.ScenarioFormatError) as err:
         scenario_io.parse('{"schema_version": 99}')
     assert "schema_version" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("channels", 10**9), ("channels", core.MAX_CHANNELS + 1), ("units_per_window", 10**6)],
+)
+def test_oversized_document_parses_but_fails_validation(field, value):
+    # units_per_window=10**6 divides the 1 s window, so only the size bound rejects it
+    doc = scenario_io.to_document(workload.gen_scenario("lrw-like", seed=3))
+    if field == "channels":
+        doc["modalities"][1]["channels"] = value
+    else:
+        doc["sensing_configs"][0][2]["units_per_window"] = value
+    scenario = scenario_io.from_document(doc)
+    with pytest.raises(InvalidScenario) as err:
+        validate_scenario(scenario)
+    assert [v.code for v in err.value.violations] == [core.SIZE_LIMIT]
+    assert str(value) in str(err.value)
+
+
+def test_size_limits_admit_their_bounds():
+    s = small_scenario(
+        modalities=(Modality(0, "a", core.MAX_CHANNELS), Modality(1, "b", 4)),
+        sensing_space=(
+            (SensingConfig(0, core.MAX_UNITS_PER_WINDOW, 1_024_000),),
+            (SensingConfig(0, 16, 1_024_000),),
+        ),
+    )
+    assert validate_scenario(s) is s

@@ -187,3 +187,21 @@ def test_incomplete_trace_rejected():
     )
     with pytest.raises(latency.IncompleteTrace):
         latency.reported_latency(broken, s)
+
+
+def test_unimodal_table_is_memoized_per_instance_and_resource_and_read_only():
+    s = workload.gen_scenario("lrw-like", seed=0)
+    table = latency.unimodal_table(s, "high")
+    assert latency.unimodal_table(s, "high") is table
+    assert latency.unimodal_table(s, "low") is not table
+    for i, row in enumerate(table):
+        for sensing, model in s.level_pairs(i):
+            a = ConfigAssignment(tuple((sensing, model) if j == i else (0, 0) for j in range(2)))
+            assert row[sensing, model] == latency.unimodal_latency(s, a, i, "high")
+        with pytest.raises(ValueError):
+            row[0, 0] = 0
+    assert isinstance(table, tuple)
+
+    again = dataclasses.replace(s)
+    assert latency.unimodal_table(again, "high") is not table
+    assert s == again and dataclasses.astuple(s) == dataclasses.astuple(again)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modalsim import rng, workload
 from modalsim.core import ConfigAssignment
@@ -282,3 +284,79 @@ def test_fit_floors_on_noisy_surface():
     model = train(dataset, spec, TrainConfig(seed=1, epochs=4000))
     assert model.info.holdout_r2 >= 0.79
     assert model.info.holdout_mse <= 7.15
+
+
+def one_hot(spec, ind, pairs):
+    """The input layout written out: [cons, comp], then per modality a one-hot
+    sensing block followed by a one-hot model block."""
+    vec = [ind.consistency, ind.complementarity]
+    for (s, m), n_s, n_m in zip(pairs, spec.sensing_counts, spec.model_counts):
+        vec += [float(k == s) for k in range(n_s)] + [float(k == m) for k in range(n_m)]
+    return np.array(vec)
+
+
+@st.composite
+def encodings(draw):
+    """An encoding, an (n, modalities, 2) levels list inside it and one
+    consistency per row."""
+    counts = st.lists(st.integers(1, 6), min_size=1, max_size=4)
+    sensing = draw(counts)
+    model = draw(st.lists(st.integers(1, 6), min_size=len(sensing), max_size=len(sensing)))
+    spec = EncodingSpec(sensing_counts=tuple(sensing), model_counts=tuple(model))
+    pair = [st.tuples(st.integers(0, s - 1), st.integers(0, m - 1)) for s, m in zip(sensing, model)]
+    levels = draw(st.lists(st.tuples(*pair), min_size=1, max_size=8))
+    cons = draw(st.lists(st.floats(-1.0, 1.0), min_size=len(levels), max_size=len(levels)))
+    return spec, levels, [ModalityIndicators.from_consistency(c) for c in cons]
+
+
+@given(encodings())
+@settings(max_examples=150, deadline=None)
+def test_batch_encoder_rows_equal_stacked_encode_rows(case):
+    spec, levels, inds = case
+    for ind, ind_of in ((inds[0], lambda r: inds[0]), (inds, inds.__getitem__)):
+        batch = spec.encode_batch(ind, np.array(levels))
+        rows = list(enumerate(levels))
+        stacked = np.vstack([spec.encode(ind_of(r), ConfigAssignment(p)) for r, p in rows])
+        written = np.vstack([one_hot(spec, ind_of(r), p) for r, p in rows])
+        assert batch.shape == (len(levels), spec.dim)
+        assert batch.tobytes() == stacked.tobytes() == written.tobytes()
+
+
+@given(encodings(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_both_encoders_reject_levels_outside_the_space(case, data):
+    spec, levels, inds = case
+    row = data.draw(st.integers(0, len(levels) - 1))
+    i = data.draw(st.integers(0, len(spec.sensing_counts) - 1))
+    which = data.draw(st.integers(0, 1))
+    count = (spec.sensing_counts, spec.model_counts)[which][i]
+    bad = data.draw(st.one_of(st.integers(-5, -1), st.integers(count, count + 5)))
+    pairs = [list(map(list, p)) for p in levels]
+    pairs[row][i][which] = bad
+    with pytest.raises(UnknownConfig, match=f"outside modality {i}'s space"):
+        spec.encode_batch(inds[0], np.array(pairs))
+    with pytest.raises(UnknownConfig):
+        spec.encode(inds[0], ConfigAssignment(tuple(map(tuple, pairs[row]))))
+
+
+@given(encodings(), st.sampled_from([-1, 1]))
+@settings(max_examples=100, deadline=None)
+def test_both_encoders_reject_a_wrong_modality_count(case, delta):
+    spec, levels, inds = case
+    pairs = [p[:-1] if delta < 0 else p + ((0, 0),) for p in levels]
+    with pytest.raises(UnknownConfig):
+        spec.encode_batch(inds[0], pairs)
+    with pytest.raises(UnknownConfig):
+        spec.encode(inds[0], ConfigAssignment(pairs[0]))
+
+
+def test_greedy_search_rejects_a_predictor_of_another_space():
+    from modalsim import optimizer
+
+    s = workload.gen_scenario("random", seed=0, sensing_levels=7, model_levels=7)
+    samples = workload.gen_samples(s, 4, "easy", seed=0)
+    rows = workload.predictor_dataset(s, workload.gen_accuracy_surface(s), samples, seed=0)
+    model = train(rows, EncodingSpec.for_scenario(s), TrainConfig(seed=0, epochs=50))
+    wide = workload.gen_scenario("random", seed=0, modalities=4)
+    with pytest.raises(UnknownConfig, match="4 modalities, encoding expects 2"):
+        optimizer.greedy_search(wide, ModalityIndicators.from_consistency(0.5), model, "high")

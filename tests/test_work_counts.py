@@ -3,17 +3,20 @@
 Each seeded quantity is computed once: a window's payload draws its base
 and jump rows once per (sample, modality), a scenario is serialized for
 its fingerprint once per instance however many windows it serves, a
-committed skip fuses the prefix vector the gate was shown, and a budget
-query reads each (modality, sensing, model) profile entry once.
+committed skip fuses the prefix vector the gate was shown, a budget
+query reads each (modality, sensing, model) profile entry once per scenario
+instance and resource, and greedy search encodes each step's moves as one
+batch.
 """
 
+import dataclasses
 import sys
 
 import pytest
 
-from modalsim import engine, optimizer, rng, scenario_io, workload
+from modalsim import engine, optimizer, predictor, rng, scenario_io, workload
 from modalsim.core import Difficulty, LatencyProfile, Modality, Sample
-from modalsim.predictor import ModalityIndicators
+from modalsim.predictor import EncodingSpec, ModalityIndicators
 
 
 def count_calls(monkeypatch, module, name):
@@ -112,3 +115,40 @@ def test_budget_queries_look_up_each_pair_once(monkeypatch):
     result = optimizer.brute_force(s, ModalityIndicators.from_consistency(0.5), surface, "high")
     assert result.feasible_count > 0
     assert (len(lookups), len(checks)) == (36, 0)
+
+
+@pytest.fixture(scope="module")
+def seven_by_seven():
+    """A 2-modality 7x7 preset, a predictor trained on it and one sample."""
+    s = workload.gen_scenario("random", seed=0, sensing_levels=7, model_levels=7)
+    samples = workload.gen_samples(s, 8, {"easy": 1.0, "hard": 1.0}, seed=0)
+    rows = workload.predictor_dataset(
+        s, workload.gen_accuracy_surface(s), samples, seed=0, noise_pct=1.0
+    )
+    spec = EncodingSpec.for_scenario(s)
+    model = predictor.train(rows, spec, predictor.TrainConfig(seed=0, epochs=300))
+    return s, model, samples[0]
+
+
+def test_greedy_search_scores_each_step_as_one_encoded_batch(monkeypatch, seven_by_seven):
+    # the start, eight steps of 57 moves each, and optimizer_step's rescore of
+    # the choice: the same rows as a search that encoded one row per move
+    s, model, sample = seven_by_seven
+    encoded = count_calls(monkeypatch, EncodingSpec, "encode")
+    batches = count_calls(monkeypatch, optimizer, "predict_batch")
+    optimizer.optimizer_step(sample, s, model, "high")
+    assert len(encoded) == 0
+    assert [len(args[2]) for args in batches] == [1] + [57] * 8 + [1]
+
+
+def test_second_decision_on_a_scenario_looks_up_no_profile_entry(monkeypatch, seven_by_seven):
+    s, model, sample = seven_by_seven
+    s = dataclasses.replace(s)  # a fresh instance, with no memo
+    lookups = count_calls(monkeypatch, LatencyProfile, "lookup")
+    first = optimizer.optimizer_step(sample, s, model, "high")
+    assert len(lookups) == 2 * 7 * 7
+
+    lookups.clear()
+    second = optimizer.optimizer_step(sample, s, model, "high")
+    assert len(lookups) == 0
+    assert (second.assignment, second.score) == (first.assignment, first.score)
