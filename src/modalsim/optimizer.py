@@ -28,7 +28,7 @@ from .latency import unimodal_table
 from .predictor import ModalityIndicators, PredictorModel, indicators, predict_batch, score_rows
 
 PROBE_COST_US = 1000
-BRUTE_FORCE_CHUNK = 4096  # assignments encoded at a time, which bounds brute_force's memory
+BRUTE_FORCE_CHUNK = 256  # assignments encoded at a time, which bounds brute_force's memory
 
 
 @dataclass(frozen=True)

@@ -124,7 +124,9 @@ class EncodingSpec:
     def encode(self, ind: ModalityIndicators, assignment: ConfigAssignment) -> np.ndarray:
         return self.encode_batch(ind, [assignment.pairs])[0]
 
-    def encode_batch(self, ind, levels) -> np.ndarray:
+    def encode_batch(
+        self, ind: ModalityIndicators | Sequence[ModalityIndicators], levels
+    ) -> np.ndarray:
         """One row per assignment of an (n, modalities, 2) array of (sensing,
         model) levels; `ind` is one ModalityIndicators for every row or a
         sequence with one per row.  Raises UnknownConfig for levels outside
@@ -234,7 +236,11 @@ def predict(model: PredictorModel, ind: ModalityIndicators, assignment: ConfigAs
     return float(predict_batch(model, ind, [assignment])[0])
 
 
-def predict_batch(model: PredictorModel, ind: ModalityIndicators, assignments) -> np.ndarray:
+def predict_batch(
+    model: PredictorModel,
+    ind: ModalityIndicators,
+    assignments: Sequence[ConfigAssignment] | np.ndarray,
+) -> np.ndarray:
     """Estimated accuracies of a sequence of assignments or an (n, modalities,
     2) levels array, from one matrix product over all rows."""
     if not isinstance(assignments, np.ndarray):
