@@ -271,10 +271,11 @@ class Scenario:
     `resource_schedule` maps virtual time to profile resource levels; intervals
     are left-closed and the schedule must start at time 0.
 
-    Instances are immutable, so `scenario_io.fingerprint` memoizes the digest
-    and `latency.unimodal_table` each resource's latency table on the
-    instance (outside the dataclass fields, like `functools.cached_property`);
-    `dataclasses.replace` yields a new instance with no memo.
+    Instances are immutable, so `scenario_io.fingerprint` memoizes the
+    digest, `latency.unimodal_table` each resource's latency table and the
+    optimizer each resource's in-budget options on the instance (outside the
+    dataclass fields, like `functools.cached_property`); `dataclasses.replace`
+    yields a new instance with no memo.
     """
 
     name: str

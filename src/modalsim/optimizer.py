@@ -72,20 +72,44 @@ def _scorer(model, ind: ModalityIndicators, row_per_product: bool = False):
     raise TypeError(f"cannot score assignments with {type(model)!r}")
 
 
-def _feasible(scenario: Scenario, resource: str) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per modality, its in-budget (sensing, model) levels as a (k, 2) array in
-    lexicographic order and their unimodal latencies; raises
-    NoFeasibleAssignment if a modality has none."""
-    budget = scenario.t_max_us - scenario.latency_profile.fusion_us
-    feasible = []
-    for row in unimodal_table(scenario, resource):
-        within = row <= budget
-        feasible.append((np.argwhere(within), row[within]))
-    if not all(len(latency) for _, latency in feasible):
-        raise NoFeasibleAssignment(
-            f"every assignment exceeds t_max={scenario.t_max_us}µs at resource {resource!r}"
+@dataclass(frozen=True)
+class _Options:
+    """Every in-budget (sensing, model) option of every modality, by modality
+    and then in lexicographic order, as read-only arrays."""
+
+    modality: np.ndarray  # (k,) modality of each option
+    levels: np.ndarray  # (k, 2) its sensing and model level
+    latency: np.ndarray  # (k,) its unimodal latency
+    bounds: tuple[int, ...]  # modality i's options are [bounds[i], bounds[i + 1])
+    fastest: np.ndarray  # per modality, its fastest option, the lowest levels on ties
+
+
+def _options(scenario: Scenario, resource: str) -> _Options:
+    """The in-budget options, computed once per (scenario instance, resource)
+    like the latency table; raises NoFeasibleAssignment if a modality has none."""
+    # frozen dataclass: the memo lives in the instance __dict__, outside the fields
+    memo = scenario.__dict__.setdefault("_search_options", {})
+    options = memo.get(resource)
+    if options is None:
+        budget = scenario.t_max_us - scenario.latency_profile.fusion_us
+        table = unimodal_table(scenario, resource)
+        within = [row <= budget for row in table]
+        if not all(w.any() for w in within):
+            raise NoFeasibleAssignment(
+                f"every assignment exceeds t_max={scenario.t_max_us}µs at resource {resource!r}"
+            )
+        latency = [row[w] for row, w in zip(table, within)]
+        bounds = np.cumsum([0] + [len(lat) for lat in latency])
+        options = memo[resource] = _Options(
+            modality=np.repeat(np.arange(len(table)), np.diff(bounds)),
+            levels=np.concatenate([np.argwhere(w) for w in within]),
+            latency=np.concatenate(latency),
+            bounds=tuple(bounds.tolist()),
+            fastest=bounds[:-1] + [int(np.argmin(lat)) for lat in latency],
         )
-    return feasible
+        for array in (options.modality, options.levels, options.latency, options.fastest):
+            array.setflags(write=False)
+    return options
 
 
 def brute_force(
@@ -100,7 +124,9 @@ def brute_force(
     product may round a row differently, which could move a tie-break.
     """
     score_each = _scorer(model, ind, row_per_product=True)
-    options = [levels for levels, _ in _feasible(scenario, resource)]
+    feasible = _options(scenario, resource)
+    bounds = feasible.bounds
+    options = [feasible.levels[a:b] for a, b in zip(bounds, bounds[1:])]
     count = math.prod(len(levels) for levels in options)
     best = None
     best_score = float("-inf")
@@ -141,46 +167,39 @@ def greedy_search(
     lowest modality and then the lowest levels.
     """
     score_many = _scorer(model, ind)
-    feasible = _feasible(scenario, resource)
-    # every feasible option of every modality, in the order moves are scored
-    option_mid = np.concatenate([np.full(len(lat), i) for i, (_, lat) in enumerate(feasible)])
-    option_levels = np.concatenate([levels for levels, _ in feasible])
-    option_latency = np.concatenate([lat for _, lat in feasible])
-    floor = option_latency.min()
-
-    # the chosen option of each modality: its fastest, lowest levels on ties
-    first = np.cumsum([0] + [len(lat) for _, lat in feasible[:-1]])
-    chosen = first + [int(np.argmin(lat)) for _, lat in feasible]
-    current = option_levels[chosen]
+    options = _options(scenario, resource)
+    floor = options.latency.min()
+    chosen = options.fastest.copy()  # each modality's current option
+    is_move = np.ones(len(options.modality), dtype=bool)
+    is_move[chosen] = False
+    current = options.levels[chosen]
     current_score = float(score_many(current[None])[0])
 
     while True:
-        moves = np.ones(len(option_mid), dtype=bool)
-        moves[chosen] = False
-        moves = np.flatnonzero(moves)
+        moves = is_move.nonzero()[0]
         if not len(moves):
             break
-        mids = option_mid[moves]
-        levels = np.repeat(current[None], len(moves), axis=0)
-        levels[np.arange(len(moves)), mids] = option_levels[moves]
+        mids = options.modality[moves]
+        levels = current[None].repeat(len(moves), axis=0)
+        levels[np.arange(len(moves)), mids] = options.levels[moves]
 
-        # fusion cancels in a move's added latency: max(its pair's, the slowest other's) - peak
-        unimodal = option_latency[chosen]
-        slowest = int(np.argmax(unimodal))
-        ranked = np.sort(unimodal)
-        peak, runner_up = ranked[-1], ranked[-2] if len(ranked) > 1 else floor
-        latency = np.maximum(option_latency[moves], np.where(mids == slowest, runner_up, peak))
+        # fusion cancels in a move's added latency: max(its own, the slowest other's) - peak
+        unimodal = options.latency[chosen].tolist()
+        others = [max(unimodal[:i] + unimodal[i + 1 :], default=floor) for i in range(len(unimodal))]
+        added = np.maximum(options.latency[moves], np.array(others)[mids]) - max(unimodal)
         gains = np.asarray(score_many(levels), dtype=np.float64) - current_score
-        ratios = gains / np.maximum(latency - peak, 1)
+        ratios = gains / np.maximum(added, 1)
 
         # the best (ratio, gain); the first such move has the lowest modality and levels
         best = gains > 0.0
         if not best.any():
             break
-        best &= ratios == ratios[best].max()
-        best &= gains == gains[best].max()
-        k = int(np.flatnonzero(best)[0])
-        chosen[mids[k]] = moves[k]
+        best &= ratios == ratios.max(where=best, initial=-np.inf)
+        best &= gains == gains.max(where=best, initial=-np.inf)
+        k = int(best.argmax())
+        mid = mids[k]
+        is_move[chosen[mid]], is_move[moves[k]] = True, False
+        chosen[mid] = moves[k]
         current = levels[k]
         current_score += float(gains[k])
     return _assignments(current[None])[0]
