@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modalsim import rng, workload
+from modalsim import optimizer, rng, workload
 from modalsim.core import ConfigAssignment
 from modalsim.predictor import (
     EncodingSpec,
@@ -298,7 +298,7 @@ def one_hot(spec, ind, pairs):
 @st.composite
 def encodings(draw):
     """An encoding, an (n, modalities, 2) levels list inside it and one
-    consistency per row."""
+    indicator pair per row."""
     counts = st.lists(st.integers(1, 6), min_size=1, max_size=4)
     sensing = draw(counts)
     model = draw(st.lists(st.integers(1, 6), min_size=len(sensing), max_size=len(sensing)))
@@ -351,8 +351,6 @@ def test_both_encoders_reject_a_wrong_modality_count(case, delta):
 
 
 def test_greedy_search_rejects_a_predictor_of_another_space():
-    from modalsim import optimizer
-
     s = workload.gen_scenario("random", seed=0, sensing_levels=7, model_levels=7)
     samples = workload.gen_samples(s, 4, "easy", seed=0)
     rows = workload.predictor_dataset(s, workload.gen_accuracy_surface(s), samples, seed=0)
