@@ -33,7 +33,25 @@ class ScenarioFormatError(ModalsimError):
         super().__init__("; ".join(problems))
 
 
-def to_document(s: Scenario) -> dict:
+def _profile_document(p: LatencyProfile) -> dict:
+    return {
+        "resource_levels": list(p.resource_levels),
+        "fusion_us": p.fusion_us,
+        "entries": [
+            {
+                "modality": key[0],
+                "sensing_level": key[1],
+                "model_level": key[2],
+                "resource": key[3],
+                "unit_encode_us": entry.unit_encode_us,
+                "aggregation_us": entry.aggregation_us,
+            }
+            for key, entry in sorted(p.entries.items())
+        ],
+    }
+
+
+def _document(s: Scenario, profile) -> dict:
     return {
         "schema_version": SCENARIO_SCHEMA_VERSION,
         "name": s.name,
@@ -50,21 +68,7 @@ def to_document(s: Scenario) -> dict:
         "model_configs": [
             [{"level": c.level, "label": c.label} for c in levels] for levels in s.model_space
         ],
-        "latency_profile": {
-            "resource_levels": list(s.latency_profile.resource_levels),
-            "fusion_us": s.latency_profile.fusion_us,
-            "entries": [
-                {
-                    "modality": key[0],
-                    "sensing_level": key[1],
-                    "model_level": key[2],
-                    "resource": key[3],
-                    "unit_encode_us": entry.unit_encode_us,
-                    "aggregation_us": entry.aggregation_us,
-                }
-                for key, entry in sorted(s.latency_profile.entries.items())
-            ],
-        },
+        "latency_profile": profile,
         "t_max_us": s.t_max_us,
         "execution_mode": s.execution_mode.value,
         "skip_checkpoints": list(s.skip_checkpoints),
@@ -74,8 +78,29 @@ def to_document(s: Scenario) -> dict:
     }
 
 
+def to_document(s: Scenario) -> dict:
+    return _document(s, _profile_document(s.latency_profile))
+
+
+def _profile_text(p: LatencyProfile) -> str:
+    """The profile's part of the canonical text, computed once per profile
+    instance: most of the text, and shared by every scenario derived with
+    `dataclasses.replace`.  Nested one level deep, each of its line breaks
+    carries two more spaces of indent (JSON strings hold no raw newline)."""
+    text = p.__dict__.get("_canonical_text")
+    if text is None:
+        text = json.dumps(_profile_document(p), sort_keys=True, indent=2).replace("\n", "\n  ")
+        p.__dict__["_canonical_text"] = text  # frozen dataclass: bypass __setattr__
+    return text
+
+
 def serialize(s: Scenario) -> str:
-    return json.dumps(to_document(s), sort_keys=True, indent=2) + "\n"
+    # `json.dumps(to_document(s), sort_keys=True, indent=2)` with the
+    # profile's memoized text put where a null stands for it.  A quote
+    # inside a JSON string is escaped, so the pattern matches only the key.
+    text = json.dumps(_document(s, None), sort_keys=True, indent=2)
+    profile = _profile_text(s.latency_profile)
+    return text.replace('"latency_profile": null', '"latency_profile": ' + profile, 1) + "\n"
 
 
 def fingerprint(s: Scenario) -> str:

@@ -389,3 +389,47 @@ def test_oversized_scenario_exit_code_2(field, tmp_path):
     assert err["error"] == "InvalidScenario"
     assert [d.split(":")[0] for d in err["detail"]] == ["SizeLimit"]
     assert not out.exists()
+
+
+def _resummed(lines):
+    import hashlib
+
+    digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+    checksum = json.dumps({"record": "checksum", "sha256": digest}, sort_keys=True, separators=(",", ":"))
+    return "\n".join(lines + [checksum]) + "\n"
+
+
+def _edit_first(kind, edit):
+    def apply(records):
+        i = next(i for i, r in enumerate(records) if r["record"] == kind)
+        edit(records[i])
+        return i + 1
+
+    return apply
+
+
+HOSTILE_TRACE_RECORDS = {
+    "event-t-list": _edit_first("event", lambda r: r.update(t=[])),
+    "event-data-list": _edit_first("event", lambda r: r.update(data=[])),
+    "header-without-fingerprint": _edit_first("header", lambda r: r.pop("fingerprint")),
+    "header-bad-mode": _edit_first("header", lambda r: r.update(mode="sideways")),
+    "summary-without-latency": _edit_first("summary", lambda r: r.pop("reported_latency_us")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_TRACE_RECORDS))
+def test_hostile_trace_record_exit_code_3(case, motivation_file, tmp_path):
+    # the checksum is recomputed, so only the record's shape is wrong
+    good = tmp_path / "t.jsonl"
+    res = invoke("run", "--scenario", motivation_file, "--samples", "2", "--out", str(good))
+    assert res.returncode == 0, res.stderr
+    records = [json.loads(line) for line in good.read_text().splitlines()[:-1]]
+    line_number = HOSTILE_TRACE_RECORDS[case](records)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(_resummed([json.dumps(r, sort_keys=True, separators=(",", ":")) for r in records]))
+    res = invoke("report", "--trace", str(bad))
+    assert res.returncode == 3, res.stderr
+    assert len(res.stderr.splitlines()) == 1, res.stderr  # one JSON line, no traceback
+    err = json.loads(res.stderr)
+    assert err["error"] == "CorruptLine"
+    assert err["message"].startswith(f"line {line_number}:")

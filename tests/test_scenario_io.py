@@ -1,8 +1,10 @@
 """Scenario documents: the fingerprint is memoized on the instance and
-invisible everywhere else, and a malformed document fails typed."""
+invisible everywhere else, the canonical text equals one indented dump of
+the whole document, and a malformed document fails typed."""
 
 import dataclasses
 import hashlib
+import json
 import pickle
 
 import pytest
@@ -77,3 +79,25 @@ def test_wrongly_typed_field_raises_format_error(path, value, field):
     with pytest.raises(scenario_io.ScenarioFormatError) as err:
         scenario_io.from_document(doc)
     assert any(p.startswith(field) for p in err.value.problems), err.value.problems
+
+
+def _full_dump(s) -> str:
+    return json.dumps(scenario_io.to_document(s), sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("preset", workload.PRESETS)
+def test_canonical_text_is_the_sorted_indented_dump_of_the_document(preset):
+    # the profile's text is memoized and spliced in; the result must be the
+    # text of one json.dumps over the whole document
+    for seed in range(3):
+        s = workload.gen_scenario(preset, seed=seed)
+        for derived in (s, s.without_skipping(), dataclasses.replace(s, t_max_us=s.t_max_us + 1)):
+            assert scenario_io.serialize(derived) == _full_dump(derived)
+
+
+def test_random_pin_presets_serialize_to_the_full_dump():
+    from test_search_pins import SHAPES, presets
+
+    for shape in SHAPES:
+        for s in presets(shape):
+            assert scenario_io.serialize(s) == _full_dump(s)

@@ -163,3 +163,261 @@ def test_missing_checksum_detected(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(TraceIntegrityError):
         traceio.read_trace(path)
+
+
+# --- the reader against the line-at-a-time reader it replaced --------------
+
+import hashlib as _hashlib
+import json as _json
+from pathlib import Path as _Path
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from modalsim.optimizer import OptimizerDecision
+
+
+def line_reader(path):
+    """The reader before the one-parse rewrite, kept as a reference: one
+    `json.loads` per line, header fields read when the summary arrives."""
+    text = _Path(path).read_text(encoding="utf-8")
+    lines = text.splitlines()
+    if not lines:
+        raise SchemaVersionMismatch("empty trace file")
+    records = []
+    for i, line in enumerate(lines, start=1):
+        try:
+            records.append(_json.loads(line))
+        except _json.JSONDecodeError as exc:
+            raise CorruptLine(i, f"invalid JSON ({exc.msg})") from None
+        if not isinstance(records[-1], dict) or "record" not in records[-1]:
+            raise CorruptLine(i, "not a trace record")
+    if records[-1]["record"] != "checksum":
+        raise TraceIntegrityError("missing checksum record")
+    expected = _hashlib.sha256("\n".join(lines[:-1]).encode("utf-8")).hexdigest()
+    if records[-1].get("sha256") != expected:
+        raise TraceIntegrityError("trace file contents do not match their checksum")
+    traces, header, events = [], None, []
+    for i, rec in enumerate(records[:-1], start=1):
+        kind = rec["record"]
+        if kind == "header":
+            if header is not None:
+                raise CorruptLine(i, "header before previous trace's summary")
+            if rec.get("schema_version") != traceio.TRACE_SCHEMA_VERSION:
+                raise SchemaVersionMismatch("unsupported trace schema version")
+            header, events = rec, []
+        elif kind == "event":
+            if header is None:
+                raise CorruptLine(i, "event outside a trace block")
+            try:
+                events.append(
+                    Event(
+                        time_us=int(rec["t"]),
+                        kind=EventKind(rec["kind"]),
+                        modality=rec["m"],
+                        unit=rec["u"],
+                        payload=tuple(sorted((k, traceio._detuple(v)) for k, v in rec["data"].items())),
+                    )
+                )
+            except (KeyError, ValueError) as exc:
+                raise CorruptLine(i, f"bad event: {exc}") from None
+        elif kind == "summary":
+            if header is None:
+                raise CorruptLine(i, "summary outside a trace block")
+            traces.append(
+                SimTrace(
+                    fingerprint=header["fingerprint"],
+                    sample_id=header["sample_id"],
+                    mode=ExecutionMode(header["mode"]),
+                    assignment=ConfigAssignment(tuple(tuple(p) for p in header["assignment"])),
+                    window_us=header["window_us"],
+                    events=tuple(events),
+                    summary=TraceSummary(
+                        reported_latency_us=rec["reported_latency_us"],
+                        waiting_us=rec["waiting_us"],
+                        peak_buffered_units=tuple(rec["peak_buffered_units"]),
+                        skipped_unit_count=rec["skipped_unit_count"],
+                    ),
+                )
+            )
+            header = None
+        else:
+            raise CorruptLine(i, f"unknown record type {kind!r}")
+    if header is not None:
+        raise SchemaVersionMismatch("trace file ends mid-block")
+    return traces
+
+
+# exceptions the line reader let escape on records of the wrong type or shape
+LINE_READER_CRASHES = (TypeError, AttributeError, KeyError, ValueError, OverflowError)
+
+
+def outcome(reader, path):
+    try:
+        return reader(path)
+    except Exception as exc:
+        return type(exc), getattr(exc, "line_number", None)
+
+
+def _header_the_line_reader_crashes_on(path, line_number) -> bool:
+    rec = _json.loads(_Path(path).read_text(encoding="utf-8").splitlines()[line_number - 1])
+    try:
+        rec["fingerprint"], rec["sample_id"], rec["window_us"]
+        ExecutionMode(rec["mode"])
+        ConfigAssignment(tuple(tuple(p) for p in rec["assignment"]))
+    except LINE_READER_CRASHES:
+        return rec["record"] == "header"
+    return False
+
+
+def assert_same_outcome(path):
+    old, new = outcome(line_reader, path), outcome(traceio.read_trace, path)
+    if new == old:
+        return
+    # the intended differences: a record of the wrong shape or type is a
+    # CorruptLine where the line reader crashed, and a header is checked at
+    # its own line rather than when its summary arrives
+    assert new[0] is CorruptLine
+    assert old[0] in LINE_READER_CRASHES or _header_the_line_reader_crashes_on(path, new[1])
+
+
+def base_lines():
+    s = workload.gen_scenario("lrw-like", seed=3)
+    sample = workload.gen_samples(s, 1, "hard", seed=0)[0]
+    a = ConfigAssignment(((1, 1), (1, 1)))
+    decision = OptimizerDecision(a, score=0.0, decision_latency_us=0)
+    traces = [
+        engine.run(s, a, sample, gate=OracleGate(s, sample, a), config_decision=decision),
+        real_trace(seed=1),
+    ]
+    return traceio.trace_text(traces).splitlines()
+
+
+def with_checksum(lines):
+    digest = _hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+    return lines + [traceio._dump({"record": "checksum", "sha256": digest})]
+
+
+def mutations():
+    lines = base_lines()
+    body = lines[:-1]
+    n = len(lines)
+    text = "\n".join(lines) + "\n"
+    yield "intact", text
+    for cut in (1, 17, len(text) // 2, len(text) - len(lines[-1]) - 1, len(text) - 2):
+        yield f"truncated-{cut}", text[:cut]
+    for k in (0, 1, n // 2, n - 2, n - 1):
+        for bad in ("{not json", "[1, 2]", "5", '"x"', "{}", '{"t": 1}', "", '{"record":"x"},{"record":"y"}'):
+            yield f"line-{k}-{bad}", "\n".join(lines[:k] + [bad] + lines[k + 1 :]) + "\n"
+            yield f"line-{k}-{bad}-resummed", "\n".join(with_checksum(body[:k] + [bad] + body[k + 1 :])) + "\n"
+    yield "crlf", "\r\n".join(lines) + "\r\n"
+    yield "lone-cr", "\n".join(lines[:3]) + "\r" + "\n".join(lines[3:]) + "\n"
+    yield "cr-inside-line", text.replace('"kind":', '\r"kind":', 1)
+    yield "blank-line", "\n".join(lines[:4] + [""] + lines[4:]) + "\n"
+    yield "blank-line-resummed", "\n".join(with_checksum(body[:4] + [""] + body[4:])) + "\n"
+    yield "no-trailing-newline", "\n".join(lines)
+    yield "trailing-blank-line", text + "\n"
+    yield "missing-checksum", "\n".join(body) + "\n"
+    yield "only-checksum", "\n".join(with_checksum([])) + "\n"
+    yield "empty", ""
+    for sep in ("\u2028", "\x85", "\x0b", "\x1c"):
+        inside = [line.replace('"resource":"high"', f'"resource":"hi{sep}gh"', 1) for line in body]
+        yield f"raw-{sep!r}-in-string", "\n".join(inside + [lines[-1]]) + "\n"
+        yield f"raw-{sep!r}-in-string-resummed", "\n".join(with_checksum(inside)) + "\n"
+    # an array split over two lines, made up for by two records on one line:
+    # the joined parse would take as many values as there are lines
+    k = next(i for i, line in enumerate(body) if '"pairs":[[' in line)
+    cut = body[k].index("],[") + 1
+    spliced = body[:k] + [body[k][:cut], body[k][cut + 1 :]] + body[k + 1 :]
+    spliced[k + 5 : k + 7] = [spliced[k + 5] + "," + spliced[k + 6]]
+    yield "split-array-and-joined-records", "\n".join(with_checksum(spliced)) + "\n"
+    # a string broken by a raw line separator, with the line count kept
+    k = next(i for i, line in enumerate(body) if '"resource":"high"' in line)
+    broken = body[:k] + [body[k].replace('"resource":"high"', '"resource":"hi\u2028gh"', 1)] + body[k + 1 :]
+    broken[k + 5 : k + 7] = [broken[k + 5] + "," + broken[k + 6]]
+    yield "split-string-and-joined-records", "\n".join(with_checksum(broken)) + "\n"
+
+
+MUTATIONS = dict(mutations())
+
+
+@pytest.mark.parametrize("name", sorted(MUTATIONS))
+def test_reader_matches_line_reader_on_mutated_files(name, tmp_path):
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(MUTATIONS[name].encode("utf-8"))
+    assert_same_outcome(path)
+    if name == "intact" or name in ("crlf", "no-trailing-newline"):
+        assert outcome(traceio.read_trace, path) == outcome(line_reader, path)
+        assert not isinstance(outcome(traceio.read_trace, path), tuple)
+
+
+SHAPE_CHARS = '{}[]",:\\ \r\n\u20281aetx'
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_reader_matches_line_reader_on_fuzzed_files(data, tmp_path):
+    lines = base_lines()
+    body = "\n".join(lines[:-1])
+    for _ in range(data.draw(st.integers(1, 3))):
+        at = data.draw(st.integers(0, len(body)))
+        if data.draw(st.booleans()) and at < len(body):
+            body = body[:at] + body[at + 1 :]
+        else:
+            body = body[:at] + data.draw(st.sampled_from(SHAPE_CHARS)) + body[at:]
+    resum = data.draw(st.booleans())
+    text = "\n".join(with_checksum(body.splitlines())) if resum else body + "\n" + lines[-1]
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(text.encode("utf-8"))
+    assert_same_outcome(path)
+
+
+def _resummed_file(tmp_path, edit):
+    lines = base_lines()[:-1]
+    records = [_json.loads(line) for line in lines]
+    line_number = edit(records) + 1
+    path = tmp_path / "hostile.jsonl"
+    path.write_text("\n".join(with_checksum([traceio._dump(r) for r in records])) + "\n")
+    return path, line_number
+
+
+def _first(records, kind):
+    return next(i for i, r in enumerate(records) if r["record"] == kind)
+
+
+def _set(kind, key, value):
+    def edit(records):
+        i = _first(records, kind)
+        records[i][key] = value
+        return i
+
+    return edit
+
+
+def _drop(kind, key):
+    def edit(records):
+        i = _first(records, kind)
+        del records[i][key]
+        return i
+
+    return edit
+
+
+HOSTILE_RECORDS = {
+    "event-t-list": _set("event", "t", []),
+    "event-t-infinite": _set("event", "t", float("inf")),
+    "event-data-list": _set("event", "data", []),
+    "header-without-fingerprint": _drop("header", "fingerprint"),
+    "header-bad-mode": _set("header", "mode", "sideways"),
+    "header-assignment-number": _set("header", "assignment", 5),
+    "summary-without-latency": _drop("summary", "reported_latency_us"),
+    "summary-peak-number": _set("summary", "peak_buffered_units", 5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_RECORDS))
+def test_hostile_record_raises_corrupt_line(case, tmp_path):
+    path, line_number = _resummed_file(tmp_path, HOSTILE_RECORDS[case])
+    with pytest.raises(CorruptLine) as err:
+        traceio.read_trace(path)
+    assert err.value.line_number == line_number

@@ -2,20 +2,22 @@
 
 Each seeded quantity is computed once: a window's payload draws its base
 and jump rows once per (sample, modality), a scenario is serialized for
-its fingerprint once per instance however many windows it serves, a
-committed skip fuses the prefix vector the gate was shown, a budget
+its fingerprint once per instance however many windows it serves (and
+its latency profile once, however many scenarios share it), a trace file
+is parsed with one `json.loads` however many lines it has, a committed skip fuses the prefix vector the gate was shown, a budget
 query reads each (modality, sensing, model) profile entry once per scenario
 instance and resource, and greedy search encodes each step's moves as one
 batch.
 """
 
 import dataclasses
+import json
 import sys
 
 import pytest
 
-from modalsim import engine, optimizer, predictor, rng, scenario_io, workload
-from modalsim.core import Difficulty, LatencyProfile, Modality, Sample
+from modalsim import engine, optimizer, predictor, rng, scenario_io, traceio, workload
+from modalsim.core import Difficulty, ExecutionMode, LatencyProfile, Modality, Sample
 from modalsim.predictor import EncodingSpec, ModalityIndicators
 
 
@@ -72,6 +74,31 @@ def test_two_runs_on_one_scenario_serialize_it_once(monkeypatch):
     second = engine.run(s, s.max_assignment(), sample)
     assert len(serialized) == 1
     assert first == second
+
+
+def test_scenarios_sharing_a_profile_serialize_it_once(monkeypatch):
+    s = workload.gen_scenario("random", seed=2, modalities=3)
+    profiles = count_calls(monkeypatch, scenario_io, "_profile_document")
+    texts = [
+        scenario_io.serialize(dataclasses.replace(s, execution_mode=mode))
+        for mode in ExecutionMode
+    ]
+    assert len(profiles) == 1
+    assert texts == [
+        json.dumps(scenario_io.to_document(dataclasses.replace(s, execution_mode=mode)), sort_keys=True, indent=2)
+        + "\n"
+        for mode in ExecutionMode
+    ]
+
+
+def test_reading_a_trace_file_parses_it_once(monkeypatch, tmp_path):
+    s = workload.gen_scenario("lrw-like", seed=0).without_skipping()
+    traces = [engine.run(s, s.max_assignment(), x) for x in workload.gen_samples(s, 12, "hard", seed=1)]
+    path = tmp_path / "t.jsonl"
+    traceio.write_trace(traces, path)
+    parsed = count_calls(monkeypatch, json, "loads")
+    assert traceio.read_trace(path) == traces
+    assert len(parsed) == 1  # not one per line: the file has 2 + 12 * (events + 2) lines
 
 
 class LateGate:
