@@ -95,9 +95,10 @@ def _profile_text(p: LatencyProfile) -> str:
 
 
 def serialize(s: Scenario) -> str:
-    # `json.dumps(to_document(s), sort_keys=True, indent=2)` with the
-    # profile's memoized text put where a null stands for it.  A quote
-    # inside a JSON string is escaped, so the pattern matches only the key.
+    # `json.dumps(to_document(s), sort_keys=True, indent=2)`, with the
+    # profile's memoized text put where a null stands for it.  No other
+    # object in the document has that key, and a quote inside a JSON string
+    # is escaped, so the pattern matches the top-level key only.
     text = json.dumps(_document(s, None), sort_keys=True, indent=2)
     profile = _profile_text(s.latency_profile)
     return text.replace('"latency_profile": null', '"latency_profile": ' + profile, 1) + "\n"
