@@ -17,6 +17,8 @@ The reader verifies the checksum once over the joined lines and parses the
 whole file with one `json.loads` of its lines as a JSON array.  When that
 parse fails, or cannot be shown to have taken exactly one value from each
 line, the lines are parsed one by one, so an error names the first bad line.
+A record with a missing or wrongly typed field raises `CorruptLine` with its
+line number.
 """
 
 from __future__ import annotations
@@ -94,6 +96,7 @@ def _summary_record(trace: SimTrace) -> dict:
 
 
 def _trace_records(trace: SimTrace) -> Iterable[dict]:
+    """One trace's records in file order; `_dump` of each is its line."""
     yield _header_record(trace)
     for ev in trace.events:
         yield _event_record(ev)
@@ -225,7 +228,6 @@ def _parse(lines: list[str], data: bytes) -> list[dict]:
 
 
 _KINDS = {kind.value: kind for kind in EventKind}
-_MODES = {mode.value: mode for mode in ExecutionMode}
 # raised by a record field of the wrong shape or type
 _MALFORMED = (KeyError, TypeError, ValueError, AttributeError, OverflowError)
 
@@ -276,7 +278,7 @@ def read_trace(path: str | Path) -> list[SimTrace]:
                 header = {
                     "fingerprint": rec["fingerprint"],
                     "sample_id": rec["sample_id"],
-                    "mode": _MODES[rec["mode"]],
+                    "mode": ExecutionMode(rec["mode"]),
                     "assignment": ConfigAssignment(tuple(tuple(p) for p in rec["assignment"])),
                     "window_us": rec["window_us"],
                 }

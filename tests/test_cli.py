@@ -1,5 +1,6 @@
 """End-to-end CLI coverage: every subcommand, exit codes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -392,8 +393,6 @@ def test_oversized_scenario_exit_code_2(field, tmp_path):
 
 
 def _resummed(lines):
-    import hashlib
-
     digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
     checksum = json.dumps({"record": "checksum", "sha256": digest}, sort_keys=True, separators=(",", ":"))
     return "\n".join(lines + [checksum]) + "\n"

@@ -1,11 +1,18 @@
-"""Trace file round-trips, integrity checks, corruption reporting."""
+"""Trace file round-trips, integrity checks, corruption reporting, and the
+reader against the line-at-a-time reader it replaced."""
 
+import hashlib
+import json
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from modalsim import engine, traceio, workload
 from modalsim.core import ConfigAssignment, ExecutionMode
 from modalsim.engine import Event, EventKind, SimTrace, TraceSummary
+from modalsim.optimizer import OptimizerDecision
 from modalsim.traceio import CorruptLine, SchemaVersionMismatch, TraceIntegrityError
 from modalsim.workload import OracleGate
 
@@ -167,34 +174,24 @@ def test_missing_checksum_detected(tmp_path):
 
 # --- the reader against the line-at-a-time reader it replaced --------------
 
-import hashlib as _hashlib
-import json as _json
-from pathlib import Path as _Path
-
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
-
-from modalsim.optimizer import OptimizerDecision
-
-
 def line_reader(path):
     """The reader before the one-parse rewrite, kept as a reference: one
     `json.loads` per line, header fields read when the summary arrives."""
-    text = _Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8")
     lines = text.splitlines()
     if not lines:
         raise SchemaVersionMismatch("empty trace file")
     records = []
     for i, line in enumerate(lines, start=1):
         try:
-            records.append(_json.loads(line))
-        except _json.JSONDecodeError as exc:
+            records.append(json.loads(line))
+        except json.JSONDecodeError as exc:
             raise CorruptLine(i, f"invalid JSON ({exc.msg})") from None
         if not isinstance(records[-1], dict) or "record" not in records[-1]:
             raise CorruptLine(i, "not a trace record")
     if records[-1]["record"] != "checksum":
         raise TraceIntegrityError("missing checksum record")
-    expected = _hashlib.sha256("\n".join(lines[:-1]).encode("utf-8")).hexdigest()
+    expected = hashlib.sha256("\n".join(lines[:-1]).encode("utf-8")).hexdigest()
     if records[-1].get("sha256") != expected:
         raise TraceIntegrityError("trace file contents do not match their checksum")
     traces, header, events = [], None, []
@@ -260,7 +257,7 @@ def outcome(reader, path):
 
 
 def _header_the_line_reader_crashes_on(path, line_number) -> bool:
-    rec = _json.loads(_Path(path).read_text(encoding="utf-8").splitlines()[line_number - 1])
+    rec = json.loads(Path(path).read_text(encoding="utf-8").splitlines()[line_number - 1])
     try:
         rec["fingerprint"], rec["sample_id"], rec["window_us"]
         ExecutionMode(rec["mode"])
@@ -281,7 +278,8 @@ def assert_same_outcome(path):
     assert old[0] in LINE_READER_CRASHES or _header_the_line_reader_crashes_on(path, new[1])
 
 
-def base_lines():
+def _base_lines():
+    # two traces, one with a config switch (a list payload) and a skip commit
     s = workload.gen_scenario("lrw-like", seed=3)
     sample = workload.gen_samples(s, 1, "hard", seed=0)[0]
     a = ConfigAssignment(((1, 1), (1, 1)))
@@ -293,13 +291,16 @@ def base_lines():
     return traceio.trace_text(traces).splitlines()
 
 
+BASE_LINES = _base_lines()
+
+
 def with_checksum(lines):
-    digest = _hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+    digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
     return lines + [traceio._dump({"record": "checksum", "sha256": digest})]
 
 
 def mutations():
-    lines = base_lines()
+    lines = list(BASE_LINES)
     body = lines[:-1]
     n = len(lines)
     text = "\n".join(lines) + "\n"
@@ -346,9 +347,8 @@ def test_reader_matches_line_reader_on_mutated_files(name, tmp_path):
     path = tmp_path / "t.jsonl"
     path.write_bytes(MUTATIONS[name].encode("utf-8"))
     assert_same_outcome(path)
-    if name == "intact" or name in ("crlf", "no-trailing-newline"):
-        assert outcome(traceio.read_trace, path) == outcome(line_reader, path)
-        assert not isinstance(outcome(traceio.read_trace, path), tuple)
+    if name in ("intact", "crlf", "no-trailing-newline"):
+        assert isinstance(outcome(traceio.read_trace, path), list)
 
 
 SHAPE_CHARS = '{}[]",:\\ \r\n\u20281aetx'
@@ -357,7 +357,7 @@ SHAPE_CHARS = '{}[]",:\\ \r\n\u20281aetx'
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_reader_matches_line_reader_on_fuzzed_files(data, tmp_path):
-    lines = base_lines()
+    lines = BASE_LINES
     body = "\n".join(lines[:-1])
     for _ in range(data.draw(st.integers(1, 3))):
         at = data.draw(st.integers(0, len(body)))
@@ -373,8 +373,7 @@ def test_reader_matches_line_reader_on_fuzzed_files(data, tmp_path):
 
 
 def _resummed_file(tmp_path, edit):
-    lines = base_lines()[:-1]
-    records = [_json.loads(line) for line in lines]
+    records = [json.loads(line) for line in BASE_LINES[:-1]]
     line_number = edit(records) + 1
     path = tmp_path / "hostile.jsonl"
     path.write_text("\n".join(with_checksum([traceio._dump(r) for r in records])) + "\n")

@@ -4,10 +4,10 @@ Each seeded quantity is computed once: a window's payload draws its base
 and jump rows once per (sample, modality), a scenario is serialized for
 its fingerprint once per instance however many windows it serves (and
 its latency profile once, however many scenarios share it), a trace file
-is parsed with one `json.loads` however many lines it has, a committed skip fuses the prefix vector the gate was shown, a budget
-query reads each (modality, sensing, model) profile entry once per scenario
-instance and resource, and greedy search encodes each step's moves as one
-batch.
+is parsed with one `json.loads` however many lines it has, a committed
+skip fuses the prefix vector the gate was shown, a budget query reads
+each (modality, sensing, model) profile entry once per scenario instance
+and resource, and greedy search encodes each step's moves as one batch.
 """
 
 import dataclasses
@@ -78,16 +78,12 @@ def test_two_runs_on_one_scenario_serialize_it_once(monkeypatch):
 
 def test_scenarios_sharing_a_profile_serialize_it_once(monkeypatch):
     s = workload.gen_scenario("random", seed=2, modalities=3)
+    scenarios = [dataclasses.replace(s, execution_mode=mode) for mode in ExecutionMode]
     profiles = count_calls(monkeypatch, scenario_io, "_profile_document")
-    texts = [
-        scenario_io.serialize(dataclasses.replace(s, execution_mode=mode))
-        for mode in ExecutionMode
-    ]
+    texts = [scenario_io.serialize(x) for x in scenarios]
     assert len(profiles) == 1
     assert texts == [
-        json.dumps(scenario_io.to_document(dataclasses.replace(s, execution_mode=mode)), sort_keys=True, indent=2)
-        + "\n"
-        for mode in ExecutionMode
+        json.dumps(scenario_io.to_document(x), sort_keys=True, indent=2) + "\n" for x in scenarios
     ]
 
 
@@ -98,7 +94,7 @@ def test_reading_a_trace_file_parses_it_once(monkeypatch, tmp_path):
     traceio.write_trace(traces, path)
     parsed = count_calls(monkeypatch, json, "loads")
     assert traceio.read_trace(path) == traces
-    assert len(parsed) == 1  # not one per line: the file has 2 + 12 * (events + 2) lines
+    assert len(parsed) == 1  # one per file, not one per line
 
 
 class LateGate:
