@@ -1,7 +1,8 @@
 """Byte pins for the random preset generator and the configuration search.
 
 A random preset's `t_max_us` is derived from its cheapest end-to-end
-latency, so its fingerprint pins that derivation.  The search pin covers
+latency, so its fingerprint pins that derivation; each named preset's
+canonical document is pinned at three seeds.  The search pin covers
 `brute_force` (best pairs, score repr, feasible count) and `greedy_search`
 (pairs) across resource levels, budgets from infeasible to unconstrained and
 two consistency indicators, recording the error name where one is raised.
@@ -42,6 +43,28 @@ def test_random_preset_fingerprints_pinned():
     assert h.hexdigest() == (
         "c7cf522a8d0414a14ae29cd0df8d16138c1a57ee7d5d6afb147e68caff5d646c"
     )
+
+
+NAMED_PRESET_DOCUMENTS = {
+    ("motivation-av", 0): "7d9b6ea99e5623b22d725876145b15cc5671ce96566dd86d1a5f737d1e466ffa",
+    ("motivation-av", 1): "34c11b0064b5b7ebb8ead1348fa11d734ec9c4847cfad7697f9d94a4cdecab11",
+    ("motivation-av", 2): "d906bef9e14be56a024dfec46e83e3db22fd85c8b2df92534e590dd88ee7a27a",
+    ("lrw-like", 0): "7bf34ad4cd127ee00a3741f593920953a1fa27be191631ee7e927b999f1a46a2",
+    ("lrw-like", 1): "fd8f7c9ebfd2e19291e787604a6824f0f0d8f2cbfb1fb232ad3e2712151d1416",
+    ("lrw-like", 2): "c5be239e1554519d940399d60b4c06529018c7d3fa85d1455da497c17e5b2188",
+    ("nuscenes-like", 0): "86fe0539886d97dd698969cb24ddc8b1b4da28880f217ceecdcc28fb5725ac6a",
+    ("nuscenes-like", 1): "d0115d3e59acd29acb977f8af9378b3dc5ca20d2885f61d9a27a4a6d7369b8cc",
+    ("nuscenes-like", 2): "8d223a0918d6cb92ecf3e6649680ebeed8d33599d609c1e79a94a9a77467db9d",
+    ("uav-like", 0): "2840eea7a1b3ef3dfa6d07ba2963b5b6e82e84102ab78d8ab32166190709e7d3",
+    ("uav-like", 1): "2504b586659a137133ee8ba17827930d4e8df698d0551bc4a325179e31f85b33",
+    ("uav-like", 2): "4c69dcd5f803cf6b9ec5cc6eb4b02d97e5e22d353c6e6cdd5daaa488478eb685",
+}
+
+
+@pytest.mark.parametrize("preset, seed", sorted(NAMED_PRESET_DOCUMENTS))
+def test_named_preset_documents_pinned(preset, seed):
+    text = scenario_io.serialize(workload.gen_scenario(preset, seed=seed))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == NAMED_PRESET_DOCUMENTS[preset, seed]
 
 
 def _outcome(fn):
