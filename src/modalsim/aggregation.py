@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .core import FeatureMatrix, ModalsimError
+from .core import FeatureMatrix, ModalsimError, memoized
 
 
 class GroupExceedsChannels(ModalsimError):
@@ -62,12 +62,17 @@ class DiffSpec:
     def width(self, channels: int) -> int:
         return channels if self.identity_encoder else self.encoder_width
 
+    @memoized
     def encoder_matrix(self, channels: int) -> np.ndarray:
+        """Read-only (channels, width) encoder, drawn once per spec and channel count."""
         if self.identity_encoder:
-            return np.eye(channels)
-        s = rng.stream(self.encoder_seed, "diff-encoder", channels, self.encoder_width)
-        flat = s.symmetric(channels * self.encoder_width)
-        return flat.reshape(channels, self.encoder_width) / np.sqrt(channels)
+            matrix = np.eye(channels)
+        else:
+            s = rng.stream(self.encoder_seed, "diff-encoder", channels, self.encoder_width)
+            flat = s.symmetric(channels * self.encoder_width)
+            matrix = flat.reshape(channels, self.encoder_width) / np.sqrt(channels)
+        matrix.setflags(write=False)
+        return matrix
 
 
 def group_slices(channels: int, n_groups: int) -> list[slice]:

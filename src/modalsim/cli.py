@@ -16,7 +16,6 @@ import sys
 from pathlib import Path
 
 from . import engine, gating, optimizer, predictor, report, scenario_io, traceio, workload
-from .aggregation import aggregate_output_dim
 from .core import (
     ConfigAssignment,
     Difficulty,
@@ -161,7 +160,7 @@ def _parse_assignment(text: str, scenario):
 def _check_gate(gate, scenario) -> None:
     """The gate must read the fused features of all but one modality (fast)
     and of that one (slow), as the engine builds them for this scenario."""
-    widths = [aggregate_output_dim(m.channels, engine.DEFAULT_DIFF) for m in scenario.modalities]
+    widths = engine.feature_widths(scenario)
     if not any((gate.fast_dim, gate.slow_dim) == (sum(widths) - w, w) for w in widths):
         raise WeightFormatError(
             f"gate dims (fast {gate.fast_dim}, slow {gate.slow_dim}) do not fit "

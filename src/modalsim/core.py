@@ -8,6 +8,7 @@ after construction and safe to share across threads.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -79,6 +80,31 @@ SIZE_LIMIT = "SizeLimit"
 # keep a scenario document from asking for more memory than a device has.
 MAX_CHANNELS = 4096
 MAX_UNITS_PER_WINDOW = 1024
+
+
+# ---------------------------------------------------------------------------
+# Derived values
+
+
+def memoized(fn):
+    """Compute `fn(instance, *args)` once per frozen-dataclass instance and args.
+
+    The result is kept in the instance `__dict__`, outside the dataclass
+    fields (like `functools.cached_property`), so equality, repr and
+    `dataclasses.replace` ignore it and a replaced instance starts with no
+    memo.  The memo is keyed by the function's name, not the function, so an
+    instance holding one still pickles.  A call that raises caches nothing.
+    """
+    key = f"_memo:{fn.__module__}.{fn.__qualname__}"
+
+    @functools.wraps(fn)
+    def wrapper(instance, *args):
+        memo = instance.__dict__.setdefault(key, {})
+        if args not in memo:
+            memo[args] = fn(instance, *args)
+        return memo[args]
+
+    return wrapper
 
 
 # ---------------------------------------------------------------------------
@@ -271,11 +297,10 @@ class Scenario:
     `resource_schedule` maps virtual time to profile resource levels; intervals
     are left-closed and the schedule must start at time 0.
 
-    Instances are immutable, so `scenario_io.fingerprint` memoizes the
-    digest, `latency.unimodal_table` each resource's latency table and the
-    optimizer each resource's in-budget options on the instance (outside the
-    dataclass fields, like `functools.cached_property`); `dataclasses.replace`
-    yields a new instance with no memo.
+    Instances are immutable, so what is derived from one (its fingerprint,
+    latency tables, search options, prediction head) is computed once per
+    instance through `memoized`; `dataclasses.replace` yields a new instance
+    with no memo.
     """
 
     name: str

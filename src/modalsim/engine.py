@@ -19,6 +19,13 @@ the closed-form latency model to the microsecond.
   _emit        the unit and aggregation events, truncated at a skip commit
                or (non-blocking) at fusion, and the peak buffer count.
 
+The window-feature model is defined here and nowhere else: `feature_vector`
+is the temporal aggregate one modality fuses, `feature_widths` gives each
+modality's vector width, and `fused_label` concatenates the vectors in
+modality order and applies the prediction head, drawn once per scenario.
+The oracle gate, its training rows, corpus calibration and the CLI's gate
+check all go through these three.
+
 Mode semantics:
   blocking      all units of all modalities are sensed first; each modality
                 then encodes its window as one back-to-back block of N jobs,
@@ -46,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .aggregation import DiffSpec, ShiftSpec, aggregate_vector
+from .aggregation import DiffSpec, ShiftSpec, aggregate_output_dim, aggregate_vector
 from .core import (
     ConfigAssignment,
     ExecutionMode,
@@ -54,6 +61,7 @@ from .core import (
     Sample,
     Scenario,
     check_assignment,
+    memoized,
 )
 from .latency import end_to_end_latency
 from .gating import SkipDecision, checkpoint_indices
@@ -137,10 +145,31 @@ def apply_resource_schedule(scenario: Scenario, time_us: int) -> str:
     return scenario.resource_schedule[max(idx, 0)][1]
 
 
+@memoized
 def prediction_head(scenario: Scenario, fused_dim: int) -> np.ndarray:
-    """Fixed seeded linear classifier used as the synthetic prediction stage."""
+    """Fixed seeded linear classifier used as the synthetic prediction stage,
+    drawn once per scenario instance and read-only."""
     s = rng.stream(scenario.accuracy_surface_seed, "fusion-head", fused_dim)
-    return s.symmetric(NUM_CLASSES * fused_dim).reshape(NUM_CLASSES, fused_dim)
+    head = s.symmetric(NUM_CLASSES * fused_dim).reshape(NUM_CLASSES, fused_dim)
+    head.setflags(write=False)
+    return head
+
+
+def feature_vector(rows: np.ndarray) -> np.ndarray:
+    """The vector one modality fuses: the temporal aggregate of its unit rows."""
+    return aggregate_vector(rows, DEFAULT_SHIFT, DEFAULT_DIFF)
+
+
+def feature_widths(scenario: Scenario) -> list[int]:
+    """Per modality, the width of its `feature_vector`, for any row count."""
+    return [aggregate_output_dim(m.channels, DEFAULT_DIFF) for m in scenario.modalities]
+
+
+def fused_label(scenario: Scenario, vectors) -> int:
+    """The predicted class of the modality vectors concatenated in modality
+    order: the argmax of the prediction head over the fused vector."""
+    fused = np.concatenate(vectors)
+    return int(np.argmax(prediction_head(scenario, len(fused)) @ fused))
 
 
 def slow_modality(scenario: Scenario, assignment: ConfigAssignment, at_us: int) -> int:
@@ -226,9 +255,7 @@ def run(
         if t <= fusion_start:
             events.append(_ev(t, EventKind.RESOURCE_CHANGE, level=level))
 
-    fused_all = np.concatenate([p.fused for p in plans])
-    head = prediction_head(scenario, len(fused_all))
-    label = int(np.argmax(head @ fused_all))
+    label = fused_label(scenario, [p.fused for p in plans])
 
     events.append(_ev(fusion_start, EventKind.FUSION_START))
     prediction_time = fusion_start + scenario.latency_profile.fusion_us
@@ -293,7 +320,7 @@ def _apply_skip(scenario, assignment, plans, gate, window_start, events) -> None
     others = [p for p in plans if p is not slow]
     fast_done = max((p.agg_done for p in others), default=window_start)
     for p in others:
-        p.fused = aggregate_vector(p.rows, DEFAULT_SHIFT, DEFAULT_DIFF)
+        p.fused = feature_vector(p.rows)
     f_fast = np.concatenate([p.fused for p in others]) if others else np.zeros(0)
 
     first_fraction: dict[int, float] = {}  # unit index -> earliest fraction naming it
@@ -315,7 +342,7 @@ def _apply_skip(scenario, assignment, plans, gate, window_start, events) -> None
                 )
             )
             continue
-        f_slow = aggregate_vector(slow.rows[: idx + 1], DEFAULT_SHIFT, DEFAULT_DIFF)
+        f_slow = feature_vector(slow.rows[: idx + 1])
         p = float(gate.probability(f_fast, f_slow, fraction))
         # the decision record validates the gate's probability
         committed = SkipDecision(fraction, probability=p, committed=p > scenario.tau).committed
@@ -362,7 +389,7 @@ def _emit(plan, fusion_start, events) -> int:
     if plan.agg_done > fusion_start:
         cut = fusion_start
         encoded = np.array(plan.enc_end)[:, None] <= fusion_start
-        plan.fused = aggregate_vector(np.where(encoded, plan.rows, 0.0), DEFAULT_SHIFT, DEFAULT_DIFF)
+        plan.fused = feature_vector(np.where(encoded, plan.rows, 0.0))
     else:
         events.append(
             _ev(
@@ -374,7 +401,7 @@ def _emit(plan, fusion_start, events) -> int:
             )
         )
         if plan.fused is None:
-            plan.fused = aggregate_vector(plan.rows, DEFAULT_SHIFT, DEFAULT_DIFF)
+            plan.fused = feature_vector(plan.rows)
 
     intervals = []
     for u, s_start in enumerate(plan.sense_start):

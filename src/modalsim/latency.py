@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigAssignment, IncompleteTrace, Scenario, check_assignment
+from .core import ConfigAssignment, IncompleteTrace, Scenario, check_assignment, memoized
 
 
 @dataclass(frozen=True)
@@ -38,23 +38,19 @@ def unimodal_latency(
     return _pair_latency(scenario, modality_id, assignment.pairs[modality_id], resource)
 
 
+@memoized
 def unimodal_table(scenario: Scenario, resource: str) -> tuple[np.ndarray, ...]:
     """Per modality, a read-only array of unimodal latencies indexed [sensing,
     model].  The budget binds each modality on its own (end-to-end latency is
     the slowest modality plus fusion), so this answers every budget query.
     Computed once per (scenario instance, resource), like the fingerprint."""
-    # frozen dataclass: the memo lives in the instance __dict__, outside the fields
-    tables = scenario.__dict__.setdefault("_unimodal_tables", {})
-    table = tables.get(resource)
-    if table is None:
-        table = []
-        for i in range(len(scenario.modalities)):
-            row = np.array([_pair_latency(scenario, i, p, resource) for p in scenario.level_pairs(i)])
-            row = row.reshape(len(scenario.sensing_space[i]), len(scenario.model_space[i]))
-            row.setflags(write=False)
-            table.append(row)
-        table = tables[resource] = tuple(table)
-    return table
+    table = []
+    for i in range(len(scenario.modalities)):
+        row = np.array([_pair_latency(scenario, i, p, resource) for p in scenario.level_pairs(i)])
+        row = row.reshape(len(scenario.sensing_space[i]), len(scenario.model_space[i]))
+        row.setflags(write=False)
+        table.append(row)
+    return tuple(table)
 
 
 def end_to_end_latency(

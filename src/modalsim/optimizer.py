@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigAssignment, NoFeasibleAssignment, Sample, Scenario
+from .core import ConfigAssignment, NoFeasibleAssignment, Sample, Scenario, memoized
 from .latency import unimodal_table
 from .predictor import ModalityIndicators, PredictorModel, indicators, predict_batch, score_rows
 
@@ -84,31 +84,28 @@ class _Options:
     fastest: np.ndarray  # per modality, its fastest option, the lowest levels on ties
 
 
+@memoized
 def _options(scenario: Scenario, resource: str) -> _Options:
     """The in-budget options, computed once per (scenario instance, resource)
     like the latency table; raises NoFeasibleAssignment if a modality has none."""
-    # frozen dataclass: the memo lives in the instance __dict__, outside the fields
-    memo = scenario.__dict__.setdefault("_search_options", {})
-    options = memo.get(resource)
-    if options is None:
-        budget = scenario.t_max_us - scenario.latency_profile.fusion_us
-        table = unimodal_table(scenario, resource)
-        within = [row <= budget for row in table]
-        if not all(w.any() for w in within):
-            raise NoFeasibleAssignment(
-                f"every assignment exceeds t_max={scenario.t_max_us}µs at resource {resource!r}"
-            )
-        latency = [row[w] for row, w in zip(table, within)]
-        bounds = np.cumsum([0] + [len(lat) for lat in latency])
-        options = memo[resource] = _Options(
-            modality=np.repeat(np.arange(len(table)), np.diff(bounds)),
-            levels=np.concatenate([np.argwhere(w) for w in within]),
-            latency=np.concatenate(latency),
-            bounds=tuple(bounds.tolist()),
-            fastest=bounds[:-1] + [int(np.argmin(lat)) for lat in latency],
+    budget = scenario.t_max_us - scenario.latency_profile.fusion_us
+    table = unimodal_table(scenario, resource)
+    within = [row <= budget for row in table]
+    if not all(w.any() for w in within):
+        raise NoFeasibleAssignment(
+            f"every assignment exceeds t_max={scenario.t_max_us}µs at resource {resource!r}"
         )
-        for array in (options.modality, options.levels, options.latency, options.fastest):
-            array.setflags(write=False)
+    latency = [row[w] for row, w in zip(table, within)]
+    bounds = np.cumsum([0] + [len(lat) for lat in latency])
+    options = _Options(
+        modality=np.repeat(np.arange(len(table)), np.diff(bounds)),
+        levels=np.concatenate([np.argwhere(w) for w in within]),
+        latency=np.concatenate(latency),
+        bounds=tuple(bounds.tolist()),
+        fastest=bounds[:-1] + [int(np.argmin(lat)) for lat in latency],
+    )
+    for array in (options.modality, options.levels, options.latency, options.fastest):
+        array.setflags(write=False)
     return options
 
 

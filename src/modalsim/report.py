@@ -3,7 +3,8 @@
 Per (sample, modality): pure encode compute, sensing-bound stall inside the
 pipeline, barrier waiting, and the skip saving versus the no-skip projection;
 plus a per-sample total row carrying the window-level numbers.  Everything is
-recomputed from raw events so an independent script can check each cell.
+recomputed from raw events so an independent script can check each cell; an
+event without a payload key the breakdown reads raises IncompleteTrace.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import csv
 import io
 from typing import Sequence
 
+from .core import IncompleteTrace
 from .engine import EventKind, SimTrace
 
 CSV_COLUMNS = [
@@ -62,21 +64,26 @@ def _trace_rows(trace: SimTrace) -> list[dict]:
             },
         )
         data = ev.payload_dict()
-        if ev.kind is EventKind.UNIT_SENSED:
-            m["units_sensed"] += 1
-            if m["interval_us"] is None:
-                m["interval_us"] = data["sense_end_us"] - ev.time_us
-        elif ev.kind is EventKind.ENCODE_START:
-            if m["first_encode_start"] is None:
-                m["first_encode_start"] = ev.time_us
-            m["encode_cost"] += data["encode_cost_us"]
-            m["unit_encode_us"] = data["encode_cost_us"]
-        elif ev.kind is EventKind.AGGREGATION_DONE:
-            m["agg_started"] = data["started_us"]
-            m["agg_done"] = ev.time_us
-            m["agg_prefix"] = data["prefix"]
-        elif ev.kind is EventKind.SKIP_COMMITTED:
-            m["skipped"] = data["units_skipped"]
+        try:
+            if ev.kind is EventKind.UNIT_SENSED:
+                m["units_sensed"] += 1
+                if m["interval_us"] is None:
+                    m["interval_us"] = data["sense_end_us"] - ev.time_us
+            elif ev.kind is EventKind.ENCODE_START:
+                if m["first_encode_start"] is None:
+                    m["first_encode_start"] = ev.time_us
+                m["encode_cost"] += data["encode_cost_us"]
+                m["unit_encode_us"] = data["encode_cost_us"]
+            elif ev.kind is EventKind.AGGREGATION_DONE:
+                m["agg_started"] = data["started_us"]
+                m["agg_done"] = ev.time_us
+                m["agg_prefix"] = data["prefix"]
+            elif ev.kind is EventKind.SKIP_COMMITTED:
+                m["skipped"] = data["units_skipped"]
+        except KeyError as exc:  # only payload keys can be missing; `m` has every key
+            raise IncompleteTrace(
+                f"sample {trace.sample_id}: {ev.kind.value} event lacks payload key {exc.args[0]!r}"
+            ) from None
 
     fusion_us = (prediction - fusion_start) if prediction is not None and fusion_start is not None else 0
     rows = []

@@ -19,6 +19,7 @@ from .core import (
     ProfileEntry,
     Scenario,
     SensingConfig,
+    memoized,
     validate_scenario,
 )
 
@@ -82,16 +83,13 @@ def to_document(s: Scenario) -> dict:
     return _document(s, _profile_document(s.latency_profile))
 
 
+@memoized
 def _profile_text(p: LatencyProfile) -> str:
     """The profile's part of the canonical text, computed once per profile
     instance: most of the text, and shared by every scenario derived with
     `dataclasses.replace`.  Nested one level deep, each of its line breaks
     carries two more spaces of indent (JSON strings hold no raw newline)."""
-    text = p.__dict__.get("_canonical_text")
-    if text is None:
-        text = json.dumps(_profile_document(p), sort_keys=True, indent=2).replace("\n", "\n  ")
-        p.__dict__["_canonical_text"] = text  # frozen dataclass: bypass __setattr__
-    return text
+    return json.dumps(_profile_document(p), sort_keys=True, indent=2).replace("\n", "\n  ")
 
 
 def serialize(s: Scenario) -> str:
@@ -104,13 +102,10 @@ def serialize(s: Scenario) -> str:
     return text.replace('"latency_profile": null', '"latency_profile": ' + profile, 1) + "\n"
 
 
+@memoized
 def fingerprint(s: Scenario) -> str:
     """SHA-256 of the canonical text, computed once per scenario instance."""
-    digest = s.__dict__.get("_fingerprint")
-    if digest is None:
-        digest = hashlib.sha256(serialize(s).encode("utf-8")).hexdigest()
-        s.__dict__["_fingerprint"] = digest  # frozen dataclass: bypass __setattr__
-    return digest
+    return hashlib.sha256(serialize(s).encode("utf-8")).hexdigest()
 
 
 def _need(doc: dict, key: str, kind, problems: list[str], default=None):

@@ -16,7 +16,6 @@ from typing import Sequence
 import numpy as np
 
 from . import engine, rng
-from .aggregation import aggregate_output_dim
 from .core import (
     ConfigAssignment,
     Difficulty,
@@ -50,171 +49,107 @@ class UnknownPreset(ModalsimError):
 # Scenario presets
 
 
-def _entries(
-    n_modalities: int,
-    sensing_counts: Sequence[int],
-    model_counts: Sequence[int],
+def _preset(
+    name: str,
+    seed: int,
+    window_us: int,
+    modalities: Sequence[tuple[str, int]],
+    units: Sequence[Sequence[int]],
+    labels: Sequence[Sequence[str]],
     encode_us: Sequence[Sequence[int]],
     aggregate_us: Sequence[Sequence[int]],
     resources: Sequence[tuple[str, int, int]],
-) -> dict:
-    """Profile entries with per-resource rational multipliers (num, den)."""
-    out = {}
-    for i in range(n_modalities):
-        for j in range(sensing_counts[i]):
-            for k in range(model_counts[i]):
-                for name, num, den in resources:
+    fusion_us: int,
+    t_max_us: int,
+    checkpoints: tuple[float, ...] = (),
+) -> Scenario:
+    """A pipelined scenario from per-modality (name, channels), sensing unit
+    counts, model labels and per-model base costs.  Each resource scales the
+    base costs by a rational multiplier (num, den); the first resource is
+    active throughout."""
+    entries = {}
+    for i in range(len(modalities)):
+        for j in range(len(units[i])):
+            for k in range(len(labels[i])):
+                for level, num, den in resources:
                     le = encode_us[i][k] * num
                     la = aggregate_us[i][k] * num
                     if le % den or la % den:
                         raise ValueError("profile base values must divide the resource denominator")
-                    out[(i, j, k, name)] = ProfileEntry(le // den, la // den)
-    return out
-
-
-def _sensing_levels(units: Sequence[int], window_us: int) -> tuple[SensingConfig, ...]:
-    return tuple(
-        SensingConfig(level=j, units_per_window=n, window_us=window_us)
-        for j, n in enumerate(units)
-    )
-
-
-def _model_levels(labels: Sequence[str]) -> tuple[ModelConfig, ...]:
-    return tuple(ModelConfig(level=k, label=lab) for k, lab in enumerate(labels))
-
-
-def _motivation_av(seed: int) -> Scenario:
-    # Back-solved single-assignment profile: blocking reports 242 ms,
-    # pipelined 164 ms, blocking waiting time 100 ms.
-    window = 1_000_000
+                    entries[(i, j, k, level)] = ProfileEntry(le // den, la // den)
     return Scenario(
-        name="motivation-av",
-        modalities=(Modality(0, "video", 16), Modality(1, "audio", 8)),
-        sensing_space=(
-            _sensing_levels([25], window),
-            _sensing_levels([20], window),
+        name=name,
+        modalities=tuple(Modality(i, label, channels) for i, (label, channels) in enumerate(modalities)),
+        sensing_space=tuple(
+            tuple(SensingConfig(j, n, window_us) for j, n in enumerate(counts)) for counts in units
         ),
-        model_space=(_model_levels(["frame-cnn"]), _model_levels(["chunk-cnn"])),
+        model_space=tuple(tuple(ModelConfig(k, lab) for k, lab in enumerate(names)) for names in labels),
         latency_profile=LatencyProfile(
-            resource_levels=("normal",),
-            fusion_us=12_000,
-            entries={
-                (0, 0, 0, "normal"): ProfileEntry(3_120, 152_000),
-                (1, 0, 0, "normal"): ProfileEntry(6_350, 3_000),
-            },
+            resource_levels=tuple(r[0] for r in resources), fusion_us=fusion_us, entries=entries
         ),
-        t_max_us=1_300_000,
+        t_max_us=t_max_us,
         execution_mode=ExecutionMode.PIPELINED,
-        skip_checkpoints=(),
+        skip_checkpoints=checkpoints,
         tau=0.5,
         accuracy_surface_seed=seed,
-        resource_schedule=((0, "normal"),),
+        resource_schedule=((0, resources[0][0]),),
     )
 
 
 _THREE_RESOURCES = (("high", 1, 1), ("mid", 25, 16), ("low", 2, 1))
+_SIZES = ("small", "medium", "large")
 
-
-def _lrw_like(seed: int) -> Scenario:
-    window = 1_000_000
-    return Scenario(
-        name="lrw-like",
-        modalities=(Modality(0, "video", 16), Modality(1, "audio", 8)),
-        sensing_space=(
-            _sensing_levels([20, 25, 32], window),
-            _sensing_levels([10, 16, 20], window),
-        ),
-        model_space=(
-            _model_levels(["small", "medium", "large"]),
-            _model_levels(["small", "medium", "large"]),
-        ),
-        latency_profile=LatencyProfile(
-            resource_levels=("high", "mid", "low"),
-            fusion_us=12_000,
-            entries=_entries(
-                2,
-                [3, 3],
-                [3, 3],
-                encode_us=[[20_000, 44_800, 64_000], [4_800, 8_000, 12_800]],
-                aggregate_us=[[9_600, 20_800, 30_080], [3_200, 4_800, 6_400]],
-                resources=_THREE_RESOURCES,
-            ),
-        ),
+_NAMED = {
+    # Back-solved single-assignment profile: blocking reports 242 ms,
+    # pipelined 164 ms, blocking waiting time 100 ms.
+    "motivation-av": dict(
+        window_us=1_000_000,
+        modalities=(("video", 16), ("audio", 8)),
+        units=([25], [20]),
+        labels=(["frame-cnn"], ["chunk-cnn"]),
+        encode_us=[[3_120], [6_350]],
+        aggregate_us=[[152_000], [3_000]],
+        resources=(("normal", 1, 1),),
+        fusion_us=12_000,
+        t_max_us=1_300_000,
+    ),
+    "lrw-like": dict(
+        window_us=1_000_000,
+        modalities=(("video", 16), ("audio", 8)),
+        units=([20, 25, 32], [10, 16, 20]),
+        labels=(_SIZES, _SIZES),
+        encode_us=[[20_000, 44_800, 64_000], [4_800, 8_000, 12_800]],
+        aggregate_us=[[9_600, 20_800, 30_080], [3_200, 4_800, 6_400]],
+        resources=_THREE_RESOURCES,
+        fusion_us=12_000,
         t_max_us=1_180_000,
-        execution_mode=ExecutionMode.PIPELINED,
-        skip_checkpoints=(0.5, 0.7),
-        tau=0.5,
-        accuracy_surface_seed=seed,
-        resource_schedule=((0, "high"),),
-    )
-
-
-def _nuscenes_like(seed: int) -> Scenario:
-    window = 1_000_000
-    return Scenario(
-        name="nuscenes-like",
-        modalities=(Modality(0, "camera", 16), Modality(1, "lidar", 12)),
-        sensing_space=(
-            _sensing_levels([2, 5, 10], window),
-            _sensing_levels([2, 10, 20], window),
-        ),
-        model_space=(
-            _model_levels(["small", "medium", "large"]),
-            _model_levels(["small", "medium", "large"]),
-        ),
-        latency_profile=LatencyProfile(
-            resource_levels=("high", "mid", "low"),
-            fusion_us=20_000,
-            entries=_entries(
-                2,
-                [3, 3],
-                [3, 3],
-                encode_us=[[60_000, 96_000, 160_000], [16_000, 32_000, 48_000]],
-                aggregate_us=[[8_000, 12_800, 16_000], [4_800, 8_000, 9_600]],
-                resources=_THREE_RESOURCES,
-            ),
-        ),
+        checkpoints=(0.5, 0.7),
+    ),
+    "nuscenes-like": dict(
+        window_us=1_000_000,
+        modalities=(("camera", 16), ("lidar", 12)),
+        units=([2, 5, 10], [2, 10, 20]),
+        labels=(_SIZES, _SIZES),
+        encode_us=[[60_000, 96_000, 160_000], [16_000, 32_000, 48_000]],
+        aggregate_us=[[8_000, 12_800, 16_000], [4_800, 8_000, 9_600]],
+        resources=_THREE_RESOURCES,
+        fusion_us=20_000,
         t_max_us=1_250_000,
-        execution_mode=ExecutionMode.PIPELINED,
-        skip_checkpoints=(0.5,),
-        tau=0.5,
-        accuracy_surface_seed=seed,
-        resource_schedule=((0, "high"),),
-    )
-
-
-def _uav_like(seed: int) -> Scenario:
-    window = 500_000
-    return Scenario(
-        name="uav-like",
-        modalities=(Modality(0, "rgb", 12), Modality(1, "radar", 6)),
-        sensing_space=(
-            _sensing_levels([5, 10, 20], window),
-            _sensing_levels([2, 5, 10], window),
-        ),
-        model_space=(
-            _model_levels(["small", "medium", "large"]),
-            _model_levels(["small", "medium", "large"]),
-        ),
-        latency_profile=LatencyProfile(
-            resource_levels=("high", "mid", "low"),
-            fusion_us=8_000,
-            entries=_entries(
-                2,
-                [3, 3],
-                [3, 3],
-                encode_us=[[16_000, 32_000, 48_000], [8_000, 12_800, 19_200]],
-                aggregate_us=[[4_800, 8_000, 11_200], [1_600, 3_200, 4_800]],
-                resources=_THREE_RESOURCES,
-            ),
-        ),
+        checkpoints=(0.5,),
+    ),
+    "uav-like": dict(
+        window_us=500_000,
+        modalities=(("rgb", 12), ("radar", 6)),
+        units=([5, 10, 20], [2, 5, 10]),
+        labels=(_SIZES, _SIZES),
+        encode_us=[[16_000, 32_000, 48_000], [8_000, 12_800, 19_200]],
+        aggregate_us=[[4_800, 8_000, 11_200], [1_600, 3_200, 4_800]],
+        resources=_THREE_RESOURCES,
+        fusion_us=8_000,
         t_max_us=640_000,
-        execution_mode=ExecutionMode.PIPELINED,
-        skip_checkpoints=(0.5, 0.7),
-        tau=0.5,
-        accuracy_surface_seed=seed,
-        resource_schedule=((0, "high"),),
-    )
+        checkpoints=(0.5, 0.7),
+    ),
+}
 
 
 def _divisors_upto(n: int, cap: int) -> list[int]:
@@ -233,55 +168,39 @@ def _random_scenario(
     pool = [d for d in _divisors_upto(window, 64) if d >= 4]
 
     mods = []
-    sensing_space = []
-    model_space = []
+    units = []
     encode_us = []
     aggregate_us = []
     for i in range(modalities):
         ms = s.sub("modality", i)
-        channels = 4 + ms.u64(0) % 21
-        mods.append(Modality(i, f"m{i}", channels))
+        mods.append((f"m{i}", 4 + ms.u64(0) % 21))
         order = sorted(range(len(pool)), key=lambda j: (ms.u64(10 + j), j))
-        units = sorted(pool[j] for j in order[:sensing_levels])
-        sensing_space.append(_sensing_levels(units, window))
-        model_space.append(_model_levels([f"m{i}-l{k}" for k in range(model_levels)]))
+        units.append(sorted(pool[j] for j in order[:sensing_levels]))
 
-        min_interval = window // max(units)
+        min_interval = window // max(units[i])
         base = 2_000 + ms.u64(1) % (2 * min_interval)
         step = 1 + ms.u64(2) % min_interval
         encode_us.append([base + k * step for k in range(model_levels)])
         la0 = 1_000 + ms.u64(3) % 20_000
         aggregate_us.append([la0 + k * (ms.u64(4) % 8_000) for k in range(model_levels)])
 
-    resources = (("high", 1, 1), ("low", 2, 1))
-    profile = LatencyProfile(
-        resource_levels=tuple(r[0] for r in resources),
+    scenario = _preset(
+        f"random-{seed}",
+        seed,
+        window,
+        mods,
+        units,
+        [[f"m{i}-l{k}" for k in range(model_levels)] for i in range(modalities)],
+        encode_us,
+        aggregate_us,
+        resources=(("high", 1, 1), ("low", 2, 1)),
         fusion_us=2_000 + s.u64(1) % 23_000,
-        entries=_entries(
-            modalities,
-            [sensing_levels] * modalities,
-            [model_levels] * modalities,
-            encode_us,
-            aggregate_us,
-            resources,
-        ),
-    )
-
-    scenario = Scenario(
-        name=f"random-{seed}",
-        modalities=tuple(mods),
-        sensing_space=tuple(sensing_space),
-        model_space=tuple(model_space),
-        latency_profile=profile,
         t_max_us=1,  # placeholder until the cheapest latency is known
-        execution_mode=ExecutionMode.PIPELINED,
-        skip_checkpoints=checkpoints,
-        tau=0.5,
-        accuracy_surface_seed=seed,
-        resource_schedule=((0, "high"),),
+        checkpoints=checkpoints,
     )
     # the slowest modality sets the latency, so each takes its cheapest pair
-    cheapest = max(int(row.min()) for row in unimodal_table(scenario, "high")) + profile.fusion_us
+    fusion_us = scenario.latency_profile.fusion_us
+    cheapest = max(int(row.min()) for row in unimodal_table(scenario, "high")) + fusion_us
     t_max = cheapest + (cheapest // 4) + s.u64(2) % cheapest
     return dataclasses.replace(scenario, t_max_us=t_max)
 
@@ -292,16 +211,12 @@ def gen_scenario(preset: str, seed: int = 0, **kwargs) -> Scenario:
     `random` accepts modalities / sensing_levels / model_levels / checkpoints
     keyword knobs; the named presets take none.
     """
-    if preset == "motivation-av":
-        scenario = _motivation_av(seed, **kwargs)
-    elif preset == "lrw-like":
-        scenario = _lrw_like(seed, **kwargs)
-    elif preset == "nuscenes-like":
-        scenario = _nuscenes_like(seed, **kwargs)
-    elif preset == "uav-like":
-        scenario = _uav_like(seed, **kwargs)
-    elif preset == "random":
+    if preset == "random":
         scenario = _random_scenario(seed, **kwargs)
+    elif preset in _NAMED:
+        if kwargs:
+            raise TypeError(f"preset {preset!r} takes no keyword arguments, got {sorted(kwargs)}")
+        scenario = _preset(preset, seed, **_NAMED[preset])
     else:
         raise UnknownPreset(f"unknown preset {preset!r}; choose from {PRESETS}")
     return validate_scenario(scenario)
@@ -405,11 +320,6 @@ def gen_accuracy_surface(
 # Sample corpora
 
 
-def _fused_dim(scenario: Scenario) -> int:
-    """Width of the fused vector the engine's prediction head reads."""
-    return sum(aggregate_output_dim(m.channels, engine.DEFAULT_DIFF) for m in scenario.modalities)
-
-
 def _window_rows(scenario: Scenario, sample: Sample, assignment: ConfigAssignment, m: Modality):
     n = scenario.sensing(m.id, assignment.sensing_level(m.id)).units_per_window
     return sample.window_payload(m, n)
@@ -421,16 +331,14 @@ def _window_prediction(
     assignment: ConfigAssignment,
     slow_id: int,
     slow_prefix: int | None,
-    head: np.ndarray,
 ) -> int:
-    parts = []
+    vectors = []
     for m in scenario.modalities:
         rows = _window_rows(scenario, sample, assignment, m)
         if m.id == slow_id and slow_prefix is not None:
             rows = rows[:slow_prefix]
-        parts.append(engine.aggregate_vector(rows, engine.DEFAULT_SHIFT, engine.DEFAULT_DIFF))
-    fused = np.concatenate(parts)
-    return int(np.argmax(head @ fused))
+        vectors.append(engine.feature_vector(rows))
+    return engine.fused_label(scenario, vectors)
 
 
 def gen_samples(
@@ -457,7 +365,6 @@ def gen_samples(
 
     assignment = scenario.max_assignment()
     slow_id = engine.slow_modality(scenario, assignment, 0)
-    head = engine.prediction_head(scenario, _fused_dim(scenario))
     slow_n = scenario.sensing(slow_id, assignment.sensing_level(slow_id)).units_per_window
 
     samples = []
@@ -476,12 +383,12 @@ def gen_samples(
             consistency_weight=float(cw),
         )
         if not stable:
-            sample = _calibrate_jump(scenario, sample, assignment, slow_id, slow_n, head)
+            sample = _calibrate_jump(scenario, sample, assignment, slow_id, slow_n)
         samples.append(sample)
     return samples
 
 
-def _calibrate_jump(scenario, sample, assignment, slow_id, slow_n, head) -> Sample:
+def _calibrate_jump(scenario, sample, assignment, slow_id, slow_n) -> Sample:
     """Search jump magnitude/direction until the full-window prediction
     differs from the constant-prefix prediction."""
     prefix = sample.jump_start(slow_n)
@@ -489,8 +396,8 @@ def _calibrate_jump(scenario, sample, assignment, slow_id, slow_n, head) -> Samp
         candidate = dataclasses.replace(
             sample, jump_nonce=nonce, jump_scale=6.0 * (1.6**nonce)
         )
-        full = _window_prediction(scenario, candidate, assignment, slow_id, None, head)
-        partial = _window_prediction(scenario, candidate, assignment, slow_id, prefix, head)
+        full = _window_prediction(scenario, candidate, assignment, slow_id, None)
+        partial = _window_prediction(scenario, candidate, assignment, slow_id, prefix)
         if full != partial:
             return candidate
     # pathological head; fall back to a stable sample so the label stays honest
@@ -535,28 +442,17 @@ class OracleGate:
         self.sample = sample
         self.assignment = assignment
         self.slow_id = engine.slow_modality(scenario, assignment, 0)
-        self._head = engine.prediction_head(scenario, _fused_dim(scenario))
+        # the slow vector's place in the fused vector: after the fast ones before it
+        self._offset = sum(engine.feature_widths(scenario)[: self.slow_id])
         rows = _window_rows(scenario, sample, assignment, scenario.modalities[self.slow_id])
-        self._full_slow = engine.aggregate_vector(rows, engine.DEFAULT_SHIFT, engine.DEFAULT_DIFF)
+        self._full_slow = engine.feature_vector(rows)
 
     def probability(self, f_fast: np.ndarray, f_slow_prefix: np.ndarray, fraction: float) -> float:
-        partial = self._fuse(f_fast, np.asarray(f_slow_prefix, dtype=np.float64))
-        full = self._fuse(f_fast, self._full_slow)
-        same = int(np.argmax(self._head @ partial)) == int(np.argmax(self._head @ full))
-        return 1.0 if same else 0.0
-
-    def _fuse(self, f_fast: np.ndarray, f_slow: np.ndarray) -> np.ndarray:
         f_fast = np.asarray(f_fast, dtype=np.float64)
-        parts = []
-        off = 0
-        for m in self.scenario.modalities:
-            if m.id == self.slow_id:
-                parts.append(f_slow)
-            else:
-                width = aggregate_output_dim(m.channels, engine.DEFAULT_DIFF)
-                parts.append(f_fast[off : off + width])
-                off += width
-        return np.concatenate(parts)
+        before, after = f_fast[: self._offset], f_fast[self._offset :]
+        partial = engine.fused_label(self.scenario, [before, f_slow_prefix, after])
+        full = engine.fused_label(self.scenario, [before, self._full_slow, after])
+        return 1.0 if partial == full else 0.0
 
 
 def gate_dataset(
@@ -565,7 +461,6 @@ def gate_dataset(
     assignments: Sequence[ConfigAssignment] | None = None,
 ) -> list[tuple[np.ndarray, np.ndarray, float, int]]:
     """Oracle-labelled gate training rows across configurations."""
-    shift, diff = engine.DEFAULT_SHIFT, engine.DEFAULT_DIFF
     if assignments is None:
         assignments = [scenario.min_assignment(), scenario.max_assignment()]
     fractions = scenario.skip_checkpoints or (0.5,)
@@ -574,7 +469,7 @@ def gate_dataset(
         for assignment in assignments:
             oracle = OracleGate(scenario, sample, assignment)
             fast_parts = [
-                engine.aggregate_vector(_window_rows(scenario, sample, assignment, m), shift, diff)
+                engine.feature_vector(_window_rows(scenario, sample, assignment, m))
                 for m in scenario.modalities
                 if m.id != oracle.slow_id
             ]
@@ -582,7 +477,7 @@ def gate_dataset(
             slow_rows = _window_rows(scenario, sample, assignment, scenario.modalities[oracle.slow_id])
             for fraction in fractions:
                 prefix = max(1, math.ceil(fraction * len(slow_rows)))
-                f_slow = engine.aggregate_vector(slow_rows[:prefix], shift, diff)
+                f_slow = engine.feature_vector(slow_rows[:prefix])
                 label = int(oracle.probability(f_fast, f_slow, fraction))
                 rows.append((f_fast, f_slow, float(fraction), label))
     return rows

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from modalsim import scenario_io, workload
+from modalsim import engine, scenario_io, traceio, workload
 
 CLI = [sys.executable, "-m", "modalsim.cli"]
 
@@ -432,3 +432,32 @@ def test_hostile_trace_record_exit_code_3(case, motivation_file, tmp_path):
     err = json.loads(res.stderr)
     assert err["error"] == "CorruptLine"
     assert err["message"].startswith(f"line {line_number}:")
+
+
+class CommitAtOnce:
+    """Commits at the first checkpoint, so the trace holds a skip_committed event."""
+
+    def probability(self, f_fast, f_slow, fraction):
+        return 1.0
+
+
+@pytest.mark.parametrize(
+    "key", ["sense_end_us", "encode_cost_us", "started_us", "prefix", "units_skipped"]
+)
+def test_trace_event_without_payload_key_exit_code_3(key, tmp_path):
+    # the checksum is recomputed, so the file passes every check the reader makes
+    s = workload.gen_scenario("lrw-like", seed=0)
+    sample = workload.gen_samples(s, 1, "easy", seed=0)[0]
+    good = tmp_path / "t.jsonl"
+    traceio.write_trace(engine.run(s, s.max_assignment(), sample, gate=CommitAtOnce()), good)
+    records = [json.loads(line) for line in good.read_text().splitlines()[:-1]]
+    event = next(r for r in records if r["record"] == "event" and key in r["data"])
+    del event["data"][key]
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(_resummed([json.dumps(r, sort_keys=True, separators=(",", ":")) for r in records]))
+    res = invoke("report", "--trace", str(bad))
+    assert res.returncode == 3, res.stderr
+    assert len(res.stderr.splitlines()) == 1, res.stderr  # one JSON line, no traceback
+    err = json.loads(res.stderr)
+    assert err["error"] == "IncompleteTrace"
+    assert err["message"] == f"sample {sample.id}: {event['kind']} event lacks payload key {key!r}"

@@ -7,16 +7,20 @@ its latency profile once, however many scenarios share it), a trace file
 is parsed with one `json.loads` however many lines it has, a committed
 skip fuses the prefix vector the gate was shown, a budget query reads
 each (modality, sensing, model) profile entry once per scenario instance
-and resource, and greedy search encodes each step's moves as one batch.
+and resource, greedy search encodes each step's moves as one batch, and
+the prediction head and diff encoder are drawn once per scenario and per
+spec and channel count.
 """
 
 import dataclasses
 import json
 import sys
 
+import numpy as np
 import pytest
 
 from modalsim import engine, optimizer, predictor, rng, scenario_io, traceio, workload
+from modalsim.aggregation import DiffSpec, ShiftSpec, aggregate_vector
 from modalsim.core import Difficulty, ExecutionMode, LatencyProfile, Modality, Sample
 from modalsim.predictor import EncodingSpec, ModalityIndicators
 
@@ -74,6 +78,33 @@ def test_two_runs_on_one_scenario_serialize_it_once(monkeypatch):
     second = engine.run(s, s.max_assignment(), sample)
     assert len(serialized) == 1
     assert first == second
+
+
+def draws(streams, name):
+    return [args for args in streams if name in args]
+
+
+def test_two_runs_on_one_scenario_draw_the_prediction_head_once(monkeypatch):
+    s = workload.gen_scenario("lrw-like", seed=0).without_skipping()
+    sample = workload.gen_samples(s, 1, "easy", seed=0)[0]
+    s = dataclasses.replace(s)  # a fresh instance: the corpus drew the head on the first
+    streams = count_calls(monkeypatch, rng, "stream")
+    first = engine.run(s, s.max_assignment(), sample)
+    second = engine.run(s, s.max_assignment(), sample)
+    assert len(draws(streams, "fusion-head")) == 1
+    assert first == second
+    width = sum(engine.feature_widths(s))
+    assert not engine.prediction_head(s, width).flags.writeable
+
+
+def test_repeated_aggregates_at_one_channel_count_draw_the_encoder_once(monkeypatch):
+    spec = DiffSpec()  # a fresh instance, with no memo
+    rows = np.arange(60.0).reshape(10, 6)
+    streams = count_calls(monkeypatch, rng, "stream")
+    vectors = [aggregate_vector(rows, ShiftSpec(), spec) for _ in range(3)]
+    assert len(draws(streams, "diff-encoder")) == 1
+    assert all(np.array_equal(v, vectors[0]) for v in vectors)
+    assert not spec.encoder_matrix(6).flags.writeable
 
 
 def test_scenarios_sharing_a_profile_serialize_it_once(monkeypatch):

@@ -17,6 +17,12 @@ def test_unknown_preset():
         workload.gen_scenario("lrw")
 
 
+@pytest.mark.parametrize("preset", [p for p in workload.PRESETS if p != "random"])
+def test_named_presets_take_no_keyword_arguments(preset):
+    with pytest.raises(TypeError):
+        workload.gen_scenario(preset, checkpoints=(0.5,))
+
+
 def test_all_presets_validate():
     for preset in workload.PRESETS:
         s = workload.gen_scenario(preset, seed=1)
