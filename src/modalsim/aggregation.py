@@ -66,13 +66,10 @@ class DiffSpec:
     def encoder_matrix(self, channels: int) -> np.ndarray:
         """Read-only (channels, width) encoder, drawn once per spec and channel count."""
         if self.identity_encoder:
-            matrix = np.eye(channels)
-        else:
-            s = rng.stream(self.encoder_seed, "diff-encoder", channels, self.encoder_width)
-            flat = s.symmetric(channels * self.encoder_width)
-            matrix = flat.reshape(channels, self.encoder_width) / np.sqrt(channels)
-        matrix.setflags(write=False)
-        return matrix
+            return np.eye(channels)
+        s = rng.stream(self.encoder_seed, "diff-encoder", channels, self.encoder_width)
+        flat = s.symmetric(channels * self.encoder_width)
+        return flat.reshape(channels, self.encoder_width) / np.sqrt(channels)
 
 
 def group_slices(channels: int, n_groups: int) -> list[slice]:

@@ -94,6 +94,7 @@ def memoized(fn):
     `dataclasses.replace` ignore it and a replaced instance starts with no
     memo.  The memo is keyed by the function's name, not the function, so an
     instance holding one still pickles.  A call that raises caches nothing.
+    An array result is shared by every caller, so it is made read-only.
     """
     key = f"_memo:{fn.__module__}.{fn.__qualname__}"
 
@@ -101,7 +102,10 @@ def memoized(fn):
     def wrapper(instance, *args):
         memo = instance.__dict__.setdefault(key, {})
         if args not in memo:
-            memo[args] = fn(instance, *args)
+            value = fn(instance, *args)
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            memo[args] = value
         return memo[args]
 
     return wrapper

@@ -19,12 +19,10 @@ the closed-form latency model to the microsecond.
   _emit        the unit and aggregation events, truncated at a skip commit
                or (non-blocking) at fusion, and the peak buffer count.
 
-The window-feature model is defined here and nowhere else: `feature_vector`
-is the temporal aggregate one modality fuses, `feature_widths` gives each
-modality's vector width, and `fused_label` concatenates the vectors in
-modality order and applies the prediction head, drawn once per scenario.
-The oracle gate, its training rows, corpus calibration and the CLI's gate
-check all go through these three.
+The window-feature model lives here alone, and every other module goes
+through it: `feature_vector` (one modality's temporal aggregate),
+`feature_widths` and `fused_label` (the prediction head over the vectors
+concatenated in modality order).
 
 Mode semantics:
   blocking      all units of all modalities are sensed first; each modality
@@ -150,9 +148,7 @@ def prediction_head(scenario: Scenario, fused_dim: int) -> np.ndarray:
     """Fixed seeded linear classifier used as the synthetic prediction stage,
     drawn once per scenario instance and read-only."""
     s = rng.stream(scenario.accuracy_surface_seed, "fusion-head", fused_dim)
-    head = s.symmetric(NUM_CLASSES * fused_dim).reshape(NUM_CLASSES, fused_dim)
-    head.setflags(write=False)
-    return head
+    return s.symmetric(NUM_CLASSES * fused_dim).reshape(NUM_CLASSES, fused_dim)
 
 
 def feature_vector(rows: np.ndarray) -> np.ndarray:

@@ -33,8 +33,6 @@ from .core import (
 from .latency import unimodal_table
 from .predictor import ModalityIndicators
 
-PRESETS = ("motivation-av", "lrw-like", "nuscenes-like", "uav-like", "random")
-
 # Probability that a sample's window is stable enough for a prefix prediction
 # to match the full-window prediction, by difficulty.
 BASE_RATES = {Difficulty.EASY: 0.98, Difficulty.MEDIUM: 0.94, Difficulty.HARD: 0.90}
@@ -150,6 +148,7 @@ _NAMED = {
         checkpoints=(0.5, 0.7),
     ),
 }
+PRESETS = (*_NAMED, "random")
 
 
 def _divisors_upto(n: int, cap: int) -> list[int]:
@@ -439,13 +438,11 @@ class OracleGate:
 
     def __init__(self, scenario: Scenario, sample: Sample, assignment: ConfigAssignment):
         self.scenario = scenario
-        self.sample = sample
-        self.assignment = assignment
         self.slow_id = engine.slow_modality(scenario, assignment, 0)
         # the slow vector's place in the fused vector: after the fast ones before it
         self._offset = sum(engine.feature_widths(scenario)[: self.slow_id])
-        rows = _window_rows(scenario, sample, assignment, scenario.modalities[self.slow_id])
-        self._full_slow = engine.feature_vector(rows)
+        self.slow_rows = _window_rows(scenario, sample, assignment, scenario.modalities[self.slow_id])
+        self._full_slow = engine.feature_vector(self.slow_rows)
 
     def probability(self, f_fast: np.ndarray, f_slow_prefix: np.ndarray, fraction: float) -> float:
         f_fast = np.asarray(f_fast, dtype=np.float64)
@@ -474,10 +471,9 @@ def gate_dataset(
                 if m.id != oracle.slow_id
             ]
             f_fast = np.concatenate(fast_parts) if fast_parts else np.zeros(0)
-            slow_rows = _window_rows(scenario, sample, assignment, scenario.modalities[oracle.slow_id])
             for fraction in fractions:
-                prefix = max(1, math.ceil(fraction * len(slow_rows)))
-                f_slow = engine.feature_vector(slow_rows[:prefix])
+                prefix = max(1, math.ceil(fraction * len(oracle.slow_rows)))
+                f_slow = engine.feature_vector(oracle.slow_rows[:prefix])
                 label = int(oracle.probability(f_fast, f_slow, fraction))
                 rows.append((f_fast, f_slow, float(fraction), label))
     return rows
