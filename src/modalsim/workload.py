@@ -183,6 +183,7 @@ def _random_scenario(
         la0 = 1_000 + ms.u64(3) % 20_000
         aggregate_us.append([la0 + k * (ms.u64(4) % 8_000) for k in range(model_levels)])
 
+    fusion_us = 2_000 + s.u64(1) % 23_000
     scenario = _preset(
         f"random-{seed}",
         seed,
@@ -193,12 +194,11 @@ def _random_scenario(
         encode_us,
         aggregate_us,
         resources=(("high", 1, 1), ("low", 2, 1)),
-        fusion_us=2_000 + s.u64(1) % 23_000,
+        fusion_us=fusion_us,
         t_max_us=1,  # placeholder until the cheapest latency is known
         checkpoints=checkpoints,
     )
     # the slowest modality sets the latency, so each takes its cheapest pair
-    fusion_us = scenario.latency_profile.fusion_us
     cheapest = max(int(row.min()) for row in unimodal_table(scenario, "high")) + fusion_us
     t_max = cheapest + (cheapest // 4) + s.u64(2) % cheapest
     return dataclasses.replace(scenario, t_max_us=t_max)
