@@ -86,6 +86,16 @@ MAX_UNITS_PER_WINDOW = 1024
 # Derived values
 
 
+class _Memo(dict):
+    """One function's memo on one instance; it pickles (and copies deeply)
+    as an empty memo, so a copy computes its own values.  A pickled array
+    would come back writable, and every value is a pure function of the
+    instance anyway."""
+
+    def __reduce__(self):
+        return _Memo, ()
+
+
 def memoized(fn):
     """Compute `fn(instance, *args)` once per frozen-dataclass instance and args.
 
@@ -93,14 +103,17 @@ def memoized(fn):
     fields (like `functools.cached_property`), so equality, repr and
     `dataclasses.replace` ignore it and a replaced instance starts with no
     memo.  The memo is keyed by the function's name, not the function, so an
-    instance holding one still pickles.  A call that raises caches nothing.
-    An array result is shared by every caller, so it is made read-only.
+    instance holding one still pickles, and a `_Memo` so the copy starts
+    empty.  A call that raises caches nothing.  An array result is shared by
+    every caller, so it is made read-only.
     """
     key = f"_memo:{fn.__module__}.{fn.__qualname__}"
 
     @functools.wraps(fn)
     def wrapper(instance, *args):
-        memo = instance.__dict__.setdefault(key, {})
+        memo = instance.__dict__.get(key)
+        if memo is None:
+            memo = instance.__dict__[key] = _Memo()
         if args not in memo:
             value = fn(instance, *args)
             if isinstance(value, np.ndarray):

@@ -19,6 +19,11 @@ the closed-form latency model to the microsecond.
   _emit        the unit and aggregation events, truncated at a skip commit
                or (non-blocking) at fusion, and the peak buffer count.
 
+A window writes about three events per unit, so an `Event` is a plain
+`NamedTuple` record: tuple equality, hashing, repr and immutability, equal to
+a plain tuple of its five fields.  Each payload is written as a literal tuple
+of (key, value) pairs already in key order, the order the trace file keeps.
+
 The window-feature model lives here alone, and every other module goes
 through it: `feature_vector` (one modality's temporal aggregate),
 `feature_widths` and `fused_label` (the prediction head over the vectors
@@ -47,6 +52,7 @@ from __future__ import annotations
 import bisect
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,6 +78,7 @@ DEFAULT_SHIFT = ShiftSpec(n_groups=3, shift_distance=1)
 DEFAULT_DIFF = DiffSpec(scales=(1, 2), encoder_width=8)
 
 _NO_MODALITY = 1 << 31  # sort key for events without a modality/unit
+_ABORTED = (("aborted", True),)  # payload of an encode cut before it finished
 
 
 class EventKind(enum.Enum):
@@ -90,8 +97,15 @@ class EventKind(enum.Enum):
 _KIND_ORDER = {kind: i for i, kind in enumerate(EventKind)}
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
+    """One trace event: a plain tuple record with named fields.
+
+    Equality, hashing, repr and immutability are the tuple's, so an event
+    also compares equal to a plain tuple of the same five fields.  `payload`
+    holds (key, value) pairs with exact-str keys in strictly increasing
+    order: the engine writes each payload as a literal already in key order.
+    """
+
     time_us: int
     kind: EventKind
     modality: int | None = None
@@ -105,10 +119,6 @@ class Event:
 
     def payload_dict(self) -> dict:
         return dict(self.payload)
-
-
-def _ev(time_us: int, kind: EventKind, modality=None, unit=None, **payload) -> Event:
-    return Event(time_us, kind, modality, unit, tuple(sorted(payload.items())))
 
 
 @dataclass(frozen=True)
@@ -136,10 +146,14 @@ class SimTrace:
         raise ValueError("trace has no prediction event")
 
 
+@memoized
+def _schedule_times(scenario: Scenario) -> tuple[int, ...]:
+    return tuple(t for t, _ in scenario.resource_schedule)
+
+
 def apply_resource_schedule(scenario: Scenario, time_us: int) -> str:
     """Resource level whose left-closed interval contains the queried time."""
-    times = [t for t, _ in scenario.resource_schedule]
-    idx = bisect.bisect_right(times, time_us) - 1
+    idx = bisect.bisect_right(_schedule_times(scenario), time_us) - 1
     return scenario.resource_schedule[max(idx, 0)][1]
 
 
@@ -230,9 +244,8 @@ def run(
     window_start = 0
     if config_decision is not None:
         window_start = config_decision.probe_cost_us
-        events.append(
-            _ev(0, EventKind.CONFIG_SWITCH, pairs=tuple(assignment.pairs), probe_cost_us=window_start)
-        )
+        payload = (("pairs", tuple(assignment.pairs)), ("probe_cost_us", window_start))
+        events.append(Event(0, EventKind.CONFIG_SWITCH, payload=payload))
 
     skipping = mode is ExecutionMode.PIPELINED and bool(scenario.skip_checkpoints)
     if skipping and gate is None:
@@ -249,13 +262,13 @@ def run(
     # resource changes up to the fusion point
     for t, level in scenario.resource_schedule:
         if t <= fusion_start:
-            events.append(_ev(t, EventKind.RESOURCE_CHANGE, level=level))
+            events.append(Event(t, EventKind.RESOURCE_CHANGE, payload=(("level", level),)))
 
     label = fused_label(scenario, [p.fused for p in plans])
 
-    events.append(_ev(fusion_start, EventKind.FUSION_START))
+    events.append(Event(fusion_start, EventKind.FUSION_START))
     prediction_time = fusion_start + scenario.latency_profile.fusion_us
-    events.append(_ev(prediction_time, EventKind.PREDICTION_EMITTED, label=label))
+    events.append(Event(prediction_time, EventKind.PREDICTION_EMITTED, payload=(("label", label),)))
 
     events.sort(key=Event.sort_key)
 
@@ -286,6 +299,7 @@ def _schedule(scenario, assignment, sample, modality, window_start) -> _Modality
     of the window.
     """
     plan = _ModalityPlan(scenario, assignment, modality, sample)
+    costs = {}  # resource level -> unit encode cost, looked up once per window
     free = window_start
     if scenario.execution_mode is ExecutionMode.BLOCKING:
         free += scenario.window_us
@@ -293,7 +307,9 @@ def _schedule(scenario, assignment, sample, modality, window_start) -> _Modality
         sense_start = window_start + u * plan.interval
         start = max(sense_start, free)
         resource = apply_resource_schedule(scenario, start)
-        cost = plan.entry(resource).unit_encode_us
+        if resource not in costs:
+            costs[resource] = plan.entry(resource).unit_encode_us
+        cost = costs[resource]
         free = max(start + cost, sense_start + plan.interval)
         plan.sense_start.append(sense_start)
         plan.enc_start.append(start)
@@ -328,46 +344,27 @@ def _apply_skip(scenario, assignment, plans, gate, window_start, events) -> None
         t_eval = max(slow.enc_end[idx], fast_done)
         if t_eval >= slow.enc_end[-1]:
             # nothing left to skip: the modality beat the checkpoint
-            events.append(
-                _ev(
-                    t_eval,
-                    EventKind.CHECKPOINT_EVAL,
-                    slow_id,
-                    fraction=fraction,
-                    already_completed=True,
-                )
-            )
+            payload = (("already_completed", True), ("fraction", fraction))
+            events.append(Event(t_eval, EventKind.CHECKPOINT_EVAL, slow_id, payload=payload))
             continue
         f_slow = feature_vector(slow.rows[: idx + 1])
         p = float(gate.probability(f_fast, f_slow, fraction))
         # the decision record validates the gate's probability
         committed = SkipDecision(fraction, probability=p, committed=p > scenario.tau).committed
-        events.append(
-            _ev(
-                t_eval,
-                EventKind.CHECKPOINT_EVAL,
-                slow_id,
-                fraction=fraction,
-                probability=p,
-                committed=committed,
-            )
-        )
+        payload = (("committed", committed), ("fraction", fraction), ("probability", p))
+        events.append(Event(t_eval, EventKind.CHECKPOINT_EVAL, slow_id, payload=payload))
         if not committed:
             continue
         slow.aggregate_at(t_eval, idx + 1)
         slow.fused = f_slow
         slow.cut = t_eval
-        events.append(
-            _ev(
-                t_eval,
-                EventKind.SKIP_COMMITTED,
-                slow_id,
-                fraction=fraction,
-                probability=p,
-                prefix=idx + 1,
-                units_skipped=slow.n - idx - 1,
-            )
+        payload = (
+            ("fraction", fraction),
+            ("prefix", idx + 1),
+            ("probability", p),
+            ("units_skipped", slow.n - idx - 1),
         )
+        events.append(Event(t_eval, EventKind.SKIP_COMMITTED, slow_id, payload=payload))
         return
 
 
@@ -387,54 +384,33 @@ def _emit(plan, fusion_start, events) -> int:
         encoded = np.array(plan.enc_end)[:, None] <= fusion_start
         plan.fused = feature_vector(np.where(encoded, plan.rows, 0.0))
     else:
-        events.append(
-            _ev(
-                plan.agg_done,
-                EventKind.AGGREGATION_DONE,
-                mid,
-                prefix=plan.agg_prefix,
-                started_us=plan.agg_start,
-            )
-        )
+        payload = (("prefix", plan.agg_prefix), ("started_us", plan.agg_start))
+        events.append(Event(plan.agg_done, EventKind.AGGREGATION_DONE, mid, payload=payload))
         if plan.fused is None:
             plan.fused = feature_vector(plan.rows)
 
-    intervals = []
+    enters, leaves = [], []
     for u, s_start in enumerate(plan.sense_start):
         if cut is not None and s_start >= cut:
-            continue  # sensing never began
-        events.append(
-            _ev(s_start, EventKind.UNIT_SENSED, mid, u, sense_end_us=s_start + plan.interval)
-        )
+            break  # sensing never began, here or for any later unit
+        payload = (("sense_end_us", s_start + plan.interval),)
+        events.append(Event(s_start, EventKind.UNIT_SENSED, mid, u, payload))
         e_start, e_end = plan.enc_start[u], plan.enc_end[u]
         finished = cut is None or e_end <= cut
         leave = e_end if finished else cut
         if finished or e_start < cut:
-            events.append(
-                _ev(
-                    e_start,
-                    EventKind.ENCODE_START,
-                    mid,
-                    u,
-                    resource=plan.enc_resource[u],
-                    encode_cost_us=plan.enc_cost[u],
-                )
-            )
-            aborted = {} if finished else {"aborted": True}
-            events.append(_ev(leave, EventKind.ENCODE_END, mid, u, **aborted))
-        intervals.append((s_start, leave))
-    return _peak_occupancy(intervals)
+            payload = (("encode_cost_us", plan.enc_cost[u]), ("resource", plan.enc_resource[u]))
+            events.append(Event(e_start, EventKind.ENCODE_START, mid, u, payload))
+            events.append(Event(leave, EventKind.ENCODE_END, mid, u, () if finished else _ABORTED))
+        enters.append(s_start)
+        leaves.append(leave)
+    return _peak_occupancy(enters, leaves)
 
 
-def _peak_occupancy(intervals: list[tuple[int, int]]) -> int:
-    """Max simultaneous [enter, leave) intervals; leaves processed first."""
-    deltas = []
-    for enter, leave in intervals:
-        deltas.append((enter, 1))
-        deltas.append((leave, -1))
-    deltas.sort(key=lambda d: (d[0], d[1]))
-    peak = cur = 0
-    for _, d in deltas:
-        cur += d
-        peak = max(peak, cur)
-    return peak
+def _peak_occupancy(enters: list[int], leaves: list[int]) -> int:
+    """Max simultaneous [enter, leave) intervals, leaves counted before
+    enters on ties.  Enter times strictly increase and leave times never
+    decrease, so the count just after the k-th enter is k less the leaves
+    up to and at it, and the peak is the largest of those counts."""
+    after_enter = np.arange(1, len(enters) + 1) - np.searchsorted(leaves, enters, "right")
+    return int(after_enter.max(initial=0))

@@ -129,7 +129,7 @@ def _event_line(ev: Event) -> str | None:
     """`_dump(_event_record(ev))` when every value is one `_value_text`
     formats, else None.  Exact ints go into the line as they are: their
     `format` is their `repr`."""
-    t, kind, m, u, payload = ev.time_us, ev.kind, ev.modality, ev.unit, ev.payload
+    t, kind, m, u, payload = ev
     if type(t) is not int or type(kind) is not EventKind or type(payload) is not tuple:
         return None
     if m is None:
@@ -234,9 +234,12 @@ _MALFORMED = (KeyError, TypeError, ValueError, AttributeError, OverflowError)
 
 def _payload(data: dict) -> tuple:
     """An event's payload pairs in key order, lists back to tuples."""
+    pairs = tuple(data.items())
+    if len(pairs) == 1 and type(pairs[0][1]) is not list:
+        return pairs  # the common payload: one key holding a scalar
     if list in map(type, data.values()):
-        return tuple(sorted((k, _detuple(v)) for k, v in data.items()))
-    return tuple(sorted(data.items())) if len(data) > 1 else tuple(data.items())
+        return tuple(sorted((k, _detuple(v)) for k, v in pairs))
+    return tuple(sorted(pairs))
 
 
 def read_trace(path: str | Path) -> list[SimTrace]:

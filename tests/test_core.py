@@ -1,13 +1,15 @@
 """Core type invariants, scenario validation, and sample regeneration."""
 
+import copy
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from modalsim import core, scenario_io, workload
+from modalsim import core, engine, latency, scenario_io, workload
 from modalsim.core import (
     Difficulty,
     FeatureMatrix,
@@ -242,3 +244,25 @@ def test_size_limits_admit_their_bounds():
         ),
     )
     assert validate_scenario(s) is s
+
+
+@pytest.mark.parametrize(
+    "clone", [lambda s: pickle.loads(pickle.dumps(s)), copy.deepcopy], ids=["pickle", "deepcopy"]
+)
+def test_memoized_arrays_stay_read_only_in_a_copy(clone):
+    s = workload.gen_scenario("lrw-like", seed=0)
+    head = engine.prediction_head(s, 10)
+    table = latency.unimodal_table(s, "high")
+    again = clone(s)
+    assert again == s
+    copied_head = engine.prediction_head(again, 10)
+    copied_table = latency.unimodal_table(again, "high")
+    assert np.array_equal(copied_head, head)
+    assert all(np.array_equal(a, b) for a, b in zip(copied_table, table))
+    for array in (copied_head, *copied_table):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0, 0] = 0
+    # the original's memo is untouched by the copy's
+    assert engine.prediction_head(s, 10) is head
+    assert latency.unimodal_table(s, "high") is table

@@ -1,10 +1,14 @@
 """Engine mode semantics, determinism, skip behavior, and invariants."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import test_window_pins
 from modalsim import engine, latency, workload
 from modalsim.core import (
     ConfigAssignment,
@@ -503,3 +507,84 @@ def test_config_switch_uses_the_decision_probe_cost():
     switch = events_of(trace, EventKind.CONFIG_SWITCH)[0]
     assert switch.payload_dict()["probe_cost_us"] == 2500
     assert min(e.time_us for e in events_of(trace, EventKind.UNIT_SENSED)) == 2500
+
+
+def test_engine_payload_keys_are_exact_strs_in_increasing_order(monkeypatch):
+    """The engine writes each payload as a literal already in key order.  The
+    window-pin corpus runs all three modes, a mid-window resource switch,
+    gate commits and declines, already-completed checkpoints and config
+    switches; every payload shape the engine writes must turn up in it."""
+    real = engine.run
+    shapes = set()
+
+    def checked(*args, **kwargs):
+        trace = real(*args, **kwargs)
+        for ev in trace.events:
+            keys = [k for k, _ in ev.payload]
+            assert all(type(k) is str for k in keys), ev
+            assert all(a < b for a, b in zip(keys, keys[1:])), ev
+            shapes.add((ev.kind.value, *keys, ev.payload_dict().get("committed")))
+        return trace
+
+    monkeypatch.setattr(engine, "run", checked)
+    for name in test_window_pins._scenarios():
+        test_window_pins._trace_digest(name)
+    assert shapes == {
+        ("config_switch", "pairs", "probe_cost_us", None),
+        ("resource_change", "level", None),
+        ("unit_sensed", "sense_end_us", None),
+        ("encode_start", "encode_cost_us", "resource", None),
+        ("encode_end", None),
+        ("encode_end", "aborted", None),
+        ("checkpoint_eval", "already_completed", "fraction", None),
+        ("checkpoint_eval", "committed", "fraction", "probability", False),
+        ("checkpoint_eval", "committed", "fraction", "probability", True),
+        ("skip_committed", "fraction", "prefix", "probability", "units_skipped", None),
+        ("aggregation_done", "prefix", "started_us", None),
+        ("fusion_start", None),
+        ("prediction_emitted", "label", None),
+    }
+
+
+def _peak_by_sorted_deltas(intervals):
+    """Reference: sort the +1 enters and -1 leaves, leaves first on ties."""
+    deltas = []
+    for enter, leave in intervals:
+        deltas.append((enter, 1))
+        deltas.append((leave, -1))
+    deltas.sort(key=lambda d: (d[0], d[1]))
+    peak = cur = 0
+    for _, d in deltas:
+        cur += d
+        peak = max(peak, cur)
+    return peak
+
+
+@st.composite
+def unit_intervals(draw):
+    """[sense start, encode end) per unit, shaped as `_emit` builds them:
+    enter times strictly increase, each leave follows its enter and none
+    comes before the previous one (one FIFO encoder), and small steps make
+    ties between leaves and enters common.  An optional cut, at or between
+    enter times, drops the units not begun by then and ends the rest there."""
+    enters = list(itertools.accumulate(draw(st.lists(st.integers(1, 4), max_size=40))))
+    leaves, free = [], 0
+    for enter in enters:
+        free = max(free, enter) + draw(st.integers(0, 9))
+        leaves.append(free)
+    if enters and draw(st.booleans()):
+        cut = draw(st.sampled_from(enters)) + draw(st.sampled_from([0, 1, 2]))
+        kept = sum(e < cut for e in enters)
+        enters, leaves = enters[:kept], [min(leave, cut) for leave in leaves[:kept]]
+    return list(zip(enters, leaves))
+
+
+@settings(max_examples=400, deadline=None)
+@given(unit_intervals())
+@example([])
+@example([(1, 1), (2, 2)])  # empty intervals: each leave meets its own enter
+@example([(1, 3), (3, 5), (5, 7)])  # each leave meets the next enter
+def test_peak_occupancy_matches_sorted_deltas(intervals):
+    enters = [e for e, _ in intervals]
+    leaves = [leave for _, leave in intervals]
+    assert engine._peak_occupancy(enters, leaves) == _peak_by_sorted_deltas(intervals)

@@ -27,6 +27,29 @@ def real_trace(seed=0, checkpoints=(0.5,)):
     return engine.run(s, a, sample, gate=gate)
 
 
+def test_event_is_an_immutable_tuple_record_that_reads_back_equal(tmp_path):
+    ev = Event(time_us=5, kind=EventKind.ENCODE_END, modality=1, unit=2)
+    assert ev == Event(5, EventKind.ENCODE_END, 1, 2, ()) == (5, EventKind.ENCODE_END, 1, 2, ())
+    assert (ev.payload, ev.payload_dict()) == ((), {})
+    with pytest.raises(AttributeError):
+        ev.time_us = 6
+
+    s = workload.gen_scenario("lrw-like", seed=0).without_skipping()
+    sample = workload.gen_samples(s, 1, "easy", seed=0)[0]
+    trace = engine.run(s, s.max_assignment(), sample)
+    first_encode = next(e for e in trace.events if e.kind is EventKind.ENCODE_START)
+    assert repr(first_encode) == (
+        "Event(time_us=0, kind=<EventKind.ENCODE_START: 'encode_start'>, modality=0, unit=0, "
+        "payload=(('encode_cost_us', 64000), ('resource', 'high')))"
+    )
+    path = tmp_path / "t.jsonl"
+    traceio.write_trace(trace, path)
+    (back,) = traceio.read_trace(path)
+    assert back.events == trace.events
+    assert [hash(e) for e in back.events] == [hash(e) for e in trace.events]
+    assert all(type(e) is Event for e in back.events)
+
+
 def test_round_trip_single(tmp_path):
     trace = real_trace()
     path = tmp_path / "t.jsonl"
@@ -420,3 +443,20 @@ def test_hostile_record_raises_corrupt_line(case, tmp_path):
     with pytest.raises(CorruptLine) as err:
         traceio.read_trace(path)
     assert err.value.line_number == line_number
+
+
+def test_payload_keys_out_of_order_in_a_file_read_back_in_key_order(tmp_path):
+    # a parsed line keeps its keys in file order; the reader puts them in
+    # key order whatever path the payload takes
+    lines = []
+    for line in BASE_LINES[:-1]:
+        rec = json.loads(line)
+        if rec["record"] == "event":
+            rec["data"] = dict(reversed(rec["data"].items()))
+            line = json.dumps(rec, separators=(",", ":"))
+        lines.append(line)
+    assert lines != BASE_LINES[:-1]
+    shuffled, intact = tmp_path / "shuffled.jsonl", tmp_path / "intact.jsonl"
+    shuffled.write_text("\n".join(with_checksum(lines)) + "\n")
+    intact.write_text("\n".join(BASE_LINES) + "\n")
+    assert traceio.read_trace(shuffled) == traceio.read_trace(intact)

@@ -5,7 +5,8 @@ and jump rows once per (sample, modality), a scenario is serialized for
 its fingerprint once per instance however many windows it serves (and
 its latency profile once, however many scenarios share it), a trace file
 is parsed with one `json.loads` however many lines it has, a committed
-skip fuses the prefix vector the gate was shown, a budget query reads
+skip fuses the prefix vector the gate was shown, a window reads each
+modality's encode cost once per resource level, a budget query reads
 each (modality, sensing, model) profile entry once per scenario instance
 and resource, greedy search encodes each step's moves as one batch, and
 the prediction head and diff encoder are drawn once per scenario and per
@@ -154,6 +155,25 @@ def test_skip_commit_aggregates_each_vector_once(monkeypatch, preset, knobs):
     assert trace.summary.skipped_unit_count > 0
     assert gate.calls == 2
     assert len(aggregated) == (len(s.modalities) - 1) + gate.calls
+
+
+@pytest.mark.parametrize("mode", list(ExecutionMode))
+def test_a_window_looks_up_each_encode_cost_once_per_resource_level(monkeypatch, mode):
+    # per modality, one lookup per resource level the encodes meet and one
+    # for the aggregation, however many units the window has
+    s = workload.gen_scenario("random", seed=0, modalities=3)
+    s = dataclasses.replace(s, execution_mode=mode)
+    sample = workload.gen_samples(s, 1, "hard", seed=0)[0]
+    constant = engine.run(s, s.max_assignment(), sample)
+    times = sorted(e.time_us for e in constant.events if e.kind is engine.EventKind.ENCODE_START)
+    levels = s.latency_profile.resource_levels[:2]
+    switch = times[len(times) // 2]  # mid-way through the encodes
+    s = dataclasses.replace(s, resource_schedule=((0, levels[0]), (switch, levels[1])))
+    lookups = count_calls(monkeypatch, LatencyProfile, "lookup")
+    trace = engine.run(s, s.max_assignment(), sample)
+    starts = [e for e in trace.events if e.kind is engine.EventKind.ENCODE_START]
+    assert {e.payload_dict()["resource"] for e in starts} == set(levels)
+    assert len(lookups) <= len(s.modalities) * (len(levels) + 1) < len(starts)
 
 
 def test_budget_queries_look_up_each_pair_once(monkeypatch):
