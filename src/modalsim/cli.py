@@ -1,7 +1,8 @@
 """Command-line entry points.
 
 Exit codes: 0 success, 1 usage error (including a flag value the scenario
-cannot use), 2 scenario/input validation failure (including a malformed or
+cannot use, such as --oracle over more assignments than brute force
+scores), 2 scenario/input validation failure (including a malformed or
 unreadable model or scenario file, or a gate built for other modalities),
 3 runtime failure.  Failures print one machine-readable JSON line on stderr.
 Wall-clock measurements (optimizer decision latency) also go to stderr so
@@ -176,11 +177,13 @@ def _cmd_run(args) -> int:
     model = predictor.load_model(args.predictor) if args.predictor else None
     samples = workload.gen_samples(scenario, args.samples, args.difficulty, seed=args.seed)
 
+    scorer = model
+    if args.optimize and model is None:
+        scorer = workload.gen_accuracy_surface(scenario)
     traces = []
     for sample in samples:
         decision = None
         if args.optimize:
-            scorer = model if model is not None else workload.gen_accuracy_surface(scenario)
             decision = optimizer.optimizer_step(
                 sample, scenario, scorer, engine.apply_resource_schedule(scenario, 0)
             )
@@ -212,7 +215,10 @@ def _cmd_optimize(args) -> int:
     }
     if args.oracle:
         ind = optimizer.probe_indicators(scenario, sample)
-        oracle = optimizer.brute_force(scenario, ind, model, resource)
+        try:
+            oracle = optimizer.brute_force(scenario, ind, model, resource)
+        except optimizer.SearchSpaceTooLarge as exc:
+            raise UsageError(f"--oracle: {exc}") from None
         out["oracle_score"] = oracle.best_score
         out["oracle_assignment"] = [list(p) for p in oracle.best.pairs]
         out["gap"] = oracle.best_score - decision.score

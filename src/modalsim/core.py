@@ -104,8 +104,9 @@ def memoized(fn):
     `dataclasses.replace` ignore it and a replaced instance starts with no
     memo.  The memo is keyed by the function's name, not the function, so an
     instance holding one still pickles, and a `_Memo` so the copy starts
-    empty.  A call that raises caches nothing.  An array result is shared by
-    every caller, so it is made read-only.
+    empty.  A call that raises caches nothing.  An array result, or each
+    array of a tuple result, is shared by every caller, so it is made
+    read-only.
     """
     key = f"_memo:{fn.__module__}.{fn.__qualname__}"
 
@@ -116,8 +117,9 @@ def memoized(fn):
             memo = instance.__dict__[key] = _Memo()
         if args not in memo:
             value = fn(instance, *args)
-            if isinstance(value, np.ndarray):
-                value.setflags(write=False)
+            for item in value if isinstance(value, tuple) else (value,):
+                if isinstance(item, np.ndarray):
+                    item.setflags(write=False)
             memo[args] = value
         return memo[args]
 
@@ -338,9 +340,6 @@ class Scenario:
 
     def sensing(self, modality_id: int, level: int) -> SensingConfig:
         return self.sensing_space[modality_id][level]
-
-    def model(self, modality_id: int, level: int) -> ModelConfig:
-        return self.model_space[modality_id][level]
 
     def level_pairs(self, modality_id: int) -> list[tuple[int, int]]:
         """Every (sensing, model) level pair of one modality, in lexicographic order."""

@@ -14,8 +14,9 @@ the closed-form latency model to the microsecond.
                Blocking mode differs only in when the encoder is first
                free: at the end of the window instead of its start.
   _apply_skip  pipelined mode with checkpoints: asks the gate at each
-               checkpoint of the slow modality and commits the first that
-               fires, aggregating the prefix at the evaluation time.
+               checkpoint of the slow modality and commits, through
+               `gating.gate_eval`, the first that fires, aggregating the
+               prefix at the evaluation time.
   _emit        the unit and aggregation events, truncated at a skip commit
                or (non-blocking) at fusion, and the peak buffer count.
 
@@ -68,8 +69,7 @@ from .core import (
     memoized,
 )
 from .latency import end_to_end_latency
-from .gating import SkipDecision, checkpoint_indices
-from .optimizer import PROBE_COST_US  # re-exported; decisions carry the probe cost
+from .gating import checkpoint_indices, gate_eval
 from .scenario_io import fingerprint
 
 NUM_CLASSES = 8
@@ -348,9 +348,8 @@ def _apply_skip(scenario, assignment, plans, gate, window_start, events) -> None
             events.append(Event(t_eval, EventKind.CHECKPOINT_EVAL, slow_id, payload=payload))
             continue
         f_slow = feature_vector(slow.rows[: idx + 1])
-        p = float(gate.probability(f_fast, f_slow, fraction))
-        # the decision record validates the gate's probability
-        committed = SkipDecision(fraction, probability=p, committed=p > scenario.tau).committed
+        decision = gate_eval(gate, f_fast, f_slow, fraction, scenario.tau)
+        committed, p = decision.committed, decision.probability
         payload = (("committed", committed), ("fraction", fraction), ("probability", p))
         events.append(Event(t_eval, EventKind.CHECKPOINT_EVAL, slow_id, payload=payload))
         if not committed:

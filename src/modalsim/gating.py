@@ -31,7 +31,6 @@ class SkipDecision:
     checkpoint_fraction: float
     probability: float
     committed: bool
-    units_skipped: int = 0
 
     def __post_init__(self):
         if not (0.0 <= self.probability <= 1.0):
@@ -71,10 +70,6 @@ class GateModel:
     x_scale: np.ndarray
     dropout: float
     info: GateTrainingInfo | None = None
-
-    @property
-    def input_dim(self) -> int:
-        return self.fast_dim + self.slow_dim + 1
 
     def probability(self, f_fast: np.ndarray, f_slow_prefix: np.ndarray, fraction: float) -> float:
         x = _gate_input(self.fast_dim, self.slow_dim, f_fast, f_slow_prefix, fraction)
@@ -146,14 +141,18 @@ def gate_train(
 
 
 def gate_eval(
-    model: GateModel,
+    model,
     f_fast: np.ndarray,
     f_slow_prefix: np.ndarray,
     fraction: float,
     tau: float = 0.5,
 ) -> SkipDecision:
-    """Forward pass plus the strict threshold rule: commit iff p > tau."""
-    p = model.probability(f_fast, f_slow_prefix, fraction)
+    """Forward pass plus the strict threshold rule: commit iff p > tau.
+
+    `model` is any object with probability(f_fast, f_slow_prefix, fraction),
+    such as a GateModel; the decision record checks that p lies in [0, 1].
+    """
+    p = float(model.probability(f_fast, f_slow_prefix, fraction))
     return SkipDecision(checkpoint_fraction=fraction, probability=p, committed=p > tau)
 
 

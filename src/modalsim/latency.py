@@ -47,9 +47,7 @@ def unimodal_table(scenario: Scenario, resource: str) -> tuple[np.ndarray, ...]:
     table = []
     for i in range(len(scenario.modalities)):
         row = np.array([_pair_latency(scenario, i, p, resource) for p in scenario.level_pairs(i)])
-        row = row.reshape(len(scenario.sensing_space[i]), len(scenario.model_space[i]))
-        row.setflags(write=False)
-        table.append(row)
+        table.append(row.reshape(len(scenario.sensing_space[i]), len(scenario.model_space[i])))
     return tuple(table)
 
 

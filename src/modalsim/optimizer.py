@@ -23,12 +23,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigAssignment, NoFeasibleAssignment, Sample, Scenario, memoized
+from .core import ConfigAssignment, ModalsimError, NoFeasibleAssignment, Sample, Scenario, memoized
 from .latency import unimodal_table
 from .predictor import ModalityIndicators, PredictorModel, indicators, predict_batch, score_rows
 
 PROBE_COST_US = 1000
 BRUTE_FORCE_CHUNK = 256  # assignments encoded at a time, which bounds brute_force's memory
+BRUTE_FORCE_LIMIT = 1 << 20  # feasible assignments brute_force will score, which bounds its time
+
+
+class SearchSpaceTooLarge(ModalsimError):
+    """More feasible assignments than `brute_force` will score."""
 
 
 @dataclass(frozen=True)
@@ -119,12 +124,19 @@ def brute_force(
     rows at a time, and a predictor scores each row in a matrix product of
     its own, exactly as a one-assignment `predict_batch` call does: a batched
     product may round a row differently, which could move a tie-break.
+
+    Raises SearchSpaceTooLarge, before scoring anything, when there are more
+    than BRUTE_FORCE_LIMIT feasible assignments.
     """
     score_each = _scorer(model, ind, row_per_product=True)
     feasible = _options(scenario, resource)
     bounds = feasible.bounds
     options = [feasible.levels[a:b] for a, b in zip(bounds, bounds[1:])]
     count = math.prod(len(levels) for levels in options)
+    if count > BRUTE_FORCE_LIMIT:
+        raise SearchSpaceTooLarge(
+            f"{count} feasible assignments exceed the brute-force limit of {BRUTE_FORCE_LIMIT}"
+        )
     best = None
     best_score = float("-inf")
     for start in range(0, count, BRUTE_FORCE_CHUNK):

@@ -10,7 +10,6 @@ gradient descent (`nn.fit_mlp`) against synthetic accuracy labels in percent.
 from __future__ import annotations
 
 import dataclasses
-import functools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -18,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import nn
-from .core import ConfigAssignment, ModalsimError, Scenario
+from .core import ConfigAssignment, ModalsimError, Scenario, memoized
 from .nn import EmptyDataset, NonFiniteLoss  # re-exported error types
 
 __all__ = [
@@ -113,10 +112,11 @@ class EncodingSpec:
     def dim(self) -> int:
         return 2 + sum(self.sensing_counts) + sum(self.model_counts)
 
-    @functools.cached_property
+    @memoized
     def _layout(self) -> tuple[np.ndarray, np.ndarray]:
         """Per modality, the column of level 0 of its sensing and model one-hot
-        blocks, and its sensing and model level counts; both (modalities, 2)."""
+        blocks, and its sensing and model level counts; both (modalities, 2)
+        and read-only, computed once per spec instance."""
         counts = np.column_stack((self.sensing_counts, self.model_counts))
         starts = 2 + np.concatenate(([0], np.cumsum(counts)[:-1]))
         return starts.reshape(counts.shape), counts
@@ -137,7 +137,7 @@ class EncodingSpec:
             raise UnknownConfig("assignments differ in shape") from None
         if levels.ndim != 3 or levels.shape[2] != 2 or levels.dtype.kind not in "iu":
             raise UnknownConfig(f"levels of shape {levels.shape} are not (sensing, model) pairs")
-        starts, counts = self._layout
+        starts, counts = self._layout()
         if levels.shape[1] != len(counts):
             raise UnknownConfig(
                 f"assignment has {levels.shape[1]} modalities, encoding expects {len(counts)}"

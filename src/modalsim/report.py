@@ -56,7 +56,6 @@ def _trace_rows(trace: SimTrace) -> list[dict]:
                 "encode_cost": 0,
                 "unit_encode_us": None,
                 "interval_us": None,
-                "units_sensed": 0,
                 "agg_started": None,
                 "agg_done": None,
                 "agg_prefix": None,
@@ -66,7 +65,6 @@ def _trace_rows(trace: SimTrace) -> list[dict]:
         data = ev.payload_dict()
         try:
             if ev.kind is EventKind.UNIT_SENSED:
-                m["units_sensed"] += 1
                 if m["interval_us"] is None:
                     m["interval_us"] = data["sense_end_us"] - ev.time_us
             elif ev.kind is EventKind.ENCODE_START:

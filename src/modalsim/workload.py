@@ -31,6 +31,7 @@ from .core import (
     validate_scenario,
 )
 from .latency import unimodal_table
+from .optimizer import probe_indicators
 from .predictor import ModalityIndicators
 
 # Probability that a sample's window is stable enough for a prefix prediction
@@ -319,27 +320,6 @@ def gen_accuracy_surface(
 # Sample corpora
 
 
-def _window_rows(scenario: Scenario, sample: Sample, assignment: ConfigAssignment, m: Modality):
-    n = scenario.sensing(m.id, assignment.sensing_level(m.id)).units_per_window
-    return sample.window_payload(m, n)
-
-
-def _window_prediction(
-    scenario: Scenario,
-    sample: Sample,
-    assignment: ConfigAssignment,
-    slow_id: int,
-    slow_prefix: int | None,
-) -> int:
-    vectors = []
-    for m in scenario.modalities:
-        rows = _window_rows(scenario, sample, assignment, m)
-        if m.id == slow_id and slow_prefix is not None:
-            rows = rows[:slow_prefix]
-        vectors.append(engine.feature_vector(rows))
-    return engine.fused_label(scenario, vectors)
-
-
 def gen_samples(
     scenario: Scenario,
     count: int,
@@ -363,9 +343,6 @@ def gen_samples(
         rates.update({_as_difficulty(k): v for k, v in base_rates.items()})
 
     assignment = scenario.max_assignment()
-    slow_id = engine.slow_modality(scenario, assignment, 0)
-    slow_n = scenario.sensing(slow_id, assignment.sensing_level(slow_id)).units_per_window
-
     samples = []
     for i in range(count):
         s = rng.stream(seed, "corpus", i)
@@ -382,22 +359,20 @@ def gen_samples(
             consistency_weight=float(cw),
         )
         if not stable:
-            sample = _calibrate_jump(scenario, sample, assignment, slow_id, slow_n)
+            sample = _calibrate_jump(scenario, sample, assignment)
         samples.append(sample)
     return samples
 
 
-def _calibrate_jump(scenario, sample, assignment, slow_id, slow_n) -> Sample:
-    """Search jump magnitude/direction until the full-window prediction
-    differs from the constant-prefix prediction."""
-    prefix = sample.jump_start(slow_n)
+def _calibrate_jump(scenario, sample, assignment) -> Sample:
+    """Search jump magnitude/direction until the slow modality's prefix up to
+    the jump no longer predicts the full window's class."""
     for nonce in range(32):
         candidate = dataclasses.replace(
             sample, jump_nonce=nonce, jump_scale=6.0 * (1.6**nonce)
         )
-        full = _window_prediction(scenario, candidate, assignment, slow_id, None)
-        partial = _window_prediction(scenario, candidate, assignment, slow_id, prefix)
-        if full != partial:
+        oracle = OracleGate(scenario, candidate, assignment)
+        if not oracle.agrees(candidate.jump_start(len(oracle.slow_rows))):
             return candidate
     # pathological head; fall back to a stable sample so the label stays honest
     return dataclasses.replace(sample, stable=True)
@@ -434,22 +409,40 @@ def _draw_difficulty(weights: dict[Difficulty, float], u: float) -> Difficulty:
 class OracleGate:
     """Gate returning exactly 1.0 when the prefix prediction matches the
     full-window prediction for this (scenario, sample, assignment), else 0.0;
-    the reference implementation of the gate's label rule."""
+    the one implementation of the skip label rule.
+
+    It also holds the window's skip inputs as the engine builds them: the
+    slow modality's id and unit rows, and `f_fast`, the other modalities'
+    feature vectors concatenated in modality order.
+    """
 
     def __init__(self, scenario: Scenario, sample: Sample, assignment: ConfigAssignment):
         self.scenario = scenario
         self.slow_id = engine.slow_modality(scenario, assignment, 0)
+        rows = [
+            sample.window_payload(m, scenario.sensing(m.id, level).units_per_window)
+            for m, (level, _) in zip(scenario.modalities, assignment.pairs)
+        ]
+        self.slow_rows = rows.pop(self.slow_id)
+        fast = [engine.feature_vector(r) for r in rows]
+        self.f_fast = np.concatenate(fast) if fast else np.zeros(0)
         # the slow vector's place in the fused vector: after the fast ones before it
-        self._offset = sum(engine.feature_widths(scenario)[: self.slow_id])
-        self.slow_rows = _window_rows(scenario, sample, assignment, scenario.modalities[self.slow_id])
+        self._offset = sum(len(f) for f in fast[: self.slow_id])
         self._full_slow = engine.feature_vector(self.slow_rows)
 
     def probability(self, f_fast: np.ndarray, f_slow_prefix: np.ndarray, fraction: float) -> float:
         f_fast = np.asarray(f_fast, dtype=np.float64)
         before, after = f_fast[: self._offset], f_fast[self._offset :]
-        partial = engine.fused_label(self.scenario, [before, f_slow_prefix, after])
-        full = engine.fused_label(self.scenario, [before, self._full_slow, after])
+        partial, full = (
+            engine.fused_label(self.scenario, [before, f, after]) for f in (f_slow_prefix, self._full_slow)
+        )
         return 1.0 if partial == full else 0.0
+
+    def agrees(self, prefix: int) -> bool:
+        """Whether the slow modality's first `prefix` units, with the fast
+        modalities complete, predict the full window's class."""
+        f_slow = engine.feature_vector(self.slow_rows[:prefix])
+        return self.probability(self.f_fast, f_slow, prefix / len(self.slow_rows)) == 1.0
 
 
 def gate_dataset(
@@ -465,17 +458,11 @@ def gate_dataset(
     for sample in samples:
         for assignment in assignments:
             oracle = OracleGate(scenario, sample, assignment)
-            fast_parts = [
-                engine.feature_vector(_window_rows(scenario, sample, assignment, m))
-                for m in scenario.modalities
-                if m.id != oracle.slow_id
-            ]
-            f_fast = np.concatenate(fast_parts) if fast_parts else np.zeros(0)
             for fraction in fractions:
-                prefix = max(1, math.ceil(fraction * len(oracle.slow_rows)))
+                prefix = math.ceil(fraction * len(oracle.slow_rows))
                 f_slow = engine.feature_vector(oracle.slow_rows[:prefix])
-                label = int(oracle.probability(f_fast, f_slow, fraction))
-                rows.append((f_fast, f_slow, float(fraction), label))
+                label = int(oracle.probability(oracle.f_fast, f_slow, fraction))
+                rows.append((oracle.f_fast, f_slow, float(fraction), label))
     return rows
 
 
@@ -488,8 +475,6 @@ def predictor_dataset(
     assignments_per_sample: int = 6,
 ) -> list[tuple[ModalityIndicators, ConfigAssignment, float]]:
     """Labelled (indicators, assignment, accuracy) rows from the surface."""
-    from .optimizer import probe_indicators
-
     all_assignments = list(scenario.assignments())
     noise = rng.stream(seed, "predictor-noise")
     rows = []

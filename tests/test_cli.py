@@ -5,9 +5,10 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from modalsim import engine, scenario_io, traceio, workload
+from modalsim import engine, predictor, scenario_io, traceio, workload
 
 CLI = [sys.executable, "-m", "modalsim.cli"]
 
@@ -179,6 +180,36 @@ def test_optimize_prints_assignment_and_oracle_gap(scenario_file, predictor_file
     assert out["feasible_count"] > 0
     # wall-clock diagnostics live on stderr
     assert "DecisionLatency" in res.stderr
+
+
+def test_optimize_oracle_over_its_limit_exit_code_1(tmp_path):
+    # 6,773,760 feasible assignments: the oracle refuses before scoring any
+    s = workload.gen_scenario("random", seed=0, modalities=8)
+    scenario_path = tmp_path / "wide.json"
+    scenario_io.save(s, scenario_path)
+    spec = predictor.EncodingSpec.for_scenario(s)
+    model = predictor.PredictorModel(
+        encoding=spec,
+        w1=np.zeros((spec.dim, 2)),
+        b1=np.zeros(2),
+        w2=np.zeros(2),
+        b2=0.0,
+        x_mean=np.zeros(spec.dim),
+        x_scale=np.ones(spec.dim),
+        y_mean=50.0,
+        info=predictor.TrainingInfo(0, 1, 0.1, 0.0, 0.0, 0.0),
+    )
+    model_path = tmp_path / "predictor.json"
+    predictor.save_model(model, model_path)
+    res = invoke(
+        "optimize", "--scenario", str(scenario_path), "--predictor", str(model_path), "--oracle"
+    )
+    assert res.returncode == 1, res.stderr
+    assert res.stdout == ""
+    assert len(res.stderr.splitlines()) == 1, res.stderr  # one JSON line, no traceback
+    err = json.loads(res.stderr)
+    assert err["error"] == "UsageError"
+    assert "6773760" in err["message"] and "1048576" in err["message"]
 
 
 def test_presets_addressable_by_name(tmp_path):

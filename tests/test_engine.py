@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import test_window_pins
-from modalsim import engine, latency, workload
+from modalsim import engine, latency, optimizer, workload
 from modalsim.core import (
     ConfigAssignment,
     ExecutionMode,
@@ -490,9 +490,9 @@ def test_config_switch_event_offsets_window():
     trace = run(s, A, sample, config_decision=decision)
     switch = events_of(trace, EventKind.CONFIG_SWITCH)[0]
     assert switch.time_us == 0
-    assert switch.payload_dict()["probe_cost_us"] == engine.PROBE_COST_US
+    assert switch.payload_dict()["probe_cost_us"] == optimizer.PROBE_COST_US
     first_sense = min(e.time_us for e in events_of(trace, EventKind.UNIT_SENSED))
-    assert first_sense == engine.PROBE_COST_US
+    assert first_sense == optimizer.PROBE_COST_US
     plain = run(s, A, sample)
     assert trace.summary.reported_latency_us == plain.summary.reported_latency_us
 

@@ -1,8 +1,10 @@
 """Module boundaries: each decision is known to one module.
 
-Only `core.memoized` keeps values in an instance's `__dict__`, and only
-`aggregation` (the operators) and `engine` (the window-feature model) name
-the aggregate's width, its default specs or the prediction head.
+Only `core.memoized` keeps values in an instance's `__dict__` (no module
+memoizes with `functools.cached_property`), only `aggregation` (the
+operators) and `engine` (the window-feature model) name the aggregate's
+width, its default specs or the prediction head, and `workload` applies the
+skip label rule in its oracle gate alone.
 """
 
 import pathlib
@@ -19,6 +21,10 @@ def test_only_core_touches_instance_dicts():
     assert [name for name, text in SOURCES.items() if "__dict__" in text] == ["core.py"]
 
 
+def test_only_core_names_cached_property():
+    assert [name for name, text in SOURCES.items() if "cached_property" in text] == ["core.py"]
+
+
 def test_only_aggregation_and_engine_name_the_feature_model():
     named = {
         name: [word for word in FEATURE_MODEL if re.search(rf"\b{word}\b", text)]
@@ -26,3 +32,10 @@ def test_only_aggregation_and_engine_name_the_feature_model():
         if name not in ("aggregation.py", "engine.py")
     }
     assert {name: words for name, words in named.items() if words} == {}
+
+
+def test_workload_picks_the_slow_modality_and_compares_labels_once():
+    # the oracle gate builds a window's skip inputs and applies the label rule
+    text = SOURCES["workload.py"]
+    counts = {word: len(re.findall(rf"\b{word}\b", text)) for word in ("fused_label", "slow_modality")}
+    assert counts == {"fused_label": 1, "slow_modality": 1}

@@ -128,3 +128,28 @@ def test_probe_indicators_reflect_difficulty():
     cons_easy = mean([optimizer.probe_indicators(s, x).consistency for x in easy])
     cons_hard = mean([optimizer.probe_indicators(s, x).consistency for x in hard])
     assert cons_easy > cons_hard + 0.3
+
+
+def test_brute_force_refuses_a_space_over_its_limit_before_scoring():
+    # an 8-modality random preset has 6,773,760 feasible assignments at its budget
+    s = workload.gen_scenario("random", seed=0, modalities=8)
+    scored = []
+
+    def scorer(ind, assignment):
+        scored.append(assignment)
+        return 0.0
+
+    with pytest.raises(optimizer.SearchSpaceTooLarge, match="6773760 .* 1048576"):
+        optimizer.brute_force(s, IND, scorer, "high")
+    assert scored == []
+
+
+def test_brute_force_limit_admits_a_space_of_exactly_its_size(monkeypatch):
+    s = lrw()
+    surface = workload.gen_accuracy_surface(s, seed=1)
+    count = optimizer.brute_force(s, IND, surface, "high").feasible_count
+    monkeypatch.setattr(optimizer, "BRUTE_FORCE_LIMIT", count)
+    assert optimizer.brute_force(s, IND, surface, "high").feasible_count == count
+    monkeypatch.setattr(optimizer, "BRUTE_FORCE_LIMIT", count - 1)
+    with pytest.raises(optimizer.SearchSpaceTooLarge):
+        optimizer.brute_force(s, IND, surface, "high")

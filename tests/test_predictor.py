@@ -1,5 +1,8 @@
 """Indicators, predictor training/prediction, gradients, serialization."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -194,6 +197,17 @@ def test_unknown_config_rejected():
     model = train(rows, SPEC, TrainConfig(seed=0, epochs=100))
     with pytest.raises(UnknownConfig):
         predict(model, rows[0][0], ConfigAssignment(((5, 1), (1, 1))))
+
+
+def test_encoding_layout_is_read_only_in_the_spec_and_its_copies():
+    # the layout is shared by every encode call, so no caller may write it;
+    # a pickled spec carries no memo and computes its own
+    spec = EncodingSpec(sensing_counts=(3, 2), model_counts=(2, 3))
+    spec.encode(ModalityIndicators.from_consistency(0.5), ConfigAssignment(((0, 0), (1, 2))))
+    for each in (spec, pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec)):
+        starts, counts = each._layout()
+        assert not starts.flags.writeable and not counts.flags.writeable
+        assert counts.tolist() == [[3, 2], [2, 3]]
 
 
 def test_deterministic_training():

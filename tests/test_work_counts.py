@@ -5,7 +5,9 @@ and jump rows once per (sample, modality), a scenario is serialized for
 its fingerprint once per instance however many windows it serves (and
 its latency profile once, however many scenarios share it), a trace file
 is parsed with one `json.loads` however many lines it has, a committed
-skip fuses the prefix vector the gate was shown, a window reads each
+skip fuses the prefix vector the gate was shown, calibrating an unstable
+sample aggregates each modality's window once and the slow prefix once per
+jump tried, a window reads each
 modality's encode cost once per resource level, a budget query reads
 each (modality, sensing, model) profile entry once per scenario instance
 and resource, greedy search encodes each step's moves as one batch, and
@@ -155,6 +157,18 @@ def test_skip_commit_aggregates_each_vector_once(monkeypatch, preset, knobs):
     assert trace.summary.skipped_unit_count > 0
     assert gate.calls == 2
     assert len(aggregated) == (len(s.modalities) - 1) + gate.calls
+
+
+@pytest.mark.parametrize("preset, knobs", [("lrw-like", {}), ("random", {"modalities": 3})])
+def test_calibrating_a_jump_aggregates_each_window_once_per_nonce(monkeypatch, preset, knobs):
+    # per jump tried, one feature vector per modality's full window and one
+    # for the slow modality's prefix up to the jump
+    s = workload.gen_scenario(preset, seed=5, **knobs)
+    aggregated = count_calls(monkeypatch, engine, "feature_vector")
+    samples = workload.gen_samples(s, 6, "hard", seed=2, base_rates={"hard": 0.0})
+    assert not any(x.stable for x in samples)
+    tried = sum(x.jump_nonce + 1 for x in samples)
+    assert len(aggregated) <= (len(s.modalities) + 1) * tried
 
 
 @pytest.mark.parametrize("mode", list(ExecutionMode))
