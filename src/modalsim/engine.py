@@ -20,10 +20,13 @@ the closed-form latency model to the microsecond.
   _emit        the unit and aggregation events, truncated at a skip commit
                or (non-blocking) at fusion, and the peak buffer count.
 
-A window writes about three events per unit, so an `Event` is a plain
-`NamedTuple` record: tuple equality, hashing, repr and immutability, equal to
-a plain tuple of its five fields.  Each payload is written as a literal tuple
-of (key, value) pairs already in key order, the order the trace file keeps.
+A window writes about three events per unit, so its events are kept as
+`EventColumns`: int64 columns for time, kind, modality, unit and the int
+payload values, object columns for strings and for the few payloads kept
+whole.  `_emit` fills a modality's rows with array operations, and one stable
+`np.lexsort` on (time, modality, unit, kind) puts the window in trace order.
+An `Event`, a plain `NamedTuple` record equal to a tuple of its five fields,
+is built only when `SimTrace.events` is first read.
 
 The window-feature model lives here alone, and every other module goes
 through it: `feature_vector` (one modality's temporal aggregate),
@@ -51,6 +54,7 @@ separately.
 from __future__ import annotations
 
 import bisect
+import dataclasses
 import enum
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -77,8 +81,9 @@ NUM_CLASSES = 8
 DEFAULT_SHIFT = ShiftSpec(n_groups=3, shift_distance=1)
 DEFAULT_DIFF = DiffSpec(scales=(1, 2), encoder_width=8)
 
-_NO_MODALITY = 1 << 31  # sort key for events without a modality/unit
+NULL = 1 << 31  # the m or u column of an event without a modality or unit; sorts after any id
 _ABORTED = (("aborted", True),)  # payload of an encode cut before it finished
+_NEVER = np.iinfo(np.int64).max  # the cut of a modality that is not cut
 
 
 class EventKind(enum.Enum):
@@ -94,7 +99,20 @@ class EventKind(enum.Enum):
     RESOURCE_CHANGE = "resource_change"
 
 
-_KIND_ORDER = {kind: i for i, kind in enumerate(EventKind)}
+KINDS = tuple(EventKind)  # a kind's code in the `kind` column: its declaration index, its sort rank
+
+# The kinds whose rows keep their payload in columns: how many of (modality,
+# unit) such a row has, and its payload keys in key order, each with its
+# column (`a`, `b`: int; `s`: str).  Any other row keeps its payload whole.
+LAYOUT = {
+    EventKind.UNIT_SENSED: (2, (("sense_end_us", "a"),)),
+    EventKind.ENCODE_START: (2, (("encode_cost_us", "a"), ("resource", "s"))),
+    EventKind.ENCODE_END: (2, ()),
+    EventKind.AGGREGATION_DONE: (1, (("prefix", "a"), ("started_us", "b"))),
+    EventKind.FUSION_START: (0, ()),
+    EventKind.PREDICTION_EMITTED: (0, (("label", "a"),)),
+    EventKind.RESOURCE_CHANGE: (0, (("level", "s"),)),
+}
 
 
 class Event(NamedTuple):
@@ -103,7 +121,7 @@ class Event(NamedTuple):
     Equality, hashing, repr and immutability are the tuple's, so an event
     also compares equal to a plain tuple of the same five fields.  `payload`
     holds (key, value) pairs with exact-str keys in strictly increasing
-    order: the engine writes each payload as a literal already in key order.
+    order, the order the trace file keeps.
     """
 
     time_us: int
@@ -112,13 +130,81 @@ class Event(NamedTuple):
     unit: int | None = None
     payload: tuple = ()
 
-    def sort_key(self):
-        m = self.modality if self.modality is not None else _NO_MODALITY
-        u = self.unit if self.unit is not None else _NO_MODALITY
-        return (self.time_us, m, u, _KIND_ORDER[self.kind])
-
     def payload_dict(self) -> dict:
         return dict(self.payload)
+
+
+@dataclass(frozen=True, eq=False)
+class EventColumns:
+    """A trace's events as columns, one row per event in trace order.
+
+    `t`, `kind` (an index into `KINDS`), `m` and `u` are int64, with NULL for
+    no modality or unit.  A row of a kind in `LAYOUT`, with the modality and
+    unit laid out there, keeps its payload in the int64 columns `a` and `b`
+    and the object column `s`, and None in `payload`.  Any other row keeps
+    its payload tuple in `payload`, and 0, 0 and None in `a`, `b` and `s`.
+    """
+
+    t: np.ndarray
+    kind: np.ndarray
+    m: np.ndarray
+    u: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    s: np.ndarray
+    payload: np.ndarray
+
+    def columns(self) -> list[np.ndarray]:
+        return [self.t, self.kind, self.m, self.u, self.a, self.b, self.s, self.payload]
+
+    def take(self, index) -> EventColumns:
+        """The rows a slice or an array of row numbers selects."""
+        return EventColumns(*(c[index] for c in self.columns()))
+
+    def rows(self):
+        """The rows in order, each as the plain tuple of its `Event`'s fields."""
+        payloads, laid = self.payload.tolist(), np.equal(self.payload, None)
+        for kind, (_, keys) in LAYOUT.items():
+            at = np.flatnonzero(laid & (self.kind == KINDS.index(kind))).tolist()
+            values = zip(*(getattr(self, col)[at].tolist() for _, col in keys)) if keys else [()] * len(at)
+            for i, v in zip(at, values):
+                payloads[i] = tuple(zip([key for key, _ in keys], v))
+        m, u = ([None if x == NULL else x for x in c.tolist()] for c in (self.m, self.u))
+        return zip(self.t.tolist(), map(KINDS.__getitem__, self.kind.tolist()), m, u, payloads)
+
+    def __eq__(self, other):  # the same events, whichever form holds them
+        if isinstance(other, EventColumns) and all(map(np.array_equal, self.columns(), other.columns())):
+            return True
+        return self.events() == (other.events() if isinstance(other, EventColumns) else other)
+
+    def __hash__(self):
+        return hash(self.events())
+
+    @memoized
+    def events(self) -> tuple[Event, ...]:
+        """The rows as `Event` records, built on the first call."""
+        return tuple(Event(*row) for row in self.rows())
+
+
+def object_column(values) -> np.ndarray:
+    """A 1-d object array of `values`, tuples and strings kept whole."""
+    return np.fromiter(values, object, len(values))
+
+
+def _row(t, kind, m=NULL, u=NULL, a=0, b=0, s=None, payload=None) -> tuple:
+    """One event's row of `EventColumns` values."""
+    return t, KINDS.index(kind), m, u, a, b, s, payload
+
+
+def _sorted(rows: list[tuple], blocks: list[tuple]) -> EventColumns:
+    """Single rows and column blocks in trace order, by one stable sort on
+    (t, m, u, kind).  Only events of one kind from one source can tie (two
+    checkpoint evaluations at one time), and they keep their order here."""
+    blocks = [[list(c) for c in zip(*rows)], *blocks]
+    ints = [np.concatenate([np.asarray(blk[j], np.int64) for blk in blocks]) for j in range(6)]
+    objs = [np.concatenate([object_column(blocks[0][j]), *(blk[j] for blk in blocks[1:])]) for j in (6, 7)]
+    t, kind, m, u = ints[:4]
+    return EventColumns(*ints, *objs).take(np.lexsort((kind, u, m, t)))
 
 
 @dataclass(frozen=True)
@@ -129,20 +215,44 @@ class TraceSummary:
     skipped_unit_count: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SimTrace:
+    """One window's trace.  `log` holds its events as `EventColumns` when the
+    engine or the trace reader made it, or as the tuple of `Event`s a caller
+    passed as `events`; `events` gives that tuple either way.  A trace is
+    built with `events=`; `dataclasses.replace` passes the old `log`, which
+    an `events=` given with it overrides."""
+
     fingerprint: str
     sample_id: int
     mode: ExecutionMode
     assignment: ConfigAssignment
     window_us: int
-    events: tuple[Event, ...]
+    log: EventColumns | tuple[Event, ...]
     summary: TraceSummary
 
+    def __init__(
+        self, fingerprint, sample_id, mode, assignment, window_us, events=None, summary=None, log=None
+    ):
+        log = log if events is None else events
+        values = (fingerprint, sample_id, mode, assignment, window_us, log, summary)
+        for f, value in zip(dataclasses.fields(self), values):
+            object.__setattr__(self, f.name, value)
+
+    @property
+    def events(self) -> tuple[Event, ...]:
+        return self.log.events() if isinstance(self.log, EventColumns) else self.log
+
+    def of_kind(self, kind: EventKind) -> list[tuple]:
+        """The events of one kind as tuples of `Event` fields; from columns,
+        without building an `Event`."""
+        if isinstance(self.log, EventColumns):
+            return list(self.log.take(self.log.kind == KINDS.index(kind)).rows())
+        return [ev for ev in self.log if ev.kind is kind]
+
     def predicted_label(self) -> int:
-        for ev in self.events:
-            if ev.kind is EventKind.PREDICTION_EMITTED:
-                return ev.payload_dict()["label"]
+        for ev in self.of_kind(EventKind.PREDICTION_EMITTED):
+            return dict(ev[4])["label"]
         raise ValueError("trace has no prediction event")
 
 
@@ -240,12 +350,12 @@ def run(
     mode = scenario.execution_mode
     t_w = scenario.window_us
 
-    events: list[Event] = []
+    rows, blocks = [], []  # single events, and each modality's unit events as column blocks
     window_start = 0
     if config_decision is not None:
         window_start = config_decision.probe_cost_us
         payload = (("pairs", tuple(assignment.pairs)), ("probe_cost_us", window_start))
-        events.append(Event(0, EventKind.CONFIG_SWITCH, payload=payload))
+        rows.append(_row(0, EventKind.CONFIG_SWITCH, payload=payload))
 
     skipping = mode is ExecutionMode.PIPELINED and bool(scenario.skip_checkpoints)
     if skipping and gate is None:
@@ -253,24 +363,22 @@ def run(
 
     plans = [_schedule(scenario, assignment, sample, m, window_start) for m in scenario.modalities]
     if skipping:
-        _apply_skip(scenario, assignment, plans, gate, window_start, events)
+        _apply_skip(scenario, assignment, plans, gate, window_start, rows)
 
     done = [p.agg_done for p in plans]
     fusion_start = min(done) if mode is ExecutionMode.NON_BLOCKING else max(done)
-    peaks = tuple(_emit(plan, fusion_start, events) for plan in plans)
+    peaks = tuple(_emit(plan, fusion_start, rows, blocks) for plan in plans)
 
     # resource changes up to the fusion point
     for t, level in scenario.resource_schedule:
         if t <= fusion_start:
-            events.append(Event(t, EventKind.RESOURCE_CHANGE, payload=(("level", level),)))
+            rows.append(_row(t, EventKind.RESOURCE_CHANGE, s=level))
 
     label = fused_label(scenario, [p.fused for p in plans])
 
-    events.append(Event(fusion_start, EventKind.FUSION_START))
+    rows.append(_row(fusion_start, EventKind.FUSION_START))
     prediction_time = fusion_start + scenario.latency_profile.fusion_us
-    events.append(Event(prediction_time, EventKind.PREDICTION_EMITTED, payload=(("label", label),)))
-
-    events.sort(key=Event.sort_key)
+    rows.append(_row(prediction_time, EventKind.PREDICTION_EMITTED, a=label))
 
     summary = TraceSummary(
         reported_latency_us=(prediction_time - window_start) - t_w,
@@ -284,7 +392,7 @@ def run(
         mode=mode,
         assignment=assignment,
         window_us=t_w,
-        events=tuple(events),
+        events=_sorted(rows, blocks),
         summary=summary,
     )
 
@@ -320,7 +428,7 @@ def _schedule(scenario, assignment, sample, modality, window_start) -> _Modality
     return plan
 
 
-def _apply_skip(scenario, assignment, plans, gate, window_start, events) -> None:
+def _apply_skip(scenario, assignment, plans, gate, window_start, rows) -> None:
     """Evaluate checkpoints on the slow modality; commit the first that fires.
 
     A checkpoint is evaluated once its prefix is encoded and every other
@@ -345,13 +453,13 @@ def _apply_skip(scenario, assignment, plans, gate, window_start, events) -> None
         if t_eval >= slow.enc_end[-1]:
             # nothing left to skip: the modality beat the checkpoint
             payload = (("already_completed", True), ("fraction", fraction))
-            events.append(Event(t_eval, EventKind.CHECKPOINT_EVAL, slow_id, payload=payload))
+            rows.append(_row(t_eval, EventKind.CHECKPOINT_EVAL, slow_id, payload=payload))
             continue
         f_slow = feature_vector(slow.rows[: idx + 1])
         decision = gate_eval(gate, f_fast, f_slow, fraction, scenario.tau)
         committed, p = decision.committed, decision.probability
         payload = (("committed", committed), ("fraction", fraction), ("probability", p))
-        events.append(Event(t_eval, EventKind.CHECKPOINT_EVAL, slow_id, payload=payload))
+        rows.append(_row(t_eval, EventKind.CHECKPOINT_EVAL, slow_id, payload=payload))
         if not committed:
             continue
         slow.aggregate_at(t_eval, idx + 1)
@@ -363,47 +471,60 @@ def _apply_skip(scenario, assignment, plans, gate, window_start, events) -> None
             ("probability", p),
             ("units_skipped", slow.n - idx - 1),
         )
-        events.append(Event(t_eval, EventKind.SKIP_COMMITTED, slow_id, payload=payload))
+        rows.append(_row(t_eval, EventKind.SKIP_COMMITTED, slow_id, payload=payload))
         return
 
 
-def _emit(plan, fusion_start, events) -> int:
-    """Append one modality's unit and aggregation events, settle the vector
-    it fuses, and return its peak count of buffered units (sensing begun,
+_UNIT_KINDS = [
+    KINDS.index(kind) for kind in (EventKind.UNIT_SENSED, EventKind.ENCODE_START, EventKind.ENCODE_END)
+]
+
+
+def _emit(plan, fusion_start, rows, blocks) -> int:
+    """Add one modality's unit and aggregation events, settle the vector it
+    fuses, and return its peak count of buffered units (sensing begun,
     encode not yet done).
 
     A modality still aggregating at fusion time (non-blocking mode) is cut
     there and fuses a zero-padded snapshot of the units encoded by then;
-    the snapshot costs no virtual time.
+    the snapshot costs no virtual time.  Units whose sensing had not begun
+    at the cut have no events; an encode that began before it ends there,
+    aborted.
     """
     mid = plan.modality.id
     cut = plan.cut
+    ends = np.array(plan.enc_end, np.int64)
     if plan.agg_done > fusion_start:
         cut = fusion_start
-        encoded = np.array(plan.enc_end)[:, None] <= fusion_start
-        plan.fused = feature_vector(np.where(encoded, plan.rows, 0.0))
+        plan.fused = feature_vector(np.where(ends[:, None] <= fusion_start, plan.rows, 0.0))
     else:
-        payload = (("prefix", plan.agg_prefix), ("started_us", plan.agg_start))
-        events.append(Event(plan.agg_done, EventKind.AGGREGATION_DONE, mid, payload=payload))
+        done = _row(plan.agg_done, EventKind.AGGREGATION_DONE, mid, a=plan.agg_prefix, b=plan.agg_start)
+        rows.append(done)
         if plan.fused is None:
             plan.fused = feature_vector(plan.rows)
+    cut = _NEVER if cut is None else cut
 
-    enters, leaves = [], []
-    for u, s_start in enumerate(plan.sense_start):
-        if cut is not None and s_start >= cut:
-            break  # sensing never began, here or for any later unit
-        payload = (("sense_end_us", s_start + plan.interval),)
-        events.append(Event(s_start, EventKind.UNIT_SENSED, mid, u, payload))
-        e_start, e_end = plan.enc_start[u], plan.enc_end[u]
-        finished = cut is None or e_end <= cut
-        leave = e_end if finished else cut
-        if finished or e_start < cut:
-            payload = (("encode_cost_us", plan.enc_cost[u]), ("resource", plan.enc_resource[u]))
-            events.append(Event(e_start, EventKind.ENCODE_START, mid, u, payload))
-            events.append(Event(leave, EventKind.ENCODE_END, mid, u, () if finished else _ABORTED))
-        enters.append(s_start)
-        leaves.append(leave)
-    return _peak_occupancy(enters, leaves)
+    sensed = np.array(plan.sense_start, np.int64)
+    k = int(np.searchsorted(sensed, cut))  # units whose sensing began before the cut
+    sensed, ends, starts = sensed[:k], ends[:k], np.array(plan.enc_start[:k], np.int64)
+    leaves, costs = np.minimum(ends, cut), np.array(plan.enc_cost, np.int64)
+    enc = np.flatnonzero((ends <= cut) | (starts < cut))  # finished, or begun before the cut
+    e = len(enc)
+    resource, payload = np.full((2, k + 2 * e), None, object)
+    resource[k : k + e] = object_column(plan.enc_resource)[enc]
+    for i in np.flatnonzero(ends[enc] > cut):
+        payload[k + e + i] = _ABORTED
+    blocks.append((
+        np.concatenate([sensed, starts[enc], leaves[enc]]),
+        np.repeat(_UNIT_KINDS, (k, e, e)),
+        np.full(k + 2 * e, mid),
+        np.concatenate([np.arange(k), enc, enc]),
+        np.concatenate([sensed + plan.interval, costs[enc], np.zeros_like(enc)]),
+        np.zeros(k + 2 * e, np.int64),
+        resource,
+        payload,
+    ))
+    return _peak_occupancy(sensed, leaves)
 
 
 def _peak_occupancy(enters: list[int], leaves: list[int]) -> int:

@@ -68,13 +68,8 @@ def reported_latency(trace, scenario: Scenario) -> int:
     """(prediction time - first unit acquisition time) - window duration."""
     from .engine import EventKind  # local import to keep this module oracle-side
 
-    t0 = None
-    t_end = None
-    for ev in trace.events:
-        if ev.kind is EventKind.UNIT_SENSED and (t0 is None or ev.time_us < t0):
-            t0 = ev.time_us
-        if ev.kind is EventKind.PREDICTION_EMITTED:
-            t_end = ev.time_us
-    if t0 is None or t_end is None:
+    sensed = trace.of_kind(EventKind.UNIT_SENSED)
+    predictions = trace.of_kind(EventKind.PREDICTION_EMITTED)
+    if not sensed or not predictions:
         raise IncompleteTrace("trace lacks unit_sensed or prediction_emitted events")
-    return (t_end - t0) - scenario.window_us
+    return (predictions[-1][0] - min(ev[0] for ev in sensed)) - scenario.window_us

@@ -13,8 +13,10 @@ import csv
 import io
 from typing import Sequence
 
+import numpy as np
+
 from .core import IncompleteTrace
-from .engine import EventKind, SimTrace
+from .engine import KINDS, NULL, EventColumns, EventKind, SimTrace
 
 CSV_COLUMNS = [
     "sample_id",
@@ -39,50 +41,7 @@ def breakdown(traces: Sequence[SimTrace] | SimTrace) -> list[dict]:
 
 
 def _trace_rows(trace: SimTrace) -> list[dict]:
-    per: dict[int, dict] = {}
-    fusion_start = None
-    prediction = None
-    for ev in trace.events:
-        if ev.kind is EventKind.FUSION_START:
-            fusion_start = ev.time_us
-        elif ev.kind is EventKind.PREDICTION_EMITTED:
-            prediction = ev.time_us
-        if ev.modality is None:
-            continue
-        m = per.setdefault(
-            ev.modality,
-            {
-                "first_encode_start": None,
-                "encode_cost": 0,
-                "unit_encode_us": None,
-                "interval_us": None,
-                "agg_started": None,
-                "agg_done": None,
-                "agg_prefix": None,
-                "skipped": 0,
-            },
-        )
-        data = ev.payload_dict()
-        try:
-            if ev.kind is EventKind.UNIT_SENSED:
-                if m["interval_us"] is None:
-                    m["interval_us"] = data["sense_end_us"] - ev.time_us
-            elif ev.kind is EventKind.ENCODE_START:
-                if m["first_encode_start"] is None:
-                    m["first_encode_start"] = ev.time_us
-                m["encode_cost"] += data["encode_cost_us"]
-                m["unit_encode_us"] = data["encode_cost_us"]
-            elif ev.kind is EventKind.AGGREGATION_DONE:
-                m["agg_started"] = data["started_us"]
-                m["agg_done"] = ev.time_us
-                m["agg_prefix"] = data["prefix"]
-            elif ev.kind is EventKind.SKIP_COMMITTED:
-                m["skipped"] = data["units_skipped"]
-        except KeyError as exc:  # only payload keys can be missing; `m` has every key
-            raise IncompleteTrace(
-                f"sample {trace.sample_id}: {ev.kind.value} event lacks payload key {exc.args[0]!r}"
-            ) from None
-
+    per, fusion_start, prediction = _column_facts(trace) or _event_facts(trace)
     fusion_us = (prediction - fusion_start) if prediction is not None and fusion_start is not None else 0
     rows = []
     for mid in sorted(per):
@@ -129,6 +88,85 @@ def _trace_rows(trace: SimTrace) -> list[dict]:
         }
     )
     return rows
+
+
+def _new_modality() -> dict:
+    facts = ("first_encode_start", "unit_encode_us", "interval_us", "agg_started", "agg_done", "agg_prefix")
+    return dict.fromkeys(facts, None) | {"encode_cost": 0, "skipped": 0}
+
+
+def _event_facts(trace: SimTrace):
+    """Per modality the trace facts the rows are computed from, the fusion
+    start and the prediction time, read event by event."""
+    per: dict[int, dict] = {}
+    fusion_start = None
+    prediction = None
+    for ev in trace.events:
+        if ev.kind is EventKind.FUSION_START:
+            fusion_start = ev.time_us
+        elif ev.kind is EventKind.PREDICTION_EMITTED:
+            prediction = ev.time_us
+        if ev.modality is None:
+            continue
+        m = per.setdefault(ev.modality, _new_modality())
+        data = ev.payload_dict()
+        try:
+            if ev.kind is EventKind.UNIT_SENSED:
+                if m["interval_us"] is None:
+                    m["interval_us"] = data["sense_end_us"] - ev.time_us
+            elif ev.kind is EventKind.ENCODE_START:
+                if m["first_encode_start"] is None:
+                    m["first_encode_start"] = ev.time_us
+                m["encode_cost"] += data["encode_cost_us"]
+                m["unit_encode_us"] = data["encode_cost_us"]
+            elif ev.kind is EventKind.AGGREGATION_DONE:
+                m["agg_started"] = data["started_us"]
+                m["agg_done"] = ev.time_us
+                m["agg_prefix"] = data["prefix"]
+            elif ev.kind is EventKind.SKIP_COMMITTED:
+                m["skipped"] = data["units_skipped"]
+        except KeyError as exc:  # only payload keys can be missing; `m` has every key
+            raise IncompleteTrace(
+                f"sample {trace.sample_id}: {ev.kind.value} event lacks payload key {exc.args[0]!r}"
+            ) from None
+    return per, fusion_start, prediction
+
+
+# the kinds whose payloads the facts read from the `a` and `b` columns
+_READS = [
+    KINDS.index(EventKind.UNIT_SENSED),
+    KINDS.index(EventKind.ENCODE_START),
+    KINDS.index(EventKind.AGGREGATION_DONE),
+]
+
+
+def _column_facts(trace: SimTrace):
+    """`_event_facts` read from the columns without building an `Event`, or
+    None when the trace has no columns, a row of a kind in `_READS` keeps its
+    payload whole, or a skip commit lacks its count."""
+    c = trace.log
+    if not isinstance(c, EventColumns) or np.isin(c.kind[np.not_equal(c.payload, None)], _READS).any():
+        return None
+    skips = trace.of_kind(EventKind.SKIP_COMMITTED)
+    if any("units_skipped" not in dict(ev[4]) for ev in skips):
+        return None
+    per = {mid: _new_modality() for mid in np.unique(c.m[c.m != NULL]).tolist()}
+    for mid, m in per.items():
+        sensed, starts, aggs = (np.flatnonzero((c.m == mid) & (c.kind == k)).tolist() for k in _READS)
+        costs = c.a[starts].tolist()
+        if sensed:
+            m["interval_us"] = int(c.a[sensed[0]]) - int(c.t[sensed[0]])
+        if starts:
+            m.update(first_encode_start=int(c.t[starts[0]]), encode_cost=sum(costs))
+            m["unit_encode_us"] = costs[-1]
+        if aggs:
+            last = aggs[-1]
+            m.update(agg_started=int(c.b[last]), agg_done=int(c.t[last]), agg_prefix=int(c.a[last]))
+    for _, _, mid, _, payload in skips:
+        if mid is not None:
+            per[mid]["skipped"] = dict(payload)["units_skipped"]
+    fusion, prediction = (trace.of_kind(k) for k in (EventKind.FUSION_START, EventKind.PREDICTION_EMITTED))
+    return per, fusion[-1][0] if fusion else None, prediction[-1][0] if prediction else None
 
 
 def to_csv(rows: list[dict]) -> str:

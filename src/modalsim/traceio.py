@@ -6,31 +6,42 @@ and one final checksum record covering every previous line so tampering
 repr-round-trip floats, so write -> read -> write is byte-stable.
 
 Every line is the compact, sorted-key `json.dumps` of its record: `_dump`
-over `_trace_records` is the reference for the file's bytes.  Event lines,
-nearly all of a file, are formatted directly in that key order, fixed once
-as `data, kind, m, record, t, u`, with the payload's keys in sorted order.
-An event holding any value other than an exact int, str, bool, finite float,
-None, or a tuple of those (or payload keys that are not strictly increasing
-exact strs) is written by `_dump` instead.
+over `_trace_records` is the reference for the file's bytes.  The events of
+a trace the engine or the reader made are `EventColumns`, and are written a
+kind at a time: a row laid out in columns (`engine.LAYOUT`) through its
+kind's %-template, whose keys are fixed in the reference order
+`data, kind, m, record, t, u` with the payload's keys in sorted order, and
+any other row through `_dump`.  Events a caller built as `Event`s go
+through `_dump`.
 
 The reader verifies the checksum once over the joined lines and parses the
 whole file with one `json.loads` of its lines as a JSON array.  When that
 parse fails, or cannot be shown to have taken exactly one value from each
 line, the lines are parsed one by one, so an error names the first bad line.
-A record with a missing or wrongly typed field raises `CorruptLine` with its
-line number.
+The event records then fill `EventColumns` in bulk (`_columns`) when every
+one has the writer's keys, an exact int or None for `t`, `m` and `u` that
+fits its column, a known kind, and a dict of data.  A row whose data has
+its kind's layout (keys, key order, modality and unit, and exact int or str
+values) is laid out in columns; any other keeps its payload whole, and must
+have its data keys in order.  Any other file takes the per-record path, the
+reference for every result and error: a record with a missing or wrongly
+typed field raises `CorruptLine` with its line number.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from itertools import compress, islice
 from json.encoder import encode_basestring_ascii as _string
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .core import ConfigAssignment, ExecutionMode, ModalsimError
-from .engine import Event, EventKind, SimTrace, TraceSummary
+from .engine import KINDS, LAYOUT, NULL, Event, EventColumns, SimTrace, TraceSummary, object_column
 
 TRACE_SCHEMA_VERSION = 1
 
@@ -73,15 +84,8 @@ def _header_record(trace: SimTrace) -> dict:
     }
 
 
-def _event_record(ev: Event) -> dict:
-    return {
-        "record": "event",
-        "t": ev.time_us,
-        "kind": ev.kind.value,
-        "m": ev.modality,
-        "u": ev.unit,
-        "data": ev.payload_dict(),
-    }
+def _event_record(t, kind, m, u, payload) -> dict:
+    return {"record": "event", "t": t, "kind": kind.value, "m": m, "u": u, "data": dict(payload)}
 
 
 def _summary_record(trace: SimTrace) -> dict:
@@ -99,78 +103,52 @@ def _trace_records(trace: SimTrace) -> Iterable[dict]:
     """One trace's records in file order; `_dump` of each is its line."""
     yield _header_record(trace)
     for ev in trace.events:
-        yield _event_record(ev)
+        yield _event_record(*ev)
     yield _summary_record(trace)
 
 
-_KIND_TEXT = {kind.value: _string(kind.value) for kind in EventKind}
+def _template(kind, ids: int, keys) -> tuple[str, list[str]]:
+    """The line of a laid-out row of `kind` as a %-template, and the columns
+    that fill it, in order."""
+    data = ",".join(f"{_string(key)}:%{'s' if col == 's' else 'd'}" for key, col in keys)
+    m, u = ("%d" if ids > 0 else "null"), ("%d" if ids > 1 else "null")
+    line = f'{{"data":{{{data}}},"kind":{_string(kind.value)},"m":{m},"record":"event","t":%d,"u":{u}}}'
+    return line, [col for _, col in keys] + ["m"] * (ids > 0) + ["t"] + ["u"] * (ids > 1)
 
 
-def _value_text(value) -> str | None:
-    """`json.dumps` text of one value, or None for a value left to `_dump`."""
-    t = type(value)
-    if t is int:
-        return int.__repr__(value)
-    if t is str:
-        return _string(value)
-    if t is float:
-        return float.__repr__(value) if value - value == 0.0 else None
-    if t is bool:
-        return "true" if value else "false"
-    if value is None:
-        return "null"
-    if t is tuple:
-        parts = [_value_text(v) for v in value]
-        return None if None in parts else "[" + ",".join(parts) + "]"
-    return None
+_TEMPLATES = {KINDS.index(kind): _template(kind, *layout) for kind, layout in LAYOUT.items()}
 
 
-def _event_line(ev: Event) -> str | None:
-    """`_dump(_event_record(ev))` when every value is one `_value_text`
-    formats, else None.  Exact ints go into the line as they are: their
-    `format` is their `repr`."""
-    t, kind, m, u, payload = ev
-    if type(t) is not int or type(kind) is not EventKind or type(payload) is not tuple:
-        return None
-    if m is None:
-        m = "null"
-    elif type(m) is not int:
-        return None
-    if u is None:
-        u = "null"
-    elif type(u) is not int:
-        return None
-    fields = []
-    last = None
-    for key, value in payload:  # the pairing dict(payload) makes
-        if type(key) is not str or (last is not None and key <= last):
-            return None  # json.dumps would sort, merge or convert these keys
-        if type(value) is not int:
-            value = _value_text(value)
-            if value is None:
-                return None
-        fields.append(f"{_string(key)}:{value}")
-        last = key
-    return (
-        f'{{"data":{{{",".join(fields)}}},"kind":{_KIND_TEXT[kind._value_]},'
-        f'"m":{m},"record":"event","t":{t},"u":{u}}}'
-    )
+def _column_lines(c: EventColumns) -> list[str]:
+    """The event lines of a columnar trace, each `_dump` of its event's record."""
+    lines = np.empty(len(c.t), object)
+    whole = np.flatnonzero(np.not_equal(c.payload, None))
+    kinds = c.kind.copy()
+    kinds[whole] = -1
+    for code, (template, cols) in _TEMPLATES.items():
+        rows = np.flatnonzero(kinds == code)
+        if len(rows):
+            args = [getattr(c, col)[rows].tolist() for col in cols]
+            args = [list(map(_string, a)) if col == "s" else a for a, col in zip(args, cols)]
+            lines[rows] = object_column([template % x for x in zip(*args)])
+    for i, row in zip(whole.tolist(), c.take(whole).rows()):
+        lines[i] = _dump(_event_record(*row))
+    return lines.tolist()
 
 
 def trace_text(traces: Sequence[SimTrace] | SimTrace) -> str:
     if isinstance(traces, SimTrace):
         traces = [traces]
+    logs = [trace.log.columns() for trace in traces if isinstance(trace.log, EventColumns)]
+    event_lines = iter(_column_lines(EventColumns(*map(np.concatenate, zip(*logs)))) if logs else ())
     lines = []
-    append = lines.append
     for trace in traces:
-        append(_dump(_header_record(trace)))
-        for ev in trace.events:
-            try:
-                line = _event_line(ev)
-            except (TypeError, ValueError, RecursionError):
-                line = None  # `_dump` gives the reference result, error included
-            append(line if line is not None else _dump(_event_record(ev)))
-        append(_dump(_summary_record(trace)))
+        lines.append(_dump(_header_record(trace)))
+        if isinstance(trace.log, EventColumns):
+            lines += islice(event_lines, len(trace.log.t))
+        else:
+            lines += (_dump(_event_record(*ev)) for ev in trace.log)
+        lines.append(_dump(_summary_record(trace)))
     body = "\n".join(lines)
     digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
     return body + "\n" + _dump({"record": "checksum", "sha256": digest}) + "\n"
@@ -227,19 +205,61 @@ def _parse(lines: list[str], data: bytes) -> list[dict]:
     return records
 
 
-_KINDS = {kind.value: kind for kind in EventKind}
+_KINDS = {kind.value: kind for kind in KINDS}
+_CODES = {kind.value: code for code, kind in enumerate(KINDS)}
 # raised by a record field of the wrong shape or type
 _MALFORMED = (KeyError, TypeError, ValueError, AttributeError, OverflowError)
 
 
 def _payload(data: dict) -> tuple:
     """An event's payload pairs in key order, lists back to tuples."""
-    pairs = tuple(data.items())
-    if len(pairs) == 1 and type(pairs[0][1]) is not list:
-        return pairs  # the common payload: one key holding a scalar
-    if list in map(type, data.values()):
-        return tuple(sorted((k, _detuple(v)) for k, v in pairs))
-    return tuple(sorted(pairs))
+    return tuple(sorted((k, _detuple(v)) for k, v in data.items()))
+
+
+_IDS = np.array([LAYOUT[kind][0] if kind in LAYOUT else 0 for kind in KINDS])
+
+
+def _ids(values: list) -> np.ndarray | None:
+    """An id column with None as NULL, or None when an id does not fit."""
+    col = np.array([NULL if v is None else v for v in values], np.int64)
+    return col if np.count_nonzero(col >= NULL) == values.count(None) else None
+
+
+def _columns(recs: list[dict]) -> EventColumns | None:
+    """The event records as columns, or None when one of them needs the
+    per-record path (see the module docstring)."""
+    t, kinds, m, u, data = (list(map(itemgetter(key), recs)) for key in ("t", "kind", "m", "u", "data"))
+    if set(map(type, t)) != {int} or set(map(type, data)) != {dict}:
+        return None
+    if set(map(type, m + u)) - {int, type(None)}:
+        return None
+    code = np.array(list(map(_CODES.__getitem__, kinds)), np.int64)
+    t, m, u = np.array(t, np.int64), _ids(m), _ids(u)
+    if m is None or u is None:
+        return None
+    n = len(recs)
+    ids = _IDS[code]
+    fits = ((m != NULL) == (ids > 0)) & ((u != NULL) == (ids > 1))  # the ids its kind lays out
+    data, laid = object_column(data), np.zeros(n, bool)
+    cols = {"a": np.zeros(n, np.int64), "b": np.zeros(n, np.int64), "s": object_column([None] * n)}
+    for kind, (_, keys) in LAYOUT.items():
+        rows = np.flatnonzero(code == KINDS.index(kind))
+        group = data[rows].tolist()
+        names = tuple(key for key, _ in keys)
+        ok = np.fromiter(map(names.__eq__, map(tuple, group)), bool, len(group)) & fits[rows]
+        rows, group = rows[ok], list(compress(group, ok))
+        laid[rows] = True
+        for key, col in keys:
+            values = [d[key] for d in group]
+            if set(map(type, values)) - {str if col == "s" else int}:
+                return None
+            cols[col][rows] = object_column(values) if col == "s" else values
+    payload = object_column([None] * n)
+    for i in np.flatnonzero(~laid).tolist():
+        if list(data[i]) != sorted(data[i]):
+            return None
+        payload[i] = _payload(data[i])
+    return EventColumns(t, code, m, u, cols["a"], cols["b"], cols["s"], payload)
 
 
 def read_trace(path: str | Path) -> list[SimTrace]:
@@ -256,21 +276,31 @@ def read_trace(path: str | Path) -> list[SimTrace]:
     if records[-1].get("sha256") != hashlib.sha256(body).hexdigest():
         raise TraceIntegrityError("trace file contents do not match their checksum")
 
+    records = records[:-1]
+    try:
+        columns = _columns([rec for rec in records if rec["record"] == "event"])
+    except (KeyError, TypeError, OverflowError, RecursionError):
+        columns = None  # the per-record path meets the same record and gives the reference outcome
     traces: list[SimTrace] = []
     header = None
     events: list[Event] = []
-    for i, rec in enumerate(records[:-1], start=1):
+    for i, rec in enumerate(records, start=1):
         kind = rec["record"]
         if kind == "event":
             if header is None:
                 raise CorruptLine(i, "event outside a trace block")
-            try:
-                events.append(
-                    Event(int(rec["t"]), _KINDS[rec["kind"]], rec["m"], rec["u"], _payload(rec["data"]))
-                )
-            except _MALFORMED as exc:
-                raise CorruptLine(i, f"bad event: {type(exc).__name__} {exc}") from None
-        elif kind == "header":
+            if columns is None:
+                try:
+                    events.append(
+                        Event(int(rec["t"]), _KINDS[rec["kind"]], rec["m"], rec["u"], _payload(rec["data"]))
+                    )
+                except _MALFORMED as exc:
+                    raise CorruptLine(i, f"bad event: {type(exc).__name__} {exc}") from None
+            continue
+        # the records before this one are each finished trace's header and
+        # summary, the open trace's header, and events: `row` counts those events
+        row = i - 1 - 2 * len(traces) - (header is not None)
+        if kind == "header":
             if header is not None:
                 raise CorruptLine(i, "header before previous trace's summary")
             if rec.get("schema_version") != TRACE_SCHEMA_VERSION:
@@ -287,7 +317,7 @@ def read_trace(path: str | Path) -> list[SimTrace]:
                 }
             except _MALFORMED as exc:
                 raise CorruptLine(i, f"bad header: {type(exc).__name__} {exc}") from None
-            events = []
+            events, first = [], row
         elif kind == "summary":
             if header is None:
                 raise CorruptLine(i, "summary outside a trace block")
@@ -300,7 +330,8 @@ def read_trace(path: str | Path) -> list[SimTrace]:
                 )
             except _MALFORMED as exc:
                 raise CorruptLine(i, f"bad summary: {type(exc).__name__} {exc}") from None
-            traces.append(SimTrace(events=tuple(events), summary=summary, **header))
+            log = tuple(events) if columns is None else columns.take(slice(first, row))
+            traces.append(SimTrace(events=log, summary=summary, **header))
             header = None
         else:
             raise CorruptLine(i, f"unknown record type {kind!r}")

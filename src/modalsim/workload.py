@@ -475,7 +475,8 @@ def predictor_dataset(
     assignments_per_sample: int = 6,
 ) -> list[tuple[ModalityIndicators, ConfigAssignment, float]]:
     """Labelled (indicators, assignment, accuracy) rows from the surface."""
-    all_assignments = list(scenario.assignments())
+    options = [scenario.level_pairs(i) for i in range(len(scenario.modalities))]
+    sizes = [len(pairs) for pairs in options]
     noise = rng.stream(seed, "predictor-noise")
     rows = []
     idx = 0
@@ -483,7 +484,9 @@ def predictor_dataset(
         ind = probe_indicators(scenario, sample)
         picks = rng.stream(seed, "predictor-picks", sample.id)
         for t in range(assignments_per_sample):
-            assignment = all_assignments[picks.u64(t) % len(all_assignments)]
+            # the k-th of `scenario.assignments()`, in mixed radix: the last modality varies fastest
+            digits = np.unravel_index(picks.u64(t) % math.prod(sizes), sizes)
+            assignment = ConfigAssignment(tuple(pairs[d] for pairs, d in zip(options, digits)))
             acc = surface(ind, assignment)
             if noise_pct > 0.0:
                 # sum of three uniforms: symmetric bell-ish noise without libm
@@ -492,3 +495,4 @@ def predictor_dataset(
             rows.append((ind, assignment, float(np.clip(acc, 0.0, 100.0))))
             idx += 1
     return rows
+

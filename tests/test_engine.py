@@ -200,11 +200,22 @@ def test_determinism_bit_identical():
     assert t1 == t2
 
 
+def trace_order(e):
+    """An event's place in a trace: time, modality, unit (an event without a
+    modality or unit after every one with it), then kind in declaration order."""
+    return (
+        e.time_us,
+        (e.modality is None, e.modality or 0),
+        (e.unit is None, e.unit or 0),
+        list(EventKind).index(e.kind),
+    )
+
+
 def test_events_sorted_and_causal():
     s = scenario_2mod(checkpoints=(0.5,), schedule=((0, "high"), (600_000, "low")))
     sample = one_sample(s, seed=5)
     trace = run(s, A, sample, gate=OracleGate(s, sample, A))
-    keys = [e.sort_key() for e in trace.events]
+    keys = [trace_order(e) for e in trace.events]
     assert keys == sorted(keys)
     sensed = {}
     for e in trace.events:
@@ -221,6 +232,22 @@ def test_events_sorted_and_causal():
     for e in trace.events:
         if e.kind is EventKind.AGGREGATION_DONE:
             assert e.time_us <= fusion
+
+
+def test_events_tied_on_time_modality_unit_and_kind_keep_their_insertion_order():
+    # checkpoint evaluations of one modality can fall at one time: the
+    # window's one sort must keep them in the order they were evaluated
+    payloads = [(("already_completed", True), ("fraction", (40 - i) / 41)) for i in range(40)]
+    rows = [engine._row(900, EventKind.PREDICTION_EMITTED, a=3)]
+    rows += [engine._row(400, EventKind.CHECKPOINT_EVAL, 1, payload=p) for p in payloads]
+    rows.append(engine._row(400, EventKind.FUSION_START))
+    rows.append(engine._row(400, EventKind.CHECKPOINT_EVAL, 0, payload=payloads[0]))
+    assert engine._sorted(rows, []).events() == (
+        (400, EventKind.CHECKPOINT_EVAL, 0, None, payloads[0]),
+        *((400, EventKind.CHECKPOINT_EVAL, 1, None, p) for p in payloads),
+        (400, EventKind.FUSION_START, None, None, ()),
+        (900, EventKind.PREDICTION_EMITTED, None, None, (("label", 3),)),
+    )
 
 
 def test_encode_pairing_and_one_prediction():

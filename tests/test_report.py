@@ -1,10 +1,11 @@
 """Latency breakdown report: recomputable from raw traces."""
 
 import csv
+import dataclasses
 import io
 
-from modalsim import engine, report, workload
-from modalsim.core import ConfigAssignment
+from modalsim import engine, report, traceio, workload
+from modalsim.core import ConfigAssignment, ExecutionMode
 from modalsim.workload import OracleGate
 
 
@@ -57,3 +58,27 @@ def test_csv_shape_and_parse():
     assert len(parsed) == 6
     assert {r["sample_id"] for r in parsed} == {"0", "1"}
     assert [r["modality"] for r in parsed if r["sample_id"] == "0"] == ["0", "1", "all"]
+
+
+def test_breakdown_reads_the_same_facts_from_columns_and_from_events(tmp_path):
+    # columnar traces (engine and reader) and the same events as a tuple
+    # give one CSV: skip commits, cut non-blocking windows, a resource change
+    s = workload.gen_scenario("lrw-like", seed=3)
+    a = ConfigAssignment(((1, 1), (1, 1)))
+    traces = []
+    for sample in workload.gen_samples(s, 4, {"easy": 1.0, "hard": 1.0}, seed=2):
+        traces.append(engine.run(s, a, sample, gate=OracleGate(s, sample, a)))
+        switched = dataclasses.replace(
+            s.without_skipping(),
+            execution_mode=ExecutionMode.NON_BLOCKING,
+            resource_schedule=((0, "high"), (s.window_us // 2, "low")),
+        )
+        traces.append(engine.run(switched, a, sample))
+    assert any(t.summary.skipped_unit_count for t in traces)
+    path = tmp_path / "t.jsonl"
+    traceio.write_trace(traces, path)
+    columnar = traces + traceio.read_trace(path)
+    assert all(report._column_facts(t) == report._event_facts(t) for t in columnar)
+    as_events = [dataclasses.replace(t, events=t.events) for t in columnar]
+    assert all(report._column_facts(t) is None for t in as_events)
+    assert report.to_csv(report.breakdown(columnar)) == report.to_csv(report.breakdown(as_events))

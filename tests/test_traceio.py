@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from modalsim import engine, traceio, workload
 from modalsim.core import ConfigAssignment, ExecutionMode
-from modalsim.engine import Event, EventKind, SimTrace, TraceSummary
+from modalsim.engine import Event, EventColumns, EventKind, SimTrace, TraceSummary
 from modalsim.optimizer import OptimizerDecision
 from modalsim.traceio import CorruptLine, SchemaVersionMismatch, TraceIntegrityError
 from modalsim.workload import OracleGate
@@ -460,3 +460,124 @@ def test_payload_keys_out_of_order_in_a_file_read_back_in_key_order(tmp_path):
     shuffled.write_text("\n".join(with_checksum(lines)) + "\n")
     intact.write_text("\n".join(BASE_LINES) + "\n")
     assert traceio.read_trace(shuffled) == traceio.read_trace(intact)
+
+
+# --- which path a file takes -------------------------------------------------
+
+
+def spy_columns(monkeypatch):
+    """Record what the bulk column builder gives: None, or an exception the
+    reader catches (recorded as None), sends the file down the per-record path."""
+    results = []
+    real = traceio._columns
+
+    def spied(recs):
+        results.append(None)
+        results[-1] = real(recs)
+        return results[-1]
+
+    monkeypatch.setattr(traceio, "_columns", spied)
+    return results
+
+
+@pytest.mark.parametrize("name", ["intact", "crlf", "no-trailing-newline"])
+def test_files_the_writer_produced_take_the_column_path(name, tmp_path, monkeypatch):
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(MUTATIONS[name].encode("utf-8"))
+    results = spy_columns(monkeypatch)
+    traces = traceio.read_trace(path)
+    assert len(results) == 1 and isinstance(results[0], EventColumns)
+    assert all(isinstance(t.log, EventColumns) for t in traces)
+    assert traces == line_reader(path)
+
+
+def _hand_edited(tmp_path, edit):
+    """BASE_LINES with one event record edited, its keys kept in the order
+    the edit leaves them, and the checksum recomputed."""
+    records = [json.loads(line) for line in BASE_LINES[:-1]]
+    edit(records)
+    path = tmp_path / "edited.jsonl"
+    lines = [json.dumps(r, separators=(",", ":")) for r in records]
+    path.write_text("\n".join(with_checksum(lines)) + "\n")
+    return path
+
+
+def _edit_event(kind, edit):
+    """Edit the first event record of one kind, returning its line index."""
+
+    def apply(records):
+        i = next(i for i, r in enumerate(records) if r["record"] == "event" and r["kind"] == kind)
+        edit(records[i])
+        return i
+
+    return apply
+
+
+def _put(key, value):
+    return lambda rec: rec.update({key: value})
+
+
+def _reverse_data(rec):
+    rec["data"] = dict(reversed(rec["data"].items()))
+
+
+PER_RECORD_EDITS = {
+    "t-float": _edit_event("unit_sensed", lambda rec: rec.update(t=rec["t"] + 0.5)),
+    "t-bool": _edit_event("fusion_start", _put("t", True)),
+    "t-too-large": _edit_event("unit_sensed", _put("t", 2**70)),
+    "m-float": _edit_event("encode_start", _put("m", 0.0)),
+    "m-bool": _edit_event("aggregation_done", _put("m", False)),
+    "m-at-the-null-id": _edit_event("encode_end", _put("m", engine.NULL)),
+    "u-bool": _edit_event("unit_sensed", _put("u", True)),
+    "u-string": _edit_event("encode_end", _put("u", "3")),
+    "kind-unknown": _edit_event("encode_start", _put("kind", "encode_begin")),
+    "kind-list": _edit_event("unit_sensed", _put("kind", ["unit_sensed"])),
+    "data-list": _edit_event("unit_sensed", _put("data", [])),
+    "data-keys-out-of-order": _edit_event("encode_start", _reverse_data),
+    "whole-payload-keys-out-of-order": _edit_event("checkpoint_eval", _reverse_data),
+    "laid-out-value-float": _edit_event("unit_sensed", lambda rec: rec["data"].update(sense_end_us=1.5)),
+    "laid-out-value-bool": _edit_event("aggregation_done", lambda rec: rec["data"].update(prefix=True)),
+    "laid-out-value-too-large": _edit_event(
+        "encode_start", lambda rec: rec["data"].update(encode_cost_us=2**64)
+    ),
+    "laid-out-value-not-a-string": _edit_event(
+        "encode_start", lambda rec: rec["data"].update(resource=7)
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PER_RECORD_EDITS))
+def test_hand_edited_files_with_a_valid_checksum_take_the_per_record_path(case, tmp_path, monkeypatch):
+    path = _hand_edited(tmp_path, PER_RECORD_EDITS[case])
+    results = spy_columns(monkeypatch)
+    assert_same_outcome(path)
+    assert results == [None]
+    traces = outcome(traceio.read_trace, path)
+    if isinstance(traces, list):
+        assert all(type(t.log) is tuple for t in traces)
+
+
+KEPT_WHOLE_EDITS = {
+    "laid-out-kind-missing-a-key": _edit_event("encode_start", lambda rec: rec["data"].pop("resource")),
+    "laid-out-kind-with-an-extra-key": _edit_event(
+        "unit_sensed", lambda rec: rec["data"].update(z=[1, [2]])
+    ),
+    "laid-out-kind-without-its-unit": _edit_event("unit_sensed", _put("u", None)),
+    "laid-out-kind-with-a-modality": _edit_event("fusion_start", _put("m", 1)),
+    "record-with-an-extra-key": _edit_event("encode_end", _put("zz", 1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KEPT_WHOLE_EDITS))
+def test_odd_rows_of_a_columnar_file_keep_their_payload_and_read_back_alike(case, tmp_path, monkeypatch):
+    path = _hand_edited(tmp_path, KEPT_WHOLE_EDITS[case])
+    results = spy_columns(monkeypatch)
+    traces = traceio.read_trace(path)
+    assert isinstance(results[0], EventColumns)
+    assert traces == line_reader(path)
+    rewritten = tmp_path / "again.jsonl"
+    traceio.write_trace(traces, rewritten)
+    expected = [json.loads(line) for line in path.read_text().splitlines()[:-1]]
+    for rec in expected:
+        rec.pop("zz", None)  # a record key the reader does not keep
+    assert [json.loads(line) for line in rewritten.read_text().splitlines()[:-1]] == expected

@@ -24,7 +24,7 @@ import pytest
 
 from modalsim import engine, optimizer, predictor, rng, scenario_io, traceio, workload
 from modalsim.aggregation import DiffSpec, ShiftSpec, aggregate_vector
-from modalsim.core import Difficulty, ExecutionMode, LatencyProfile, Modality, Sample
+from modalsim.core import Difficulty, ExecutionMode, LatencyProfile, Modality, Sample, validate_scenario
 from modalsim.predictor import EncodingSpec, ModalityIndicators
 
 
@@ -129,6 +129,39 @@ def test_reading_a_trace_file_parses_it_once(monkeypatch, tmp_path):
     parsed = count_calls(monkeypatch, json, "loads")
     assert traceio.read_trace(path) == traces
     assert len(parsed) == 1  # one per file, not one per line
+
+
+def test_a_window_goes_to_file_and_back_without_building_an_event(monkeypatch, tmp_path):
+    # sim-dense's windows: a random 3-modality preset at its max assignment,
+    # a mid-window resource change, a hard corpus, every mode; non-blocking
+    # windows cut encodes short, and an aborted encode keeps its payload whole
+    base = workload.gen_scenario("random", seed=11, modalities=3)
+    base = validate_scenario(
+        dataclasses.replace(base, resource_schedule=((0, "high"), (base.window_us // 3, "low")))
+    )
+    samples = workload.gen_samples(base, 2, "hard", seed=11)
+    built = []
+    new = engine.Event.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(engine.Event, "__new__", staticmethod(counted))
+    traces = [
+        engine.run(dataclasses.replace(base, execution_mode=mode), base.max_assignment(), x)
+        for mode in ExecutionMode
+        for x in samples
+    ]
+    path = tmp_path / "t.jsonl"
+    traceio.write_trace(traces, path)
+    back = traceio.read_trace(path)
+    assert built == []
+    events = back[0].events
+    assert back[0].events is events and len(built) == len(events)  # built once, on first access
+    assert back == traces
+    ends = [e for t in back for e in t.events if e.kind is engine.EventKind.ENCODE_END]
+    assert any(e.payload == (("aborted", True),) for e in ends)
 
 
 class LateGate:

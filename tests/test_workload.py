@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from modalsim import engine, latency, workload
+from modalsim import engine, latency, rng, workload
 from modalsim.core import ConfigAssignment, Difficulty, ExecutionMode, validate_scenario
 from modalsim.predictor import ModalityIndicators
 from modalsim.workload import UnknownPreset
@@ -208,3 +208,38 @@ def test_gate_dataset_rows_and_labels():
     for f_fast, f_slow, fraction, label in rows:
         assert label in (0, 1)
         assert fraction in s.skip_checkpoints
+
+
+def test_predictor_dataset_decodes_assignments_without_listing_them(monkeypatch):
+    # 6 modalities: 531,441 assignments, which listed would take about 100 MB
+    import tracemalloc
+
+    from modalsim.core import Scenario
+
+    s = workload.gen_scenario("random", seed=2, modalities=6)
+    samples = workload.gen_samples(s, 2, "easy", seed=0)
+    space = list(itertools.product(*(s.level_pairs(i) for i in range(len(s.modalities)))))
+    assert len(space) >= 3**12
+
+    def listed(self):
+        raise AssertionError("predictor_dataset listed the assignment space")
+
+    monkeypatch.setattr(Scenario, "assignments", listed)
+    del space
+    tracemalloc.start()
+    try:
+        rows = workload.predictor_dataset(s, workload.gen_accuracy_surface(s), samples, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
+    assert len(rows) == 12
+
+
+def test_predictor_dataset_picks_from_the_listed_assignments():
+    s = workload.gen_scenario("random", seed=1, modalities=3)
+    samples = workload.gen_samples(s, 4, "easy", seed=0)
+    listed = list(s.assignments())
+    rows = workload.predictor_dataset(s, workload.gen_accuracy_surface(s), samples, seed=3)
+    picks = [rng.stream(3, "predictor-picks", x.id).u64(t) % len(listed) for x in samples for t in range(6)]
+    assert [a for _, a, _ in rows] == [listed[k] for k in picks]
