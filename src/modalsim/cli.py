@@ -1,18 +1,21 @@
 """Command-line entry points.
 
 Exit codes: 0 success, 1 usage error (including a flag value the scenario
-cannot use, such as --oracle over more assignments than brute force
-scores), 2 scenario/input validation failure (including a malformed or
-unreadable model or scenario file, or a gate built for other modalities),
-3 runtime failure.  Failures print one machine-readable JSON line on stderr.
-Wall-clock measurements (optimizer decision latency) also go to stderr so
-every file and stdout byte is a pure function of the flags and seeds.
+cannot use, such as --oracle or a full sweep over more assignments than
+brute force scores), 2 scenario/input validation failure (including a
+malformed or unreadable model or scenario file, or a gate built for other
+modalities), 3 runtime failure (including a trace file the reader or the
+report cannot use).  Failures print one machine-readable JSON line on
+stderr.  Wall-clock measurements (optimizer decision latency) also go to
+stderr so every file and stdout byte is a pure function of the flags and
+seeds.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -26,6 +29,7 @@ from .core import (
     check_assignment,
     validate_scenario,
 )
+from .latency import end_to_end_latency
 from .nn import WeightFormatError
 from .scenario_io import ScenarioFormatError
 
@@ -230,12 +234,14 @@ def _cmd_optimize(args) -> int:
 
 def _cmd_sweep(args) -> int:
     scenario = _load_scenario(args.scenario)
+    count = math.prod(len(scenario.level_pairs(i)) for i in range(len(scenario.modalities)))
+    if count > optimizer.BRUTE_FORCE_LIMIT:
+        limit = optimizer.BRUTE_FORCE_LIMIT
+        raise UsageError(f"--grid full: {count} assignments exceed the limit of {limit}")
     surface = workload.gen_accuracy_surface(scenario)
     sample = workload.gen_samples(scenario, 1, "easy", seed=args.seed)[0]
     ind = optimizer.probe_indicators(scenario, sample)
     resource = engine.apply_resource_schedule(scenario, 0)
-
-    from .latency import end_to_end_latency
 
     lines = ["assignment,latency_us,accuracy_pct"]
     for assignment in scenario.assignments():

@@ -34,6 +34,10 @@ class IncompleteTrace(ModalsimError):
     pass
 
 
+class MalformedTrace(ModalsimError):
+    """A trace event's modality, or a value the report reads, is not an int."""
+
+
 class GateRequiredButMissing(ModalsimError):
     pass
 

@@ -20,13 +20,16 @@ the closed-form latency model to the microsecond.
   _emit        the unit and aggregation events, truncated at a skip commit
                or (non-blocking) at fusion, and the peak buffer count.
 
-A window writes about three events per unit, so its events are kept as
-`EventColumns`: int64 columns for time, kind, modality, unit and the int
-payload values, object columns for strings and for the few payloads kept
-whole.  `_emit` fills a modality's rows with array operations, and one stable
-`np.lexsort` on (time, modality, unit, kind) puts the window in trace order.
-An `Event`, a plain `NamedTuple` record equal to a tuple of its five fields,
-is built only when `SimTrace.events` is first read.
+A window writes about three events per unit, so every trace keeps its
+events as `EventColumns`, the one form from the engine to the report:
+int64 columns for time, kind, modality, unit and the int payload values,
+an object column for strings, and one for the few events kept whole as
+plain tuples.  `_emit` fills a modality's rows with array operations, and
+one stable `np.lexsort` on (time, modality, unit, kind) puts the window in
+trace order.  Events from anywhere else, a file or a caller's `Event`s,
+are laid out by one rule, `layout`.  An `Event`, a plain `NamedTuple`
+record equal to a tuple of its five fields, is built only when
+`SimTrace.events` is first read.
 
 The window-feature model lives here alone, and every other module goes
 through it: `feature_vector` (one modality's temporal aggregate),
@@ -57,6 +60,8 @@ import bisect
 import dataclasses
 import enum
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import eq, itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -103,7 +108,7 @@ KINDS = tuple(EventKind)  # a kind's code in the `kind` column: its declaration 
 
 # The kinds whose rows keep their payload in columns: how many of (modality,
 # unit) such a row has, and its payload keys in key order, each with its
-# column (`a`, `b`: int; `s`: str).  Any other row keeps its payload whole.
+# column (`a`, `b`: int; `s`: str).  Any other row is kept whole (see `layout`).
 LAYOUT = {
     EventKind.UNIT_SENSED: (2, (("sense_end_us", "a"),)),
     EventKind.ENCODE_START: (2, (("encode_cost_us", "a"), ("resource", "s"))),
@@ -139,10 +144,12 @@ class EventColumns:
     """A trace's events as columns, one row per event in trace order.
 
     `t`, `kind` (an index into `KINDS`), `m` and `u` are int64, with NULL for
-    no modality or unit.  A row of a kind in `LAYOUT`, with the modality and
-    unit laid out there, keeps its payload in the int64 columns `a` and `b`
-    and the object column `s`, and None in `payload`.  Any other row keeps
-    its payload tuple in `payload`, and 0, 0 and None in `a`, `b` and `s`.
+    no modality or unit.  A row `layout` lays out keeps its payload in the
+    int64 columns `a` and `b` and the object column `s`, and None in `whole`.
+    Any other row keeps its event whole in `whole`, as the plain tuple
+    (t, kind, m, u, payload), and 0, 0 and None in `a`, `b` and `s`; its `t`,
+    `m` and `u` columns hold the values that fit them, and NULL for any
+    other.
     """
 
     t: np.ndarray
@@ -152,30 +159,30 @@ class EventColumns:
     a: np.ndarray
     b: np.ndarray
     s: np.ndarray
-    payload: np.ndarray
+    whole: np.ndarray
 
     def columns(self) -> list[np.ndarray]:
-        return [self.t, self.kind, self.m, self.u, self.a, self.b, self.s, self.payload]
+        return [self.t, self.kind, self.m, self.u, self.a, self.b, self.s, self.whole]
 
     def take(self, index) -> EventColumns:
         """The rows a slice or an array of row numbers selects."""
         return EventColumns(*(c[index] for c in self.columns()))
 
-    def rows(self):
+    def rows(self) -> list[tuple]:
         """The rows in order, each as the plain tuple of its `Event`'s fields."""
-        payloads, laid = self.payload.tolist(), np.equal(self.payload, None)
-        for kind, (_, keys) in LAYOUT.items():
-            at = np.flatnonzero(laid & (self.kind == KINDS.index(kind))).tolist()
+        rows, laid = self.whole.tolist(), np.equal(self.whole, None)
+        for kind, (ids, keys) in LAYOUT.items():
+            at = np.flatnonzero(laid & (self.kind == KINDS.index(kind)))
+            m = self.m[at].tolist() if ids > 0 else [None] * len(at)
+            u = self.u[at].tolist() if ids > 1 else [None] * len(at)
             values = zip(*(getattr(self, col)[at].tolist() for _, col in keys)) if keys else [()] * len(at)
-            for i, v in zip(at, values):
-                payloads[i] = tuple(zip([key for key, _ in keys], v))
-        m, u = ([None if x == NULL else x for x in c.tolist()] for c in (self.m, self.u))
-        return zip(self.t.tolist(), map(KINDS.__getitem__, self.kind.tolist()), m, u, payloads)
+            names = [key for key, _ in keys]
+            for i, t, mi, ui, v in zip(at.tolist(), self.t[at].tolist(), m, u, values):
+                rows[i] = (t, kind, mi, ui, tuple(zip(names, v)))
+        return rows
 
-    def __eq__(self, other):  # the same events, whichever form holds them
-        if isinstance(other, EventColumns) and all(map(np.array_equal, self.columns(), other.columns())):
-            return True
-        return self.events() == (other.events() if isinstance(other, EventColumns) else other)
+    def __eq__(self, other):  # the same rows in the same columns
+        return type(other) is type(self) and all(map(np.array_equal, self.columns(), other.columns()))
 
     def __hash__(self):
         return hash(self.events())
@@ -191,9 +198,86 @@ def object_column(values) -> np.ndarray:
     return np.fromiter(values, object, len(values))
 
 
-def _row(t, kind, m=NULL, u=NULL, a=0, b=0, s=None, payload=None) -> tuple:
-    """One event's row of `EventColumns` values."""
-    return t, KINDS.index(kind), m, u, a, b, s, payload
+_HIGH = 1 << 63  # int64 holds [-_HIGH, _HIGH)
+_IDS = np.array([LAYOUT[kind][0] if kind in LAYOUT else -1 for kind in KINDS])
+_ODD = {None: None}  # a payload no kind lays out
+
+
+def _int_column(values: list, ids: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """`values` as an int64 column, and where each fits it: an exact int in
+    int64, or for a modality or unit (`ids`) None (NULL in the column) or an
+    exact int below NULL.  A value that does not fit is NULL in the column."""
+    if set(map(type, values)) <= {int, type(None) if ids else int}:
+        try:
+            col = np.array([NULL if v is None else v for v in values] if ids else values, np.int64)
+            if not ids or np.count_nonzero(col >= NULL) == values.count(None):
+                return col, np.ones(len(values), bool)
+        except OverflowError:
+            pass
+    top = NULL if ids else _HIGH
+    fits = [(ids and v is None) or (type(v) is int and -_HIGH <= v < top) for v in values]
+    col = [v if f and v is not None else NULL for v, f in zip(values, fits)]
+    return np.array(col, np.int64), np.array(fits, bool)
+
+
+def _as_dict(pairs) -> dict:
+    """Payload `pairs` as a dict when they are a tuple of (key, value) tuples
+    in strictly increasing key order, the order a payload keeps; else `_ODD`."""
+    try:
+        d = dict(pairs)
+        return d if type(pairs) is tuple and tuple(sorted(d.items())) == pairs else _ODD
+    except (TypeError, ValueError):
+        return _ODD
+
+
+def _laid(dicts: list[dict], keys) -> tuple[np.ndarray, list[list]]:
+    """Which payload dicts have exactly the layout's `keys`, with values that
+    fit their columns; and those values, a list per key."""
+    names = [key for key, _ in keys]
+    ok = np.fromiter(map(eq, map(dict.keys, dicts), repeat(set(names))), bool, len(dicts))
+    group = list(compress(dicts, ok))
+    values = [list(map(itemgetter(key), group)) for key in names]
+    fits = np.ones(len(group), bool)
+    for v, (_, col) in zip(values, keys):
+        fits &= np.fromiter(map(type, v), object, len(v)) == str if col == "s" else _int_column(v)[1]
+    ok[ok] = fits
+    return ok, [list(compress(v, fits)) for v in values]
+
+
+def layout(t: list, kind: list[int], m: list, u: list, data: list[dict], payload) -> EventColumns:
+    """Events as columns by the one layout rule.
+
+    Each list holds a value per row: its time, kind code, modality and unit,
+    and its payload as a dict; `payload(i)` gives row i's payload pairs in
+    key order.  A row is laid out when its time is an int in int64, its
+    modality and unit ints below NULL or None as its kind's LAYOUT has them,
+    and its payload that layout's keys with values of their columns' types,
+    int in int64 or str; any other row is kept whole, and only then is its
+    `payload` called.
+    """
+    n = len(t)
+    code = np.array(kind, np.int64)
+    (tc, t_fits), (mc, m_fits), (uc, u_fits) = _int_column(t), _int_column(m, True), _int_column(u, True)
+    ids = _IDS[code]
+    laid = t_fits & m_fits & u_fits & ((mc != NULL) == (ids > 0)) & ((uc != NULL) == (ids > 1)) & (ids >= 0)
+    cols = {"a": np.zeros(n, np.int64), "b": np.zeros(n, np.int64), "s": object_column([None] * n)}
+    for k, (_, keys) in LAYOUT.items():
+        rows = np.flatnonzero(laid & (code == KINDS.index(k)))
+        ok, values = _laid(list(map(data.__getitem__, rows.tolist())), keys)
+        laid[rows[~ok]] = False
+        for (_, col), v in zip(keys, values):
+            cols[col][rows[ok]] = object_column(v) if col == "s" else v
+    whole = object_column([None] * n)
+    for i in np.flatnonzero(~laid).tolist():
+        whole[i] = (t[i], KINDS[kind[i]], m[i], u[i], payload(i))
+    return EventColumns(tc, code, mc, uc, cols["a"], cols["b"], cols["s"], whole)
+
+
+def _row(t, kind, m=None, a=0, b=0, s=None, payload=None) -> tuple:
+    """One event's row of `EventColumns` values, kept whole when it has a
+    payload."""
+    whole = None if payload is None else (t, kind, m, None, payload)
+    return t, KINDS.index(kind), NULL if m is None else m, NULL, a, b, s, whole
 
 
 def _sorted(rows: list[tuple], blocks: list[tuple]) -> EventColumns:
@@ -217,38 +301,39 @@ class TraceSummary:
 
 @dataclass(frozen=True, init=False)
 class SimTrace:
-    """One window's trace.  `log` holds its events as `EventColumns` when the
-    engine or the trace reader made it, or as the tuple of `Event`s a caller
-    passed as `events`; `events` gives that tuple either way.  A trace is
-    built with `events=`; `dataclasses.replace` passes the old `log`, which
-    an `events=` given with it overrides."""
+    """One window's trace, its events held as `EventColumns` in `log`.  The
+    engine and the trace reader pass `log`; a caller may pass `events`
+    instead, a sequence of `Event`s or plain tuples of their fields, which
+    `layout` lays out once.  `dataclasses.replace` passes the old `log`,
+    which an `events=` given with it overrides."""
 
     fingerprint: str
     sample_id: int
     mode: ExecutionMode
     assignment: ConfigAssignment
     window_us: int
-    log: EventColumns | tuple[Event, ...]
+    log: EventColumns
     summary: TraceSummary
 
     def __init__(
         self, fingerprint, sample_id, mode, assignment, window_us, events=None, summary=None, log=None
     ):
-        log = log if events is None else events
+        if events is not None:
+            t, kind, m, u, payloads = [list(c) for c in zip(*events)] or [[]] * 5
+            data = list(map(_as_dict, payloads))
+            log = layout(t, list(map(KINDS.index, kind)), m, u, data, payloads.__getitem__)
         values = (fingerprint, sample_id, mode, assignment, window_us, log, summary)
         for f, value in zip(dataclasses.fields(self), values):
             object.__setattr__(self, f.name, value)
 
     @property
     def events(self) -> tuple[Event, ...]:
-        return self.log.events() if isinstance(self.log, EventColumns) else self.log
+        return self.log.events()
 
     def of_kind(self, kind: EventKind) -> list[tuple]:
-        """The events of one kind as tuples of `Event` fields; from columns,
-        without building an `Event`."""
-        if isinstance(self.log, EventColumns):
-            return list(self.log.take(self.log.kind == KINDS.index(kind)).rows())
-        return [ev for ev in self.log if ev.kind is kind]
+        """The events of one kind as tuples of `Event` fields, without
+        building an `Event`."""
+        return self.log.take(self.log.kind == KINDS.index(kind)).rows()
 
     def predicted_label(self) -> int:
         for ev in self.of_kind(EventKind.PREDICTION_EMITTED):
@@ -392,7 +477,7 @@ def run(
         mode=mode,
         assignment=assignment,
         window_us=t_w,
-        events=_sorted(rows, blocks),
+        log=_sorted(rows, blocks),
         summary=summary,
     )
 
@@ -510,10 +595,10 @@ def _emit(plan, fusion_start, rows, blocks) -> int:
     leaves, costs = np.minimum(ends, cut), np.array(plan.enc_cost, np.int64)
     enc = np.flatnonzero((ends <= cut) | (starts < cut))  # finished, or begun before the cut
     e = len(enc)
-    resource, payload = np.full((2, k + 2 * e), None, object)
+    resource, whole = np.full((2, k + 2 * e), None, object)
     resource[k : k + e] = object_column(plan.enc_resource)[enc]
-    for i in np.flatnonzero(ends[enc] > cut):
-        payload[k + e + i] = _ABORTED
+    for i in np.flatnonzero(ends[enc] > cut).tolist():
+        whole[k + e + i] = (cut, EventKind.ENCODE_END, mid, int(enc[i]), _ABORTED)
     blocks.append((
         np.concatenate([sensed, starts[enc], leaves[enc]]),
         np.repeat(_UNIT_KINDS, (k, e, e)),
@@ -522,7 +607,7 @@ def _emit(plan, fusion_start, rows, blocks) -> int:
         np.concatenate([sensed + plan.interval, costs[enc], np.zeros_like(enc)]),
         np.zeros(k + 2 * e, np.int64),
         resource,
-        payload,
+        whole,
     ))
     return _peak_occupancy(sensed, leaves)
 

@@ -3,8 +3,12 @@
 Per (sample, modality): pure encode compute, sensing-bound stall inside the
 pipeline, barrier waiting, and the skip saving versus the no-skip projection;
 plus a per-sample total row carrying the window-level numbers.  Everything is
-recomputed from raw events so an independent script can check each cell; an
-event without a payload key the breakdown reads raises IncompleteTrace.
+recomputed from raw events so an independent script can check each cell.
+The events are read from the trace's columns, and the rare rows kept whole
+from their tuples.  An event without a payload key the breakdown reads
+raises IncompleteTrace; an event whose modality is not an int or None, or
+whose time or payload value the breakdown reads is not an int, raises
+MalformedTrace.
 """
 
 from __future__ import annotations
@@ -15,8 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import IncompleteTrace
-from .engine import KINDS, NULL, EventColumns, EventKind, SimTrace
+from .core import IncompleteTrace, MalformedTrace
+from .engine import KINDS, LAYOUT, NULL, EventKind, SimTrace
 
 CSV_COLUMNS = [
     "sample_id",
@@ -34,25 +38,15 @@ CSV_COLUMNS = [
 def breakdown(traces: Sequence[SimTrace] | SimTrace) -> list[dict]:
     if isinstance(traces, SimTrace):
         traces = [traces]
-    rows = []
-    for trace in traces:
-        rows.extend(_trace_rows(trace))
-    return rows
+    return [row for trace in traces for row in _trace_rows(trace)]
 
 
 def _trace_rows(trace: SimTrace) -> list[dict]:
-    per, fusion_start, prediction = _column_facts(trace) or _event_facts(trace)
-    fusion_us = (prediction - fusion_start) if prediction is not None and fusion_start is not None else 0
+    per, fusion_start, prediction = _facts(trace)
     rows = []
     for mid in sorted(per):
         m = per[mid]
-        agg_done = m["agg_done"]
-        waiting = (fusion_start - agg_done) if fusion_start is not None and agg_done is not None else 0
-        pipeline_span = (
-            (m["agg_started"] - m["first_encode_start"])
-            if m["agg_started"] is not None and m["first_encode_start"] is not None
-            else 0
-        )
+        pipeline_span = _gap(m["first_encode_start"], m["agg_started"])
         sensing_bound = max(pipeline_span - m["encode_cost"], 0)
         skip_savings = 0
         if m["skipped"] and m["unit_encode_us"] is not None and m["agg_started"] is not None:
@@ -61,33 +55,24 @@ def _trace_rows(trace: SimTrace) -> list[dict]:
             slot = max(m["unit_encode_us"], m["interval_us"] or 0)
             natural_agg_start = m["first_encode_start"] + n * slot
             skip_savings = max(natural_agg_start - m["agg_started"], 0)
-        rows.append(
-            {
-                "sample_id": trace.sample_id,
-                "mode": trace.mode.value,
-                "modality": mid,
-                "sensing_bound_us": sensing_bound,
-                "encode_us": m["encode_cost"],
-                "waiting_us": waiting,
-                "fusion_us": 0,
-                "skip_savings_us": skip_savings,
-                "reported_latency_us": "",
-            }
-        )
-    rows.append(
-        {
-            "sample_id": trace.sample_id,
-            "mode": trace.mode.value,
-            "modality": "all",
-            "sensing_bound_us": "",
-            "encode_us": sum(m["encode_cost"] for m in per.values()),
-            "waiting_us": trace.summary.waiting_us,
-            "fusion_us": fusion_us,
-            "skip_savings_us": sum(r["skip_savings_us"] for r in rows),
-            "reported_latency_us": trace.summary.reported_latency_us,
-        }
-    )
+        waiting = _gap(m["agg_done"], fusion_start)
+        rows.append(_row(trace, mid, sensing_bound, m["encode_cost"], waiting, 0, skip_savings, ""))
+    encode_us = sum(m["encode_cost"] for m in per.values())
+    savings = sum(r["skip_savings_us"] for r in rows)
+    fusion_us = _gap(fusion_start, prediction)
+    s = trace.summary
+    rows.append(_row(trace, "all", "", encode_us, s.waiting_us, fusion_us, savings, s.reported_latency_us))
     return rows
+
+
+def _gap(start, end) -> int:
+    """`end - start`, or 0 when the trace lacks either."""
+    return end - start if start is not None and end is not None else 0
+
+
+def _row(trace: SimTrace, *values) -> dict:
+    """A CSV row of `trace`: its sample and mode, then `values` in column order."""
+    return dict(zip(CSV_COLUMNS, (trace.sample_id, trace.mode.value, *values)))
 
 
 def _new_modality() -> dict:
@@ -95,78 +80,54 @@ def _new_modality() -> dict:
     return dict.fromkeys(facts, None) | {"encode_cost": 0, "skipped": 0}
 
 
-def _event_facts(trace: SimTrace):
-    """Per modality the trace facts the rows are computed from, the fusion
-    start and the prediction time, read event by event."""
-    per: dict[int, dict] = {}
-    fusion_start = None
-    prediction = None
-    for ev in trace.events:
-        if ev.kind is EventKind.FUSION_START:
-            fusion_start = ev.time_us
-        elif ev.kind is EventKind.PREDICTION_EMITTED:
-            prediction = ev.time_us
-        if ev.modality is None:
+def _read(trace: SimTrace, kind: EventKind, keys=()) -> list[tuple]:
+    """(modality, time, the payload values under `keys`) of each event of
+    `kind` in trace order, but those without a modality when `keys` are
+    read: a laid-out row's from its columns, a row kept whole from its
+    tuple."""
+    c, where = trace.log, f"sample {trace.sample_id}: {kind.value} event"
+    at = np.flatnonzero(c.kind == KINDS.index(kind))
+    cols = dict(LAYOUT.get(kind, (0, ()))[1])  # a kind without a layout has only whole rows
+    values = (getattr(c, cols.get(key, "a"))[at].tolist() for key in keys)
+    rows = list(zip(c.m[at].tolist(), c.t[at].tolist(), *values))
+    for j in np.flatnonzero(np.not_equal(c.whole, None)[at]).tolist():
+        t, _, m, _, payload = c.whole[at[j]]
+        if m is None and keys:  # no modality's facts read it
+            rows[j] = None
             continue
-        m = per.setdefault(ev.modality, _new_modality())
-        data = ev.payload_dict()
-        try:
-            if ev.kind is EventKind.UNIT_SENSED:
-                if m["interval_us"] is None:
-                    m["interval_us"] = data["sense_end_us"] - ev.time_us
-            elif ev.kind is EventKind.ENCODE_START:
-                if m["first_encode_start"] is None:
-                    m["first_encode_start"] = ev.time_us
-                m["encode_cost"] += data["encode_cost_us"]
-                m["unit_encode_us"] = data["encode_cost_us"]
-            elif ev.kind is EventKind.AGGREGATION_DONE:
-                m["agg_started"] = data["started_us"]
-                m["agg_done"] = ev.time_us
-                m["agg_prefix"] = data["prefix"]
-            elif ev.kind is EventKind.SKIP_COMMITTED:
-                m["skipped"] = data["units_skipped"]
-        except KeyError as exc:  # only payload keys can be missing; `m` has every key
-            raise IncompleteTrace(
-                f"sample {trace.sample_id}: {ev.kind.value} event lacks payload key {exc.args[0]!r}"
-            ) from None
-    return per, fusion_start, prediction
+        data = dict(payload)
+        if missing := [key for key in keys if key not in data]:
+            raise IncompleteTrace(f"{where} lacks payload key {missing[0]!r}")
+        rows[j] = (m, t, *(data[key] for key in keys))
+        if set(map(type, rows[j][1:])) - {int}:
+            raise MalformedTrace(f"{where} has {rows[j][1:]!r} where the report reads ints")
+    return [row for row in rows if row is not None]
 
 
-# the kinds whose payloads the facts read from the `a` and `b` columns
-_READS = [
-    KINDS.index(EventKind.UNIT_SENSED),
-    KINDS.index(EventKind.ENCODE_START),
-    KINDS.index(EventKind.AGGREGATION_DONE),
-]
-
-
-def _column_facts(trace: SimTrace):
-    """`_event_facts` read from the columns without building an `Event`, or
-    None when the trace has no columns, a row of a kind in `_READS` keeps its
-    payload whole, or a skip commit lacks its count."""
+def _facts(trace: SimTrace):
+    """Per modality the trace facts the rows are computed from, the fusion
+    start and the prediction time."""
     c = trace.log
-    if not isinstance(c, EventColumns) or np.isin(c.kind[np.not_equal(c.payload, None)], _READS).any():
-        return None
-    skips = trace.of_kind(EventKind.SKIP_COMMITTED)
-    if any("units_skipped" not in dict(ev[4]) for ev in skips):
-        return None
-    per = {mid: _new_modality() for mid in np.unique(c.m[c.m != NULL]).tolist()}
-    for mid, m in per.items():
-        sensed, starts, aggs = (np.flatnonzero((c.m == mid) & (c.kind == k)).tolist() for k in _READS)
-        costs = c.a[starts].tolist()
-        if sensed:
-            m["interval_us"] = int(c.a[sensed[0]]) - int(c.t[sensed[0]])
-        if starts:
-            m.update(first_encode_start=int(c.t[starts[0]]), encode_cost=sum(costs))
-            m["unit_encode_us"] = costs[-1]
-        if aggs:
-            last = aggs[-1]
-            m.update(agg_started=int(c.b[last]), agg_done=int(c.t[last]), agg_prefix=int(c.a[last]))
-    for _, _, mid, _, payload in skips:
-        if mid is not None:
-            per[mid]["skipped"] = dict(payload)["units_skipped"]
-    fusion, prediction = (trace.of_kind(k) for k in (EventKind.FUSION_START, EventKind.PREDICTION_EMITTED))
-    return per, fusion[-1][0] if fusion else None, prediction[-1][0] if prediction else None
+    whole = [row for row in c.whole.tolist() if row is not None]
+    for _, kind, m, _, _ in whole:
+        if m is not None and type(m) is not int:
+            raise MalformedTrace(f"sample {trace.sample_id}: {kind.value} event has modality {m!r}")
+    ids = set(c.m[np.equal(c.whole, None) & (c.m != NULL)].tolist()) | {row[2] for row in whole}
+    per = {mid: _new_modality() for mid in ids - {None}}
+    for mid, t, end in reversed(_read(trace, EventKind.UNIT_SENSED, ("sense_end_us",))):
+        per[mid]["interval_us"] = end - t  # read backwards, the first unit's stays
+    for mid, t, cost in _read(trace, EventKind.ENCODE_START, ("encode_cost_us",)):
+        m = per[mid]
+        if m["first_encode_start"] is None:
+            m["first_encode_start"] = t
+        m["encode_cost"] += cost
+        m["unit_encode_us"] = cost
+    for mid, t, prefix, started in _read(trace, EventKind.AGGREGATION_DONE, ("prefix", "started_us")):
+        per[mid].update(agg_started=started, agg_done=t, agg_prefix=prefix)
+    for mid, _, skipped in _read(trace, EventKind.SKIP_COMMITTED, ("units_skipped",)):
+        per[mid]["skipped"] = skipped
+    fusion, prediction = (_read(trace, k) for k in (EventKind.FUSION_START, EventKind.PREDICTION_EMITTED))
+    return per, fusion[-1][1] if fusion else None, prediction[-1][1] if prediction else None
 
 
 def to_csv(rows: list[dict]) -> str:

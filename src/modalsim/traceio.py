@@ -6,33 +6,29 @@ and one final checksum record covering every previous line so tampering
 repr-round-trip floats, so write -> read -> write is byte-stable.
 
 Every line is the compact, sorted-key `json.dumps` of its record: `_dump`
-over `_trace_records` is the reference for the file's bytes.  The events of
-a trace the engine or the reader made are `EventColumns`, and are written a
-kind at a time: a row laid out in columns (`engine.LAYOUT`) through its
-kind's %-template, whose keys are fixed in the reference order
-`data, kind, m, record, t, u` with the payload's keys in sorted order, and
-any other row through `_dump`.  Events a caller built as `Event`s go
-through `_dump`.
+over `_trace_records` is the reference for the file's bytes.  A trace's
+events are `EventColumns`, written a kind at a time: a row laid out in
+columns (`engine.LAYOUT`) through its kind's %-template, whose keys are
+fixed in the reference order `data, kind, m, record, t, u` with the
+payload's keys in sorted order, and a row kept whole through `_dump`.
 
 The reader verifies the checksum once over the joined lines and parses the
 whole file with one `json.loads` of its lines as a JSON array.  When that
 parse fails, or cannot be shown to have taken exactly one value from each
 line, the lines are parsed one by one, so an error names the first bad line.
-The event records then fill `EventColumns` in bulk (`_columns`) when every
-one has the writer's keys, an exact int or None for `t`, `m` and `u` that
-fits its column, a known kind, and a dict of data.  A row whose data has
-its kind's layout (keys, key order, modality and unit, and exact int or str
-values) is laid out in columns; any other keeps its payload whole, and must
-have its data keys in order.  Any other file takes the per-record path, the
-reference for every result and error: a record with a missing or wrongly
-typed field raises `CorruptLine` with its line number.
+The event records are read as `int(t)`, the kind, `m`, `u` and the data
+dict, and laid out in bulk by the engine's one rule (`engine.layout`), the
+rule that lays out a caller's `Event`s; a row kept whole holds its data as
+payload pairs in key order.  When a record lacks a field or has one of the
+wrong type, the records are checked one by one, and the first bad one
+raises `CorruptLine` with its line number.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from itertools import compress, islice
+from itertools import islice
 from json.encoder import encode_basestring_ascii as _string
 from operator import itemgetter
 from pathlib import Path
@@ -41,7 +37,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import ConfigAssignment, ExecutionMode, ModalsimError
-from .engine import KINDS, LAYOUT, NULL, Event, EventColumns, SimTrace, TraceSummary, object_column
+from .engine import KINDS, LAYOUT, EventColumns, SimTrace, TraceSummary, layout, object_column
 
 TRACE_SCHEMA_VERSION = 1
 
@@ -116,38 +112,32 @@ def _template(kind, ids: int, keys) -> tuple[str, list[str]]:
     return line, [col for _, col in keys] + ["m"] * (ids > 0) + ["t"] + ["u"] * (ids > 1)
 
 
-_TEMPLATES = {KINDS.index(kind): _template(kind, *layout) for kind, layout in LAYOUT.items()}
+_TEMPLATES = {KINDS.index(kind): _template(kind, *spec) for kind, spec in LAYOUT.items()}
 
 
 def _column_lines(c: EventColumns) -> list[str]:
     """The event lines of a columnar trace, each `_dump` of its event's record."""
     lines = np.empty(len(c.t), object)
-    whole = np.flatnonzero(np.not_equal(c.payload, None))
-    kinds = c.kind.copy()
-    kinds[whole] = -1
+    laid = np.equal(c.whole, None)
     for code, (template, cols) in _TEMPLATES.items():
-        rows = np.flatnonzero(kinds == code)
-        if len(rows):
-            args = [getattr(c, col)[rows].tolist() for col in cols]
-            args = [list(map(_string, a)) if col == "s" else a for a, col in zip(args, cols)]
-            lines[rows] = object_column([template % x for x in zip(*args)])
-    for i, row in zip(whole.tolist(), c.take(whole).rows()):
-        lines[i] = _dump(_event_record(*row))
+        rows = np.flatnonzero(laid & (c.kind == code))
+        args = [getattr(c, col)[rows].tolist() for col in cols]
+        args = [list(map(_string, a)) if col == "s" else a for a, col in zip(args, cols)]
+        lines[rows] = object_column([template % x for x in zip(*args)])
+    for i in np.flatnonzero(~laid).tolist():
+        lines[i] = _dump(_event_record(*c.whole[i]))
     return lines.tolist()
 
 
 def trace_text(traces: Sequence[SimTrace] | SimTrace) -> str:
     if isinstance(traces, SimTrace):
         traces = [traces]
-    logs = [trace.log.columns() for trace in traces if isinstance(trace.log, EventColumns)]
+    logs = [trace.log.columns() for trace in traces]
     event_lines = iter(_column_lines(EventColumns(*map(np.concatenate, zip(*logs)))) if logs else ())
     lines = []
     for trace in traces:
         lines.append(_dump(_header_record(trace)))
-        if isinstance(trace.log, EventColumns):
-            lines += islice(event_lines, len(trace.log.t))
-        else:
-            lines += (_dump(_event_record(*ev)) for ev in trace.log)
+        lines += islice(event_lines, len(trace.log.t))
         lines.append(_dump(_summary_record(trace)))
     body = "\n".join(lines)
     digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
@@ -205,7 +195,6 @@ def _parse(lines: list[str], data: bytes) -> list[dict]:
     return records
 
 
-_KINDS = {kind.value: kind for kind in KINDS}
 _CODES = {kind.value: code for code, kind in enumerate(KINDS)}
 # raised by a record field of the wrong shape or type
 _MALFORMED = (KeyError, TypeError, ValueError, AttributeError, OverflowError)
@@ -216,50 +205,15 @@ def _payload(data: dict) -> tuple:
     return tuple(sorted((k, _detuple(v)) for k, v in data.items()))
 
 
-_IDS = np.array([LAYOUT[kind][0] if kind in LAYOUT else 0 for kind in KINDS])
-
-
-def _ids(values: list) -> np.ndarray | None:
-    """An id column with None as NULL, or None when an id does not fit."""
-    col = np.array([NULL if v is None else v for v in values], np.int64)
-    return col if np.count_nonzero(col >= NULL) == values.count(None) else None
-
-
-def _columns(recs: list[dict]) -> EventColumns | None:
-    """The event records as columns, or None when one of them needs the
-    per-record path (see the module docstring)."""
-    t, kinds, m, u, data = (list(map(itemgetter(key), recs)) for key in ("t", "kind", "m", "u", "data"))
-    if set(map(type, t)) != {int} or set(map(type, data)) != {dict}:
-        return None
-    if set(map(type, m + u)) - {int, type(None)}:
-        return None
-    code = np.array(list(map(_CODES.__getitem__, kinds)), np.int64)
-    t, m, u = np.array(t, np.int64), _ids(m), _ids(u)
-    if m is None or u is None:
-        return None
-    n = len(recs)
-    ids = _IDS[code]
-    fits = ((m != NULL) == (ids > 0)) & ((u != NULL) == (ids > 1))  # the ids its kind lays out
-    data, laid = object_column(data), np.zeros(n, bool)
-    cols = {"a": np.zeros(n, np.int64), "b": np.zeros(n, np.int64), "s": object_column([None] * n)}
-    for kind, (_, keys) in LAYOUT.items():
-        rows = np.flatnonzero(code == KINDS.index(kind))
-        group = data[rows].tolist()
-        names = tuple(key for key, _ in keys)
-        ok = np.fromiter(map(names.__eq__, map(tuple, group)), bool, len(group)) & fits[rows]
-        rows, group = rows[ok], list(compress(group, ok))
-        laid[rows] = True
-        for key, col in keys:
-            values = [d[key] for d in group]
-            if set(map(type, values)) - {str if col == "s" else int}:
-                return None
-            cols[col][rows] = object_column(values) if col == "s" else values
-    payload = object_column([None] * n)
-    for i in np.flatnonzero(~laid).tolist():
-        if list(data[i]) != sorted(data[i]):
-            return None
-        payload[i] = _payload(data[i])
-    return EventColumns(t, code, m, u, cols["a"], cols["b"], cols["s"], payload)
+def _columns(recs: list[dict]) -> EventColumns:
+    """The event records laid out in bulk; raises what reading one of them
+    alone would, and only then.  Data that is not an object fails in
+    `layout`: a row it lays out reads the data's keys, and any other row
+    gets its payload from `_payload`."""
+    t, m, u, data = (list(map(itemgetter(key), recs)) for key in ("t", "m", "u", "data"))
+    t = t if set(map(type, t)) == {int} else list(map(int, t))
+    kind = list(map(_CODES.__getitem__, map(itemgetter("kind"), recs)))
+    return layout(t, kind, m, u, data, lambda i: _payload(data[i]))
 
 
 def read_trace(path: str | Path) -> list[SimTrace]:
@@ -279,11 +233,11 @@ def read_trace(path: str | Path) -> list[SimTrace]:
     records = records[:-1]
     try:
         columns = _columns([rec for rec in records if rec["record"] == "event"])
-    except (KeyError, TypeError, OverflowError, RecursionError):
-        columns = None  # the per-record path meets the same record and gives the reference outcome
+    except _MALFORMED + (RecursionError,):
+        columns = None  # checking each record below names the first bad one
     traces: list[SimTrace] = []
     header = None
-    events: list[Event] = []
+    row = 0  # the event records so far
     for i, rec in enumerate(records, start=1):
         kind = rec["record"]
         if kind == "event":
@@ -291,16 +245,11 @@ def read_trace(path: str | Path) -> list[SimTrace]:
                 raise CorruptLine(i, "event outside a trace block")
             if columns is None:
                 try:
-                    events.append(
-                        Event(int(rec["t"]), _KINDS[rec["kind"]], rec["m"], rec["u"], _payload(rec["data"]))
-                    )
+                    int(rec["t"]), _CODES[rec["kind"]], rec["m"], rec["u"], _payload(rec["data"])
                 except _MALFORMED as exc:
                     raise CorruptLine(i, f"bad event: {type(exc).__name__} {exc}") from None
-            continue
-        # the records before this one are each finished trace's header and
-        # summary, the open trace's header, and events: `row` counts those events
-        row = i - 1 - 2 * len(traces) - (header is not None)
-        if kind == "header":
+            row += 1
+        elif kind == "header":
             if header is not None:
                 raise CorruptLine(i, "header before previous trace's summary")
             if rec.get("schema_version") != TRACE_SCHEMA_VERSION:
@@ -317,7 +266,7 @@ def read_trace(path: str | Path) -> list[SimTrace]:
                 }
             except _MALFORMED as exc:
                 raise CorruptLine(i, f"bad header: {type(exc).__name__} {exc}") from None
-            events, first = [], row
+            first = row
         elif kind == "summary":
             if header is None:
                 raise CorruptLine(i, "summary outside a trace block")
@@ -330,8 +279,8 @@ def read_trace(path: str | Path) -> list[SimTrace]:
                 )
             except _MALFORMED as exc:
                 raise CorruptLine(i, f"bad summary: {type(exc).__name__} {exc}") from None
-            log = tuple(events) if columns is None else columns.take(slice(first, row))
-            traces.append(SimTrace(events=log, summary=summary, **header))
+            if columns is not None:  # else an event record further on is bad
+                traces.append(SimTrace(log=columns.take(slice(first, row)), summary=summary, **header))
             header = None
         else:
             raise CorruptLine(i, f"unknown record type {kind!r}")

@@ -492,3 +492,37 @@ def test_trace_event_without_payload_key_exit_code_3(key, tmp_path):
     err = json.loads(res.stderr)
     assert err["error"] == "IncompleteTrace"
     assert err["message"] == f"sample {sample.id}: {event['kind']} event lacks payload key {key!r}"
+
+
+def test_report_on_a_non_integer_modality_exit_code_3(motivation_file, tmp_path):
+    # the checksum is recomputed, so the file passes every check the reader makes
+    good = tmp_path / "t.jsonl"
+    res = invoke("run", "--scenario", motivation_file, "--out", str(good))
+    assert res.returncode == 0, res.stderr
+    records = [json.loads(line) for line in good.read_text().splitlines()[:-1]]
+    event = next(r for r in records if r["record"] == "event" and r["kind"] == "encode_start")
+    event["m"] = "x"
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(_resummed([json.dumps(r, sort_keys=True, separators=(",", ":")) for r in records]))
+    res = invoke("report", "--trace", str(bad))
+    assert res.returncode == 3, res.stderr
+    assert res.stdout == ""
+    assert len(res.stderr.splitlines()) == 1, res.stderr  # one JSON line, no traceback
+    err = json.loads(res.stderr)
+    assert err["error"] == "MalformedTrace"
+    assert err["message"] == "sample 0: encode_start event has modality 'x'"
+
+
+def test_sweep_over_its_limit_exit_code_1(tmp_path):
+    # 43,046,721 assignments: the sweep refuses before writing any row
+    scenario_path = tmp_path / "wide.json"
+    scenario_io.save(workload.gen_scenario("random", seed=0, modalities=8), scenario_path)
+    out = tmp_path / "sweep.csv"
+    args = ["sweep", "--scenario", str(scenario_path), "--out", str(out)]
+    res = subprocess.run(CLI + args, capture_output=True, text=True, timeout=60)
+    assert res.returncode == 1, res.stderr
+    assert res.stdout == "" and not out.exists()
+    assert len(res.stderr.splitlines()) == 1, res.stderr  # one JSON line, no traceback
+    err = json.loads(res.stderr)
+    assert err["error"] == "UsageError"
+    assert "43046721" in err["message"] and "1048576" in err["message"]

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import test_trace_bytes
 import test_window_pins
 from modalsim import engine, latency, optimizer, workload
 from modalsim.core import (
@@ -248,6 +249,20 @@ def test_events_tied_on_time_modality_unit_and_kind_keep_their_insertion_order()
         (400, EventKind.FUSION_START, None, None, ()),
         (900, EventKind.PREDICTION_EMITTED, None, None, (("label", 3),)),
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(test_trace_bytes.events, max_size=6))
+@example([engine.Event(5, EventKind.ENCODE_START, 0, 1, (("resource", "high"), ("encode_cost_us", 7)))])
+@example([engine.Event(5, EventKind.UNIT_SENSED, 0, 1, (("sense_end_us", 6), ("sense_end_us", 7)))])
+@example([engine.Event(5, EventKind.PREDICTION_EMITTED, payload=(["label", 3],))])
+def test_events_given_to_a_trace_are_laid_out_once_and_come_back_as_given(evs):
+    # odd payloads, bools, numpy scalars and ids the int64 columns cannot
+    # hold are kept whole as plain tuples, never as `Event`s
+    trace = test_trace_bytes.make_trace(evs)
+    assert type(trace.log) is engine.EventColumns
+    assert all(type(row) is tuple for row in trace.log.whole if row is not None)
+    assert trace.events == tuple(evs)
 
 
 def test_encode_pairing_and_one_prediction():

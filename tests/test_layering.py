@@ -4,7 +4,9 @@ Only `core.memoized` keeps values in an instance's `__dict__` (no module
 memoizes with `functools.cached_property`), only `aggregation` (the
 operators) and `engine` (the window-feature model) name the aggregate's
 width, its default specs or the prediction head, and `workload` applies the
-skip label rule in its oracle gate alone.
+skip label rule in its oracle gate alone.  A trace's events have one form,
+`EventColumns`, so no module asks which form it holds, and the report reads
+the columns rather than `Event`s.
 """
 
 import pathlib
@@ -39,3 +41,12 @@ def test_workload_picks_the_slow_modality_and_compares_labels_once():
     text = SOURCES["workload.py"]
     counts = {word: len(re.findall(rf"\b{word}\b", text)) for word in ("fused_label", "slow_modality")}
     assert counts == {"fused_label": 1, "slow_modality": 1}
+
+
+def test_no_module_asks_whether_events_are_columns():
+    asking = re.compile(r"isinstance\([^)]*\bEventColumns\b")
+    assert [name for name, text in SOURCES.items() if asking.search(text)] == []
+
+
+def test_report_does_not_read_events():
+    assert not re.search(r"\.events\b", SOURCES["report.py"])

@@ -1,11 +1,17 @@
-"""Latency breakdown report: recomputable from raw traces."""
+"""Latency breakdown report: recomputable from raw traces, and held to an
+event-by-event reference on engine traces, their files and hand-edited
+files."""
 
 import csv
 import dataclasses
 import io
 
+import pytest
+
+import test_traceio
 from modalsim import engine, report, traceio, workload
-from modalsim.core import ConfigAssignment, ExecutionMode
+from modalsim.core import ConfigAssignment, ExecutionMode, IncompleteTrace, MalformedTrace
+from modalsim.engine import EventKind
 from modalsim.workload import OracleGate
 
 
@@ -60,8 +66,69 @@ def test_csv_shape_and_parse():
     assert [r["modality"] for r in parsed if r["sample_id"] == "0"] == ["0", "1", "all"]
 
 
+def event_facts(trace):
+    """The breakdown's facts read event by event, the way the report read a
+    trace before it read columns: the reference for `report._facts`."""
+    per = {}
+    fusion_start = None
+    prediction = None
+    for ev in trace.events:
+        if ev.kind is EventKind.FUSION_START:
+            fusion_start = ev.time_us
+        elif ev.kind is EventKind.PREDICTION_EMITTED:
+            prediction = ev.time_us
+        if ev.modality is None:
+            continue
+        m = per.setdefault(ev.modality, report._new_modality())
+        data = ev.payload_dict()
+        try:
+            if ev.kind is EventKind.UNIT_SENSED:
+                if m["interval_us"] is None:
+                    m["interval_us"] = data["sense_end_us"] - ev.time_us
+            elif ev.kind is EventKind.ENCODE_START:
+                if m["first_encode_start"] is None:
+                    m["first_encode_start"] = ev.time_us
+                m["encode_cost"] += data["encode_cost_us"]
+                m["unit_encode_us"] = data["encode_cost_us"]
+            elif ev.kind is EventKind.AGGREGATION_DONE:
+                m["agg_started"] = data["started_us"]
+                m["agg_done"] = ev.time_us
+                m["agg_prefix"] = data["prefix"]
+            elif ev.kind is EventKind.SKIP_COMMITTED:
+                m["skipped"] = data["units_skipped"]
+        except KeyError as exc:
+            raise IncompleteTrace(
+                f"sample {trace.sample_id}: {ev.kind.value} event lacks payload key {exc.args[0]!r}"
+            ) from None
+    return per, fusion_start, prediction
+
+
+def reference_csv(traces, monkeypatch) -> str:
+    with monkeypatch.context() as patched:
+        patched.setattr(report, "_facts", event_facts)
+        return report.to_csv(report.breakdown(traces))
+
+
+def corpus():
+    """Pipelined windows with skip commits, and every mode with a resource
+    change mid-window (non-blocking windows cut encodes short)."""
+    s = workload.gen_scenario("lrw-like", seed=3)
+    a = ConfigAssignment(((1, 1), (1, 1)))
+    traces = []
+    for sample in workload.gen_samples(s, 4, {"easy": 1.0, "hard": 1.0}, seed=2):
+        traces.append(engine.run(s, a, sample, gate=OracleGate(s, sample, a)))
+        for mode in ExecutionMode:
+            switched = dataclasses.replace(
+                s.without_skipping(),
+                execution_mode=mode,
+                resource_schedule=((0, "high"), (s.window_us // 2, "low")),
+            )
+            traces.append(engine.run(switched, a, sample))
+    return traces
+
+
 def test_breakdown_reads_the_same_facts_from_columns_and_from_events(tmp_path):
-    # columnar traces (engine and reader) and the same events as a tuple
+    # engine and reader traces, and the same events passed as `Event`s,
     # give one CSV: skip commits, cut non-blocking windows, a resource change
     s = workload.gen_scenario("lrw-like", seed=3)
     a = ConfigAssignment(((1, 1), (1, 1)))
@@ -78,7 +145,63 @@ def test_breakdown_reads_the_same_facts_from_columns_and_from_events(tmp_path):
     path = tmp_path / "t.jsonl"
     traceio.write_trace(traces, path)
     columnar = traces + traceio.read_trace(path)
-    assert all(report._column_facts(t) == report._event_facts(t) for t in columnar)
     as_events = [dataclasses.replace(t, events=t.events) for t in columnar]
-    assert all(report._column_facts(t) is None for t in as_events)
     assert report.to_csv(report.breakdown(columnar)) == report.to_csv(report.breakdown(as_events))
+
+
+def test_breakdown_matches_the_event_by_event_reference(tmp_path, monkeypatch):
+    traces = corpus()
+    assert any(t.summary.skipped_unit_count for t in traces)
+    assert {t.mode for t in traces} == set(ExecutionMode)
+    assert all(t.of_kind(EventKind.RESOURCE_CHANGE) for t in traces[1:4])
+    path = tmp_path / "t.jsonl"
+    traceio.write_trace(traces, path)
+    for batch in (traces, traceio.read_trace(path)):
+        assert report.to_csv(report.breakdown(batch)) == reference_csv(batch, monkeypatch)
+
+
+# the kinds the breakdown reads, each with the payload keys it reads from an
+# event with a modality
+READS = {
+    EventKind.UNIT_SENSED: ("sense_end_us",),
+    EventKind.ENCODE_START: ("encode_cost_us",),
+    EventKind.AGGREGATION_DONE: ("prefix", "started_us"),
+    EventKind.SKIP_COMMITTED: ("units_skipped",),
+    EventKind.FUSION_START: (),
+    EventKind.PREDICTION_EMITTED: (),
+}
+
+
+def reads_only_integers(traces) -> bool:
+    """Whether every event's modality is an int or None, and every time and
+    payload value the breakdown reads is an int (a bool is not)."""
+    for ev in (ev for t in traces for ev in t.events):
+        if ev.modality is not None and type(ev.modality) is not int:
+            return False
+        keys = READS.get(ev.kind)
+        if keys is None or (keys and ev.modality is None):
+            continue
+        if any(type(v) is not int for v in [ev.time_us] + [v for k, v in ev.payload if k in keys]):
+            return False
+    return True
+
+
+HAND_EDITS = {**test_traceio.PER_RECORD_EDITS, **test_traceio.KEPT_WHOLE_EDITS}
+UNREADABLE = {"kind-unknown", "kind-list", "data-list"}  # CorruptLine
+NOT_INTEGERS = {"m-float", "m-bool", "laid-out-value-float", "laid-out-value-bool"}
+
+
+@pytest.mark.parametrize("case", sorted(HAND_EDITS))
+def test_breakdown_of_a_hand_edited_file_matches_the_reference_or_fails_typed(case, tmp_path, monkeypatch):
+    path = test_traceio._hand_edited(tmp_path, HAND_EDITS[case])
+    if case in UNREADABLE:
+        with pytest.raises(traceio.CorruptLine):
+            traceio.read_trace(path)
+        return
+    traces = traceio.read_trace(path)
+    assert reads_only_integers(traces) == (case not in NOT_INTEGERS)
+    if case in NOT_INTEGERS:
+        with pytest.raises(MalformedTrace):
+            report.breakdown(traces)
+    else:
+        assert report.to_csv(report.breakdown(traces)) == reference_csv(traces, monkeypatch)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import test_trace_bytes
 from modalsim import engine, traceio, workload
 from modalsim.core import ConfigAssignment, ExecutionMode
 from modalsim.engine import Event, EventColumns, EventKind, SimTrace, TraceSummary
@@ -445,6 +446,20 @@ def test_hostile_record_raises_corrupt_line(case, tmp_path):
     assert err.value.line_number == line_number
 
 
+def test_a_bad_event_in_a_later_trace_names_its_line(tmp_path):
+    # the first trace's summary comes before the bad record, which must
+    # still be found and named
+    def edit(records):
+        i = max(i for i, r in enumerate(records) if r["record"] == "event")
+        records[i]["t"] = []
+        return i
+
+    path, line_number = _resummed_file(tmp_path, edit)
+    with pytest.raises(CorruptLine) as err:
+        traceio.read_trace(path)
+    assert err.value.line_number == line_number
+
+
 def test_payload_keys_out_of_order_in_a_file_read_back_in_key_order(tmp_path):
     # a parsed line keeps its keys in file order; the reader puts them in
     # key order whatever path the payload takes
@@ -547,14 +562,14 @@ PER_RECORD_EDITS = {
 
 
 @pytest.mark.parametrize("case", sorted(PER_RECORD_EDITS))
-def test_hand_edited_files_with_a_valid_checksum_take_the_per_record_path(case, tmp_path, monkeypatch):
+def test_hand_edited_files_with_a_valid_checksum_take_the_per_record_path(case, tmp_path):
+    # the edits a bulk read once refused; a record of the wrong type still
+    # gets its line number, and any other edit reads as the line reader reads it
     path = _hand_edited(tmp_path, PER_RECORD_EDITS[case])
-    results = spy_columns(monkeypatch)
     assert_same_outcome(path)
-    assert results == [None]
     traces = outcome(traceio.read_trace, path)
     if isinstance(traces, list):
-        assert all(type(t.log) is tuple for t in traces)
+        assert all(type(t.log) is EventColumns for t in traces)
 
 
 KEPT_WHOLE_EDITS = {
@@ -581,3 +596,11 @@ def test_odd_rows_of_a_columnar_file_keep_their_payload_and_read_back_alike(case
     for rec in expected:
         rec.pop("zz", None)  # a record key the reader does not keep
     assert [json.loads(line) for line in rewritten.read_text().splitlines()[:-1]] == expected
+
+
+@pytest.mark.parametrize("case", sorted(PER_RECORD_EDITS) + sorted(KEPT_WHOLE_EDITS))
+def test_hand_edited_files_read_back_write_their_reference_bytes(case, tmp_path):
+    path = _hand_edited(tmp_path, {**PER_RECORD_EDITS, **KEPT_WHOLE_EDITS}[case])
+    traces = outcome(traceio.read_trace, path)
+    if isinstance(traces, list):
+        test_trace_bytes.assert_reference_bytes(traces)
