@@ -6,11 +6,10 @@ per criterion.
 
 import dataclasses
 import json
-import subprocess
-import sys
 import time
 
 import numpy as np
+from spawn import CLI, run
 
 from modalsim import engine, gating, latency, optimizer, predictor, rng, scenario_io, workload
 from modalsim.aggregation import (
@@ -294,7 +293,6 @@ def test_criterion_8_gate_training_and_eval_cost():
 
 
 def test_criterion_9_cli_determinism(tmp_path):
-    cli = [sys.executable, "-m", "modalsim.cli"]
     scenario_path = tmp_path / "scenario.json"
     scenario_io.save(workload.gen_scenario("lrw-like", seed=3).without_skipping(), scenario_path)
 
@@ -303,7 +301,7 @@ def test_criterion_9_cli_determinism(tmp_path):
         for tag in ("x", "y"):
             paths = {k: tmp_path / f"{tag}-{v}" for k, v in outputs.items()}
             full = [a.format(**{k: str(p) for k, p in paths.items()}) for a in args]
-            res = subprocess.run(cli + full, capture_output=True, text=True, timeout=300)
+            res = run(CLI + full, timeout=300)
             assert res.returncode == 0, res.stderr
             blobs.append((res.stdout, [paths[k].read_bytes() for k in sorted(outputs)]))
         assert blobs[0][1] == blobs[1][1]

@@ -2,21 +2,17 @@
 
 import hashlib
 import json
-import subprocess
-import sys
+import pathlib
 
 import numpy as np
 import pytest
+from spawn import CLI, run
 
-from modalsim import engine, predictor, scenario_io, traceio, workload
-
-CLI = [sys.executable, "-m", "modalsim.cli"]
+from modalsim import cli, engine, predictor, scenario_io, traceio, workload
 
 
 def invoke(*args, cwd=None):
-    return subprocess.run(
-        CLI + list(args), capture_output=True, text=True, cwd=cwd, timeout=300
-    )
+    return run(CLI + list(args), cwd=cwd, timeout=300)
 
 
 @pytest.fixture(scope="module")
@@ -228,6 +224,31 @@ def test_sweep_emits_81_rows(scenario_file, tmp_path):
     assert lines[0] == "assignment,latency_us,accuracy_pct"
     res2 = invoke("sweep", "--scenario", scenario_file, "--out", str(tmp_path / "sweep2.csv"))
     assert (tmp_path / "sweep2.csv").read_bytes() == out.read_bytes()
+
+
+# SHA-256 of `sweep --scenario <spec>` CSVs, pinned before the sweep streamed
+# its rows; a random preset saved to a file stands for the larger grids.
+SWEEP_DIGESTS = {
+    "lrw-like": "1bc49f137cd1f4ca9ba3c73afd3d0eae23b2119d2a956fc5321af0135bfc468a",
+    "uav-like": "f974e4cc9407466873c17d3298afb4eaea22daf01fd8be763a07c6333d7ddea8",
+    "random@3": "ca34b5eaf003f1508ee208487ef0d8a0eccb6e6643de39930a706d1f2489e312",
+    "random-5-x4.json": "79c603667022140ba85bd8dbc6c0e8d11387f053151cfe0586b9562eb7abb6c0",
+}
+
+
+def _random_file(tmp_path, modalities):
+    path = tmp_path / f"random-5-x{modalities}.json"
+    scenario_io.save(workload.gen_scenario("random", seed=5, modalities=modalities), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("spec", sorted(SWEEP_DIGESTS))
+def test_sweep_csv_pinned(spec, tmp_path, capsys):
+    if spec.endswith(".json"):
+        spec = _random_file(tmp_path, 4)  # 6,561 assignments
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", "--scenario", spec, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_DIGESTS[pathlib.Path(spec).name]
 
 
 def test_profile_materializes_lookup_table(scenario_file, tmp_path):
@@ -519,7 +540,7 @@ def test_sweep_over_its_limit_exit_code_1(tmp_path):
     scenario_io.save(workload.gen_scenario("random", seed=0, modalities=8), scenario_path)
     out = tmp_path / "sweep.csv"
     args = ["sweep", "--scenario", str(scenario_path), "--out", str(out)]
-    res = subprocess.run(CLI + args, capture_output=True, text=True, timeout=60)
+    res = run(CLI + args, timeout=60)
     assert res.returncode == 1, res.stderr
     assert res.stdout == "" and not out.exists()
     assert len(res.stderr.splitlines()) == 1, res.stderr  # one JSON line, no traceback

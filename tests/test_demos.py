@@ -1,13 +1,10 @@
 """Each demo script runs to completion against the package in `src/`."""
 
-import os
-import pathlib
-import subprocess
 import sys
 
 import pytest
+from spawn import ROOT, run
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
@@ -17,8 +14,5 @@ def test_the_four_demos_are_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_exits_0(demo):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    res = subprocess.run(
-        [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300
-    )
+    res = run([sys.executable, str(demo)], cwd=ROOT, timeout=300)
     assert res.returncode == 0, res.stderr
