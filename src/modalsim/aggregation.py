@@ -4,7 +4,10 @@ differences, and the pooled aggregate fed to fusion (`aggregate_vector`, with
 
 All operators are exact float64 transforms on FeatureMatrix inputs and never
 mutate their arguments, so every algebraic property (linearity, conservation,
-identity cases) is testable to the bit.
+identity cases) is testable to the bit.  The shift is two slice copies on
+the array (`_shift`), which `alternating_shift` wraps in a FeatureMatrix and
+`aggregate_vector` calls directly; the per-unit loop it replaces is kept in
+the tests as its reference.
 """
 
 from __future__ import annotations
@@ -95,6 +98,23 @@ def group_slices(channels: int, n_groups: int) -> list[slice]:
     return out
 
 
+def _shift(vals: np.ndarray, n: int, spec: ShiftSpec) -> np.ndarray:
+    """A copy of `vals` with its first `n` rows shifted: two slice copies,
+    bit-identical to the per-unit loop `out[i, first] = vals[i - k, first]`,
+    `out[i, last] = vals[i + k, last]` for i in [k, n - k), because every
+    read is from `vals`."""
+    out = vals.copy()
+    k = spec.shift_distance
+    if spec.n_groups == 1 or n == 0:
+        return out
+    groups = group_slices(vals.shape[1], spec.n_groups)
+    first, last = groups[0], groups[-1]
+    if n > 2 * k:
+        out[k : n - k, first] = vals[: n - 2 * k, first]
+        out[k : n - k, last] = vals[2 * k : n, last]
+    return out
+
+
 def alternating_shift(features: FeatureMatrix, spec: ShiftSpec) -> FeatureMatrix:
     """Swap leading/trailing channel groups with neighbors at distance k.
 
@@ -103,18 +123,7 @@ def alternating_shift(features: FeatureMatrix, spec: ShiftSpec) -> FeatureMatrix
     copied unchanged.  One group, or k too large for any interior unit, makes
     this the identity.
     """
-    n = features.valid_prefix
-    vals = features.values
-    out = vals.copy()
-    k = spec.shift_distance
-    if spec.n_groups == 1 or n == 0:
-        return FeatureMatrix(out, features.valid_prefix)
-    groups = group_slices(features.channels, spec.n_groups)
-    first, last = groups[0], groups[-1]
-    for i in range(k, n - k):
-        out[i, first] = vals[i - k, first]
-        out[i, last] = vals[i + k, last]
-    return FeatureMatrix(out, features.valid_prefix)
+    return FeatureMatrix(_shift(features.values, features.valid_prefix, spec), features.valid_prefix)
 
 
 def temporal_differences(features: FeatureMatrix, spec: DiffSpec) -> list[FeatureMatrix]:
@@ -159,7 +168,7 @@ def aggregate_vector(
     p, c = rows.shape
     if shift.n_groups > c:
         shift = ShiftSpec(c, shift.shift_distance)
-    shifted = alternating_shift(FeatureMatrix(rows, p), shift).values
+    shifted = _shift(np.asarray(rows, dtype=np.float64), p, shift)
     diff_input = shifted if diff_on_shifted else rows
     parts = [shifted.mean(axis=0)]
     enc = diff.encoder_matrix(c)

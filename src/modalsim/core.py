@@ -280,18 +280,24 @@ class Sample:
     jump_scale: float = 0.0
     jump_nonce: int = 0
 
+    @memoized
+    def _streams(self) -> tuple[rng.Stream, rng.Stream]:
+        """The stream of ("sample", id), folded once per sample, and its
+        "shared" sub-stream.  Every payload stream is a `.sub` of the first,
+        and labels fold left to right, so each key is the one the full label
+        path gives."""
+        prefix = rng.stream(self.seed, "sample", self.id)
+        return prefix, prefix.sub("shared")
+
     def _base(self, modality: Modality) -> np.ndarray:
-        shared = rng.stream(self.seed, "sample", self.id, "shared").symmetric(modality.channels)
-        private = rng.stream(self.seed, "sample", self.id, "private", modality.id).symmetric(
-            modality.channels
-        )
+        prefix, shared = self._streams()
+        private = prefix.sub("private", modality.id).symmetric(modality.channels)
         a = self.consistency_weight
-        return a * shared + (1.0 - a) * private
+        return a * shared.symmetric(modality.channels) + (1.0 - a) * private
 
     def _jump(self, modality: Modality) -> np.ndarray:
-        direction = rng.stream(
-            self.seed, "sample", self.id, "jump", self.jump_nonce, modality.id
-        ).symmetric(modality.channels)
+        prefix, _ = self._streams()
+        direction = prefix.sub("jump", self.jump_nonce, modality.id).symmetric(modality.channels)
         return self.jump_scale * direction
 
     def jump_start(self, units_per_window: int) -> int:

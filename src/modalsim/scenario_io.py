@@ -2,12 +2,31 @@
 serialization.  The canonical text (sorted keys, two-space indent, trailing
 newline) is what gets fingerprinted, so parse -> serialize is a fixed point
 for every valid file.
+
+The reference for the canonical text is
+`json.dumps(to_document(s), sort_keys=True, indent=2) + "\\n"`; with an
+indent, `json` runs its pure-Python encoder.  `serialize` writes the same
+bytes from %-templates instead, in the idiom of `traceio.trace_text`: one
+template per object shape (profile entry, modality, sensing config, model
+config, profile, document), all objects of a shape filled from one
+column of values per key.  A template takes exact ints, exact strs (which
+it writes through `encode_basestring_ascii`) and finite floats (written
+by `float.__repr__`), as `json` writes them.  A scenario with any other
+value (a bool, a numpy or subclassed int, a str subclass, a non-finite
+float, None, a tuple) takes the reference instead; there is no third
+path.  The profile's part of the text is written once per profile
+instance.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import math
+from itertools import islice
+from json.encoder import encode_basestring_ascii as _string
+from operator import itemgetter
 from pathlib import Path
 
 from .core import (
@@ -83,23 +102,109 @@ def to_document(s: Scenario) -> dict:
     return _document(s, _profile_document(s.latency_profile))
 
 
+class _Inexact(Exception):
+    """A value the templates would not write as `json.dumps` does."""
+
+
+def _leaves(values) -> list | tuple:
+    """`values` ready for a template's `%s`: exact ints and finite floats as
+    they are (their str is the repr `json.dumps` writes), exact strs
+    JSON-encoded.  Any other value raises _Inexact."""
+    kinds = set(map(type, values))
+    if not kinds <= {int, float, str}:
+        raise _Inexact
+    if float in kinds and not all(math.isfinite(v) for v in values if type(v) is float):
+        raise _Inexact
+    if str not in kinds:
+        return values
+    if kinds == {str}:
+        return list(map(_string, values))
+    return [_string(v) if type(v) is str else v for v in values]
+
+
+@functools.cache
+def _template(keys: tuple[str, ...], depth: int) -> str:
+    """%-template of an object with these sorted keys at nesting `depth`,
+    each value one `%s`, laid out as `json.dumps(indent=2)` lays it out."""
+    pad = "\n" + "  " * (depth + 1)
+    return "{" + ",".join(f"{pad}{_string(key)}: %s" for key in keys) + "\n" + "  " * depth + "}"
+
+
+def _object(doc: dict, texts: dict, depth: int) -> str:
+    """The text of the object `doc` with the values in `texts` already
+    written; every other value of `doc` is a leaf."""
+    leaves = [key for key in doc if key not in texts]
+    texts.update(zip(leaves, _leaves([doc[key] for key in leaves])))
+    keys = tuple(sorted(texts))
+    return _template(keys, depth) % itemgetter(*keys)(texts)
+
+
+def _objects(rows: list[dict], depth: int) -> list[str]:
+    """The text of objects of leaves that share their keys (two or more):
+    each key's values checked and encoded as one column, then one template
+    fill per object."""
+    if not rows:
+        return []
+    keys = tuple(sorted(rows[0]))
+    columns = [_leaves(column) for column in zip(*map(itemgetter(*keys), rows))]
+    return [_template(keys, depth) % values for values in zip(*columns)]
+
+
+def _array(items, depth: int) -> str:
+    """A JSON array at nesting `depth` of items written one level deeper
+    (texts, or exact numbers)."""
+    if not items:
+        return "[]"
+    pad = "\n" + "  " * (depth + 1)
+    return "[" + pad + ("," + pad).join(map(str, items)) + "\n" + "  " * depth + "]"
+
+
+def _arrays(groups: list[list], items, depth: int) -> list[str]:
+    """One array per group, at nesting `depth`, of the groups' items in order."""
+    items = iter(items)
+    return [_array(list(islice(items, len(group))), depth) for group in groups]
+
+
+def _nested(groups: list[list[dict]], depth: int) -> str:
+    """An array of arrays of objects; the objects are written as one column."""
+    items = _objects([row for group in groups for row in group], depth + 2)
+    return _array(_arrays(groups, items, depth + 1), depth)
+
+
 @memoized
 def _profile_text(p: LatencyProfile) -> str:
-    """The profile's part of the canonical text, computed once per profile
+    """The profile's part of the canonical text, written once per profile
     instance: most of the text, and shared by every scenario derived with
-    `dataclasses.replace`.  Nested one level deep, each of its line breaks
-    carries two more spaces of indent (JSON strings hold no raw newline)."""
-    return json.dumps(_profile_document(p), sort_keys=True, indent=2).replace("\n", "\n  ")
+    `dataclasses.replace`."""
+    doc = _profile_document(p)
+    texts = {
+        "entries": _array(_objects(doc["entries"], 3), 2),
+        "resource_levels": _array(_leaves(doc["resource_levels"]), 2),
+    }
+    return _object(doc, texts, 1)
+
+
+def _canonical_text(s: Scenario) -> str:
+    """The canonical text, from the templates; raises _Inexact on a value
+    they do not take."""
+    doc = _document(s, None)
+    schedule = doc["resource_schedule"]
+    texts = {
+        "latency_profile": _profile_text(s.latency_profile),
+        "modalities": _array(_objects(doc["modalities"], 2), 1),
+        "sensing_configs": _nested(doc["sensing_configs"], 1),
+        "model_configs": _nested(doc["model_configs"], 1),
+        "skip_checkpoints": _array(_leaves(doc["skip_checkpoints"]), 1),
+        "resource_schedule": _array(_arrays(schedule, _leaves([v for pair in schedule for v in pair]), 2), 1),
+    }
+    return _object(doc, texts, 0) + "\n"
 
 
 def serialize(s: Scenario) -> str:
-    # `json.dumps(to_document(s), sort_keys=True, indent=2)`, with the
-    # profile's memoized text put where a null stands for it.  No other
-    # object in the document has that key, and a quote inside a JSON string
-    # is escaped, so the pattern matches the top-level key only.
-    text = json.dumps(_document(s, None), sort_keys=True, indent=2)
-    profile = _profile_text(s.latency_profile)
-    return text.replace('"latency_profile": null', '"latency_profile": ' + profile, 1) + "\n"
+    try:
+        return _canonical_text(s)
+    except _Inexact:
+        return json.dumps(to_document(s), sort_keys=True, indent=2) + "\n"
 
 
 @memoized

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from modalsim import rng
+from modalsim import aggregation, rng
 from modalsim.aggregation import (
     DiffSpec,
     GroupExceedsChannels,
@@ -13,6 +14,7 @@ from modalsim.aggregation import (
     WindowTooShort,
     aggregate,
     aggregate_output_dim,
+    aggregate_vector,
     alternating_shift,
     group_slices,
     temporal_differences,
@@ -240,3 +242,76 @@ def test_aggregate_linearity_property(n, c, seed):
     lhs = aggregate(fm(x + y), shift, spec)
     rhs = aggregate(fm(x), shift, spec) + aggregate(fm(y), shift, spec)
     np.testing.assert_allclose(lhs, rhs, atol=1e-10)
+
+
+def loop_shift(features, spec):
+    """The per-unit loop `alternating_shift` ran before its two slice
+    copies: the reference it must match bit for bit."""
+    n = features.valid_prefix
+    vals = features.values
+    out = vals.copy()
+    k = spec.shift_distance
+    if spec.n_groups == 1 or n == 0:
+        return FeatureMatrix(out, features.valid_prefix)
+    groups = group_slices(features.channels, spec.n_groups)
+    first, last = groups[0], groups[-1]
+    for i in range(k, n - k):
+        out[i, first] = vals[i - k, first]
+        out[i, last] = vals[i + k, last]
+    return FeatureMatrix(out, features.valid_prefix)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args).values.tobytes()
+    except GroupExceedsChannels:
+        return GroupExceedsChannels
+
+
+any_float = st.floats(width=64) | st.sampled_from([0.0, -0.0, float("nan")])
+
+
+@st.composite
+def matrices(draw, max_units=16):
+    units = draw(st.integers(0, max_units))
+    channels = draw(st.integers(1, 9))
+    return draw(hnp.arrays(np.float64, (units, channels), elements=any_float))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    vals=matrices(),
+    prefix=st.floats(0.0, 1.0),
+    n_groups=st.integers(1, 12),
+    k=st.integers(1, 9),
+)
+@example(vals=np.arange(12.0).reshape(4, 3), prefix=1.0, n_groups=3, k=2)  # n == 2k
+@example(vals=np.arange(15.0).reshape(5, 3), prefix=1.0, n_groups=3, k=2)  # one interior unit
+@example(vals=np.arange(10.0).reshape(5, 2), prefix=1.0, n_groups=3, k=1)  # narrower than the groups
+@example(vals=np.arange(10.0).reshape(5, 2), prefix=1.0, n_groups=1, k=1)  # one group
+@example(vals=np.zeros((0, 4)), prefix=0.0, n_groups=5, k=1)  # no units
+def test_shift_matches_the_per_unit_loop(vals, prefix, n_groups, k):
+    features = FeatureMatrix(vals, int(prefix * vals.shape[0]))
+    spec = ShiftSpec(n_groups, k)
+    assert outcome(alternating_shift, features, spec) == outcome(loop_shift, features, spec)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    vals=matrices(max_units=12).filter(lambda v: v.shape[0] > 0),
+    n_groups=st.integers(1, 12),
+    k=st.integers(1, 6),
+    diff_on_shifted=st.booleans(),
+)
+@example(vals=np.arange(10.0).reshape(5, 2), n_groups=3, k=1, diff_on_shifted=False)
+def test_aggregate_vector_matches_the_loop_shift_reference(vals, n_groups, k, diff_on_shifted):
+    # the reference: the FeatureMatrix round trip through the per-unit loop
+    # that `aggregate_vector` made before it called the array shift
+    shift, diff = ShiftSpec(n_groups, k), DiffSpec(scales=(1, 3), encoder_width=4)
+    with np.errstate(all="ignore"), pytest.MonkeyPatch.context() as patch:  # inf - inf is nan
+        got = aggregate_vector(vals, shift, diff, diff_on_shifted)
+        patch.setattr(
+            aggregation, "_shift", lambda rows, n, spec: loop_shift(FeatureMatrix(rows, n), spec).values
+        )
+        expected = aggregate_vector(vals, shift, diff, diff_on_shifted)
+    assert got.tobytes() == expected.tobytes()

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -249,6 +250,22 @@ def test_sweep_csv_pinned(spec, tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     assert cli.main(["sweep", "--scenario", spec, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_DIGESTS[pathlib.Path(spec).name]
+
+
+def test_sweep_memory_does_not_grow_with_the_row_count(tmp_path, capsys):
+    # 729 and 6,561 rows: written as they are made, the larger sweep holds
+    # no more than the smaller one (a list of rows would add about 1 MB)
+    peaks = []
+    for modalities in (3, 4):
+        path, out = _random_file(tmp_path, modalities), tmp_path / "sweep.csv"
+        tracemalloc.start()
+        try:
+            assert cli.main(["sweep", "--scenario", path, "--out", str(out)]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(out.read_text().splitlines()) == 1 + 9**modalities
+    assert peaks[1] < peaks[0] + 64 * 1024, peaks
 
 
 def test_profile_materializes_lookup_table(scenario_file, tmp_path):

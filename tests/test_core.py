@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from modalsim import core, engine, latency, scenario_io, workload
+from modalsim import core, engine, latency, rng, scenario_io, workload
 from modalsim.core import (
     Difficulty,
     FeatureMatrix,
@@ -199,6 +199,59 @@ def test_window_payload_rows_equal_unit_payload(
     assert rows.dtype == np.float64 and rows.shape == (n, channels)
     for u in range(n):
         assert rows[u].tobytes() == s.unit_payload(m, u, n).tobytes()
+
+
+def reference_window_payload(sample, modality, n):
+    """A window's payload drawn as before the stream prefix was folded once
+    per sample: every stream from its full label path."""
+    labels = (sample.seed, "sample", sample.id)
+    shared = rng.stream(*labels, "shared").symmetric(modality.channels)
+    private = rng.stream(*labels, "private", modality.id).symmetric(modality.channels)
+    a = sample.consistency_weight
+    base = a * shared + (1.0 - a) * private
+    rows = np.repeat(base[None, :], n, axis=0)
+    if not sample.stable:
+        direction = rng.stream(*labels, "jump", sample.jump_nonce, modality.id).symmetric(modality.channels)
+        rows[sample.jump_start(n) :] = base + sample.jump_scale * direction
+    return rows
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    stable=st.booleans(),
+    seed=st.integers(0, 2**64 - 1),
+    sample_id=st.integers(0, 2**40),
+    weight=st.floats(0.0, 1.0),
+    jump_fraction=st.floats(0.0, 1.0),
+    jump_scale=st.floats(-10.0, 10.0),
+    jump_nonce=st.integers(0, 5),
+    modalities=st.lists(
+        st.tuples(st.integers(0, 5), st.integers(1, 40), st.integers(1, 64)), min_size=1, max_size=4
+    ),
+)
+def test_payload_matches_the_per_stream_reference(
+    stable, seed, sample_id, weight, jump_fraction, jump_scale, jump_nonce, modalities
+):
+    s = Sample(
+        id=sample_id,
+        seed=seed,
+        difficulty=Difficulty.HARD,
+        ground_truth_label=0,
+        stable=stable,
+        consistency_weight=weight,
+        jump_fraction=jump_fraction,
+        jump_scale=jump_scale,
+        jump_nonce=jump_nonce,
+    )
+    # several modalities (some alike) on one sample: later ones reuse its memo
+    for m_id, channels, n in modalities + modalities[:1]:
+        m = Modality(m_id, "v", channels)
+        expected = reference_window_payload(s, m, n)
+        rows = s.window_payload(m, n)
+        assert rows.tobytes() == expected.tobytes()
+        for u in (0, s.jump_start(n) - 1, s.jump_start(n), n - 1):
+            if 0 <= u < n:
+                assert s.unit_payload(m, u, n).tobytes() == expected[u].tobytes()
 
 
 def test_scenario_round_trip_canonical():

@@ -7,9 +7,13 @@ import hashlib
 import json
 import pickle
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from modalsim import scenario_io, workload
+from modalsim.core import LatencyProfile, Modality, ModelConfig, ProfileEntry, SensingConfig
 
 
 def sha256_of(s) -> str:
@@ -87,8 +91,8 @@ def _full_dump(s) -> str:
 
 @pytest.mark.parametrize("preset", workload.PRESETS)
 def test_canonical_text_is_the_sorted_indented_dump_of_the_document(preset):
-    # the profile's text is memoized and spliced in; the result must be the
-    # text of one json.dumps over the whole document
+    # the text is written from templates, the profile's part memoized; the
+    # result must be the text of one json.dumps over the whole document
     for seed in range(3):
         s = workload.gen_scenario(preset, seed=seed)
         for derived in (s, s.without_skipping(), dataclasses.replace(s, t_max_us=s.t_max_us + 1)):
@@ -101,3 +105,105 @@ def test_random_pin_presets_serialize_to_the_full_dump():
     for shape in SHAPES:
         for s in presets(shape):
             assert scenario_io.serialize(s) == _full_dump(s)
+
+
+class Int(int):
+    """An int subclass that writes itself differently from `int.__repr__`."""
+
+    __repr__ = __str__ = lambda self: "not-json"
+
+
+class Float(float):
+    __repr__ = __str__ = lambda self: "not-json"
+
+
+HOSTILE = ['"', "\\", "\x00", "\n\t\x1f", "é", "日本", "\ud800", "%s", "%(x)d", "\u2028", ""]
+texts = st.sampled_from(HOSTILE) | st.text(max_size=12)
+floats = st.sampled_from([1e-7, 0.1, 5e-324, 0.5, 1.0, -0.0, 1e300]) | st.floats()
+# values that are not an exact int; each must send the scenario to the reference
+odd_ints = st.sampled_from([True, False, np.int64(3), Int(2)])
+
+
+def outcome(write, s):
+    try:
+        return write(s)
+    except TypeError as exc:  # a numpy int is not JSON serializable
+        return type(exc)
+
+
+@st.composite
+def hostile_scenarios(draw):
+    base = workload.gen_scenario("lrw-like", seed=draw(st.integers(0, 3)))
+    n = len(base.modalities)
+    levels = draw(st.lists(texts, min_size=1, max_size=3, unique=True))
+    entries = {}
+    for i in range(n):
+        for j in range(len(base.sensing_space[i])):
+            for k in range(len(base.model_space[i])):
+                for r in levels:
+                    entries[(i, j, k, r)] = ProfileEntry(draw(st.integers(1, 10**6)), draw(st.integers(0, 10**5)))
+    profile = LatencyProfile(levels, draw(st.integers(0, 10**5)), entries)
+    s = dataclasses.replace(
+        base,
+        name=draw(texts),
+        modalities=tuple(Modality(m.id, draw(texts), m.channels) for m in base.modalities),
+        model_space=tuple(
+            tuple(ModelConfig(c.level, draw(texts)) for c in row) for row in base.model_space
+        ),
+        latency_profile=profile,
+        tau=draw(floats | st.integers(-5, 5)),
+        skip_checkpoints=tuple(draw(st.lists(floats, max_size=40))),
+        resource_schedule=tuple(
+            (t, draw(st.sampled_from(levels))) for t in draw(st.lists(st.integers(0, 10**9), max_size=60))
+        ),
+    )
+    # at most one field holds a value that is not an exact int, str or float
+    field = draw(st.sampled_from(["none", "t_max_us", "seed", "channels", "level", "entry", "time", "tau"]))
+    if field == "none":
+        return s
+    odd = draw(odd_ints)
+    if field == "t_max_us":
+        return dataclasses.replace(s, t_max_us=odd)
+    if field == "seed":
+        return dataclasses.replace(s, accuracy_surface_seed=odd)
+    if field == "channels":
+        m = s.modalities[0]
+        return dataclasses.replace(s, modalities=(Modality(m.id, m.name, odd), *s.modalities[1:]))
+    if field == "level":
+        c = s.sensing_space[0][0]
+        first = (SensingConfig(odd, c.units_per_window, c.window_us), *s.sensing_space[0][1:])
+        return dataclasses.replace(s, sensing_space=(first, *s.sensing_space[1:]))
+    if field == "entry":
+        key = next(iter(entries))
+        odd_entries = {**entries, key: ProfileEntry(odd, entries[key].aggregation_us)}
+        return dataclasses.replace(s, latency_profile=LatencyProfile(levels, profile.fusion_us, odd_entries))
+    if field == "time":
+        return dataclasses.replace(s, resource_schedule=((odd, levels[0]), *s.resource_schedule))
+    return dataclasses.replace(s, tau=draw(st.sampled_from([True, Float(0.5), float("nan"), -float("inf")])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(hostile_scenarios())
+@example(dataclasses.replace(workload.gen_scenario("uav-like", seed=1), name='"\\\x00é', tau=5e-324))
+@example(dataclasses.replace(workload.gen_scenario("lrw-like", seed=0), skip_checkpoints=(1e-7, 0.1)))
+@example(dataclasses.replace(workload.gen_scenario("lrw-like", seed=0), resource_schedule=()))
+def test_canonical_text_equals_the_reference_on_hostile_values(s):
+    assert outcome(scenario_io.serialize, s) == outcome(_full_dump, s)
+
+
+@pytest.mark.parametrize(
+    "odd", [True, np.int64(3), Int(2), Float(0.25), float("nan"), None], ids=repr
+)
+def test_a_value_that_is_not_exact_takes_the_reference(odd, monkeypatch):
+    encoders = []
+    real = json.encoder._make_iterencode
+
+    def counted(*args, **kwargs):
+        encoders.append(args)
+        return real(*args, **kwargs)
+
+    s = dataclasses.replace(workload.gen_scenario("lrw-like", seed=1), tau=odd)
+    expected = outcome(_full_dump, s)
+    monkeypatch.setattr(json.encoder, "_make_iterencode", counted)
+    assert outcome(scenario_io.serialize, s) == expected
+    assert encoders  # the reference ran: `json` with an indent builds its encoder

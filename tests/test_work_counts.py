@@ -68,9 +68,14 @@ def test_window_payload_builds_at_most_three_streams(monkeypatch, n, stable):
         jump_scale=4.0,
     )
     streams = count_calls(monkeypatch, rng, "stream")
+    subs = count_calls(monkeypatch, rng.Stream, "sub")
     rows = sample.window_payload(Modality(0, "v", 6), n)
     assert rows.shape == (n, 6)
-    assert 2 <= len(streams) <= 3
+    assert len(streams) == 1  # the ("sample", id) prefix, folded once per sample
+    assert 2 <= len(subs) <= 3  # shared, private and (unstable only) jump
+    sample.window_payload(Modality(1, "a", 4), n)
+    assert len(streams) == 1
+    assert len(subs) <= 5  # the shared stream is not derived again
 
 
 def test_two_runs_on_one_scenario_serialize_it_once(monkeypatch):
@@ -119,6 +124,19 @@ def test_scenarios_sharing_a_profile_serialize_it_once(monkeypatch):
     assert texts == [
         json.dumps(scenario_io.to_document(x), sort_keys=True, indent=2) + "\n" for x in scenarios
     ]
+
+
+def test_fingerprinting_an_exact_scenario_never_runs_the_json_encoder(monkeypatch):
+    # `json.dumps(indent=2)` builds its pure-Python encoder through
+    # `_make_iterencode`; the templates write the canonical text without it
+    encoders = count_calls(monkeypatch, json.encoder, "_make_iterencode")
+    fingerprints = set()
+    for preset in workload.PRESETS:
+        s = workload.gen_scenario(preset, seed=4)
+        for derived in (s, dataclasses.replace(s, execution_mode=ExecutionMode.BLOCKING)):
+            fingerprints.add(scenario_io.fingerprint(derived))
+    assert encoders == []
+    assert len(fingerprints) == 2 * len(workload.PRESETS)
 
 
 def test_reading_a_trace_file_parses_it_once(monkeypatch, tmp_path):
