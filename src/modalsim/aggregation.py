@@ -44,14 +44,14 @@ class ShiftSpec:
 class DiffSpec:
     """Temporal difference scales and the per-scale linear encoder.
 
-    The encoder is a bias-free fixed linear map (seeded, or the identity when
-    `identity_encoder` is set, in which case the width equals the channel
-    count).  Bias-free keeps the whole aggregate linear in its input.
+    The encoder is a bias-free fixed linear map (drawn from seed 0, or the
+    identity when `identity_encoder` is set, in which case the width equals
+    the channel count).  Bias-free keeps the whole aggregate linear in its
+    input.
     """
 
     scales: tuple[int, ...] = (1, 2)
     encoder_width: int = 8
-    encoder_seed: int = 0
     identity_encoder: bool = False
 
     def __post_init__(self):
@@ -70,7 +70,7 @@ class DiffSpec:
         """Read-only (channels, width) encoder, drawn once per spec and channel count."""
         if self.identity_encoder:
             return np.eye(channels)
-        s = rng.stream(self.encoder_seed, "diff-encoder", channels, self.encoder_width)
+        s = rng.stream(0, "diff-encoder", channels, self.encoder_width)
         flat = s.symmetric(channels * self.encoder_width)
         return flat.reshape(channels, self.encoder_width) / np.sqrt(channels)
 

@@ -8,11 +8,15 @@ of N units finishes at exactly N * max(L_E, L_S) and the trace agrees with
 the closed-form latency model to the microsecond.
 
 `run` goes through three stages, each over one plan per modality:
-  _schedule    per-unit sense and encode timing and the aggregation after
-               the last encode.  One formula serves every mode: a unit
-               starts when its sensing has begun and the encoder is free.
-               Blocking mode differs only in when the encoder is first
-               free: at the end of the window instead of its start.
+  _schedule    per-unit encode timing and the aggregation after the last
+               encode.  One rule serves every mode: the encoder runs the
+               units back to back, each encode starting when the one
+               before it ends.  A unit's sensing has always begun by then,
+               since an encode never ends before its own unit is fully
+               sensed, and unit u-1 is fully sensed when unit u's sensing
+               begins.  Blocking mode differs only in when the first
+               encode starts: at the end of the window instead of its
+               start.
   _apply_skip  pipelined mode with checkpoints: asks the gate at each
                checkpoint of the slow modality and commits, through
                `gating.gate_eval`, the first that fires, aggregating the
@@ -88,7 +92,7 @@ DEFAULT_DIFF = DiffSpec(scales=(1, 2), encoder_width=8)
 
 NULL = 1 << 31  # the m or u column of an event without a modality or unit; sorts after any id
 _ABORTED = (("aborted", True),)  # payload of an encode cut before it finished
-_NEVER = np.iinfo(np.int64).max  # the cut of a modality that is not cut
+_NEVER = np.iinfo(np.int64).max  # the cut of a modality without a skip commit
 
 
 class EventKind(enum.Enum):
@@ -385,24 +389,30 @@ def slow_modality(scenario: Scenario, assignment: ConfigAssignment, at_us: int) 
 
 
 class _ModalityPlan:
-    """One modality's unit timing, aggregation and fused vector within a window."""
+    """One modality's unit timing, aggregation and fused vector within a
+    window.  Per unit it keeps only the encode's end and resource level:
+    unit u's sensing starts at `window_start + u * interval`, its encode at
+    `first` for unit 0 and at unit u-1's encode end for any other, and the
+    encode costs what `costs` holds for its level."""
 
-    def __init__(self, scenario, assignment, modality, sample):
+    def __init__(self, scenario, assignment, modality, window_start):
         self.scenario = scenario
         self.modality = modality
         self.levels = assignment.pairs[modality.id]
         sensing = scenario.sensing(modality.id, self.levels[0])
         self.n = sensing.units_per_window
         self.interval = sensing.interval_us
-        self.rows = sample.window_payload(modality, self.n)
-        self.sense_start: list[int] = []
-        self.enc_start: list[int] = []
+        self.window_start = window_start
+        self.first = window_start  # the first encode's start: the window's end in blocking mode
+        if scenario.execution_mode is ExecutionMode.BLOCKING:
+            self.first += scenario.window_us
+        self.rows: np.ndarray | None = None  # the unit payload rows, drawn by `run`
         self.enc_end: list[int] = []
         self.enc_resource: list[str] = []
-        self.enc_cost: list[int] = []
+        self.costs: dict[str, int] = {}  # resource level -> unit encode cost, looked up once per window
         self.agg_start = self.agg_done = self.agg_prefix = 0
         self.fused: np.ndarray | None = None
-        self.cut: int | None = None  # skip commit: units not encoded by then are dropped
+        self.cut = _NEVER  # skip commit: units not encoded by then are dropped
 
     def entry(self, resource: str):
         return self.scenario.latency_profile.lookup(self.modality.id, *self.levels, resource)
@@ -446,7 +456,9 @@ def run(
     if skipping and gate is None:
         raise GateRequiredButMissing("scenario configures skip checkpoints; pipelined runs need a gate")
 
-    plans = [_schedule(scenario, assignment, sample, m, window_start) for m in scenario.modalities]
+    plans = [_schedule(scenario, assignment, m, window_start) for m in scenario.modalities]
+    for p in plans:
+        p.rows = sample.window_payload(p.modality, p.n)
     if skipping:
         _apply_skip(scenario, assignment, plans, gate, window_start, rows)
 
@@ -482,34 +494,27 @@ def run(
     )
 
 
-def _schedule(scenario, assignment, sample, modality, window_start) -> _ModalityPlan:
-    """Per-unit sense and encode timing, then aggregation after the last encode.
+def _schedule(scenario, assignment, modality, window_start) -> _ModalityPlan:
+    """Per-unit encode timing, then aggregation after the last encode.  The
+    timeline depends only on these arguments, never on the sample.
 
-    Unit u is sensed during [u*L_S, (u+1)*L_S) from the window start.  One
-    FIFO encoder starts it once sensing has begun and the encoder is free,
-    and is free again when the encode is done and the unit fully sensed.
-    Blocking mode differs only in that the encoder is first free at the end
-    of the window.
+    Unit u is sensed during [w + u*L, w + (u+1)*L) from the window start w.
+    One FIFO encoder runs the units back to back from `first`, w or, in
+    blocking mode, w + T_w: unit u's encode starts when unit u-1's ends,
+    pins the resource level in force then, and ends at the later of its
+    start plus its cost c and the end of the unit's sensing,
+    end_u = max(end_{u-1} + c, w + (u+1)*L).
     """
-    plan = _ModalityPlan(scenario, assignment, modality, sample)
-    costs = {}  # resource level -> unit encode cost, looked up once per window
-    free = window_start
-    if scenario.execution_mode is ExecutionMode.BLOCKING:
-        free += scenario.window_us
-    for u in range(plan.n):
-        sense_start = window_start + u * plan.interval
-        start = max(sense_start, free)
-        resource = apply_resource_schedule(scenario, start)
-        if resource not in costs:
-            costs[resource] = plan.entry(resource).unit_encode_us
-        cost = costs[resource]
-        free = max(start + cost, sense_start + plan.interval)
-        plan.sense_start.append(sense_start)
-        plan.enc_start.append(start)
-        plan.enc_end.append(free)
+    plan = _ModalityPlan(scenario, assignment, modality, window_start)
+    end = plan.first
+    for u in range(1, plan.n + 1):
+        resource = apply_resource_schedule(scenario, end)
+        if resource not in plan.costs:
+            plan.costs[resource] = plan.entry(resource).unit_encode_us
+        end = max(end + plan.costs[resource], window_start + u * plan.interval)
+        plan.enc_end.append(end)
         plan.enc_resource.append(resource)
-        plan.enc_cost.append(cost)
-    plan.aggregate_at(free, plan.n)
+    plan.aggregate_at(end, plan.n)
     return plan
 
 
@@ -570,41 +575,41 @@ def _emit(plan, fusion_start, rows, blocks) -> int:
     fuses, and return its peak count of buffered units (sensing begun,
     encode not yet done).
 
-    A modality still aggregating at fusion time (non-blocking mode) is cut
-    there and fuses a zero-padded snapshot of the units encoded by then;
-    the snapshot costs no virtual time.  Units whose sensing had not begun
-    at the cut have no events; an encode that began before it ends there,
+    A modality is cut at its skip commit or at fusion, whichever is
+    earlier.  One still aggregating at fusion time (non-blocking mode)
+    fuses a zero-padded snapshot of the units encoded by then; the snapshot
+    costs no virtual time.  Units whose sensing had not begun at the cut
+    have no events.  The encodes begun before the cut, or ended at it, are
+    a prefix of the units, since the encodes run back to back; only the
+    last of them can still be running at the cut, and it ends there,
     aborted.
     """
-    mid = plan.modality.id
-    cut = plan.cut
+    mid, n = plan.modality.id, plan.n
+    cut = min(plan.cut, fusion_start)
     ends = np.array(plan.enc_end, np.int64)
     if plan.agg_done > fusion_start:
-        cut = fusion_start
         plan.fused = feature_vector(np.where(ends[:, None] <= fusion_start, plan.rows, 0.0))
     else:
-        done = _row(plan.agg_done, EventKind.AGGREGATION_DONE, mid, a=plan.agg_prefix, b=plan.agg_start)
-        rows.append(done)
+        rows.append(_row(plan.agg_done, EventKind.AGGREGATION_DONE, mid, a=plan.agg_prefix, b=plan.agg_start))
         if plan.fused is None:
             plan.fused = feature_vector(plan.rows)
-    cut = _NEVER if cut is None else cut
 
-    sensed = np.array(plan.sense_start, np.int64)
+    sensed = plan.window_start + plan.interval * np.arange(n)
     k = int(np.searchsorted(sensed, cut))  # units whose sensing began before the cut
-    sensed, ends, starts = sensed[:k], ends[:k], np.array(plan.enc_start[:k], np.int64)
-    leaves, costs = np.minimum(ends, cut), np.array(plan.enc_cost, np.int64)
-    enc = np.flatnonzero((ends <= cut) | (starts < cut))  # finished, or begun before the cut
-    e = len(enc)
+    starts = np.concatenate(([plan.first], ends))[:n]
+    e = max(int(np.searchsorted(ends, cut, "right")), int(np.searchsorted(starts, cut)))
+    sensed, leaves, units = sensed[:k], np.minimum(ends[:k], cut), np.arange(e)
     resource, whole = np.full((2, k + 2 * e), None, object)
-    resource[k : k + e] = object_column(plan.enc_resource)[enc]
-    for i in np.flatnonzero(ends[enc] > cut).tolist():
-        whole[k + e + i] = (cut, EventKind.ENCODE_END, mid, int(enc[i]), _ABORTED)
+    resource[k : k + e] = object_column(plan.enc_resource[:e])
+    costs = np.array([plan.costs[level] for level in plan.enc_resource[:e]], np.int64)
+    if e and ends[e - 1] > cut:
+        whole[-1] = (cut, EventKind.ENCODE_END, mid, e - 1, _ABORTED)
     blocks.append((
-        np.concatenate([sensed, starts[enc], leaves[enc]]),
+        np.concatenate([sensed, starts[:e], leaves[:e]]),
         np.repeat(_UNIT_KINDS, (k, e, e)),
         np.full(k + 2 * e, mid),
-        np.concatenate([np.arange(k), enc, enc]),
-        np.concatenate([sensed + plan.interval, costs[enc], np.zeros_like(enc)]),
+        np.concatenate([np.arange(k), units, units]),
+        np.concatenate([sensed + plan.interval, costs, np.zeros(e, np.int64)]),
         np.zeros(k + 2 * e, np.int64),
         resource,
         whole,

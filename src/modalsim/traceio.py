@@ -206,10 +206,12 @@ def _payload(data: dict) -> tuple:
 
 
 def _columns(recs: list[dict]) -> EventColumns:
-    """The event records laid out in bulk; raises what reading one of them
-    alone would, and only then.  Data that is not an object fails in
-    `layout`: a row it lays out reads the data's keys, and any other row
-    gets its payload from `_payload`."""
+    """The event records laid out by the one layout rule; raises for a list
+    of records when, and only when, it raises for one of them alone.
+    `read_trace` lays out a file's records in bulk and, only when that
+    raises, each record alone to name the first bad one.  Data that is not
+    an object fails in `layout`: a row it lays out reads the data's keys,
+    and any other row gets its payload from `_payload`."""
     t, m, u, data = (list(map(itemgetter(key), recs)) for key in ("t", "m", "u", "data"))
     t = t if set(map(type, t)) == {int} else list(map(int, t))
     kind = list(map(_CODES.__getitem__, map(itemgetter("kind"), recs)))
@@ -245,7 +247,7 @@ def read_trace(path: str | Path) -> list[SimTrace]:
                 raise CorruptLine(i, "event outside a trace block")
             if columns is None:
                 try:
-                    int(rec["t"]), _CODES[rec["kind"]], rec["m"], rec["u"], _payload(rec["data"])
+                    _columns([rec])
                 except _MALFORMED as exc:
                     raise CorruptLine(i, f"bad event: {type(exc).__name__} {exc}") from None
             row += 1

@@ -225,6 +225,8 @@ def gen_scenario(preset: str, seed: int = 0, **kwargs) -> Scenario:
 # ---------------------------------------------------------------------------
 # Accuracy surface
 
+CONSISTENCY_SCALE = 10.0  # accuracy points per unit of indicator consistency
+
 
 @dataclass(frozen=True)
 class AccuracySurface:
@@ -238,13 +240,12 @@ class AccuracySurface:
     sensing_counts: tuple[int, ...]
     model_counts: tuple[int, ...]
     base: float
-    consistency_scale: float
     sensing_gains: tuple[tuple[float, ...], ...]  # cumulative, per modality
     model_gains: tuple[tuple[float, ...], ...]
     pair_weights: tuple[tuple[int, int, float], ...]  # (mod a, mod b, weight)
 
     def __call__(self, ind: ModalityIndicators, assignment: ConfigAssignment) -> float:
-        acc = self.base + self.consistency_scale * ind.consistency
+        acc = self.base + CONSISTENCY_SCALE * ind.consistency
         for i, (s, m) in enumerate(assignment.pairs):
             acc += self.sensing_gains[i][s] + self.model_gains[i][m]
         for a, b, w in self.pair_weights:
@@ -274,7 +275,6 @@ def gen_accuracy_surface(
     scenario: Scenario,
     seed: int | None = None,
     interaction_scale: float = 1.0,
-    consistency_scale: float = 10.0,
 ) -> AccuracySurface:
     """Seeded surface for the scenario's config space.
 
@@ -309,7 +309,6 @@ def gen_accuracy_surface(
         sensing_counts=tuple(len(x) for x in scenario.sensing_space),
         model_counts=tuple(len(x) for x in scenario.model_space),
         base=52.0,
-        consistency_scale=consistency_scale,
         sensing_gains=tuple(sensing_gains),
         model_gains=tuple(model_gains),
         pair_weights=tuple(pair_weights),
@@ -466,13 +465,15 @@ def gate_dataset(
     return rows
 
 
+ASSIGNMENTS_PER_SAMPLE = 6  # labelled assignments drawn per sample
+
+
 def predictor_dataset(
     scenario: Scenario,
     surface: AccuracySurface,
     samples: Sequence[Sample],
     seed: int = 0,
     noise_pct: float = 0.0,
-    assignments_per_sample: int = 6,
 ) -> list[tuple[ModalityIndicators, ConfigAssignment, float]]:
     """Labelled (indicators, assignment, accuracy) rows from the surface."""
     options = [scenario.level_pairs(i) for i in range(len(scenario.modalities))]
@@ -483,7 +484,7 @@ def predictor_dataset(
     for sample in samples:
         ind = probe_indicators(scenario, sample)
         picks = rng.stream(seed, "predictor-picks", sample.id)
-        for t in range(assignments_per_sample):
+        for t in range(ASSIGNMENTS_PER_SAMPLE):
             # the k-th of `scenario.assignments()`, in mixed radix: the last modality varies fastest
             digits = np.unravel_index(picks.u64(t) % math.prod(sizes), sizes)
             assignment = ConfigAssignment(tuple(pairs[d] for pairs, d in zip(options, digits)))

@@ -630,3 +630,97 @@ def test_peak_occupancy_matches_sorted_deltas(intervals):
     enters = [e for e, _ in intervals]
     leaves = [leave for _, leave in intervals]
     assert engine._peak_occupancy(enters, leaves) == _peak_by_sorted_deltas(intervals)
+
+
+def loop_schedule(scenario, assignment, modality, window_start):
+    """Reference: the per-unit loop `engine._schedule` replaced.  One FIFO
+    encoder starts a unit once its sensing has begun and the encoder is
+    free, and is free again when the encode is done and the unit fully
+    sensed.  Per unit: (encode start, encode end, resource, cost)."""
+    levels = assignment.pairs[modality.id]
+    sensing = scenario.sensing(modality.id, levels[0])
+    free = window_start
+    if scenario.execution_mode is ExecutionMode.BLOCKING:
+        free += scenario.window_us
+    units = []
+    for u in range(sensing.units_per_window):
+        sense_start = window_start + u * sensing.interval_us
+        start = max(sense_start, free)
+        resource = apply_resource_schedule(scenario, start)
+        cost = scenario.latency_profile.lookup(modality.id, *levels, resource).unit_encode_us
+        free = max(start + cost, sense_start + sensing.interval_us)
+        units.append((start, free, resource, cost))
+    return units
+
+
+def schedule_case(seed, n_mod, mode, pick, window_start, switches):
+    """A random scenario with `n_mod` modalities in `mode`, its min or max
+    assignment, and a resource schedule that alternates the levels at each
+    switch time.  A switch is ("any", t, _): at 1 + t mod 2 T_w; ("boundary",
+    m, u): where modality m's unit u begins sensing; or ("end", m, u): at
+    the end of modality m's unit-u encode when nothing switches."""
+    s = dataclasses.replace(workload.gen_scenario("random", seed=seed, modalities=n_mod), execution_mode=mode)
+    assignment = s.min_assignment() if pick == "min" else s.max_assignment()
+    times = set()
+    for kind, a, b in switches:
+        m = s.modalities[a % n_mod]
+        if kind == "any":
+            times.add(1 + a % (2 * s.window_us))
+        elif kind == "boundary":
+            sensing = s.sensing(m.id, assignment.pairs[m.id][0])
+            times.add(window_start + b % sensing.units_per_window * sensing.interval_us)
+        else:
+            units = loop_schedule(s, assignment, m, window_start)
+            times.add(units[b % len(units)][1])
+    levels = s.latency_profile.resource_levels
+    switched = [(t, levels[i % len(levels)]) for i, t in enumerate(sorted(times - {0}), start=1)]
+    return dataclasses.replace(s, resource_schedule=((0, levels[0]), *switched)), assignment
+
+
+SWITCH = st.tuples(st.sampled_from(["any", "boundary", "end"]), st.integers(0, 10**7), st.integers(0, 64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 10**6),
+    st.integers(2, 4),
+    st.sampled_from(list(ExecutionMode)),
+    st.sampled_from(["min", "max"]),
+    st.one_of(st.just(0), st.integers(1, 50_000)),
+    st.lists(SWITCH, max_size=3),
+)
+@example(0, 2, ExecutionMode.PIPELINED, "max", 0, [])
+@example(1, 2, ExecutionMode.PIPELINED, "max", 0, [("end", 0, 3)])  # a switch at an encode end
+@example(2, 3, ExecutionMode.BLOCKING, "min", 2_500, [("boundary", 1, 5)])  # at a unit boundary
+@example(3, 4, ExecutionMode.NON_BLOCKING, "max", 2_500, [("end", 2, 7), ("boundary", 0, 1), ("any", 5, 0)])
+def test_schedule_matches_the_per_unit_loop(seed, n_mod, mode, pick, window_start, switches):
+    s, assignment = schedule_case(seed, n_mod, mode, pick, window_start, switches)
+    for m in s.modalities:
+        plan = engine._schedule(s, assignment, m, window_start)
+        starts = [plan.first, *plan.enc_end[:-1]]
+        got = [(t, end, r, plan.costs[r]) for t, end, r in zip(starts, plan.enc_end, plan.enc_resource)]
+        want = loop_schedule(s, assignment, m, window_start)
+        assert got == want
+        assert plan.agg_start == want[-1][1]
+
+
+def test_encodes_run_back_to_back_over_the_window_pin_corpus(monkeypatch):
+    """Per modality, every encode after the first starts at the previous
+    unit's encode end, and at most one encode ends aborted."""
+    real = engine.run
+    aborted = []
+
+    def checked(*args, **kwargs):
+        trace = real(*args, **kwargs)
+        starts, ends = trace.of_kind(EventKind.ENCODE_START), trace.of_kind(EventKind.ENCODE_END)
+        for m in {ev[2] for ev in ends}:
+            start = {u: t for t, _, mi, u, _ in starts if mi == m}
+            end = {u: t for t, _, mi, u, _ in ends if mi == m}
+            assert all(start[u] == end[u - 1] for u in start if u > 0), (m, start, end)
+            aborted.append(sum(dict(p).get("aborted", False) for _, _, mi, _, p in ends if mi == m))
+        return trace
+
+    monkeypatch.setattr(engine, "run", checked)
+    for name in test_window_pins._scenarios():
+        test_window_pins._trace_digest(name)
+    assert max(aborted) == 1
