@@ -42,9 +42,7 @@ class GateTrainConfig:
     seed: int = 0
     epochs: int = 3000
     learning_rate: float = 0.3
-    hidden: int = 16
     dropout: float = 0.1
-    holdout_fraction: float = 0.2
 
 
 @dataclass(frozen=True)
@@ -62,19 +60,12 @@ class GateTrainingInfo:
 class GateModel:
     fast_dim: int
     slow_dim: int
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: float
-    x_mean: np.ndarray
-    x_scale: np.ndarray
+    mlp: nn.MLP
     dropout: float
     info: GateTrainingInfo | None = None
 
     def probability(self, f_fast: np.ndarray, f_slow_prefix: np.ndarray, fraction: float) -> float:
-        x = _gate_input(self.fast_dim, self.slow_dim, f_fast, f_slow_prefix, fraction)
-        xs = (x - self.x_mean) / self.x_scale
-        z = nn.forward((self.w1, self.b1, self.w2, self.b2), xs)
+        z = self.mlp(_gate_input(self.fast_dim, self.slow_dim, f_fast, f_slow_prefix, fraction))
         return float(nn.sigmoid(np.array([z]))[0])
 
 
@@ -89,20 +80,11 @@ def _gate_input(fast_dim: int, slow_dim: int, f_fast, f_slow, fraction: float) -
     return np.concatenate([f_fast, f_slow, [fraction]])
 
 
-def zero_gate(fast_dim: int, slow_dim: int, hidden: int = 4) -> GateModel:
-    """All-zero weights: outputs exactly 0.5 for every input."""
-    dim = fast_dim + slow_dim + 1
-    return GateModel(
-        fast_dim=fast_dim,
-        slow_dim=slow_dim,
-        w1=np.zeros((dim, hidden)),
-        b1=np.zeros(hidden),
-        w2=np.zeros(hidden),
-        b2=0.0,
-        x_mean=np.zeros(dim),
-        x_scale=np.ones(dim),
-        dropout=0.0,
-    )
+def zero_gate(fast_dim: int, slow_dim: int) -> GateModel:
+    """All-zero weights over four hidden units: outputs exactly 0.5 for every input."""
+    dim, hidden = fast_dim + slow_dim + 1, 4
+    weights = np.zeros((dim, hidden)), np.zeros(hidden), np.zeros(hidden), 0.0
+    return GateModel(fast_dim, slow_dim, nn.MLP(*weights, np.zeros(dim), np.ones(dim)), dropout=0.0)
 
 
 def gate_train(
@@ -125,19 +107,16 @@ def gate_train(
     fit = nn.fit_mlp(x, y, loss="bce", tag="gate", **dataclasses.asdict(hyper))
 
     def accuracy(idx) -> float:
-        p = nn.sigmoid(nn.forward(fit.params, (x[idx] - fit.x_mean) / fit.x_scale))
+        p = nn.sigmoid(fit.mlp(x[idx]))
         return float(np.mean((p > 0.5).astype(np.float64) == y[idx]))
 
     info = GateTrainingInfo(
-        seed=hyper.seed,
-        epochs=hyper.epochs,
-        learning_rate=hyper.learning_rate,
-        dropout=hyper.dropout,
+        **dataclasses.asdict(hyper),
         train_accuracy=accuracy(fit.train_idx),
         holdout_accuracy=accuracy(fit.hold_idx or fit.train_idx),
         loss_tail=tuple(fit.losses[-5:]),
     )
-    return GateModel(fast_dim, slow_dim, **fit.weights, dropout=hyper.dropout, info=info)
+    return GateModel(fast_dim, slow_dim, fit.mlp, dropout=hyper.dropout, info=info)
 
 
 def gate_eval(
@@ -174,7 +153,7 @@ def save_gate(model: GateModel, path: str | Path) -> None:
         {
             "layout": {"fast_dim": model.fast_dim, "slow_dim": model.slow_dim},
             "dropout": model.dropout,
-            "weights": nn.weight_block(model),
+            "weights": nn.weight_block(model.mlp),
             "training": None if model.info is None else dataclasses.asdict(model.info),
         },
     )
@@ -186,10 +165,5 @@ def load_gate(path: str | Path) -> GateModel:
     fast_dim, slow_dim = nn.fields(doc, "layout", fast_dim="a count", slow_dim="a count")
     (dropout,) = nn.fields(doc, None, dropout="a number")
     info = None if doc.get("training") is None else nn.read_record(doc, "training", GateTrainingInfo)
-    return GateModel(
-        fast_dim=fast_dim,
-        slow_dim=slow_dim,
-        **nn.read_weight_block(doc, fast_dim + slow_dim + 1),
-        dropout=float(dropout),
-        info=info,
-    )
+    mlp = nn.read_weight_block(doc, fast_dim + slow_dim + 1)
+    return GateModel(fast_dim, slow_dim, mlp, dropout=float(dropout), info=info)

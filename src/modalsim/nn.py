@@ -1,8 +1,9 @@
 """The one small feed-forward model behind both the accuracy predictor and the
-skip gate: a one-hidden-layer softplus MLP, its forward pass, its seeded
-full-batch gradient-descent trainer (mean-squared error or binary
-cross-entropy) with the holdout split, and the versioned structured-text
-weight document both models serialize to, with its shared weight block.
+skip gate: `MLP`, a one-hidden-layer softplus MLP over standardized inputs,
+its forward pass, its seeded full-batch gradient-descent trainer
+(mean-squared error or binary cross-entropy) with the holdout split, and the
+versioned structured-text weight document both models serialize to, with its
+shared weight block.
 
 Weights are written as JSON number literals produced by Python's float repr,
 which round-trips every float64 exactly.
@@ -25,6 +26,8 @@ from .core import ModalsimError
 WEIGHT_DOC_VERSION = 1
 WEIGHT_KEYS = ("w1", "b1", "w2", "b2", "x_mean", "x_scale")
 BCE_EPS = 1e-12
+HIDDEN = 16  # hidden units of every trained MLP
+HOLDOUT_FRACTION = 0.2  # of the rows of a dataset of more than four
 
 
 class NonFiniteLoss(Exception):
@@ -111,19 +114,35 @@ def loss_and_grads(params, x: np.ndarray, y: np.ndarray, loss: str = "mse", mask
 
 
 @dataclass(frozen=True)
-class MLPFit:
-    params: list  # [w1 (dim x hidden), b1, w2 (hidden), b2]
+class MLP:
+    """A one-hidden-layer softplus MLP over inputs standardized by `x_mean`
+    and `x_scale`; its fields are the WEIGHT_KEYS."""
+
+    w1: np.ndarray  # inputs x hidden
+    b1: np.ndarray
+    w2: np.ndarray  # hidden
+    b2: float
     x_mean: np.ndarray
     x_scale: np.ndarray
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """Raw output (regression value or logit) for raw inputs `x`."""
+        return forward((self.w1, self.b1, self.w2, self.b2), (x - self.x_mean) / self.x_scale)
+
+
+@dataclass(frozen=True)
+class MLPFit:
+    mlp: MLP
     y_mean: float  # subtracted from the targets for "mse"; 0.0 for "bce"
     train_idx: list[int]
     hold_idx: list[int]
     losses: list[float]  # training loss before each epoch's step
+    train_loss: float  # training loss after the last step, without dropout
 
     @property
-    def weights(self) -> dict:
-        """The WEIGHT_KEYS arrays, as `read_weight_block` returns them."""
-        return dict(zip(WEIGHT_KEYS, (*self.params, self.x_mean, self.x_scale)))
+    def params(self) -> list:
+        """[w1 (dim x hidden), b1, w2 (hidden), b2], as `loss_and_grads` takes them."""
+        return [self.mlp.w1, self.mlp.b1, self.mlp.w2, self.mlp.b2]
 
 
 def fit_mlp(
@@ -135,11 +154,9 @@ def fit_mlp(
     seed: int,
     epochs: int,
     learning_rate: float,
-    hidden: int,
-    holdout_fraction: float,
     dropout: float = 0.0,
 ) -> MLPFit:
-    """Fit the MLP by deterministic full-batch gradient descent.
+    """Fit an MLP of HIDDEN units by deterministic full-batch gradient descent.
 
     Every random draw (holdout split, init, dropout masks) comes from streams
     labelled (seed, tag, ...), so a fit is a pure function of its arguments.
@@ -149,7 +166,7 @@ def fit_mlp(
     """
     n = len(y)
     order = shuffled(n, rng.stream(seed, tag, "split"))
-    n_hold = max(1, int(round(holdout_fraction * n))) if n > 4 else 0
+    n_hold = max(1, int(round(HOLDOUT_FRACTION * n))) if n > 4 else 0
     hold_idx, train_idx = order[:n_hold], order[n_hold:]
     if not train_idx:
         train_idx, hold_idx = order, []
@@ -163,9 +180,9 @@ def fit_mlp(
 
     init = rng.stream(seed, tag, "init")
     params = [
-        init_matrix(init.sub("w1"), xs.shape[1], hidden),
-        np.zeros(hidden),
-        init_matrix(init.sub("w2"), hidden, 1)[:, 0],
+        init_matrix(init.sub("w1"), xs.shape[1], HIDDEN),
+        np.zeros(HIDDEN),
+        init_matrix(init.sub("w2"), HIDDEN, 1)[:, 0],
         0.0,
     ]
     drop_stream = rng.stream(seed, tag, "dropout")
@@ -173,14 +190,15 @@ def fit_mlp(
     losses = []
     for epoch in range(epochs):
         if dropout > 0.0:
-            keep = drop_stream.sub(epoch).units(hidden) >= dropout
+            keep = drop_stream.sub(epoch).units(HIDDEN) >= dropout
             mask = keep.astype(np.float64) / (1.0 - dropout)
         value, grads = loss_and_grads(params, xs, ys, loss, mask)
         if not math.isfinite(value):
             raise NonFiniteLoss(f"{tag} loss became non-finite ({value})")
         losses.append(value)
         params = [p - learning_rate * g for p, g in zip(params, grads)]
-    return MLPFit(params, x_mean, x_scale, y_mean, train_idx, hold_idx, losses)
+    train_loss, _ = loss_and_grads(params, xs, ys, loss)
+    return MLPFit(MLP(*params, x_mean, x_scale), y_mean, train_idx, hold_idx, losses, train_loss)
 
 
 def write_weight_doc(path: str | Path, kind: str, body: dict) -> None:
@@ -188,9 +206,9 @@ def write_weight_doc(path: str | Path, kind: str, body: dict) -> None:
     Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n", encoding="utf-8")
 
 
-def weight_block(model) -> dict:
-    """The weight block of a model (or fit) with the WEIGHT_KEYS attributes."""
-    return {k: np.asarray(getattr(model, k), dtype=np.float64).tolist() for k in WEIGHT_KEYS}
+def weight_block(mlp: MLP) -> dict:
+    """The weight block of an MLP, as `read_weight_block` reads it back."""
+    return {k: np.asarray(getattr(mlp, k), dtype=np.float64).tolist() for k in WEIGHT_KEYS}
 
 
 def _is_number(v) -> bool:
@@ -245,9 +263,9 @@ def read_weight_doc(path: str | Path, kind: str) -> dict:
     return doc
 
 
-def read_weight_block(doc: dict, input_dim: int) -> dict:
-    """The float64 arrays of `doc["weights"]` (b2 as a float), checked to be
-    finite and to form an MLP over `input_dim` inputs."""
+def read_weight_block(doc: dict, input_dim: int) -> MLP:
+    """The MLP of `doc["weights"]`, float64 arrays (b2 a float) checked to
+    be finite and to form an MLP over `input_dim` inputs."""
     (weights,) = fields(doc, None, weights="an object")
     block = {}
     for key in WEIGHT_KEYS:
@@ -264,4 +282,4 @@ def read_weight_block(doc: dict, input_dim: int) -> dict:
     if any(block[key].shape != shape for key, shape in shapes.items()):
         raise WeightFormatError(f"weight shapes disagree; expected {shapes}")
     block["b2"] = float(block["b2"])
-    return block
+    return MLP(**block)

@@ -162,8 +162,6 @@ class TrainConfig:
     seed: int = 0
     epochs: int = 4000
     learning_rate: float = 0.05
-    hidden: int = 16
-    holdout_fraction: float = 0.2
 
 
 @dataclass(frozen=True)
@@ -179,12 +177,7 @@ class TrainingInfo:
 @dataclass(frozen=True)
 class PredictorModel:
     encoding: EncodingSpec
-    w1: np.ndarray  # dim x hidden
-    b1: np.ndarray
-    w2: np.ndarray  # hidden
-    b2: float
-    x_mean: np.ndarray
-    x_scale: np.ndarray
+    mlp: nn.MLP
     y_mean: float
     info: TrainingInfo
 
@@ -208,27 +201,19 @@ def train(
     y = np.array([acc for _, _, acc in dataset], dtype=np.float64)
     fit = nn.fit_mlp(x, y, loss="mse", tag="predictor", **dataclasses.asdict(hyper))
 
-    xt = (x[fit.train_idx] - fit.x_mean) / fit.x_scale
-    train_mse, _ = nn.loss_and_grads(fit.params, xt, y[fit.train_idx] - fit.y_mean)
     if fit.hold_idx:
-        xh = (x[fit.hold_idx] - fit.x_mean) / fit.x_scale
         yh = y[fit.hold_idx]
-        pred_h = nn.forward(fit.params, xh) + fit.y_mean
+        pred_h = fit.mlp(x[fit.hold_idx]) + fit.y_mean
         hold_mse = float(np.mean((pred_h - yh) ** 2))
         var = float(np.var(yh))
         hold_r2 = 1.0 - hold_mse / var if var > 0 else (1.0 if hold_mse == 0.0 else 0.0)
     else:
-        hold_mse, hold_r2 = train_mse, float("nan")
+        hold_mse, hold_r2 = fit.train_loss, float("nan")
 
     info = TrainingInfo(
-        seed=hyper.seed,
-        epochs=hyper.epochs,
-        learning_rate=hyper.learning_rate,
-        train_mse=train_mse,
-        holdout_mse=hold_mse,
-        holdout_r2=hold_r2,
+        **dataclasses.asdict(hyper), train_mse=fit.train_loss, holdout_mse=hold_mse, holdout_r2=hold_r2
     )
-    return PredictorModel(encoding=encoding, **fit.weights, y_mean=fit.y_mean, info=info)
+    return PredictorModel(encoding, fit.mlp, fit.y_mean, info)
 
 
 def predict(model: PredictorModel, ind: ModalityIndicators, assignment: ConfigAssignment) -> float:
@@ -252,9 +237,7 @@ def score_rows(model: PredictorModel, x: np.ndarray) -> np.ndarray:
     """Estimated accuracies of encoded rows, clamped to [0, 100].  A row's
     rounding may depend on how many rows share its matrix product, so a
     caller that must reproduce a score bitwise scores the same batch again."""
-    xs = (x - model.x_mean) / model.x_scale
-    raw = nn.forward((model.w1, model.b1, model.w2, model.b2), xs) + model.y_mean
-    return np.clip(raw, 0.0, 100.0)
+    return np.clip(model.mlp(x) + model.y_mean, 0.0, 100.0)
 
 
 def save_model(model: PredictorModel, path: str | Path) -> None:
@@ -266,7 +249,7 @@ def save_model(model: PredictorModel, path: str | Path) -> None:
                 "sensing_counts": list(model.encoding.sensing_counts),
                 "model_counts": list(model.encoding.model_counts),
             },
-            "weights": {**nn.weight_block(model), "y_mean": model.y_mean},
+            "weights": {**nn.weight_block(model.mlp), "y_mean": model.y_mean},
             "training": dataclasses.asdict(model.info),
         },
     )
@@ -281,9 +264,5 @@ def load_model(path: str | Path) -> PredictorModel:
         raise nn.WeightFormatError("encoding.sensing_counts and model_counts differ in length")
     enc = EncodingSpec(sensing_counts=tuple(sensing), model_counts=tuple(models))
     (y_mean,) = nn.fields(doc, "weights", y_mean="a number")
-    return PredictorModel(
-        encoding=enc,
-        **nn.read_weight_block(doc, enc.dim),
-        y_mean=float(y_mean),
-        info=nn.read_record(doc, "training", TrainingInfo),
-    )
+    mlp = nn.read_weight_block(doc, enc.dim)
+    return PredictorModel(enc, mlp, float(y_mean), nn.read_record(doc, "training", TrainingInfo))

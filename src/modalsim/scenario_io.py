@@ -339,9 +339,9 @@ def parse(text: str) -> Scenario:
     return from_document(doc)
 
 
-def load(path: str | Path, validate: bool = True) -> Scenario:
-    scenario = parse(Path(path).read_text(encoding="utf-8"))
-    return validate_scenario(scenario) if validate else scenario
+def load(path: str | Path) -> Scenario:
+    """The validated scenario of a scenario file."""
+    return validate_scenario(parse(Path(path).read_text(encoding="utf-8")))
 
 
 def save(scenario: Scenario, path: str | Path) -> None:

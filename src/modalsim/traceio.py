@@ -16,12 +16,13 @@ The reader verifies the checksum once over the joined lines and parses the
 whole file with one `json.loads` of its lines as a JSON array.  When that
 parse fails, or cannot be shown to have taken exactly one value from each
 line, the lines are parsed one by one, so an error names the first bad line.
-The event records are read as `int(t)`, the kind, `m`, `u` and the data
-dict, and laid out in bulk by the engine's one rule (`engine.layout`), the
-rule that lays out a caller's `Event`s; a row kept whole holds its data as
-payload pairs in key order.  When a record lacks a field or has one of the
-wrong type, the records are checked one by one, and the first bad one
-raises `CorruptLine` with its line number.
+The event records are read as their time, which must be an int (a float
+or a bool is refused), the kind, `m`, `u` and the data dict, and laid out in
+bulk by the engine's one rule (`engine.layout`), the rule that lays out a
+caller's `Event`s; a row kept whole holds its data as payload pairs in key
+order.  When a record lacks a field or has one of the wrong type, the
+records are checked one by one, and the first bad one raises `CorruptLine`
+with its line number.
 """
 
 from __future__ import annotations
@@ -213,7 +214,8 @@ def _columns(recs: list[dict]) -> EventColumns:
     an object fails in `layout`: a row it lays out reads the data's keys,
     and any other row gets its payload from `_payload`."""
     t, m, u, data = (list(map(itemgetter(key), recs)) for key in ("t", "m", "u", "data"))
-    t = t if set(map(type, t)) == {int} else list(map(int, t))
+    if set(map(type, t)) - {int}:
+        raise TypeError("an event time is not an integer")
     kind = list(map(_CODES.__getitem__, map(itemgetter("kind"), recs)))
     return layout(t, kind, m, u, data, lambda i: _payload(data[i]))
 

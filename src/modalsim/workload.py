@@ -237,8 +237,7 @@ class AccuracySurface:
     consistency-dependent offset; values stay inside [40, 97].
     """
 
-    sensing_counts: tuple[int, ...]
-    model_counts: tuple[int, ...]
+    model_norms: tuple[tuple[float, ...], ...]  # per modality, model level / (levels - 1), or 1.0
     base: float
     sensing_gains: tuple[tuple[float, ...], ...]  # cumulative, per modality
     model_gains: tuple[tuple[float, ...], ...]
@@ -248,15 +247,10 @@ class AccuracySurface:
         acc = self.base + CONSISTENCY_SCALE * ind.consistency
         for i, (s, m) in enumerate(assignment.pairs):
             acc += self.sensing_gains[i][s] + self.model_gains[i][m]
+        norms = self.model_norms
         for a, b, w in self.pair_weights:
-            na = _norm_level(assignment.pairs[a][1], self.model_counts[a])
-            nb = _norm_level(assignment.pairs[b][1], self.model_counts[b])
-            acc += w * min(na, nb)
+            acc += w * min(norms[a][assignment.pairs[a][1]], norms[b][assignment.pairs[b][1]])
         return float(acc)
-
-
-def _norm_level(level: int, count: int) -> float:
-    return 1.0 if count <= 1 else level / (count - 1)
 
 
 def _cumulative_gains(stream: rng.Stream, levels: int, cap: float) -> tuple[float, ...]:
@@ -306,8 +300,10 @@ def gen_accuracy_surface(
             pair_weights.append((a, b, w))
 
     return AccuracySurface(
-        sensing_counts=tuple(len(x) for x in scenario.sensing_space),
-        model_counts=tuple(len(x) for x in scenario.model_space),
+        model_norms=tuple(
+            tuple(level / (len(x) - 1) if len(x) > 1 else 1.0 for level in range(len(x)))
+            for x in scenario.model_space
+        ),
         base=52.0,
         sensing_gains=tuple(sensing_gains),
         model_gains=tuple(model_gains),

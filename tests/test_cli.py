@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from spawn import CLI, run
 
-from modalsim import cli, engine, predictor, scenario_io, traceio, workload
+from modalsim import cli, engine, nn, predictor, scenario_io, traceio, workload
 
 
 def invoke(*args, cwd=None):
@@ -187,12 +187,14 @@ def test_optimize_oracle_over_its_limit_exit_code_1(tmp_path):
     spec = predictor.EncodingSpec.for_scenario(s)
     model = predictor.PredictorModel(
         encoding=spec,
-        w1=np.zeros((spec.dim, 2)),
-        b1=np.zeros(2),
-        w2=np.zeros(2),
-        b2=0.0,
-        x_mean=np.zeros(spec.dim),
-        x_scale=np.ones(spec.dim),
+        mlp=nn.MLP(
+            w1=np.zeros((spec.dim, 2)),
+            b1=np.zeros(2),
+            w2=np.zeros(2),
+            b2=0.0,
+            x_mean=np.zeros(spec.dim),
+            x_scale=np.ones(spec.dim),
+        ),
         y_mean=50.0,
         info=predictor.TrainingInfo(0, 1, 0.1, 0.0, 0.0, 0.0),
     )
@@ -478,6 +480,8 @@ def _edit_first(kind, edit):
 
 HOSTILE_TRACE_RECORDS = {
     "event-t-list": _edit_first("event", lambda r: r.update(t=[])),
+    "event-t-float": _edit_first("event", lambda r: r.update(t=r["t"] + 0.5)),
+    "event-t-bool": _edit_first("event", lambda r: r.update(t=True)),
     "event-data-list": _edit_first("event", lambda r: r.update(data=[])),
     "header-without-fingerprint": _edit_first("header", lambda r: r.pop("fingerprint")),
     "header-bad-mode": _edit_first("header", lambda r: r.update(mode="sideways")),

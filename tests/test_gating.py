@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from modalsim import rng, workload
+from modalsim import nn, rng, workload
 from modalsim.gating import (
     DimensionMismatch,
     GateModel,
@@ -52,12 +52,14 @@ def test_hand_built_single_hidden_unit():
     gate = GateModel(
         fast_dim=1,
         slow_dim=1,
-        w1=np.array([[1.0], [2.0], [0.5]]),
-        b1=np.array([0.25]),
-        w2=np.array([3.0]),
-        b2=-4.0,
-        x_mean=np.zeros(3),
-        x_scale=np.ones(3),
+        mlp=nn.MLP(
+            w1=np.array([[1.0], [2.0], [0.5]]),
+            b1=np.array([0.25]),
+            w2=np.array([3.0]),
+            b2=-4.0,
+            x_mean=np.zeros(3),
+            x_scale=np.ones(3),
+        ),
         dropout=0.0,
     )
     x = np.array([0.3, -0.2, 0.7])  # [f_fast, f_slow, fraction]
@@ -125,14 +127,14 @@ def test_training_deterministic():
     rows = separable_dataset(n=150, seed=4)
     m1 = gate_train(rows, GateTrainConfig(seed=5, epochs=400))
     m2 = gate_train(rows, GateTrainConfig(seed=5, epochs=400))
-    assert np.array_equal(m1.w1, m2.w1) and m1.b2 == m2.b2
+    assert np.array_equal(m1.mlp.w1, m2.mlp.w1) and m1.mlp.b2 == m2.mlp.b2
 
 
 def test_dropout_changes_training_but_not_eval():
     rows = separable_dataset(n=150, seed=6)
     m_drop = gate_train(rows, GateTrainConfig(seed=5, epochs=400, dropout=0.3))
     m_none = gate_train(rows, GateTrainConfig(seed=5, epochs=400, dropout=0.0))
-    assert not np.array_equal(m_drop.w1, m_none.w1)
+    assert not np.array_equal(m_drop.mlp.w1, m_none.mlp.w1)
     f, g, fr, _ = rows[0]
     assert m_drop.probability(f, g, fr) == m_drop.probability(f, g, fr)
 
@@ -157,7 +159,7 @@ def test_gate_serialization_round_trip(tmp_path):
     path = tmp_path / "gate.json"
     save_gate(model, path)
     back = load_gate(path)
-    assert np.array_equal(back.w1, model.w1)
+    assert np.array_equal(back.mlp.w1, model.mlp.w1)
     assert back.info == model.info
     f, g, fr, _ = rows[0]
     assert back.probability(f, g, fr) == model.probability(f, g, fr)

@@ -6,7 +6,9 @@ operators) and `engine` (the window-feature model) name the aggregate's
 width, its default specs or the prediction head, and `workload` applies the
 skip label rule in its oracle gate alone.  A trace's events have one form,
 `EventColumns`, so no module asks which form it holds, and the report reads
-the columns rather than `Event`s.
+the columns rather than `Event`s.  Only `nn` standardizes an MLP's inputs
+and runs its forward pass; the predictor and the gate each call their
+`nn.MLP`.
 """
 
 import pathlib
@@ -50,3 +52,8 @@ def test_no_module_asks_whether_events_are_columns():
 
 def test_report_does_not_read_events():
     assert not re.search(r"\.events\b", SOURCES["report.py"])
+
+
+def test_only_nn_standardizes_and_runs_the_mlp():
+    naming = re.compile(r"\bx_mean\b|\bx_scale\b|\bforward\(")
+    assert [name for name, text in SOURCES.items() if naming.search(text)] == ["nn.py"]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modalsim import optimizer, rng, workload
+from modalsim import nn, optimizer, rng, workload
 from modalsim.core import ConfigAssignment
 from modalsim.predictor import (
     EncodingSpec,
@@ -164,12 +164,14 @@ def test_prediction_clamped():
     model = train(rows, SPEC, TrainConfig(seed=0, epochs=300))
     bumped = PredictorModel(
         encoding=model.encoding,
-        w1=model.w1,
-        b1=model.b1,
-        w2=model.w2,
-        b2=model.b2 + 50.0,
-        x_mean=model.x_mean,
-        x_scale=model.x_scale,
+        mlp=nn.MLP(
+            w1=model.mlp.w1,
+            b1=model.mlp.b1,
+            w2=model.mlp.w2,
+            b2=model.mlp.b2 + 50.0,
+            x_mean=model.mlp.x_mean,
+            x_scale=model.mlp.x_scale,
+        ),
         y_mean=model.y_mean,
         info=model.info,
     )
@@ -214,7 +216,7 @@ def test_deterministic_training():
     rows = make_affine_dataset(SPEC, n=100, seed=7)
     m1 = train(rows, SPEC, TrainConfig(seed=9, epochs=400))
     m2 = train(rows, SPEC, TrainConfig(seed=9, epochs=400))
-    assert np.array_equal(m1.w1, m2.w1) and m1.b2 == m2.b2
+    assert np.array_equal(m1.mlp.w1, m2.mlp.w1) and m1.mlp.b2 == m2.mlp.b2
 
 
 def test_prediction_lipschitz_in_indicators():
@@ -276,9 +278,9 @@ def test_model_serialization_round_trip(tmp_path):
     path = tmp_path / "predictor.json"
     save_model(model, path)
     back = load_model(path)
-    assert np.array_equal(back.w1, model.w1)
-    assert np.array_equal(back.x_scale, model.x_scale)
-    assert back.b2 == model.b2
+    assert np.array_equal(back.mlp.w1, model.mlp.w1)
+    assert np.array_equal(back.mlp.x_scale, model.mlp.x_scale)
+    assert back.mlp.b2 == model.mlp.b2
     assert back.info == model.info
     ind, a, _ = rows[0]
     assert predict(back, ind, a) == predict(model, ind, a)

@@ -186,8 +186,9 @@ def reads_only_integers(traces) -> bool:
     return True
 
 
-HAND_EDITS = {**test_traceio.PER_RECORD_EDITS, **test_traceio.KEPT_WHOLE_EDITS}
-UNREADABLE = {"kind-unknown", "kind-list", "data-list"}  # CorruptLine
+NOT_INT_TIMES = {case: test_traceio.HOSTILE_RECORDS[case] for case in ("t-float", "t-bool")}
+HAND_EDITS = {**test_traceio.PER_RECORD_EDITS, **test_traceio.KEPT_WHOLE_EDITS, **NOT_INT_TIMES}
+UNREADABLE = {"kind-unknown", "kind-list", "data-list", "t-float", "t-bool"}  # CorruptLine
 NOT_INTEGERS = {"m-float", "m-bool", "laid-out-value-float", "laid-out-value-bool"}
 
 

@@ -426,9 +426,26 @@ def _drop(kind, key):
     return edit
 
 
+def _edit_event(kind, edit):
+    """Edit the first event record of one kind, returning its line index."""
+
+    def apply(records):
+        i = next(i for i, r in enumerate(records) if r["record"] == "event" and r["kind"] == kind)
+        edit(records[i])
+        return i
+
+    return apply
+
+
+def _put(key, value):
+    return lambda rec: rec.update({key: value})
+
+
 HOSTILE_RECORDS = {
     "event-t-list": _set("event", "t", []),
     "event-t-infinite": _set("event", "t", float("inf")),
+    "t-float": _edit_event("unit_sensed", lambda rec: rec.update(t=rec["t"] + 0.5)),
+    "t-bool": _edit_event("fusion_start", _put("t", True)),
     "event-data-list": _set("event", "data", []),
     "header-without-fingerprint": _drop("header", "fingerprint"),
     "header-bad-mode": _set("header", "mode", "sideways"),
@@ -517,28 +534,11 @@ def _hand_edited(tmp_path, edit):
     return path
 
 
-def _edit_event(kind, edit):
-    """Edit the first event record of one kind, returning its line index."""
-
-    def apply(records):
-        i = next(i for i, r in enumerate(records) if r["record"] == "event" and r["kind"] == kind)
-        edit(records[i])
-        return i
-
-    return apply
-
-
-def _put(key, value):
-    return lambda rec: rec.update({key: value})
-
-
 def _reverse_data(rec):
     rec["data"] = dict(reversed(rec["data"].items()))
 
 
 PER_RECORD_EDITS = {
-    "t-float": _edit_event("unit_sensed", lambda rec: rec.update(t=rec["t"] + 0.5)),
-    "t-bool": _edit_event("fusion_start", _put("t", True)),
     "t-too-large": _edit_event("unit_sensed", _put("t", 2**70)),
     "m-float": _edit_event("encode_start", _put("m", 0.0)),
     "m-bool": _edit_event("aggregation_done", _put("m", False)),

@@ -87,6 +87,42 @@ def test_surface_monotone_with_diminishing_returns():
                     assert v2 - v1 <= v1 - v0 + 1e-12  # diminishing returns
 
 
+def _norm_level(level: int, count: int) -> float:
+    return 1.0 if count <= 1 else level / (count - 1)
+
+
+def reference_surface(surface, scenario, ind, assignment) -> float:
+    """The surface's score as it was computed before its normalized model
+    levels were kept: each level normalized again on every call."""
+    acc = surface.base + workload.CONSISTENCY_SCALE * ind.consistency
+    for i, (s, m) in enumerate(assignment.pairs):
+        acc += surface.sensing_gains[i][s] + surface.model_gains[i][m]
+    for a, b, w in surface.pair_weights:
+        na = _norm_level(assignment.pairs[a][1], len(scenario.model_space[a]))
+        nb = _norm_level(assignment.pairs[b][1], len(scenario.model_space[b]))
+        acc += w * min(na, nb)
+    return float(acc)
+
+
+SURFACE_SCENARIOS = [workload.gen_scenario("motivation-av", seed=0)] + [
+    workload.gen_scenario("random", seed=seed, modalities=3, sensing_levels=2, model_levels=levels)
+    for levels in (1, 2, 3, 4)
+    for seed in (0, 1)
+]
+
+
+@pytest.mark.parametrize("scenario", SURFACE_SCENARIOS, ids=lambda s: f"{s.name}-{len(s.model_space[0])}")
+def test_surface_matches_its_per_call_normalization_bitwise(scenario):
+    # a modality with one model level normalizes to 1.0 (motivation-av has
+    # one model level per modality)
+    ind = ModalityIndicators.from_consistency(0.3)
+    for seed in range(3):
+        surface = workload.gen_accuracy_surface(scenario, seed=seed)
+        for a in scenario.assignments():
+            got, want = surface(ind, a), reference_surface(surface, scenario, ind, a)
+            assert got.hex() == want.hex()
+
+
 def test_surface_range_and_finiteness():
     s = workload.gen_scenario("lrw-like", seed=0)
     surface = workload.gen_accuracy_surface(s, seed=3)
