@@ -26,7 +26,7 @@ from .core import (
 )
 from .aggregation import DiffSpec, ShiftSpec, aggregate, alternating_shift, temporal_differences
 from .engine import Event, EventKind, SimTrace, apply_resource_schedule, run
-from .gating import GateModel, SkipDecision, checkpoint_schedule, gate_eval, gate_train
+from .gating import GateModel, SkipDecision, gate_eval, gate_train
 from .latency import end_to_end_latency, reported_latency, unimodal_latency
 from .optimizer import brute_force, greedy_search, optimizer_step
 from .predictor import ModalityIndicators, PredictorModel, consistency, indicators, predict, train
@@ -60,7 +60,6 @@ __all__ = [
     "alternating_shift",
     "apply_resource_schedule",
     "brute_force",
-    "checkpoint_schedule",
     "consistency",
     "end_to_end_latency",
     "gate_eval",

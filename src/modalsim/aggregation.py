@@ -153,28 +153,27 @@ def position_weights(rows: int) -> np.ndarray:
 
 
 def aggregate_vector(
-    rows: np.ndarray, shift: ShiftSpec, diff: DiffSpec, diff_on_shifted: bool = False
+    rows: np.ndarray, shift: ShiftSpec, diff: DiffSpec
 ) -> np.ndarray:
     """Pooled unimodal feature vector of all `rows`, with a fixed output width.
 
     Concatenates the global mean of the shifted rows with, per difference
     scale, the position-weighted mean of the linearly encoded difference
-    rows.  Differences are taken on the pre-shift rows unless
-    `diff_on_shifted` is set.  Output length is C + sum of encoder widths for
-    every row count: the channel grouping shrinks to fit narrow matrices, and
-    a scale that does not fit the rows contributes a zero block, so gate and
-    fusion inputs keep one shape for every prefix length.
+    rows.  Differences are taken on the pre-shift rows.  Output length is
+    C + sum of encoder widths for every row count: the channel grouping
+    shrinks to fit narrow matrices, and a scale that does not fit the rows
+    contributes a zero block, so gate and fusion inputs keep one shape for
+    every prefix length.
     """
     p, c = rows.shape
     if shift.n_groups > c:
         shift = ShiftSpec(c, shift.shift_distance)
     shifted = _shift(np.asarray(rows, dtype=np.float64), p, shift)
-    diff_input = shifted if diff_on_shifted else rows
     parts = [shifted.mean(axis=0)]
     enc = diff.encoder_matrix(c)
     for s in diff.scales:
         if s < p:
-            d = (diff_input[s:p, :] - diff_input[: p - s, :]) @ enc
+            d = (rows[s:p, :] - rows[: p - s, :]) @ enc
             w = position_weights(p - s)
             parts.append((w[:, None] * d).mean(axis=0))
         else:
@@ -186,7 +185,6 @@ def aggregate(
     features: FeatureMatrix,
     shift: ShiftSpec,
     diff: DiffSpec,
-    diff_on_shifted: bool = False,
 ) -> np.ndarray:
     """`aggregate_vector` of the valid prefix, strict about its input.
 
@@ -199,7 +197,7 @@ def aggregate(
         group_slices(features.channels, shift.n_groups)  # raises GroupExceedsChannels
     if n < max(diff.scales) + 1:
         raise WindowTooShort(f"valid prefix {n} too short for scales {diff.scales}")
-    return aggregate_vector(features.values[:n], shift, diff, diff_on_shifted)
+    return aggregate_vector(features.values[:n], shift, diff)
 
 
 def aggregate_output_dim(channels: int, diff: DiffSpec) -> int:

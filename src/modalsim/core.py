@@ -192,12 +192,6 @@ class ConfigAssignment:
 
     pairs: tuple[tuple[int, int], ...]
 
-    def sensing_level(self, modality_id: int) -> int:
-        return self.pairs[modality_id][0]
-
-    def model_level(self, modality_id: int) -> int:
-        return self.pairs[modality_id][1]
-
 
 @dataclass(frozen=True)
 class ProfileEntry:

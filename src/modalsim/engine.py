@@ -30,10 +30,9 @@ int64 columns for time, kind, modality, unit and the int payload values,
 an object column for strings, and one for the few events kept whole as
 plain tuples.  `_emit` fills a modality's rows with array operations, and
 one stable `np.lexsort` on (time, modality, unit, kind) puts the window in
-trace order.  Events from anywhere else, a file or a caller's `Event`s,
-are laid out by one rule, `layout`.  An `Event`, a plain `NamedTuple`
-record equal to a tuple of its five fields, is built only when
-`SimTrace.events` is first read.
+trace order.  A trace file's events are laid out by one rule, `layout`.
+An `Event`, a plain `NamedTuple` record equal to a tuple of its five
+fields, is built only when `SimTrace.events` is first read.
 
 The window-feature model lives here alone, and every other module goes
 through it: `feature_vector` (one modality's temporal aggregate),
@@ -61,7 +60,6 @@ separately.
 from __future__ import annotations
 
 import bisect
-import dataclasses
 import enum
 from dataclasses import dataclass
 from itertools import compress, repeat
@@ -204,7 +202,6 @@ def object_column(values) -> np.ndarray:
 
 _HIGH = 1 << 63  # int64 holds [-_HIGH, _HIGH)
 _IDS = np.array([LAYOUT[kind][0] if kind in LAYOUT else -1 for kind in KINDS])
-_ODD = {None: None}  # a payload no kind lays out
 
 
 def _int_column(values: list, ids: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -222,16 +219,6 @@ def _int_column(values: list, ids: bool = False) -> tuple[np.ndarray, np.ndarray
     fits = [(ids and v is None) or (type(v) is int and -_HIGH <= v < top) for v in values]
     col = [v if f and v is not None else NULL for v, f in zip(values, fits)]
     return np.array(col, np.int64), np.array(fits, bool)
-
-
-def _as_dict(pairs) -> dict:
-    """Payload `pairs` as a dict when they are a tuple of (key, value) tuples
-    in strictly increasing key order, the order a payload keeps; else `_ODD`."""
-    try:
-        d = dict(pairs)
-        return d if type(pairs) is tuple and tuple(sorted(d.items())) == pairs else _ODD
-    except (TypeError, ValueError):
-        return _ODD
 
 
 def _laid(dicts: list[dict], keys) -> tuple[np.ndarray, list[list]]:
@@ -303,13 +290,9 @@ class TraceSummary:
     skipped_unit_count: int
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class SimTrace:
-    """One window's trace, its events held as `EventColumns` in `log`.  The
-    engine and the trace reader pass `log`; a caller may pass `events`
-    instead, a sequence of `Event`s or plain tuples of their fields, which
-    `layout` lays out once.  `dataclasses.replace` passes the old `log`,
-    which an `events=` given with it overrides."""
+    """One window's trace, its events held as `EventColumns` in `log`."""
 
     fingerprint: str
     sample_id: int
@@ -319,17 +302,6 @@ class SimTrace:
     log: EventColumns
     summary: TraceSummary
 
-    def __init__(
-        self, fingerprint, sample_id, mode, assignment, window_us, events=None, summary=None, log=None
-    ):
-        if events is not None:
-            t, kind, m, u, payloads = [list(c) for c in zip(*events)] or [[]] * 5
-            data = list(map(_as_dict, payloads))
-            log = layout(t, list(map(KINDS.index, kind)), m, u, data, payloads.__getitem__)
-        values = (fingerprint, sample_id, mode, assignment, window_us, log, summary)
-        for f, value in zip(dataclasses.fields(self), values):
-            object.__setattr__(self, f.name, value)
-
     @property
     def events(self) -> tuple[Event, ...]:
         return self.log.events()
@@ -338,11 +310,6 @@ class SimTrace:
         """The events of one kind as tuples of `Event` fields, without
         building an `Event`."""
         return self.log.take(self.log.kind == KINDS.index(kind)).rows()
-
-    def predicted_label(self) -> int:
-        for ev in self.of_kind(EventKind.PREDICTION_EMITTED):
-            return dict(ev[4])["label"]
-        raise ValueError("trace has no prediction event")
 
 
 @memoized

@@ -18,8 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from . import nn
-from .core import ModalsimError, Scenario
-from .nn import EmptyDataset, NonFiniteLoss  # re-exported error types
+from .core import ModalsimError
+from .nn import EmptyDataset
 
 
 class DimensionMismatch(ModalsimError):
@@ -80,13 +80,6 @@ def _gate_input(fast_dim: int, slow_dim: int, f_fast, f_slow, fraction: float) -
     return np.concatenate([f_fast, f_slow, [fraction]])
 
 
-def zero_gate(fast_dim: int, slow_dim: int) -> GateModel:
-    """All-zero weights over four hidden units: outputs exactly 0.5 for every input."""
-    dim, hidden = fast_dim + slow_dim + 1, 4
-    weights = np.zeros((dim, hidden)), np.zeros(hidden), np.zeros(hidden), 0.0
-    return GateModel(fast_dim, slow_dim, nn.MLP(*weights, np.zeros(dim), np.ones(dim)), dropout=0.0)
-
-
 def gate_train(
     dataset: Sequence[tuple[np.ndarray, np.ndarray, float, int]],
     hyper: GateTrainConfig = GateTrainConfig(),
@@ -139,11 +132,6 @@ def checkpoint_indices(fractions: Sequence[float], units_per_window: int) -> lis
     """Unit indices ceil(f * N) - 1 per fraction, deduplicated and sorted."""
     idx = {math.ceil(f * units_per_window) - 1 for f in fractions}
     return sorted(i for i in idx if 0 <= i < units_per_window)
-
-
-def checkpoint_schedule(scenario: Scenario, modality_id: int, sensing_level: int) -> list[int]:
-    n = scenario.sensing(modality_id, sensing_level).units_per_window
-    return checkpoint_indices(scenario.skip_checkpoints, n)
 
 
 def save_gate(model: GateModel, path: str | Path) -> None:

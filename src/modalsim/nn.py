@@ -139,11 +139,6 @@ class MLPFit:
     losses: list[float]  # training loss before each epoch's step
     train_loss: float  # training loss after the last step, without dropout
 
-    @property
-    def params(self) -> list:
-        """[w1 (dim x hidden), b1, w2 (hidden), b2], as `loss_and_grads` takes them."""
-        return [self.mlp.w1, self.mlp.b1, self.mlp.w2, self.mlp.b2]
-
 
 def fit_mlp(
     x: np.ndarray,
@@ -265,7 +260,8 @@ def read_weight_doc(path: str | Path, kind: str) -> dict:
 
 def read_weight_block(doc: dict, input_dim: int) -> MLP:
     """The MLP of `doc["weights"]`, float64 arrays (b2 a float) checked to
-    be finite and to form an MLP over `input_dim` inputs."""
+    be finite, with no zero in `x_scale`, and to form an MLP over
+    `input_dim` inputs."""
     (weights,) = fields(doc, None, weights="an object")
     block = {}
     for key in WEIGHT_KEYS:
@@ -281,5 +277,7 @@ def read_weight_block(doc: dict, input_dim: int) -> MLP:
     shapes.update(x_mean=(input_dim,), x_scale=(input_dim,))
     if any(block[key].shape != shape for key, shape in shapes.items()):
         raise WeightFormatError(f"weight shapes disagree; expected {shapes}")
+    if not np.all(block["x_scale"]):
+        raise WeightFormatError("weights.x_scale holds a zero")
     block["b2"] = float(block["b2"])
     return MLP(**block)

@@ -18,25 +18,7 @@ import numpy as np
 
 from . import nn
 from .core import ConfigAssignment, ModalsimError, Scenario, memoized
-from .nn import EmptyDataset, NonFiniteLoss  # re-exported error types
-
-__all__ = [
-    "ZeroVector",
-    "SingleModality",
-    "UnknownConfig",
-    "EmptyDataset",
-    "NonFiniteLoss",
-    "ModalityIndicators",
-    "EncodingSpec",
-    "TrainConfig",
-    "PredictorModel",
-    "consistency",
-    "indicators",
-    "train",
-    "predict",
-    "save_model",
-    "load_model",
-]
+from .nn import EmptyDataset
 
 
 class ZeroVector(ModalsimError):
@@ -180,9 +162,6 @@ class PredictorModel:
     mlp: nn.MLP
     y_mean: float
     info: TrainingInfo
-
-
-loss_and_grads = nn.loss_and_grads  # re-exported; "mse" is its default loss
 
 
 def train(

@@ -343,6 +343,3 @@ def load(path: str | Path) -> Scenario:
     """The validated scenario of a scenario file."""
     return validate_scenario(parse(Path(path).read_text(encoding="utf-8")))
 
-
-def save(scenario: Scenario, path: str | Path) -> None:
-    Path(path).write_text(serialize(scenario), encoding="utf-8")

@@ -18,9 +18,8 @@ parse fails, or cannot be shown to have taken exactly one value from each
 line, the lines are parsed one by one, so an error names the first bad line.
 The event records are read as their time, which must be an int (a float
 or a bool is refused), the kind, `m`, `u` and the data dict, and laid out in
-bulk by the engine's one rule (`engine.layout`), the rule that lays out a
-caller's `Event`s; a row kept whole holds its data as payload pairs in key
-order.  When a record lacks a field or has one of the wrong type, the
+bulk by the engine's one rule (`engine.layout`); a row kept whole holds its
+data as payload pairs in key order.  When a record lacks a field or has one of the wrong type, the
 records are checked one by one, and the first bad one raises `CorruptLine`
 with its line number.
 """

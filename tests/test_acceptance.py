@@ -9,9 +9,10 @@ import json
 import time
 
 import numpy as np
+from builders import predicted_label
 from spawn import CLI, run
 
-from modalsim import engine, gating, latency, optimizer, predictor, rng, scenario_io, workload
+from modalsim import engine, gating, latency, nn, optimizer, predictor, rng, scenario_io, workload
 from modalsim.aggregation import (
     DiffSpec,
     ShiftSpec,
@@ -145,9 +146,9 @@ def test_criterion_5_skipping_effectiveness():
     for sample in mixed:
         gated = engine.run(s, a, sample, gate=OracleGate(s, sample, a))
         plain = engine.run(s.without_skipping(), a, sample)
-        assert gated.predicted_label() == plain.predicted_label()
-        hits_gated += gated.predicted_label() == sample.ground_truth_label
-        hits_plain += plain.predicted_label() == sample.ground_truth_label
+        assert predicted_label(gated) == predicted_label(plain)
+        hits_gated += predicted_label(gated) == sample.ground_truth_label
+        hits_plain += predicted_label(plain) == sample.ground_truth_label
     assert hits_gated == hits_plain
     _report(
         5,
@@ -235,7 +236,7 @@ def test_criterion_7_predictor_fit():
         s.sub("w2").symmetric(hidden),
         -0.2,
     ]
-    _, grads = predictor.loss_and_grads(params, x, y)
+    _, grads = nn.loss_and_grads(params, x, y)
     h = 3e-6
     worst = 0.0
     for pi in range(4):
@@ -249,7 +250,7 @@ def test_criterion_7_predictor_fit():
                 else:
                     p[pi] = p[pi].copy()
                     p[pi].ravel()[j] = v
-                return predictor.loss_and_grads(p, x, y)[0]
+                return nn.loss_and_grads(p, x, y)[0]
 
             v0 = flat.ravel()[j]
             num = (loss_at(v0 + h) - loss_at(v0 - h)) / (2 * h)
@@ -294,7 +295,7 @@ def test_criterion_8_gate_training_and_eval_cost():
 
 def test_criterion_9_cli_determinism(tmp_path):
     scenario_path = tmp_path / "scenario.json"
-    scenario_io.save(workload.gen_scenario("lrw-like", seed=3).without_skipping(), scenario_path)
+    scenario_path.write_text(scenario_io.serialize(workload.gen_scenario("lrw-like", seed=3).without_skipping()))
 
     def run_twice(args, outputs):
         blobs = []

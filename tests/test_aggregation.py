@@ -177,14 +177,6 @@ def test_aggregate_linearity():
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
-def test_diff_on_shifted_flag_changes_result():
-    vals = random_matrix(10, 6, 6)
-    spec = DiffSpec(scales=(1,), encoder_width=3)
-    pre = aggregate(fm(vals), ShiftSpec(3, 1), spec, diff_on_shifted=False)
-    post = aggregate(fm(vals), ShiftSpec(3, 1), spec, diff_on_shifted=True)
-    assert not np.allclose(pre, post)
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(min_value=1, max_value=12),
@@ -301,17 +293,16 @@ def test_shift_matches_the_per_unit_loop(vals, prefix, n_groups, k):
     vals=matrices(max_units=12).filter(lambda v: v.shape[0] > 0),
     n_groups=st.integers(1, 12),
     k=st.integers(1, 6),
-    diff_on_shifted=st.booleans(),
 )
-@example(vals=np.arange(10.0).reshape(5, 2), n_groups=3, k=1, diff_on_shifted=False)
-def test_aggregate_vector_matches_the_loop_shift_reference(vals, n_groups, k, diff_on_shifted):
+@example(vals=np.arange(10.0).reshape(5, 2), n_groups=3, k=1)
+def test_aggregate_vector_matches_the_loop_shift_reference(vals, n_groups, k):
     # the reference: the FeatureMatrix round trip through the per-unit loop
     # that `aggregate_vector` made before it called the array shift
     shift, diff = ShiftSpec(n_groups, k), DiffSpec(scales=(1, 3), encoder_width=4)
     with np.errstate(all="ignore"), pytest.MonkeyPatch.context() as patch:  # inf - inf is nan
-        got = aggregate_vector(vals, shift, diff, diff_on_shifted)
+        got = aggregate_vector(vals, shift, diff)
         patch.setattr(
             aggregation, "_shift", lambda rows, n, spec: loop_shift(FeatureMatrix(rows, n), spec).values
         )
-        expected = aggregate_vector(vals, shift, diff, diff_on_shifted)
+        expected = aggregate_vector(vals, shift, diff)
     assert got.tobytes() == expected.tobytes()

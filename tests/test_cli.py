@@ -19,14 +19,14 @@ def invoke(*args, cwd=None):
 @pytest.fixture(scope="module")
 def scenario_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("scn") / "lrw.json"
-    scenario_io.save(workload.gen_scenario("lrw-like", seed=3), path)
+    path.write_text(scenario_io.serialize(workload.gen_scenario("lrw-like", seed=3)))
     return str(path)
 
 
 @pytest.fixture(scope="module")
 def motivation_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("scn") / "motivation.json"
-    scenario_io.save(workload.gen_scenario("motivation-av", seed=0), path)
+    path.write_text(scenario_io.serialize(workload.gen_scenario("motivation-av", seed=0)))
     return str(path)
 
 
@@ -121,7 +121,7 @@ def test_run_blocking_and_report_waiting_scale(motivation_file, tmp_path):
 def test_run_deterministic_bytes(tmp_path):
     out1, out2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     plain = tmp_path / "noskip.json"
-    scenario_io.save(workload.gen_scenario("lrw-like", seed=3).without_skipping(), plain)
+    plain.write_text(scenario_io.serialize(workload.gen_scenario("lrw-like", seed=3).without_skipping()))
     for out in (out1, out2):
         res = invoke(
             "run", "--scenario", str(plain), "--seed", "7", "--samples", "3",
@@ -183,7 +183,7 @@ def test_optimize_oracle_over_its_limit_exit_code_1(tmp_path):
     # 6,773,760 feasible assignments: the oracle refuses before scoring any
     s = workload.gen_scenario("random", seed=0, modalities=8)
     scenario_path = tmp_path / "wide.json"
-    scenario_io.save(s, scenario_path)
+    scenario_path.write_text(scenario_io.serialize(s))
     spec = predictor.EncodingSpec.for_scenario(s)
     model = predictor.PredictorModel(
         encoding=spec,
@@ -241,7 +241,7 @@ SWEEP_DIGESTS = {
 
 def _random_file(tmp_path, modalities):
     path = tmp_path / f"random-5-x{modalities}.json"
-    scenario_io.save(workload.gen_scenario("random", seed=5, modalities=modalities), path)
+    path.write_text(scenario_io.serialize(workload.gen_scenario("random", seed=5, modalities=modalities)))
     return str(path)
 
 
@@ -325,6 +325,10 @@ def _nan_weight(doc):
     doc["weights"]["w2"][0] = float("nan")
 
 
+def _zero_scale(doc):
+    doc["weights"]["x_scale"][0] = 0.0
+
+
 # each malformed gate document, given as raw text or as an edit of a trained one
 MALFORMED_GATES = {
     "invalid-json": "{not json",
@@ -339,6 +343,7 @@ MALFORMED_GATES = {
     "w2-vs-hidden": _shorten("w2"),
     "layout-vs-w1-rows": _widen_layout,
     "non-finite-weight": _nan_weight,
+    "zero-x_scale": _zero_scale,
     "missing-training-key": lambda doc: doc["training"].pop("seed"),
 }
 
@@ -372,6 +377,7 @@ MALFORMED_PREDICTORS = {
     "encoding-vs-w1-rows": _grow_encoding,
     "y_mean-not-number": _set("weights", "y_mean", "70"),
     "training-not-object": _set(None, "training", None),
+    "zero-x_scale": _zero_scale,
 }
 
 
@@ -558,7 +564,7 @@ def test_report_on_a_non_integer_modality_exit_code_3(motivation_file, tmp_path)
 def test_sweep_over_its_limit_exit_code_1(tmp_path):
     # 43,046,721 assignments: the sweep refuses before writing any row
     scenario_path = tmp_path / "wide.json"
-    scenario_io.save(workload.gen_scenario("random", seed=0, modalities=8), scenario_path)
+    scenario_path.write_text(scenario_io.serialize(workload.gen_scenario("random", seed=0, modalities=8)))
     out = tmp_path / "sweep.csv"
     args = ["sweep", "--scenario", str(scenario_path), "--out", str(out)]
     res = run(CLI + args, timeout=60)

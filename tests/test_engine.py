@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import test_trace_bytes
 import test_window_pins
+from builders import predicted_label, zero_gate
 from modalsim import engine, latency, optimizer, workload
 from modalsim.core import (
     ConfigAssignment,
@@ -148,15 +149,15 @@ def test_non_blocking_zero_pads_unfinished():
         sample.window_payload(s.modalities[1], 16), engine.DEFAULT_SHIFT, engine.DEFAULT_DIFF
     )
     head = engine.prediction_head(s, len(want) + len(audio))
-    assert trace.predicted_label() == int(np.argmax(head @ np.concatenate([want, audio])))
+    assert predicted_label(trace) == int(np.argmax(head @ np.concatenate([want, audio])))
 
 
 def test_blocking_and_pipelined_predict_same_label():
     s = scenario_2mod()
     sample = one_sample(s)
-    lp = run(s, A, sample).predicted_label()
+    lp = predicted_label(run(s, A, sample))
     sb = dataclasses.replace(s, execution_mode=ExecutionMode.BLOCKING)
-    lb = run(sb, A, sample).predicted_label()
+    lb = predicted_label(run(sb, A, sample))
     assert lp == lb
 
 
@@ -306,7 +307,7 @@ def test_buffering_dominance():
         sb = dataclasses.replace(s, execution_mode=ExecutionMode.BLOCKING)
         block = run(sb, a, sample)
         for m in s.modalities:
-            n = s.sensing(m.id, a.sensing_level(m.id)).units_per_window
+            n = s.sensing(m.id, a.pairs[m.id][0]).units_per_window
             assert block.summary.peak_buffered_units[m.id] == n
             assert pipe.summary.peak_buffered_units[m.id] <= n
 
@@ -422,14 +423,12 @@ def test_skip_prefix_consistency():
         sample.window_payload(s.modalities[1], 16), engine.DEFAULT_SHIFT, engine.DEFAULT_DIFF
     )
     head = engine.prediction_head(s, len(slow_vec) + len(audio_vec))
-    assert trace.predicted_label() == int(
+    assert predicted_label(trace) == int(
         np.argmax(head @ np.concatenate([slow_vec, audio_vec]))
     )
 
 
 def test_inert_gate_matches_no_gate_run():
-    from modalsim.gating import zero_gate
-
     s = scenario_2mod(checkpoints=(0.5, 0.7))
     sample = one_sample(s, seed=2)
     dims = [
@@ -474,7 +473,7 @@ def test_oracle_gate_preserves_labels():
         gate = OracleGate(s, sample, A)
         gated = run(s, A, sample, gate=gate)
         plain = run(s.without_skipping(), A, sample)
-        assert gated.predicted_label() == plain.predicted_label()
+        assert predicted_label(gated) == predicted_label(plain)
 
 
 def test_skip_commit_after_resource_switch_aggregates_at_new_level():
@@ -504,7 +503,7 @@ def test_commit_fuses_the_prefix_not_the_window():
     gated = run(s, A, sample, gate=AlwaysCommit())
     plain = run(s.without_skipping(), A, sample)
     assert events_of(gated, EventKind.SKIP_COMMITTED)
-    assert gated.predicted_label() != plain.predicted_label()
+    assert predicted_label(gated) != predicted_label(plain)
 
 
 def test_second_checkpoint_can_commit():

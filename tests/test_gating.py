@@ -4,6 +4,7 @@ import time
 
 import numpy as np
 import pytest
+from builders import zero_gate
 
 from modalsim import nn, rng, workload
 from modalsim.gating import (
@@ -11,12 +12,10 @@ from modalsim.gating import (
     GateModel,
     GateTrainConfig,
     checkpoint_indices,
-    checkpoint_schedule,
     gate_eval,
     gate_train,
     load_gate,
     save_gate,
-    zero_gate,
 )
 from modalsim.nn import EmptyDataset
 
@@ -28,10 +27,10 @@ def test_checkpoint_indices_examples():
     assert checkpoint_indices([], 30) == []
 
 
-def test_checkpoint_schedule_uses_scenario_fractions():
+def test_checkpoint_indices_use_scenario_fractions():
     s = workload.gen_scenario("lrw-like", seed=0)
     # video level 1 has 25 units: ceil(12.5)-1=12, ceil(17.5)-1=17
-    assert checkpoint_schedule(s, 0, 1) == [12, 17]
+    assert checkpoint_indices(s.skip_checkpoints, s.sensing(0, 1).units_per_window) == [12, 17]
 
 
 def test_zero_gate_outputs_half_and_never_commits_at_half():

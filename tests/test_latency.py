@@ -3,6 +3,7 @@
 import dataclasses
 
 import pytest
+from builders import event_log
 
 from modalsim import engine, latency, workload
 from modalsim.core import (
@@ -181,9 +182,7 @@ def test_incomplete_trace_rejected():
     trace = engine.run(s, s.max_assignment(), sample)
     broken = dataclasses.replace(
         trace,
-        events=tuple(
-            e for e in trace.events if e.kind is not engine.EventKind.PREDICTION_EMITTED
-        ),
+        log=event_log(e for e in trace.events if e.kind is not engine.EventKind.PREDICTION_EMITTED),
     )
     with pytest.raises(latency.IncompleteTrace):
         latency.reported_latency(broken, s)

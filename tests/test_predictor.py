@@ -21,7 +21,6 @@ from modalsim.predictor import (
     consistency,
     indicators,
     load_model,
-    loss_and_grads,
     predict,
     save_model,
     train,
@@ -187,10 +186,8 @@ def test_empty_dataset_rejected():
 
 
 def test_divergent_training_raises_non_finite_loss():
-    from modalsim.predictor import NonFiniteLoss
-
     rows = make_affine_dataset(SPEC, n=60, seed=12)
-    with np.errstate(over="ignore"), pytest.raises(NonFiniteLoss):
+    with np.errstate(over="ignore"), pytest.raises(nn.NonFiniteLoss):
         train(rows, SPEC, TrainConfig(seed=0, epochs=500, learning_rate=1e6))
 
 
@@ -247,7 +244,7 @@ def test_gradient_check_against_finite_differences(loss, mask_kind):
     w2 = s.sub("w2").symmetric(hidden) * 0.9
     b2 = 0.1
     params = [w1, b1, w2, b2]
-    _, grads = loss_and_grads(params, x, y, loss, mask)
+    _, grads = nn.loss_and_grads(params, x, y, loss, mask)
 
     h = 3e-6
     worst = 0.0
@@ -262,7 +259,7 @@ def test_gradient_check_against_finite_differences(loss, mask_kind):
                 else:
                     p[pi] = p[pi].copy()
                     p[pi].ravel()[j] = v
-                return loss_and_grads(p, x, y, loss, mask)[0]
+                return nn.loss_and_grads(p, x, y, loss, mask)[0]
 
             v0 = flat[j]
             num = (loss_at(v0 + h) - loss_at(v0 - h)) / (2 * h)

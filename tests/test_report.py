@@ -9,6 +9,7 @@ import io
 import pytest
 
 import test_traceio
+from builders import event_log
 from modalsim import engine, report, traceio, workload
 from modalsim.core import ConfigAssignment, ExecutionMode, IncompleteTrace, MalformedTrace
 from modalsim.engine import EventKind
@@ -145,7 +146,7 @@ def test_breakdown_reads_the_same_facts_from_columns_and_from_events(tmp_path):
     path = tmp_path / "t.jsonl"
     traceio.write_trace(traces, path)
     columnar = traces + traceio.read_trace(path)
-    as_events = [dataclasses.replace(t, events=t.events) for t in columnar]
+    as_events = [dataclasses.replace(t, log=event_log(t.events)) for t in columnar]
     assert report.to_csv(report.breakdown(columnar)) == report.to_csv(report.breakdown(as_events))
 
 

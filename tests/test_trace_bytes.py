@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import test_window_pins
+from builders import sim_trace
 from modalsim import traceio
 from modalsim.core import ConfigAssignment, ExecutionMode
 from modalsim.engine import Event, EventKind, SimTrace, TraceSummary
@@ -95,7 +96,7 @@ events = st.builds(
 
 
 def make_trace(evs, sample_id=0) -> SimTrace:
-    return SimTrace(
+    return sim_trace(
         fingerprint="ab" * 32,
         sample_id=sample_id,
         mode=ExecutionMode.PIPELINED,

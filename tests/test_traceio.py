@@ -10,9 +10,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import test_trace_bytes
+from builders import sim_trace
 from modalsim import engine, traceio, workload
 from modalsim.core import ConfigAssignment, ExecutionMode
-from modalsim.engine import Event, EventColumns, EventKind, SimTrace, TraceSummary
+from modalsim.engine import Event, EventColumns, EventKind, TraceSummary
 from modalsim.optimizer import OptimizerDecision
 from modalsim.traceio import CorruptLine, SchemaVersionMismatch, TraceIntegrityError
 from modalsim.workload import OracleGate
@@ -69,7 +70,7 @@ def test_round_trip_multiple_byte_stable(tmp_path):
 
 
 def test_empty_event_trace_round_trips(tmp_path):
-    trace = SimTrace(
+    trace = sim_trace(
         fingerprint="0" * 64,
         sample_id=0,
         mode=ExecutionMode.PIPELINED,
@@ -102,7 +103,7 @@ def test_large_fuzzed_trace_round_trips(tmp_path):
                 payload=(("p", s.unit(i)), ("q", int(s.u64(i) % 7))),
             )
         )
-    trace = SimTrace(
+    trace = sim_trace(
         fingerprint="f" * 64,
         sample_id=7,
         mode=ExecutionMode.BLOCKING,
@@ -246,7 +247,7 @@ def line_reader(path):
             if header is None:
                 raise CorruptLine(i, "summary outside a trace block")
             traces.append(
-                SimTrace(
+                sim_trace(
                     fingerprint=header["fingerprint"],
                     sample_id=header["sample_id"],
                     mode=ExecutionMode(header["mode"]),

@@ -5,6 +5,7 @@ import itertools
 
 import numpy as np
 import pytest
+from builders import predicted_label
 
 from modalsim import engine, latency, rng, workload
 from modalsim.core import ConfigAssignment, Difficulty, ExecutionMode, validate_scenario
@@ -210,7 +211,7 @@ def test_unstable_samples_flip_prediction_at_canonical_assignment():
         plain = engine.run(s.without_skipping(), a, sample)
         # the oracle refuses to skip (label 0) exactly because the prediction flips
         assert trace.summary.skipped_unit_count == 0
-        assert trace.predicted_label() == plain.predicted_label()
+        assert predicted_label(trace) == predicted_label(plain)
 
 
 def test_calibrated_skip_rate_bands():
