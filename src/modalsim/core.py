@@ -242,10 +242,6 @@ class FeatureMatrix:
         object.__setattr__(self, "values", vals)
 
     @property
-    def units(self) -> int:
-        return int(self.values.shape[0])
-
-    @property
     def channels(self) -> int:
         return int(self.values.shape[1])
 

@@ -28,7 +28,6 @@ class DimensionMismatch(ModalsimError):
 
 @dataclass(frozen=True)
 class SkipDecision:
-    checkpoint_fraction: float
     probability: float
     committed: bool
 
@@ -37,11 +36,13 @@ class SkipDecision:
             raise ValueError("probability outside [0, 1]")
 
 
+LEARNING_RATE = 0.3
+
+
 @dataclass(frozen=True)
 class GateTrainConfig:
     seed: int = 0
     epochs: int = 3000
-    learning_rate: float = 0.3
     dropout: float = 0.1
 
 
@@ -97,7 +98,7 @@ def gate_train(
         y_rows.append(float(label))
     x = np.vstack(x_rows)
     y = np.array(y_rows)
-    fit = nn.fit_mlp(x, y, loss="bce", tag="gate", **dataclasses.asdict(hyper))
+    fit = nn.fit_mlp(x, y, loss="bce", tag="gate", learning_rate=LEARNING_RATE, **dataclasses.asdict(hyper))
 
     def accuracy(idx) -> float:
         p = nn.sigmoid(fit.mlp(x[idx]))
@@ -105,6 +106,7 @@ def gate_train(
 
     info = GateTrainingInfo(
         **dataclasses.asdict(hyper),
+        learning_rate=LEARNING_RATE,
         train_accuracy=accuracy(fit.train_idx),
         holdout_accuracy=accuracy(fit.hold_idx or fit.train_idx),
         loss_tail=tuple(fit.losses[-5:]),
@@ -117,7 +119,7 @@ def gate_eval(
     f_fast: np.ndarray,
     f_slow_prefix: np.ndarray,
     fraction: float,
-    tau: float = 0.5,
+    tau: float,
 ) -> SkipDecision:
     """Forward pass plus the strict threshold rule: commit iff p > tau.
 
@@ -125,7 +127,7 @@ def gate_eval(
     such as a GateModel; the decision record checks that p lies in [0, 1].
     """
     p = float(model.probability(f_fast, f_slow_prefix, fraction))
-    return SkipDecision(checkpoint_fraction=fraction, probability=p, committed=p > tau)
+    return SkipDecision(probability=p, committed=p > tau)
 
 
 def checkpoint_indices(fractions: Sequence[float], units_per_window: int) -> list[int]:

@@ -155,16 +155,15 @@ def fit_mlp(
 
     Every random draw (holdout split, init, dropout masks) comes from streams
     labelled (seed, tag, ...), so a fit is a pure function of its arguments.
-    Datasets of at most four rows train on every row and hold none out.  The
-    keyword arguments after `tag` are the fields of the predictor's
-    TrainConfig and the gate's GateTrainConfig.
+    Datasets of at most four rows train on every row and hold none out.
+    `learning_rate` is the predictor's or the gate's LEARNING_RATE, and
+    `seed`, `epochs` and `dropout` are the fields of its TrainConfig or
+    GateTrainConfig.
     """
     n = len(y)
     order = shuffled(n, rng.stream(seed, tag, "split"))
     n_hold = max(1, int(round(HOLDOUT_FRACTION * n))) if n > 4 else 0
     hold_idx, train_idx = order[:n_hold], order[n_hold:]
-    if not train_idx:
-        train_idx, hold_idx = order, []
     xt, yt = x[train_idx], y[train_idx]
 
     x_mean, std = xt.mean(axis=0), xt.std(axis=0)

@@ -36,6 +36,11 @@ class SearchSpaceTooLarge(ModalsimError):
     """More feasible assignments than `brute_force` will score."""
 
 
+class NonFiniteScore(ModalsimError):
+    """A scorer that gives the chosen assignment, or every feasible one, a
+    score that is not a finite number, as a predictor with extreme weights can."""
+
+
 @dataclass(frozen=True)
 class SearchResult:
     best: ConfigAssignment
@@ -126,7 +131,8 @@ def brute_force(
     product may round a row differently, which could move a tie-break.
 
     Raises SearchSpaceTooLarge, before scoring anything, when there are more
-    than BRUTE_FORCE_LIMIT feasible assignments.
+    than BRUTE_FORCE_LIMIT feasible assignments, and NonFiniteScore when no
+    feasible assignment scores a finite number.
     """
     score_each = _scorer(model, ind, row_per_product=True)
     feasible = _options(scenario, resource)
@@ -137,19 +143,21 @@ def brute_force(
         raise SearchSpaceTooLarge(
             f"{count} feasible assignments exceed the brute-force limit of {BRUTE_FORCE_LIMIT}"
         )
-    best = None
-    best_score = float("-inf")
+    best, best_score = None, float("-inf")
     for start in range(0, count, BRUTE_FORCE_CHUNK):
         index = np.arange(start, min(start + BRUTE_FORCE_CHUNK, count))
         levels = np.empty((len(index), len(options), 2), dtype=np.intp)
         for i in reversed(range(len(options))):  # the last modality varies fastest
             index, digit = np.divmod(index, len(options[i]))
             levels[:, i] = options[i][digit]
-        for k, score in enumerate(score_each(levels)):
+        with np.errstate(all="ignore"):  # a score that is not finite never becomes the best
+            scores = score_each(levels)
+        for k, score in enumerate(scores):
             if score > best_score:
                 best, best_score = levels[k : k + 1], score
-    best = None if best is None else _assignments(best)[0]
-    return SearchResult(best=best, best_score=best_score, feasible_count=count)
+    if best is None or not math.isfinite(best_score):
+        raise NonFiniteScore(f"no feasible assignment has a finite score (best {best_score})")
+    return SearchResult(best=_assignments(best)[0], best_score=best_score, feasible_count=count)
 
 
 def greedy_search(
@@ -223,11 +231,15 @@ def probe_indicators(scenario: Scenario, sample: Sample) -> ModalityIndicators:
 def optimizer_step(
     sample: Sample, scenario: Scenario, model, resource: str
 ) -> OptimizerDecision:
-    """Full online decision: probe, predict, greedy-search; wall time measured."""
+    """Full online decision: probe, predict, greedy-search; wall time measured.
+    Raises NonFiniteScore when the chosen assignment's score is not finite."""
     t0 = time.perf_counter()
     ind = probe_indicators(scenario, sample)
-    assignment = greedy_search(scenario, ind, model, resource)
-    score = float(_scorer(model, ind)(np.array([assignment.pairs]))[0])
+    with np.errstate(all="ignore"):  # a non-finite score raises below
+        assignment = greedy_search(scenario, ind, model, resource)
+        score = float(_scorer(model, ind)(np.array([assignment.pairs]))[0])
+    if not math.isfinite(score):
+        raise NonFiniteScore(f"the chosen assignment {assignment.pairs} scores {score}")
     elapsed_us = int((time.perf_counter() - t0) * 1e6)
     return OptimizerDecision(
         assignment=assignment, score=score, decision_latency_us=elapsed_us

@@ -36,15 +36,14 @@ class UnknownConfig(ModalsimError):
 @dataclass(frozen=True)
 class ModalityIndicators:
     consistency: float
-    complementarity: float
 
-    def __post_init__(self):
-        if self.complementarity != 1.0 - self.consistency:
-            raise ValueError("complementarity must equal 1 - consistency exactly")
+    @property
+    def complementarity(self) -> float:
+        return 1.0 - self.consistency
 
     @classmethod
     def from_consistency(cls, cons: float) -> "ModalityIndicators":
-        return cls(consistency=cons, complementarity=1.0 - cons)
+        return cls(cons)
 
 
 def consistency(f1: np.ndarray, f2: np.ndarray) -> float:
@@ -139,11 +138,13 @@ class EncodingSpec:
         return x
 
 
+LEARNING_RATE = 0.05
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     seed: int = 0
     epochs: int = 4000
-    learning_rate: float = 0.05
 
 
 @dataclass(frozen=True)
@@ -178,7 +179,9 @@ def train(
 
     x = encoding.encode_batch([ind for ind, _, _ in dataset], [a.pairs for _, a, _ in dataset])
     y = np.array([acc for _, _, acc in dataset], dtype=np.float64)
-    fit = nn.fit_mlp(x, y, loss="mse", tag="predictor", **dataclasses.asdict(hyper))
+    fit = nn.fit_mlp(
+        x, y, loss="mse", tag="predictor", learning_rate=LEARNING_RATE, **dataclasses.asdict(hyper)
+    )
 
     if fit.hold_idx:
         yh = y[fit.hold_idx]
@@ -189,9 +192,7 @@ def train(
     else:
         hold_mse, hold_r2 = fit.train_loss, float("nan")
 
-    info = TrainingInfo(
-        **dataclasses.asdict(hyper), train_mse=fit.train_loss, holdout_mse=hold_mse, holdout_r2=hold_r2
-    )
+    info = TrainingInfo(hyper.seed, hyper.epochs, LEARNING_RATE, fit.train_loss, hold_mse, hold_r2)
     return PredictorModel(encoding, fit.mlp, fit.y_mean, info)
 
 

@@ -78,9 +78,9 @@ class Stream:
             x ^= x >> np.uint64(31)
         return (x >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
-    def symmetric(self, count: int, offset: int = 0) -> np.ndarray:
+    def symmetric(self, count: int) -> np.ndarray:
         """Uniform float64 in [-1, 1)."""
-        return self.units(count, offset) * 2.0 - 1.0
+        return self.units(count) * 2.0 - 1.0
 
     def sub(self, *labels) -> "Stream":
         return Stream(_fold_labels(self.key, labels))

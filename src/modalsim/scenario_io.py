@@ -331,15 +331,16 @@ def from_document(doc: dict) -> Scenario:
     return scenario
 
 
-def parse(text: str) -> Scenario:
+def parse(text: str | bytes) -> Scenario:
+    """The scenario of a scenario document, given as text or as UTF-8 bytes."""
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text if isinstance(text, str) else text.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
         raise ScenarioFormatError([f"invalid JSON: {exc}"]) from None
     return from_document(doc)
 
 
 def load(path: str | Path) -> Scenario:
     """The validated scenario of a scenario file."""
-    return validate_scenario(parse(Path(path).read_text(encoding="utf-8")))
+    return validate_scenario(parse(Path(path).read_bytes()))
 

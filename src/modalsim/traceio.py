@@ -187,8 +187,8 @@ def _parse(lines: list[str], data: bytes) -> list[dict]:
     for i, line in enumerate(lines, start=1):
         try:
             rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CorruptLine(i, f"invalid JSON ({exc.msg})") from None
+        except (json.JSONDecodeError, RecursionError) as exc:  # a RecursionError has no msg
+            raise CorruptLine(i, f"invalid JSON ({getattr(exc, 'msg', exc)})") from None
         if type(rec) is not dict or "record" not in rec:
             raise CorruptLine(i, "not a trace record")
         records.append(rec)

@@ -391,6 +391,53 @@ def test_malformed_predictor_document_exit_code_2(case, scenario_file, predictor
     _assert_weight_format_error(res)
 
 
+NESTED_JSON = b"[" * 200_000 + b"]" * 200_000 + b"\n"
+
+
+def _subnormal_scale(doc):
+    doc["weights"]["x_scale"][0] = 5e-324
+
+
+def _extreme_mean(doc):
+    doc["weights"]["x_mean"] = [(-1) ** i * 1e308 for i in range(len(doc["weights"]["x_mean"]))]
+
+
+PROFILE = "profile --scenario {bad} --out {out}"
+RUN = "run --scenario {bad} --out {out}"
+OPTIMIZE = "optimize --scenario {scenario} --predictor {bad}"
+NOT_UTF8 = b"\xff\xfe{}"
+
+# arguments, with {bad} the hostile file; its bytes or an edit of the trained predictor; exit; error
+HOSTILE_INPUTS = {
+    "report-nested-trace": ("report --trace {bad}", NESTED_JSON, 3, "CorruptLine"),
+    "profile-nested-scenario": (PROFILE, NESTED_JSON, 2, "ScenarioFormatError"),
+    "run-nested-scenario": (RUN, NESTED_JSON, 2, "ScenarioFormatError"),
+    "profile-non-utf8-scenario": (PROFILE, NOT_UTF8, 2, "ScenarioFormatError"),
+    "run-non-utf8-scenario": (RUN, NOT_UTF8, 2, "ScenarioFormatError"),
+    "optimize-subnormal-scale": (OPTIMIZE, _subnormal_scale, 3, "NonFiniteScore"),
+    "oracle-subnormal-scale": (OPTIMIZE + " --oracle", _subnormal_scale, 3, "NonFiniteScore"),
+    "optimize-extreme-mean": (OPTIMIZE, _extreme_mean, 3, "NonFiniteScore"),
+    "oracle-extreme-mean": (OPTIMIZE + " --oracle", _extreme_mean, 3, "NonFiniteScore"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_INPUTS))
+def test_hostile_input_fails_typed(case, scenario_file, predictor_file, tmp_path):
+    template, content, code, error = HOSTILE_INPUTS[case]
+    if callable(content):
+        doc = json.loads(open(predictor_file).read())
+        content(doc)
+        content = json.dumps(doc).encode()
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    paths = {"bad": bad, "out": tmp_path / "out", "scenario": scenario_file}
+    res = invoke(*(arg.format(**paths) for arg in template.split()))
+    assert res.returncode == code, res.stderr
+    assert "Traceback" not in res.stderr
+    assert len(res.stderr.splitlines()) == 1, res.stderr  # one JSON line
+    assert json.loads(res.stderr)["error"] == error
+
+
 def _json_lines(stderr):
     return [json.loads(line) for line in stderr.splitlines() if line.startswith("{")]
 

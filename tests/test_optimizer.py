@@ -29,6 +29,15 @@ def test_no_feasible_assignment():
         optimizer.greedy_search(s, IND, surface, "high")
 
 
+def test_no_finite_score_raises():
+    s = lrw()
+    with pytest.raises(optimizer.NonFiniteScore):
+        optimizer.brute_force(s, IND, lambda ind, a: float("nan"), "high")
+    sample = workload.gen_samples(s, 1, "easy")[0]
+    with pytest.raises(optimizer.NonFiniteScore):
+        optimizer.optimizer_step(sample, s, lambda ind, a: float("inf"), "high")
+
+
 def test_unconstrained_returns_global_argmax():
     s = dataclasses.replace(lrw(), t_max_us=10**12)
     surface = workload.gen_accuracy_surface(s, seed=1)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modalsim import nn, optimizer, rng, workload
+from modalsim import nn, optimizer, predictor, rng, workload
 from modalsim.core import ConfigAssignment
 from modalsim.predictor import (
     EncodingSpec,
@@ -185,10 +185,11 @@ def test_empty_dataset_rejected():
         train([], SPEC, TrainConfig(epochs=1))
 
 
-def test_divergent_training_raises_non_finite_loss():
+def test_divergent_training_raises_non_finite_loss(monkeypatch):
+    monkeypatch.setattr(predictor, "LEARNING_RATE", 1e6)
     rows = make_affine_dataset(SPEC, n=60, seed=12)
     with np.errstate(over="ignore"), pytest.raises(nn.NonFiniteLoss):
-        train(rows, SPEC, TrainConfig(seed=0, epochs=500, learning_rate=1e6))
+        train(rows, SPEC, TrainConfig(seed=0, epochs=500))
 
 
 def test_unknown_config_rejected():
