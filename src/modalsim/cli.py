@@ -5,7 +5,8 @@ cannot use, such as --oracle or a full sweep over more assignments than
 brute force scores), 2 scenario/input validation failure (including a
 malformed or unreadable model or scenario file, or a gate built for other
 modalities), 3 runtime failure (including a trace file the reader or the
-report cannot use, or a predictor whose score is not a finite number).  Failures print one machine-readable JSON line on
+report cannot use, or a predictor whose score or a gate whose probability
+is not a finite number).  Failures print one machine-readable JSON line on
 stderr.  Wall-clock measurements (optimizer decision latency) also go to
 stderr so every file and stdout byte is a pure function of the flags and
 seeds.

@@ -26,6 +26,11 @@ class DimensionMismatch(ModalsimError):
     pass
 
 
+class NonFiniteProbability(ModalsimError):
+    """A gate whose probability at a checkpoint is not a finite number, as a
+    gate document with extreme weights can give."""
+
+
 @dataclass(frozen=True)
 class SkipDecision:
     probability: float
@@ -125,8 +130,12 @@ def gate_eval(
 
     `model` is any object with probability(f_fast, f_slow_prefix, fraction),
     such as a GateModel; the decision record checks that p lies in [0, 1].
+    Raises NonFiniteProbability when p is not a finite number.
     """
-    p = float(model.probability(f_fast, f_slow_prefix, fraction))
+    with np.errstate(all="ignore"):  # a probability that is not finite raises below
+        p = float(model.probability(f_fast, f_slow_prefix, fraction))
+    if not math.isfinite(p):
+        raise NonFiniteProbability(f"the gate's probability at fraction {fraction} is {p}")
     return SkipDecision(probability=p, committed=p > tau)
 
 

@@ -72,12 +72,6 @@ def shuffled(n: int, stream: rng.Stream) -> list[int]:
     return order
 
 
-def forward(params, x: np.ndarray) -> np.ndarray:
-    """Raw output (regression value or logit) for standardized inputs `x`."""
-    w1, b1, w2, b2 = params
-    return softplus(x @ w1 + b1) @ w2 + b2
-
-
 def loss_and_grads(params, x: np.ndarray, y: np.ndarray, loss: str = "mse", mask=None):
     """Loss and analytic gradients of (w1, b1, w2, b2).
 
@@ -116,7 +110,13 @@ def loss_and_grads(params, x: np.ndarray, y: np.ndarray, loss: str = "mse", mask
 @dataclass(frozen=True)
 class MLP:
     """A one-hidden-layer softplus MLP over inputs standardized by `x_mean`
-    and `x_scale`; its fields are the WEIGHT_KEYS."""
+    and `x_scale`; its fields are the WEIGHT_KEYS.
+
+    Calling it standardizes and then runs the forward pass, `output`.
+    Standardizing is elementwise, so a caller may standardize rows once,
+    ahead of time, and run `output` on any selection of them later: the
+    result has the bits of calling the MLP on the selected raw rows, in that
+    order, as one batch."""
 
     w1: np.ndarray  # inputs x hidden
     b1: np.ndarray
@@ -127,7 +127,14 @@ class MLP:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """Raw output (regression value or logit) for raw inputs `x`."""
-        return forward((self.w1, self.b1, self.w2, self.b2), (x - self.x_mean) / self.x_scale)
+        return self.output(self.standardize(x))
+
+    def standardize(self, x: np.ndarray) -> np.ndarray:
+        return (x - self.x_mean) / self.x_scale
+
+    def output(self, xs: np.ndarray) -> np.ndarray:
+        """The forward pass: raw output for standardized inputs `xs`."""
+        return softplus(xs @ self.w1 + self.b1) @ self.w2 + self.b2
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,14 @@ predicted accuracy gain per microsecond of added latency, staying feasible
 throughout.  Both score assignments with either a trained PredictorModel or
 any callable (indicators, assignment) -> accuracy.
 
-Both searches hold assignments as (n, modalities, 2) integer arrays of
-(sensing, model) levels and build one row per candidate by array indexing;
-a callable scorer still gets one ConfigAssignment of Python ints per row.
+Both searches build assignments as (n, modalities, 2) integer arrays of
+(sensing, model) levels by array indexing; a callable scorer still gets one
+ConfigAssignment of Python ints per row.  A predictor scores rows of the
+assignments' encodings, standardized (`_scorer`).  Greedy search builds and
+standardizes one table per decision, a row per in-budget option, and after
+each step patches only the moved modality's columns; every product it runs
+multiplies the same rows, in the same order, as encoding each step's moves
+afresh would, so its scores, and with them its choices, keep every bit.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import numpy as np
 
 from .core import ConfigAssignment, ModalsimError, NoFeasibleAssignment, Sample, Scenario, memoized
 from .latency import unimodal_table
-from .predictor import ModalityIndicators, PredictorModel, indicators, predict_batch, score_rows
+from .predictor import ModalityIndicators, PredictorModel, indicators, score_standardized
 
 PROBE_COST_US = 1000
 BRUTE_FORCE_CHUNK = 256  # assignments encoded at a time, which bounds brute_force's memory
@@ -61,24 +66,33 @@ def _assignments(levels: np.ndarray) -> list[ConfigAssignment]:
     return [ConfigAssignment(tuple(map(tuple, row))) for row in levels.tolist()]
 
 
-def _scorer(model, ind: ModalityIndicators, row_per_product: bool = False):
-    """Scores of an (n, modalities, 2) levels array, in row order.
+def _scorer(model, ind: ModalityIndicators, modalities: int, row_per_product: bool = False):
+    """How `model` scores assignments, as (rows, columns, score).
 
-    A PredictorModel scores all rows in one matrix product, or each row in a
-    product of its own when `row_per_product` is set; a callable is called
-    once per row.
+    `rows` maps an (n, modalities, 2) levels array to one row per assignment,
+    in which modality i's pair sets only the columns [columns[i], columns[i +
+    1]) of the second axis; `score` maps rows to their scores, in row order.
+    For a PredictorModel a row is the assignment's encoding, standardized,
+    and `score` runs all rows in one matrix product, or each row in a product
+    of its own when `row_per_product` is set.  For a callable a row is the
+    assignment's levels, and `score` calls it once per row.
     """
     if isinstance(model, PredictorModel):
-        if not row_per_product:
-            return lambda levels: predict_batch(model, ind, levels)
+        enc = model.encoding
+        columns = np.cumsum([2, *np.add(enc.sensing_counts, enc.model_counts)])
 
-        def score_each(levels):
-            x = model.encoding.encode_batch(ind, levels)
-            return [float(score_rows(model, x[k : k + 1])[0]) for k in range(len(x))]
+        def score(x):
+            if not row_per_product:
+                return score_standardized(model, x)
+            return [float(score_standardized(model, x[k : k + 1])[0]) for k in range(len(x))]
 
-        return score_each
+        return (lambda levels: model.mlp.standardize(enc.encode_batch(ind, levels))), columns, score
     if callable(model):
-        return lambda levels: [float(model(ind, a)) for a in _assignments(levels)]
+
+        def score_each(x):
+            return [float(model(ind, a)) for a in _assignments(x)]
+
+        return (lambda levels: levels), range(modalities + 1), score_each
     raise TypeError(f"cannot score assignments with {type(model)!r}")
 
 
@@ -126,15 +140,17 @@ def brute_force(
     lexicographically smallest assignment.
 
     The feasible product is built in lexicographic order, BRUTE_FORCE_CHUNK
-    rows at a time, and a predictor scores each row in a matrix product of
-    its own, exactly as a one-assignment `predict_batch` call does: a batched
-    product may round a row differently, which could move a tie-break.
+    rows at a time.  A predictor encodes and standardizes each chunk once
+    and scores each row in a matrix product of its own, exactly as a
+    one-assignment `predict_batch` call does: standardizing is elementwise,
+    but a batched product may round a row differently, which could move a
+    tie-break.
 
     Raises SearchSpaceTooLarge, before scoring anything, when there are more
     than BRUTE_FORCE_LIMIT feasible assignments, and NonFiniteScore when no
     feasible assignment scores a finite number.
     """
-    score_each = _scorer(model, ind, row_per_product=True)
+    rows, _, score_each = _scorer(model, ind, len(scenario.modalities), row_per_product=True)
     feasible = _options(scenario, resource)
     bounds = feasible.bounds
     options = [feasible.levels[a:b] for a, b in zip(bounds, bounds[1:])]
@@ -151,7 +167,7 @@ def brute_force(
             index, digit = np.divmod(index, len(options[i]))
             levels[:, i] = options[i][digit]
         with np.errstate(all="ignore"):  # a score that is not finite never becomes the best
-            scores = score_each(levels)
+            scores = score_each(rows(levels))
         for k, score in enumerate(scores):
             if score > best_score:
                 best, best_score = levels[k : k + 1], score
@@ -177,34 +193,49 @@ def greedy_search(
     independently.
 
     Each step scores all its moves in one call, in a fixed order: by
-    modality, then by (sensing, model) level.  A matrix product's rounding
-    depends only on the rows it multiplies, so the same rows in the same
-    order give the same scores bit for bit however the rows are built; ties
-    on (ratio, gain) go to the first move in that order, which has the
-    lowest modality and then the lowest levels.
+    modality, then by (sensing, model) level.  Ties on (ratio, gain) go to
+    the first move in that order, which has the lowest modality and then the
+    lowest levels.  The rows come from a table that `_ascend` builds once
+    per decision and patches after each step.
     """
-    score_many = _scorer(model, ind)
+    return _ascend(scenario, ind, model, resource)[0]
+
+
+def _ascend(scenario: Scenario, ind: ModalityIndicators, model, resource: str):
+    """`greedy_search`'s ascent.  Returns the chosen assignment, its row of
+    the candidate table as a 1-row array, and the scorer of such rows.
+
+    The candidate table has one row per in-budget option k: the current
+    assignment with option k's modality set to option k, so the rows of the
+    chosen options are the current assignment and the other rows are its
+    moves.  It is encoded and standardized once per decision; when modality
+    i moves to option k, row k's columns for modality i are copied into
+    every row outside modality i's options.  A matrix product's rounding
+    depends only on the rows it multiplies, so scoring `table[moves]` in one
+    product gives the bits that encoding the same rows afresh, in the same
+    order, would give.
+    """
+    rows, columns, score = _scorer(model, ind, len(scenario.modalities))
     options = _options(scenario, resource)
-    floor = options.latency.min()
     chosen = options.fastest.copy()  # each modality's current option
     is_move = np.ones(len(options.modality), dtype=bool)
     is_move[chosen] = False
-    current = options.levels[chosen]
-    current_score = float(score_many(current[None])[0])
+    levels = options.levels[chosen][None].repeat(len(is_move), axis=0)
+    levels[np.arange(len(is_move)), options.modality] = options.levels
+    table = rows(levels)
+    current_score = float(score(table[chosen[:1]])[0])
 
     while True:
         moves = is_move.nonzero()[0]
         if not len(moves):
             break
         mids = options.modality[moves]
-        levels = current[None].repeat(len(moves), axis=0)
-        levels[np.arange(len(moves)), mids] = options.levels[moves]
 
         # fusion cancels in a move's added latency: max(its own, the slowest other's) - peak
         unimodal = options.latency[chosen].tolist()
-        others = [max(unimodal[:i] + unimodal[i + 1 :], default=floor) for i in range(len(unimodal))]
+        others = [max(unimodal[:i] + unimodal[i + 1 :], default=0) for i in range(len(unimodal))]
         added = np.maximum(options.latency[moves], np.array(others)[mids]) - max(unimodal)
-        gains = np.asarray(score_many(levels), dtype=np.float64) - current_score
+        gains = np.asarray(score(table[moves]), dtype=np.float64) - current_score
         ratios = gains / np.maximum(added, 1)
 
         # the best (ratio, gain); the first such move has the lowest modality and levels
@@ -214,12 +245,14 @@ def greedy_search(
         best &= ratios == ratios.max(where=best, initial=-np.inf)
         best &= gains == gains.max(where=best, initial=-np.inf)
         k = int(best.argmax())
-        mid = mids[k]
-        is_move[chosen[mid]], is_move[moves[k]] = True, False
-        chosen[mid] = moves[k]
-        current = levels[k]
+        mid, new = mids[k], moves[k]
+        is_move[chosen[mid]], is_move[new] = True, False
+        chosen[mid] = new
+        cols = slice(columns[mid], columns[mid + 1])
+        table[: options.bounds[mid], cols] = table[new, cols]
+        table[options.bounds[mid + 1] :, cols] = table[new, cols]
         current_score += float(gains[k])
-    return _assignments(current[None])[0]
+    return _assignments(options.levels[chosen][None])[0], table[chosen[:1]], score
 
 
 def probe_indicators(scenario: Scenario, sample: Sample) -> ModalityIndicators:
@@ -236,8 +269,8 @@ def optimizer_step(
     t0 = time.perf_counter()
     ind = probe_indicators(scenario, sample)
     with np.errstate(all="ignore"):  # a non-finite score raises below
-        assignment = greedy_search(scenario, ind, model, resource)
-        score = float(_scorer(model, ind)(np.array([assignment.pairs]))[0])
+        assignment, row, score_of = _ascend(scenario, ind, model, resource)
+        score = float(score_of(row)[0])
     if not math.isfinite(score):
         raise NonFiniteScore(f"the chosen assignment {assignment.pairs} scores {score}")
     elapsed_us = int((time.perf_counter() - t0) * 1e6)

@@ -204,20 +204,26 @@ def predict(model: PredictorModel, ind: ModalityIndicators, assignment: ConfigAs
 def predict_batch(
     model: PredictorModel,
     ind: ModalityIndicators,
-    assignments: Sequence[ConfigAssignment] | np.ndarray,
+    assignments: Sequence[ConfigAssignment],
 ) -> np.ndarray:
-    """Estimated accuracies of a sequence of assignments or an (n, modalities,
-    2) levels array, from one matrix product over all rows."""
-    if not isinstance(assignments, np.ndarray):
-        assignments = [a.pairs for a in assignments]
-    return score_rows(model, model.encoding.encode_batch(ind, assignments))
+    """Estimated accuracies of a sequence of assignments, from one matrix
+    product over all rows."""
+    return score_rows(model, model.encoding.encode_batch(ind, [a.pairs for a in assignments]))
 
 
 def score_rows(model: PredictorModel, x: np.ndarray) -> np.ndarray:
-    """Estimated accuracies of encoded rows, clamped to [0, 100].  A row's
-    rounding may depend on how many rows share its matrix product, so a
-    caller that must reproduce a score bitwise scores the same batch again."""
-    return np.clip(model.mlp(x) + model.y_mean, 0.0, 100.0)
+    """Estimated accuracies of encoded rows, clamped to [0, 100]: the rows
+    standardized, then `score_standardized`."""
+    return score_standardized(model, model.mlp.standardize(x))
+
+
+def score_standardized(model: PredictorModel, xs: np.ndarray) -> np.ndarray:
+    """Estimated accuracies of encoded rows already standardized by
+    `model.mlp.standardize`, clamped to [0, 100].  A row's rounding may
+    depend on how many rows share its matrix product, so a caller that must
+    reproduce a score bitwise scores the same rows, in the same order, in
+    one product again; where the rows came from does not matter."""
+    return np.clip(model.mlp.output(xs) + model.y_mean, 0.0, 100.0)
 
 
 def save_model(model: PredictorModel, path: str | Path) -> None:

@@ -405,9 +405,11 @@ def _extreme_mean(doc):
 PROFILE = "profile --scenario {bad} --out {out}"
 RUN = "run --scenario {bad} --out {out}"
 OPTIMIZE = "optimize --scenario {scenario} --predictor {bad}"
+GATE = "run --scenario {scenario} --gate {bad} --out {out}"
 NOT_UTF8 = b"\xff\xfe{}"
 
-# arguments, with {bad} the hostile file; its bytes or an edit of the trained predictor; exit; error
+# arguments, with {bad} the hostile file; its bytes or an edit of the trained
+# predictor (of the trained gate for a --gate run); exit; error
 HOSTILE_INPUTS = {
     "report-nested-trace": ("report --trace {bad}", NESTED_JSON, 3, "CorruptLine"),
     "profile-nested-scenario": (PROFILE, NESTED_JSON, 2, "ScenarioFormatError"),
@@ -418,14 +420,15 @@ HOSTILE_INPUTS = {
     "oracle-subnormal-scale": (OPTIMIZE + " --oracle", _subnormal_scale, 3, "NonFiniteScore"),
     "optimize-extreme-mean": (OPTIMIZE, _extreme_mean, 3, "NonFiniteScore"),
     "oracle-extreme-mean": (OPTIMIZE + " --oracle", _extreme_mean, 3, "NonFiniteScore"),
+    "gate-extreme-mean": (GATE, _extreme_mean, 3, "NonFiniteProbability"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(HOSTILE_INPUTS))
-def test_hostile_input_fails_typed(case, scenario_file, predictor_file, tmp_path):
+def test_hostile_input_fails_typed(case, scenario_file, predictor_file, gate_file, tmp_path):
     template, content, code, error = HOSTILE_INPUTS[case]
     if callable(content):
-        doc = json.loads(open(predictor_file).read())
+        doc = json.loads(open(gate_file if "--gate" in template else predictor_file).read())
         content(doc)
         content = json.dumps(doc).encode()
     bad = tmp_path / "bad.json"

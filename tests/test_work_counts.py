@@ -10,7 +10,8 @@ sample aggregates each modality's window once and the slow prefix once per
 jump tried, a window reads each
 modality's encode cost once per resource level, a budget query reads
 each (modality, sensing, model) profile entry once per scenario instance
-and resource, greedy search encodes each step's moves as one batch, and
+and resource, greedy search encodes one table of candidate rows per
+decision and scores each step's moves from it as one batch, and
 the prediction head and diff encoder are drawn once per scenario and per
 spec and channel count.
 """
@@ -270,14 +271,19 @@ def seven_by_seven():
 
 
 def test_greedy_search_scores_each_step_as_one_encoded_batch(monkeypatch, seven_by_seven):
-    # the start, eight steps of 57 moves each, and optimizer_step's rescore of
-    # the choice: the same rows as a search that encoded one row per move
+    # one encoded table of a row per in-budget option; then the start, eight
+    # steps of 57 moves each and optimizer_step's score of the choice, each
+    # one product over standardized rows of that table: the same rows as a
+    # search that encoded one row per move
     s, model, sample = seven_by_seven
     encoded = count_calls(monkeypatch, EncodingSpec, "encode")
-    batches = count_calls(monkeypatch, optimizer, "predict_batch")
+    tables = count_calls(monkeypatch, EncodingSpec, "encode_batch")
+    batches = count_calls(monkeypatch, optimizer, "score_standardized")
     optimizer.optimizer_step(sample, s, model, "high")
     assert len(encoded) == 0
-    assert [len(args[2]) for args in batches] == [1] + [57] * 8 + [1]
+    in_budget = len(optimizer._options(s, "high").modality)
+    assert [len(args[2]) for args in tables] == [in_budget] == [57 + 2]
+    assert [len(args[1]) for args in batches] == [1] + [57] * 8 + [1]
 
 
 def test_second_decision_on_a_scenario_looks_up_no_profile_entry(monkeypatch, seven_by_seven):
