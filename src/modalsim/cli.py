@@ -20,6 +20,8 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import engine, gating, optimizer, predictor, report, scenario_io, traceio, workload
 from .core import (
     ConfigAssignment,
@@ -235,7 +237,8 @@ def _cmd_optimize(args) -> int:
 
 def _cmd_sweep(args) -> int:
     scenario = _load_scenario(args.scenario)
-    count = math.prod(len(scenario.level_pairs(i)) for i in range(len(scenario.modalities)))
+    options = [np.array(scenario.level_pairs(i)) for i in range(len(scenario.modalities))]
+    count = math.prod(len(pairs) for pairs in options)
     if count > optimizer.BRUTE_FORCE_LIMIT:
         limit = optimizer.BRUTE_FORCE_LIMIT
         raise UsageError(f"--grid full: {count} assignments exceed the limit of {limit}")
@@ -245,17 +248,17 @@ def _cmd_sweep(args) -> int:
     # end-to-end latency is the slowest modality's unimodal latency plus fusion
     tables = unimodal_table(scenario, engine.apply_resource_schedule(scenario, 0))
     fusion_us = scenario.latency_profile.fusion_us
+    row = ";".join(["%d:%d"] * len(options)) + ",%d,%r\n"
+    chunk = optimizer.BRUTE_FORCE_CHUNK
 
-    rows = 0
-    with open(args.out, "w", encoding="utf-8") as out:  # one row at a time, as it is made
+    with open(args.out, "w", encoding="utf-8") as out:  # one chunk at a time, as it is made
         out.write("assignment,latency_us,accuracy_pct\n")
-        for assignment in scenario.assignments():
-            lat = max(int(table[pair]) for table, pair in zip(tables, assignment.pairs)) + fusion_us
-            acc = surface(ind, assignment)
-            label = ";".join(f"{s}:{m}" for s, m in assignment.pairs)
-            out.write(f"{label},{lat},{acc!r}\n")
-            rows += 1
-    print(f"wrote {rows} rows to {args.out}")
+        for start in range(0, count, chunk):
+            levels = optimizer.product_levels(options, np.arange(start, min(start + chunk, count)))
+            lat = np.max([t[tuple(levels[:, i].T)] for i, t in enumerate(tables)], axis=0) + fusion_us
+            ints = np.column_stack((levels.reshape(len(levels), -1), lat)).tolist()  # levels, latency
+            out.write("".join(row % (*r, a) for r, a in zip(ints, surface.scores(ind, levels).tolist())))
+    print(f"wrote {count} rows to {args.out}")
     return 0
 
 

@@ -8,12 +8,15 @@ the oracle; `greedy_search` starts from the minimum-latency feasible
 assignment and repeatedly applies the one-modality move with the best
 predicted accuracy gain per microsecond of added latency, staying feasible
 throughout.  Both score assignments with either a trained PredictorModel or
-any callable (indicators, assignment) -> accuracy.
+any object with a `scores(indicators, levels)` method, such as an
+AccuracySurface.
 
 Both searches build assignments as (n, modalities, 2) integer arrays of
-(sensing, model) levels by array indexing; a callable scorer still gets one
-ConfigAssignment of Python ints per row.  A predictor scores rows of the
-assignments' encodings, standardized (`_scorer`).  Greedy search builds and
+(sensing, model) levels by array indexing; `product_levels` decodes the
+k-th assignment of a product, for brute force, `sweep` and the predictor's
+training picks alike.  A `scores` object scores the levels themselves; a
+predictor scores rows of the assignments' encodings, standardized
+(`_scorer`).  Greedy search builds and
 standardizes one table per decision, a row per in-budget option, and after
 each step patches only the moved modality's columns; every product it runs
 multiplies the same rows, in the same order, as encoding each step's moves
@@ -61,9 +64,22 @@ class OptimizerDecision:
     probe_cost_us: int = PROBE_COST_US
 
 
-def _assignments(levels: np.ndarray) -> list[ConfigAssignment]:
-    """One assignment of Python ints per row of an (n, modalities, 2) levels array."""
-    return [ConfigAssignment(tuple(map(tuple, row))) for row in levels.tolist()]
+def _assignment(row: np.ndarray) -> ConfigAssignment:
+    """The assignment of Python ints in one (modalities, 2) row of levels."""
+    return ConfigAssignment(tuple(map(tuple, row.tolist())))
+
+
+def product_levels(options: list[np.ndarray], index) -> np.ndarray:
+    """The assignments at positions `index` of the product of per-modality
+    options, as an (n, modalities, 2) levels array.  `options[i]` is a
+    (k_i, 2) array of modality i's (sensing, model) pairs; the product is in
+    `itertools.product` order, the last modality varying fastest, so an
+    index is decoded in mixed radix and nothing is listed."""
+    levels = np.empty((len(index), len(options), 2), dtype=np.intp)
+    for i in reversed(range(len(options))):
+        index, digit = np.divmod(index, len(options[i]))
+        levels[:, i] = options[i][digit]
+    return levels
 
 
 def _scorer(model, ind: ModalityIndicators, modalities: int, row_per_product: bool = False):
@@ -74,25 +90,21 @@ def _scorer(model, ind: ModalityIndicators, modalities: int, row_per_product: bo
     1]) of the second axis; `score` maps rows to their scores, in row order.
     For a PredictorModel a row is the assignment's encoding, standardized,
     and `score` runs all rows in one matrix product, or each row in a product
-    of its own when `row_per_product` is set.  For a callable a row is the
-    assignment's levels, and `score` calls it once per row.
+    of its own when `row_per_product` is set.  For any other object with a
+    `scores(ind, levels)` method, such as an AccuracySurface, a row is the
+    assignment's levels and `score` is that method.
     """
     if isinstance(model, PredictorModel):
         enc = model.encoding
-        columns = np.cumsum([2, *np.add(enc.sensing_counts, enc.model_counts)])
 
         def score(x):
             if not row_per_product:
                 return score_standardized(model, x)
             return [float(score_standardized(model, x[k : k + 1])[0]) for k in range(len(x))]
 
-        return (lambda levels: model.mlp.standardize(enc.encode_batch(ind, levels))), columns, score
-    if callable(model):
-
-        def score_each(x):
-            return [float(model(ind, a)) for a in _assignments(x)]
-
-        return (lambda levels: levels), range(modalities + 1), score_each
+        return (lambda levels: model.mlp.standardize(enc.encode_batch(ind, levels))), enc.blocks(), score
+    if hasattr(model, "scores"):
+        return (lambda levels: levels), range(modalities + 1), (lambda levels: model.scores(ind, levels))
     raise TypeError(f"cannot score assignments with {type(model)!r}")
 
 
@@ -139,12 +151,14 @@ def brute_force(
     """Exhaustive search over the feasible assignments; ties break to the
     lexicographically smallest assignment.
 
-    The feasible product is built in lexicographic order, BRUTE_FORCE_CHUNK
-    rows at a time.  A predictor encodes and standardizes each chunk once
-    and scores each row in a matrix product of its own, exactly as a
-    one-assignment `predict_batch` call does: standardizing is elementwise,
-    but a batched product may round a row differently, which could move a
-    tie-break.
+    The feasible product is decoded by `product_levels` in lexicographic
+    order, BRUTE_FORCE_CHUNK rows at a time.  A predictor encodes and
+    standardizes each chunk once and scores each row in a matrix product of
+    its own, exactly as a one-assignment `predict_batch` call does:
+    standardizing is elementwise, but a batched product may round a row
+    differently, which could move a tie-break.  Each chunk's first strict
+    maximum, with NaN scored as -inf, becomes the best only if it beats the
+    best so far strictly.
 
     Raises SearchSpaceTooLarge, before scoring anything, when there are more
     than BRUTE_FORCE_LIMIT feasible assignments, and NonFiniteScore when no
@@ -152,8 +166,7 @@ def brute_force(
     """
     rows, _, score_each = _scorer(model, ind, len(scenario.modalities), row_per_product=True)
     feasible = _options(scenario, resource)
-    bounds = feasible.bounds
-    options = [feasible.levels[a:b] for a, b in zip(bounds, bounds[1:])]
+    options = np.split(feasible.levels, feasible.bounds[1:-1])
     count = math.prod(len(levels) for levels in options)
     if count > BRUTE_FORCE_LIMIT:
         raise SearchSpaceTooLarge(
@@ -161,19 +174,15 @@ def brute_force(
         )
     best, best_score = None, float("-inf")
     for start in range(0, count, BRUTE_FORCE_CHUNK):
-        index = np.arange(start, min(start + BRUTE_FORCE_CHUNK, count))
-        levels = np.empty((len(index), len(options), 2), dtype=np.intp)
-        for i in reversed(range(len(options))):  # the last modality varies fastest
-            index, digit = np.divmod(index, len(options[i]))
-            levels[:, i] = options[i][digit]
+        levels = product_levels(options, np.arange(start, min(start + BRUTE_FORCE_CHUNK, count)))
         with np.errstate(all="ignore"):  # a score that is not finite never becomes the best
-            scores = score_each(rows(levels))
-        for k, score in enumerate(scores):
-            if score > best_score:
-                best, best_score = levels[k : k + 1], score
+            scores = np.fmax(score_each(rows(levels)), -np.inf)  # NaN as -inf
+        k = int(scores.argmax())
+        if scores[k] > best_score:
+            best, best_score = levels[k], float(scores[k])
     if best is None or not math.isfinite(best_score):
         raise NonFiniteScore(f"no feasible assignment has a finite score (best {best_score})")
-    return SearchResult(best=_assignments(best)[0], best_score=best_score, feasible_count=count)
+    return SearchResult(best=_assignment(best), best_score=best_score, feasible_count=count)
 
 
 def greedy_search(
@@ -252,7 +261,7 @@ def _ascend(scenario: Scenario, ind: ModalityIndicators, model, resource: str):
         table[: options.bounds[mid], cols] = table[new, cols]
         table[options.bounds[mid + 1] :, cols] = table[new, cols]
         current_score += float(gains[k])
-    return _assignments(options.levels[chosen][None])[0], table[chosen[:1]], score
+    return _assignment(options.levels[chosen]), table[chosen[:1]], score
 
 
 def probe_indicators(scenario: Scenario, sample: Sample) -> ModalityIndicators:

@@ -10,6 +10,7 @@ gradient descent (`nn.fit_mlp`) against synthetic accuracy labels in percent.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -41,9 +42,16 @@ class ModalityIndicators:
     def complementarity(self) -> float:
         return 1.0 - self.consistency
 
-    @classmethod
-    def from_consistency(cls, cons: float) -> "ModalityIndicators":
-        return cls(cons)
+
+def _cosines(vecs: Sequence[np.ndarray]) -> list[float]:
+    """Cosine similarity of every pair (a, b), a < b in order, of
+    equal-length non-zero float vectors, clipped to [-1, 1]; each vector's
+    norm is computed once."""
+    norms = [float(np.linalg.norm(v)) for v in vecs]
+    if 0.0 in norms:
+        raise ZeroVector("cosine similarity undefined for a zero vector")
+    pairs = itertools.combinations(range(len(vecs)), 2)
+    return [min(max(float(vecs[a] @ vecs[b]) / (norms[a] * norms[b]), -1.0), 1.0) for a, b in pairs]
 
 
 def consistency(f1: np.ndarray, f2: np.ndarray) -> float:
@@ -52,11 +60,7 @@ def consistency(f1: np.ndarray, f2: np.ndarray) -> float:
     f2 = np.asarray(f2, dtype=np.float64)
     if f1.shape != f2.shape:
         raise ValueError(f"vector shapes differ: {f1.shape} vs {f2.shape}")
-    n1 = float(np.linalg.norm(f1))
-    n2 = float(np.linalg.norm(f2))
-    if n1 == 0.0 or n2 == 0.0:
-        raise ZeroVector("cosine similarity undefined for a zero vector")
-    return float(np.clip(float(f1 @ f2) / (n1 * n2), -1.0, 1.0))
+    return _cosines([f1, f2])[0]
 
 
 def indicators(first_unit_features: Sequence[np.ndarray]) -> ModalityIndicators:
@@ -68,11 +72,7 @@ def indicators(first_unit_features: Sequence[np.ndarray]) -> ModalityIndicators:
     if width == 0:
         raise ZeroVector("empty feature vector")
     vecs = [np.ravel(np.asarray(f, dtype=np.float64))[:width] for f in first_unit_features]
-    cosines = []
-    for a in range(len(vecs)):
-        for b in range(a + 1, len(vecs)):
-            cosines.append(consistency(vecs[a], vecs[b]))
-    return ModalityIndicators.from_consistency(float(np.mean(cosines)))
+    return ModalityIndicators(float(np.mean(_cosines(vecs))))
 
 
 @dataclass(frozen=True)
@@ -101,6 +101,11 @@ class EncodingSpec:
         counts = np.column_stack((self.sensing_counts, self.model_counts))
         starts = 2 + np.concatenate(([0], np.cumsum(counts)[:-1]))
         return starts.reshape(counts.shape), counts
+
+    def blocks(self) -> np.ndarray:
+        """Modality i's pair sets only the columns [blocks[i], blocks[i + 1]):
+        its sensing one-hot block, then its model one-hot block."""
+        return np.append(self._layout()[0][:, 0], self.dim)
 
     def encode(self, ind: ModalityIndicators, assignment: ConfigAssignment) -> np.ndarray:
         return self.encode_batch(ind, [assignment.pairs])[0]
@@ -208,12 +213,7 @@ def predict_batch(
 ) -> np.ndarray:
     """Estimated accuracies of a sequence of assignments, from one matrix
     product over all rows."""
-    return score_rows(model, model.encoding.encode_batch(ind, [a.pairs for a in assignments]))
-
-
-def score_rows(model: PredictorModel, x: np.ndarray) -> np.ndarray:
-    """Estimated accuracies of encoded rows, clamped to [0, 100]: the rows
-    standardized, then `score_standardized`."""
+    x = model.encoding.encode_batch(ind, [a.pairs for a in assignments])
     return score_standardized(model, model.mlp.standardize(x))
 
 

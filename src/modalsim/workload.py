@@ -28,10 +28,11 @@ from .core import (
     Sample,
     Scenario,
     SensingConfig,
+    memoized,
     validate_scenario,
 )
 from .latency import unimodal_table
-from .optimizer import probe_indicators
+from .optimizer import probe_indicators, product_levels
 from .predictor import ModalityIndicators
 
 # Probability that a sample's window is stable enough for a prefix prediction
@@ -234,7 +235,9 @@ class AccuracySurface:
 
     Monotone nondecreasing in every level coordinate with diminishing
     returns, plus a cross-modal interaction on model levels and a
-    consistency-dependent offset; values stay inside [40, 97].
+    consistency-dependent offset; values stay inside [40, 97].  `scores`
+    is the one formula; it takes the (n, modalities, 2) level arrays the
+    optimizer builds, like a predictor does.
     """
 
     model_norms: tuple[tuple[float, ...], ...]  # per modality, model level / (levels - 1), or 1.0
@@ -243,14 +246,29 @@ class AccuracySurface:
     model_gains: tuple[tuple[float, ...], ...]
     pair_weights: tuple[tuple[int, int, float], ...]  # (mod a, mod b, weight)
 
-    def __call__(self, ind: ModalityIndicators, assignment: ConfigAssignment) -> float:
-        acc = self.base + CONSISTENCY_SCALE * ind.consistency
-        for i, (s, m) in enumerate(assignment.pairs):
-            acc += self.sensing_gains[i][s] + self.model_gains[i][m]
-        norms = self.model_norms
+    def scores(self, ind: ModalityIndicators, levels) -> np.ndarray:
+        """The accuracy of each row of an (n, modalities, 2) array of
+        (sensing, model) levels.  Every row runs the same float operations
+        in the same order, elementwise, so its score does not depend on the
+        rows scored with it."""
+        levels = np.asarray(levels)
+        sensing, model, row = levels[:, :, 0], levels[:, :, 1], self._row
+        acc = np.full(len(levels), self.base + CONSISTENCY_SCALE * ind.consistency)
+        for i in range(levels.shape[1]):
+            acc += row("sensing_gains", i)[sensing[:, i]] + row("model_gains", i)[model[:, i]]
         for a, b, w in self.pair_weights:
-            acc += w * min(norms[a][assignment.pairs[a][1]], norms[b][assignment.pairs[b][1]])
-        return float(acc)
+            acc += w * np.minimum(row("model_norms", a)[model[:, a]], row("model_norms", b)[model[:, b]])
+        return acc
+
+    @memoized
+    def _row(self, field: str, modality: int) -> np.ndarray:
+        """One modality's row of a per-modality field, as an array, computed
+        once per surface instance."""
+        return np.array(getattr(self, field)[modality])
+
+    def __call__(self, ind: ModalityIndicators, assignment: ConfigAssignment) -> float:
+        """One assignment's accuracy, as a one-row `scores` call."""
+        return float(self.scores(ind, [assignment.pairs])[0])
 
 
 def _cumulative_gains(stream: rng.Stream, levels: int, cap: float) -> tuple[float, ...]:
@@ -471,25 +489,22 @@ def predictor_dataset(
     seed: int = 0,
     noise_pct: float = 0.0,
 ) -> list[tuple[ModalityIndicators, ConfigAssignment, float]]:
-    """Labelled (indicators, assignment, accuracy) rows from the surface."""
-    options = [scenario.level_pairs(i) for i in range(len(scenario.modalities))]
-    sizes = [len(pairs) for pairs in options]
+    """Labelled (indicators, assignment, accuracy) rows from the surface:
+    per sample, ASSIGNMENTS_PER_SAMPLE seeded picks from
+    `scenario.assignments()`, decoded by `product_levels` without listing
+    them and scored in one call."""
+    options = [np.array(scenario.level_pairs(i)) for i in range(len(scenario.modalities))]
+    count = math.prod(len(pairs) for pairs in options)
     noise = rng.stream(seed, "predictor-noise")
     rows = []
-    idx = 0
     for sample in samples:
         ind = probe_indicators(scenario, sample)
         picks = rng.stream(seed, "predictor-picks", sample.id)
-        for t in range(ASSIGNMENTS_PER_SAMPLE):
-            # the k-th of `scenario.assignments()`, in mixed radix: the last modality varies fastest
-            digits = np.unravel_index(picks.u64(t) % math.prod(sizes), sizes)
-            assignment = ConfigAssignment(tuple(pairs[d] for pairs, d in zip(options, digits)))
-            acc = surface(ind, assignment)
+        levels = product_levels(options, [picks.u64(t) % count for t in range(ASSIGNMENTS_PER_SAMPLE)])
+        for pairs, acc in zip(levels.tolist(), surface.scores(ind, levels).tolist()):
             if noise_pct > 0.0:
                 # sum of three uniforms: symmetric bell-ish noise without libm
-                u = noise.units(3, offset=idx * 3)
+                u = noise.units(3, offset=len(rows) * 3)
                 acc += noise_pct * ((u[0] + u[1] + u[2]) * 2.0 - 3.0)
-            rows.append((ind, assignment, float(np.clip(acc, 0.0, 100.0))))
-            idx += 1
+            rows.append((ind, ConfigAssignment(tuple(map(tuple, pairs))), float(np.clip(acc, 0.0, 100.0))))
     return rows
-

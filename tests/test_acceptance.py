@@ -67,7 +67,7 @@ def test_criterion_2_motivation_calibration():
 def test_criterion_3_optimizer_soundness():
     t0 = time.perf_counter()
     s = workload.gen_scenario("lrw-like", seed=0)
-    ind = ModalityIndicators.from_consistency(0.6)
+    ind = ModalityIndicators(0.6)
     assert sum(1 for _ in s.assignments()) == 81
     worst_gap = 0.0
     for seed in range(50):

@@ -118,7 +118,7 @@ def test_greedy_matches_the_loop_it_replaced(
     # budgets from the preset's own to 10**12, log-uniform
     s = dataclasses.replace(s, t_max_us=int(s.t_max_us * (10**12 / s.t_max_us) ** budget))
     resource = s.latency_profile.resource_levels[0 if high else -1]
-    ind = ModalityIndicators.from_consistency(consistency)
+    ind = ModalityIndicators(consistency)
 
     with np.errstate(all="ignore"):
         want = _outcome(lambda: reference_greedy(s, ind, model, resource))

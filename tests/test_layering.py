@@ -8,7 +8,8 @@ skip label rule in its oracle gate alone.  A trace's events have one form,
 `EventColumns`, so no module asks which form it holds, and the report reads
 the columns rather than `Event`s.  Only `nn` standardizes an MLP's inputs
 and runs its forward pass; the predictor and the gate each call their
-`nn.MLP`.
+`nn.MLP`.  Only `optimizer.product_levels` decodes a position in the
+assignment product, and the CLI scores the surface in level arrays.
 """
 
 import pathlib
@@ -57,3 +58,10 @@ def test_report_does_not_read_events():
 def test_only_nn_standardizes_and_runs_the_mlp():
     naming = re.compile(r"\bx_mean\b|\bx_scale\b|\bforward\(")
     assert [name for name, text in SOURCES.items() if naming.search(text)] == ["nn.py"]
+
+
+def test_the_assignment_product_is_decoded_in_one_place():
+    assert [name for name, text in SOURCES.items() if "unravel_index" in text] == []
+    assert [name for name, text in SOURCES.items() if re.search(r"\bdivmod\(", text)] == ["optimizer.py"]
+    # sweep decodes chunks and scores them with `surface.scores`, never one row per call
+    assert not re.search(r"\bsurface\(|\.assignments\(\)", SOURCES["cli.py"])

@@ -23,7 +23,7 @@ def predictor_rows(n):
         )
         cons = s.sub("cons").unit(i) * 2.0 - 1.0
         acc = 55.0 + 10.0 * cons + 4.0 * sum(sl + ml for sl, ml in pairs) + s.sub("noise").unit(i)
-        rows.append((ModalityIndicators.from_consistency(cons), ConfigAssignment(pairs), acc))
+        rows.append((ModalityIndicators(cons), ConfigAssignment(pairs), acc))
     return rows
 
 

@@ -1,18 +1,34 @@
 """Brute-force oracle and greedy search properties."""
 
 import dataclasses
+import itertools
+import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modalsim import latency, optimizer, workload
-from modalsim.core import NoFeasibleAssignment
+from modalsim.core import ModalsimError, NoFeasibleAssignment
 from modalsim.predictor import ModalityIndicators
 
-IND = ModalityIndicators.from_consistency(0.6)
+IND = ModalityIndicators(0.6)
 
 
 def lrw(seed=0):
     return workload.gen_scenario("lrw-like", seed=seed)
+
+
+class Constant:
+    """A scorer that gives every assignment one score and keeps the levels it scored."""
+
+    def __init__(self, value):
+        self.value, self.scored = value, []
+
+    def scores(self, ind, levels):
+        self.scored.append(levels)
+        return np.full(len(levels), self.value)
 
 
 def test_space_is_eighty_one():
@@ -32,10 +48,10 @@ def test_no_feasible_assignment():
 def test_no_finite_score_raises():
     s = lrw()
     with pytest.raises(optimizer.NonFiniteScore):
-        optimizer.brute_force(s, IND, lambda ind, a: float("nan"), "high")
+        optimizer.brute_force(s, IND, Constant(float("nan")), "high")
     sample = workload.gen_samples(s, 1, "easy")[0]
     with pytest.raises(optimizer.NonFiniteScore):
-        optimizer.optimizer_step(sample, s, lambda ind, a: float("inf"), "high")
+        optimizer.optimizer_step(sample, s, Constant(float("inf")), "high")
 
 
 def test_unconstrained_returns_global_argmax():
@@ -121,11 +137,7 @@ def test_optimizer_step_deterministic_assignment():
 
 def test_tie_break_lexicographic():
     s = dataclasses.replace(lrw(), t_max_us=10**12)
-
-    def flat_surface(ind, assignment):
-        return 50.0
-
-    result = optimizer.brute_force(s, IND, flat_surface, "high")
+    result = optimizer.brute_force(s, IND, Constant(50.0), "high")
     assert result.best.pairs == ((0, 0), (0, 0))
 
 
@@ -142,15 +154,10 @@ def test_probe_indicators_reflect_difficulty():
 def test_brute_force_refuses_a_space_over_its_limit_before_scoring():
     # an 8-modality random preset has 6,773,760 feasible assignments at its budget
     s = workload.gen_scenario("random", seed=0, modalities=8)
-    scored = []
-
-    def scorer(ind, assignment):
-        scored.append(assignment)
-        return 0.0
-
+    scorer = Constant(0.0)
     with pytest.raises(optimizer.SearchSpaceTooLarge, match="6773760 .* 1048576"):
         optimizer.brute_force(s, IND, scorer, "high")
-    assert scored == []
+    assert scorer.scored == []
 
 
 def test_brute_force_limit_admits_a_space_of_exactly_its_size(monkeypatch):
@@ -162,3 +169,112 @@ def test_brute_force_limit_admits_a_space_of_exactly_its_size(monkeypatch):
     monkeypatch.setattr(optimizer, "BRUTE_FORCE_LIMIT", count - 1)
     with pytest.raises(optimizer.SearchSpaceTooLarge):
         optimizer.brute_force(s, IND, surface, "high")
+
+
+@settings(max_examples=60, deadline=None)
+@given(sizes=st.lists(st.integers(1, 9), min_size=1, max_size=5), seed=st.integers(0, 10**6))
+def test_product_levels_follows_itertools_product_order(sizes, seed):
+    draw = np.random.default_rng(seed)
+    options = [draw.integers(0, 7, (k, 2)) for k in sizes]
+    count = math.prod(sizes)
+    chunk = optimizer.BRUTE_FORCE_CHUNK
+    # the first and last assignment, and the rows around the first chunk boundary
+    index = sorted({0, count - 1, *range(max(0, chunk - 3), min(count, chunk + 3))})
+    want = [
+        next(itertools.islice(itertools.product(*(o.tolist() for o in options)), k, None))
+        for k in index
+    ]
+    got = optimizer.product_levels(options, index)
+    assert got.shape == (len(index), len(sizes), 2)
+    assert got.tolist() == [list(map(list, pairs)) for pairs in want]
+
+
+class Table:
+    """A scorer that reads each assignment's score from `values`, at the
+    assignment's position in the scenario's full product."""
+
+    def __init__(self, scenario, values):
+        self.pairs = [len(scenario.model_space[i]) for i in range(len(scenario.modalities))]
+        self.sizes = [len(scenario.sensing_space[i]) * n for i, n in enumerate(self.pairs)]
+        self.values = np.asarray(values, dtype=np.float64)
+
+    def scores(self, ind, levels):
+        position = np.zeros(len(levels), dtype=np.intp)
+        for i, size in enumerate(self.sizes):
+            position = position * size + levels[:, i, 0] * self.pairs[i] + levels[:, i, 1]
+        return self.values[position]
+
+
+def reference_brute_force(scenario, ind, model, resource):
+    """`brute_force`'s selection as a loop over the feasible product, in
+    order: a score becomes the best only if it is strictly greater."""
+    budget = scenario.t_max_us - scenario.latency_profile.fusion_us
+    tables = latency.unimodal_table(scenario, resource)
+    feasible = [
+        [p for p in scenario.level_pairs(i) if tables[i][p] <= budget] for i in range(len(tables))
+    ]
+    best, best_score = None, float("-inf")
+    for pairs in itertools.product(*feasible):
+        score = float(model.scores(ind, np.array([pairs]))[0])
+        if score > best_score:
+            best, best_score = pairs, score
+    if best is None or not math.isfinite(best_score):
+        raise optimizer.NonFiniteScore(best_score)
+    return best, best_score.hex()
+
+
+def _selection(scenario, model):
+    try:
+        result = optimizer.brute_force(scenario, IND, model, "high")
+    except ModalsimError as exc:
+        return type(exc).__name__
+    return result.best.pairs, result.best_score.hex()
+
+
+def _wide():
+    """729 assignments, all feasible: chunks of 256, 256 and 217 rows."""
+    s = workload.gen_scenario("random", seed=0, modalities=3)
+    return dataclasses.replace(s, t_max_us=10**12)
+
+
+@pytest.mark.parametrize(
+    "planted, want",
+    [
+        ({255: 5.0, 256: 5.0}, 255),  # a tie across the chunk boundary goes to the first
+        ({255: 5.0, 256: 6.0}, 256),
+        ({3: 4.0, 300: float("nan"), 301: 5.0}, 301),  # NaN in a chunk hides nothing
+        ({3: 4.0, 256: float("nan"), 600: 4.0}, 3),
+        ({3: 4.0, 400: float("inf"), 401: 9.0}, "NonFiniteScore"),
+        ({0: float("nan"), 728: float("nan")}, "NonFiniteScore"),
+    ],
+)
+def test_brute_force_selection_planted(planted, want):
+    s = _wide()
+    values = np.full(729, -np.inf)
+    for k, v in planted.items():
+        values[k] = v
+    got = _selection(s, Table(s, values))
+    if isinstance(want, int):
+        assert got == (list(s.assignments())[want].pairs, values[want].hex())
+    else:
+        assert got == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    weights=st.lists(st.integers(0, 3), min_size=6, max_size=6),
+    unconstrained=st.booleans(),
+)
+def test_brute_force_selection_matches_the_strict_loop(seed, weights, unconstrained):
+    # few distinct values, so ties within and across chunks are common
+    s = _wide() if unconstrained else workload.gen_scenario("random", seed=0, modalities=3)
+    pool = np.repeat([1.0, 2.0, 3.0, np.nan, np.inf, -np.inf], weights)
+    if not len(pool):
+        pool = np.array([np.nan])
+    model = Table(s, np.random.default_rng(seed).choice(pool, 729))
+    try:
+        want = reference_brute_force(s, IND, model, "high")
+    except ModalsimError as exc:
+        want = type(exc).__name__
+    assert _selection(s, model) == want

@@ -51,6 +51,46 @@ def test_cosine_rejects_length_mismatch():
         consistency(np.ones(3), np.ones(4))
 
 
+def reference_indicators(features) -> float:
+    """`indicators` as it was computed before each norm was kept: per pair,
+    both norms again and one `np.clip`."""
+    width = min(len(np.ravel(f)) for f in features)
+    vecs = [np.ravel(np.asarray(f, dtype=np.float64))[:width] for f in features]
+    cosines = []
+    for a in range(len(vecs)):
+        for b in range(a + 1, len(vecs)):
+            n1, n2 = float(np.linalg.norm(vecs[a])), float(np.linalg.norm(vecs[b]))
+            if n1 == 0.0 or n2 == 0.0:
+                raise ZeroVector("cosine similarity undefined for a zero vector")
+            cosines.append(float(np.clip(float(vecs[a] @ vecs[b]) / (n1 * n2), -1.0, 1.0)))
+    return float(np.mean(cosines))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    widths=st.lists(st.integers(1, 40), min_size=2, max_size=7),
+    seed=st.integers(0, 10**6),
+    kind=st.sampled_from(["random", "parallel", "antiparallel", "one zero"]),
+)
+def test_indicators_match_the_per_pair_loop_bitwise(widths, seed, kind):
+    draw = np.random.default_rng(seed)
+    features = [draw.normal(size=w) * 10.0 ** draw.integers(-3, 4) for w in widths]
+    if kind == "parallel":  # cosines that round past 1 before the clip
+        features = [f[: min(widths)] * draw.uniform(0.1, 9.0) for f in [features[0]] * len(widths)]
+    elif kind == "antiparallel":
+        features = [f[: min(widths)] * (-1.0) ** i for i, f in enumerate([features[0]] * len(widths))]
+    elif kind == "one zero":
+        features[int(draw.integers(len(widths)))] = np.zeros(widths[0])
+
+    def outcome(fn):
+        try:
+            return fn(features).hex()
+        except ZeroVector as exc:
+            return str(exc)
+
+    assert outcome(lambda f: indicators(f).consistency) == outcome(reference_indicators)
+
+
 def test_indicators_identical_features():
     f = np.array([1.0, 2.0, 3.0])
     ind = indicators([f, f, f])
@@ -84,7 +124,7 @@ def test_indicators_single_modality():
 
 def test_complement_exact_by_construction():
     for cons in (-1.0, -0.25, 0.0, 0.63, 1.0):
-        ind = ModalityIndicators.from_consistency(cons)
+        ind = ModalityIndicators(cons)
         assert ind.complementarity == 1.0 - ind.consistency
 
 
@@ -118,7 +158,7 @@ def make_affine_dataset(spec, n=240, seed=0, noise=0.0, dead_level=False):
             acc += level_w[len(spec.sensing_counts) + m][ml]
         if noise:
             acc += noise * (s.unit(3 * i + 2) * 2.0 - 1.0)
-        rows.append((ModalityIndicators.from_consistency(cons), a, float(np.clip(acc, 0, 100))))
+        rows.append((ModalityIndicators(cons), a, float(np.clip(acc, 0, 100))))
     return rows
 
 
@@ -152,7 +192,7 @@ def test_constant_dataset_predicts_constant():
 def test_dead_dimension_equal_predictions():
     rows = make_affine_dataset(SPEC, n=400, seed=4, dead_level=True)
     model = train(rows, SPEC, TrainConfig(seed=0, epochs=4000))
-    ind = ModalityIndicators.from_consistency(0.2)
+    ind = ModalityIndicators(0.2)
     a_mid = ConfigAssignment(((1, 1), (1, 1)))
     a_dead = ConfigAssignment(((1, 1), (1, 2)))
     assert abs(predict(model, ind, a_mid) - predict(model, ind, a_dead)) <= 0.5
@@ -203,7 +243,7 @@ def test_encoding_layout_is_read_only_in_the_spec_and_its_copies():
     # the layout is shared by every encode call, so no caller may write it;
     # a pickled spec carries no memo and computes its own
     spec = EncodingSpec(sensing_counts=(3, 2), model_counts=(2, 3))
-    spec.encode(ModalityIndicators.from_consistency(0.5), ConfigAssignment(((0, 0), (1, 2))))
+    spec.encode(ModalityIndicators(0.5), ConfigAssignment(((0, 0), (1, 2))))
     for each in (spec, pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec)):
         starts, counts = each._layout()
         assert not starts.flags.writeable and not counts.flags.writeable
@@ -222,8 +262,8 @@ def test_prediction_lipschitz_in_indicators():
     model = train(rows, SPEC, TrainConfig(seed=0, epochs=1000))
     a = ConfigAssignment(((1, 1), (1, 1)))
     eps = 1e-6
-    base = predict(model, ModalityIndicators.from_consistency(0.3), a)
-    moved = predict(model, ModalityIndicators.from_consistency(0.3 + eps), a)
+    base = predict(model, ModalityIndicators(0.3), a)
+    moved = predict(model, ModalityIndicators(0.3 + eps), a)
     assert abs(moved - base) < 1e-3  # finite perturbation stays bounded
 
 
@@ -320,7 +360,7 @@ def encodings(draw):
     pair = [st.tuples(st.integers(0, s - 1), st.integers(0, m - 1)) for s, m in zip(sensing, model)]
     levels = draw(st.lists(st.tuples(*pair), min_size=1, max_size=8))
     cons = draw(st.lists(st.floats(-1.0, 1.0), min_size=len(levels), max_size=len(levels)))
-    return spec, levels, [ModalityIndicators.from_consistency(c) for c in cons]
+    return spec, levels, [ModalityIndicators(c) for c in cons]
 
 
 @given(encodings())
@@ -371,4 +411,4 @@ def test_greedy_search_rejects_a_predictor_of_another_space():
     model = train(rows, EncodingSpec.for_scenario(s), TrainConfig(seed=0, epochs=50))
     wide = workload.gen_scenario("random", seed=0, modalities=4)
     with pytest.raises(UnknownConfig, match="4 modalities, encoding expects 2"):
-        optimizer.greedy_search(wide, ModalityIndicators.from_consistency(0.5), model, "high")
+        optimizer.greedy_search(wide, ModalityIndicators(0.5), model, "high")

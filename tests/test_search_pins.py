@@ -80,7 +80,7 @@ def _searches(s):
         for budget in (s.t_max_us, s.t_max_us * 3 // 4, 10**12):
             scenario = dataclasses.replace(s, t_max_us=budget)
             for cons in (0.2, 0.8):
-                ind = ModalityIndicators.from_consistency(cons)
+                ind = ModalityIndicators(cons)
 
                 def brute():
                     r = optimizer.brute_force(scenario, ind, surface, resource)

@@ -252,7 +252,7 @@ def test_budget_queries_look_up_each_pair_once(monkeypatch):
 
     lookups.clear()
     surface = workload.gen_accuracy_surface(s)
-    result = optimizer.brute_force(s, ModalityIndicators.from_consistency(0.5), surface, "high")
+    result = optimizer.brute_force(s, ModalityIndicators(0.5), surface, "high")
     assert result.feasible_count > 0
     assert (len(lookups), len(checks)) == (36, 0)
 

@@ -6,6 +6,8 @@ import itertools
 import numpy as np
 import pytest
 from builders import predicted_label
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modalsim import engine, latency, rng, workload
 from modalsim.core import ConfigAssignment, Difficulty, ExecutionMode, validate_scenario
@@ -67,7 +69,7 @@ def test_random_preset_level_knobs():
 
 def test_surface_monotone_with_diminishing_returns():
     s = workload.gen_scenario("lrw-like", seed=0)
-    ind = ModalityIndicators.from_consistency(0.4)
+    ind = ModalityIndicators(0.4)
     for seed in range(8):
         surface = workload.gen_accuracy_surface(s, seed=seed)
         for a in s.assignments():
@@ -116,12 +118,54 @@ SURFACE_SCENARIOS = [workload.gen_scenario("motivation-av", seed=0)] + [
 def test_surface_matches_its_per_call_normalization_bitwise(scenario):
     # a modality with one model level normalizes to 1.0 (motivation-av has
     # one model level per modality)
-    ind = ModalityIndicators.from_consistency(0.3)
+    ind = ModalityIndicators(0.3)
     for seed in range(3):
         surface = workload.gen_accuracy_surface(scenario, seed=seed)
         for a in scenario.assignments():
             got, want = surface(ind, a), reference_surface(surface, scenario, ind, a)
             assert got.hex() == want.hex()
+
+
+def reference_call(surface, ind, assignment) -> float:
+    """The surface's score of one assignment as `AccuracySurface.__call__`
+    computed it before `scores` took level arrays: Python floats, one
+    assignment per call."""
+    acc = surface.base + workload.CONSISTENCY_SCALE * ind.consistency
+    for i, (s, m) in enumerate(assignment.pairs):
+        acc += surface.sensing_gains[i][s] + surface.model_gains[i][m]
+    norms = surface.model_norms
+    for a, b, w in surface.pair_weights:
+        acc += w * min(norms[a][assignment.pairs[a][1]], norms[b][assignment.pairs[b][1]])
+    return float(acc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    modalities=st.integers(2, 5),
+    sensing=st.integers(1, 7),
+    models=st.integers(1, 7),
+    seed=st.integers(0, 10**6),
+    interaction=st.sampled_from([0.0, 1.0]),
+    consistency=st.floats(-1.0, 1.0),
+    rows=st.integers(1, 300),
+)
+def test_surface_scores_match_the_per_call_formula_bitwise(
+    modalities, sensing, models, seed, interaction, consistency, rows
+):
+    s = workload.gen_scenario(
+        "random", seed, modalities=modalities, sensing_levels=sensing, model_levels=models
+    )
+    surface = workload.gen_accuracy_surface(s, seed=seed, interaction_scale=interaction)
+    ind = ModalityIndicators(consistency)
+    draw = np.random.default_rng(seed)
+    levels = np.stack([draw.integers(0, n, (rows, modalities)) for n in (sensing, models)], axis=2)
+    got = surface.scores(ind, levels)
+    assert got.shape == (rows,)
+    for row, score in zip(levels.tolist(), got.tolist()):
+        a = ConfigAssignment(tuple(map(tuple, row)))
+        want = reference_call(surface, ind, a)
+        assert score.hex() == want.hex()
+        assert surface(ind, a).hex() == want.hex()
 
 
 def test_surface_range_and_finiteness():
@@ -135,7 +179,7 @@ def test_surface_range_and_finiteness():
     for i in range(100_000):
         cons = draws.unit(2 * i) * 2.0 - 1.0
         a = assignments[draws.u64(2 * i + 1) % len(assignments)]
-        values.append(surface(ModalityIndicators.from_consistency(cons), a))
+        values.append(surface(ModalityIndicators(cons), a))
     arr = np.asarray(values)
     assert np.isfinite(arr).all()
     assert arr.min() >= 40.0 and arr.max() <= 97.0
@@ -145,7 +189,7 @@ def test_surface_dominance_pair_exists():
     # a mid config that matches a bigger config's accuracy within 1% at
     # strictly lower latency, somewhere in the seed corpus
     s = workload.gen_scenario("lrw-like", seed=0)
-    ind = ModalityIndicators.from_consistency(0.6)
+    ind = ModalityIndicators(0.6)
     found = False
     for seed in range(10):
         surface = workload.gen_accuracy_surface(s, seed=seed)
