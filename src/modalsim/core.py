@@ -279,32 +279,31 @@ class Sample:
         prefix = rng.stream(self.seed, "sample", self.id)
         return prefix, prefix.sub("shared")
 
-    def _base(self, modality: Modality) -> np.ndarray:
+    @memoized
+    def _rows(self, modality: Modality) -> tuple[np.ndarray, np.ndarray]:
+        """The modality's base row and its row from the jump on (the base
+        row again for a stable sample), each drawn once."""
         prefix, shared = self._streams()
         private = prefix.sub("private", modality.id).symmetric(modality.channels)
         a = self.consistency_weight
-        return a * shared.symmetric(modality.channels) + (1.0 - a) * private
-
-    def _jump(self, modality: Modality) -> np.ndarray:
-        prefix, _ = self._streams()
+        base = a * shared.symmetric(modality.channels) + (1.0 - a) * private
+        if self.stable:
+            return base, base
         direction = prefix.sub("jump", self.jump_nonce, modality.id).symmetric(modality.channels)
-        return self.jump_scale * direction
+        return base, base + self.jump_scale * direction
 
     def jump_start(self, units_per_window: int) -> int:
-        return math.ceil(self.jump_fraction * units_per_window)
+        return max(math.ceil(self.jump_fraction * units_per_window), 0)
 
     def unit_payload(self, modality: Modality, unit: int, units_per_window: int) -> np.ndarray:
-        base = self._base(modality)
-        if not self.stable and unit >= self.jump_start(units_per_window):
-            return base + self._jump(modality)
-        return base
+        base, jumped = self._rows(modality)
+        return (jumped if unit >= self.jump_start(units_per_window) else base).copy()
 
     def window_payload(self, modality: Modality, units_per_window: int) -> np.ndarray:
         """All N unit payloads; row u equals unit_payload(modality, u, N) bitwise."""
-        base = self._base(modality)
+        base, jumped = self._rows(modality)
         rows = np.repeat(base[None, :], units_per_window, axis=0)
-        if not self.stable:
-            rows[self.jump_start(units_per_window) :] = base + self._jump(modality)
+        rows[self.jump_start(units_per_window) :] = jumped
         return rows
 
 

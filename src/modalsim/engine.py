@@ -80,7 +80,7 @@ from .core import (
     memoized,
 )
 from .latency import end_to_end_latency
-from .gating import checkpoint_indices, gate_eval
+from .gating import checkpoints, gate_eval
 from .scenario_io import fingerprint
 
 NUM_CLASSES = 8
@@ -500,33 +500,28 @@ def _apply_skip(scenario, assignment, plans, gate, window_start, rows) -> None:
         p.fused = feature_vector(p.rows)
     f_fast = np.concatenate([p.fused for p in others]) if others else np.zeros(0)
 
-    first_fraction: dict[int, float] = {}  # unit index -> earliest fraction naming it
-    for f in scenario.skip_checkpoints:
-        for idx in checkpoint_indices([f], slow.n):
-            first_fraction.setdefault(idx, f)
-
-    for idx, fraction in sorted(first_fraction.items()):
-        t_eval = max(slow.enc_end[idx], fast_done)
+    for prefix, fraction in checkpoints(scenario.skip_checkpoints, slow.n):
+        t_eval = max(slow.enc_end[prefix - 1], fast_done)
         if t_eval >= slow.enc_end[-1]:
             # nothing left to skip: the modality beat the checkpoint
             payload = (("already_completed", True), ("fraction", fraction))
             rows.append(_row(t_eval, EventKind.CHECKPOINT_EVAL, slow_id, payload=payload))
             continue
-        f_slow = feature_vector(slow.rows[: idx + 1])
+        f_slow = feature_vector(slow.rows[:prefix])
         decision = gate_eval(gate, f_fast, f_slow, fraction, scenario.tau)
         committed, p = decision.committed, decision.probability
         payload = (("committed", committed), ("fraction", fraction), ("probability", p))
         rows.append(_row(t_eval, EventKind.CHECKPOINT_EVAL, slow_id, payload=payload))
         if not committed:
             continue
-        slow.aggregate_at(t_eval, idx + 1)
+        slow.aggregate_at(t_eval, prefix)
         slow.fused = f_slow
         slow.cut = t_eval
         payload = (
             ("fraction", fraction),
-            ("prefix", idx + 1),
+            ("prefix", prefix),
             ("probability", p),
-            ("units_skipped", slow.n - idx - 1),
+            ("units_skipped", slow.n - prefix),
         )
         rows.append(_row(t_eval, EventKind.SKIP_COMMITTED, slow_id, payload=payload))
         return

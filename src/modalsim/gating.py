@@ -139,10 +139,16 @@ def gate_eval(
     return SkipDecision(probability=p, committed=p > tau)
 
 
-def checkpoint_indices(fractions: Sequence[float], units_per_window: int) -> list[int]:
-    """Unit indices ceil(f * N) - 1 per fraction, deduplicated and sorted."""
-    idx = {math.ceil(f * units_per_window) - 1 for f in fractions}
-    return sorted(i for i in idx if 0 <= i < units_per_window)
+def checkpoints(fractions: Sequence[float], units_per_window: int) -> list[tuple[int, float]]:
+    """The (prefix, fraction) checkpoints a window evaluates, by increasing
+    prefix: each prefix ceil(f * N) in [1, N] once, with the first fraction
+    naming it."""
+    first: dict[int, float] = {}
+    for f in fractions:
+        prefix = math.ceil(f * units_per_window)
+        if 1 <= prefix <= units_per_window:
+            first.setdefault(prefix, f)
+    return sorted(first.items())
 
 
 def save_gate(model: GateModel, path: str | Path) -> None:

@@ -71,11 +71,11 @@ class Stream:
     def units(self, count: int, offset: int = 0) -> np.ndarray:
         """unit(offset), ..., unit(offset + count - 1) as one float64 vector."""
         start = np.uint64((self.key + (offset + 1) * GOLDEN) & MASK64)
-        with np.errstate(over="ignore"):  # uint64 multiplies wrap mod 2**64
-            x = start + np.arange(count, dtype=np.uint64) * _GOLDEN_U64 + _GOLDEN_U64
-            x = (x ^ (x >> np.uint64(30))) * _MUL1_U64
-            x = (x ^ (x >> np.uint64(27))) * _MUL2_U64
-            x ^= x >> np.uint64(31)
+        # uint64 array multiplies wrap mod 2**64; numpy flags no array overflow
+        x = start + np.arange(count, dtype=np.uint64) * _GOLDEN_U64 + _GOLDEN_U64
+        x = (x ^ (x >> np.uint64(30))) * _MUL1_U64
+        x = (x ^ (x >> np.uint64(27))) * _MUL2_U64
+        x ^= x >> np.uint64(31)
         return (x >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
     def symmetric(self, count: int) -> np.ndarray:

@@ -31,6 +31,7 @@ from .core import (
     memoized,
     validate_scenario,
 )
+from .gating import checkpoints
 from .latency import unimodal_table
 from .optimizer import probe_indicators, product_levels
 from .predictor import ModalityIndicators
@@ -385,7 +386,8 @@ def _calibrate_jump(scenario, sample, assignment) -> Sample:
             sample, jump_nonce=nonce, jump_scale=6.0 * (1.6**nonce)
         )
         oracle = OracleGate(scenario, candidate, assignment)
-        if not oracle.agrees(candidate.jump_start(len(oracle.slow_rows))):
+        _, label = oracle.label(candidate.jump_start(len(oracle.slow_rows)))
+        if not label:
             return candidate
     # pathological head; fall back to a stable sample so the label stays honest
     return dataclasses.replace(sample, stable=True)
@@ -422,7 +424,8 @@ def _draw_difficulty(weights: dict[Difficulty, float], u: float) -> Difficulty:
 class OracleGate:
     """Gate returning exactly 1.0 when the prefix prediction matches the
     full-window prediction for this (scenario, sample, assignment), else 0.0;
-    the one implementation of the skip label rule.
+    `label` applies it to a prefix of the slow modality's units, the one
+    place the skip label rule runs on a prefix.
 
     It also holds the window's skip inputs as the engine builds them: the
     slow modality's id and unit rows, and `f_fast`, the other modalities'
@@ -451,11 +454,12 @@ class OracleGate:
         )
         return 1.0 if partial == full else 0.0
 
-    def agrees(self, prefix: int) -> bool:
-        """Whether the slow modality's first `prefix` units, with the fast
-        modalities complete, predict the full window's class."""
+    def label(self, prefix: int) -> tuple[np.ndarray, int]:
+        """The slow modality's feature vector over its first `prefix` units,
+        and 1 if it, with the fast modalities complete, predicts the full
+        window's class, else 0."""
         f_slow = engine.feature_vector(self.slow_rows[:prefix])
-        return self.probability(self.f_fast, f_slow, prefix / len(self.slow_rows)) == 1.0
+        return f_slow, int(self.probability(self.f_fast, f_slow, prefix / len(self.slow_rows)))
 
 
 def gate_dataset(
@@ -463,7 +467,8 @@ def gate_dataset(
     samples: Sequence[Sample],
     assignments: Sequence[ConfigAssignment] | None = None,
 ) -> list[tuple[np.ndarray, np.ndarray, float, int]]:
-    """Oracle-labelled gate training rows across configurations."""
+    """Oracle-labelled gate training rows across configurations, one per
+    checkpoint a window at that assignment evaluates."""
     if assignments is None:
         assignments = [scenario.min_assignment(), scenario.max_assignment()]
     fractions = scenario.skip_checkpoints or (0.5,)
@@ -471,10 +476,8 @@ def gate_dataset(
     for sample in samples:
         for assignment in assignments:
             oracle = OracleGate(scenario, sample, assignment)
-            for fraction in fractions:
-                prefix = math.ceil(fraction * len(oracle.slow_rows))
-                f_slow = engine.feature_vector(oracle.slow_rows[:prefix])
-                label = int(oracle.probability(oracle.f_fast, f_slow, fraction))
+            for prefix, fraction in checkpoints(fractions, len(oracle.slow_rows)):
+                f_slow, label = oracle.label(prefix)
                 rows.append((oracle.f_fast, f_slow, float(fraction), label))
     return rows
 

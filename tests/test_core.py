@@ -172,10 +172,12 @@ def test_sample_jump_applies_to_tail_only():
     stable=st.booleans(),
     n=st.integers(1, 48),
     channels=st.integers(1, 9),
-    jump_fraction=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+    jump_fraction=st.sampled_from([0.0, 1.0]) | st.floats(-1.0, 2.0),
     jump_scale=st.sampled_from([0.0, 5.0]) | st.floats(-10.0, 10.0),
     sample_id=st.integers(0, 2**20),
 )
+@example(stable=False, n=10, channels=4, jump_fraction=-0.2, jump_scale=3.0, sample_id=2)
+@example(stable=False, n=10, channels=4, jump_fraction=1.5, jump_scale=3.0, sample_id=2)
 @example(stable=False, n=1, channels=4, jump_fraction=0.0, jump_scale=5.0, sample_id=1)
 @example(stable=False, n=1, channels=4, jump_fraction=1.0, jump_scale=5.0, sample_id=1)
 @example(stable=False, n=10, channels=4, jump_fraction=0.0, jump_scale=3.0, sample_id=2)

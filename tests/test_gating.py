@@ -11,7 +11,7 @@ from modalsim.gating import (
     DimensionMismatch,
     GateModel,
     GateTrainConfig,
-    checkpoint_indices,
+    checkpoints,
     gate_eval,
     gate_train,
     load_gate,
@@ -20,17 +20,23 @@ from modalsim.gating import (
 from modalsim.nn import EmptyDataset
 
 
-def test_checkpoint_indices_examples():
-    assert checkpoint_indices([0.5, 0.7], 30) == [14, 20]
-    assert checkpoint_indices([0.5, 0.7], 2) == [0, 1]
-    assert checkpoint_indices([0.5, 0.7], 1) == [0]
-    assert checkpoint_indices([], 30) == []
+def test_checkpoints_examples():
+    assert checkpoints([0.5, 0.7], 30) == [(15, 0.5), (21, 0.7)]
+    assert checkpoints([0.5, 0.7], 2) == [(1, 0.5), (2, 0.7)]
+    assert checkpoints([0.5, 0.7], 1) == [(1, 0.5)]
+    assert checkpoints([], 30) == []
 
 
-def test_checkpoint_indices_use_scenario_fractions():
+def test_checkpoints_name_a_shared_prefix_once_by_its_first_fraction():
+    # ceil(0.5 * 25) = ceil(0.51 * 25) = 13
+    assert checkpoints([0.5, 0.51], 25) == [(13, 0.5)]
+    assert checkpoints([0.5, 0.51, 0.7], 25) == [(13, 0.5), (18, 0.7)]
+
+
+def test_checkpoints_use_scenario_fractions():
     s = workload.gen_scenario("lrw-like", seed=0)
-    # video level 1 has 25 units: ceil(12.5)-1=12, ceil(17.5)-1=17
-    assert checkpoint_indices(s.skip_checkpoints, s.sensing(0, 1).units_per_window) == [12, 17]
+    # video level 1 has 25 units: ceil(12.5)=13, ceil(17.5)=18
+    assert checkpoints(s.skip_checkpoints, s.sensing(0, 1).units_per_window) == [(13, 0.5), (18, 0.7)]
 
 
 def test_zero_gate_outputs_half_and_never_commits_at_half():

@@ -4,7 +4,8 @@ Only `core.memoized` keeps values in an instance's `__dict__` (no module
 memoizes with `functools.cached_property`), only `aggregation` (the
 operators) and `engine` (the window-feature model) name the aggregate's
 width, its default specs or the prediction head, and `workload` applies the
-skip label rule in its oracle gate alone.  A trace's events have one form,
+skip label rule in its oracle gate alone, at the prefixes `gating.checkpoints`
+names.  A trace's events have one form,
 `EventColumns`, so no module asks which form it holds, and the report reads
 the columns rather than `Event`s.  Only `nn` standardizes an MLP's inputs
 and runs its forward pass; the predictor and the gate each call their
@@ -65,3 +66,11 @@ def test_the_assignment_product_is_decoded_in_one_place():
     assert [name for name, text in SOURCES.items() if re.search(r"\bdivmod\(", text)] == ["optimizer.py"]
     # sweep decodes chunks and scores them with `surface.scores`, never one row per call
     assert not re.search(r"\bsurface\(|\.assignments\(\)", SOURCES["cli.py"])
+
+
+def test_checkpoints_and_the_skip_label_are_defined_once():
+    # `gating.checkpoints` is the one schedule of prefixes and
+    # `OracleGate.label` the one label of a prefix
+    assert [name for name in ("engine.py", "workload.py") if "ceil(" in SOURCES[name]] == []
+    retired = re.compile(r"\bcheckpoint_indices\b|\bagrees\(")
+    assert [name for name, text in SOURCES.items() if retired.search(text)] == []

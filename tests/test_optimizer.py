@@ -58,7 +58,7 @@ def test_unconstrained_returns_global_argmax():
     s = dataclasses.replace(lrw(), t_max_us=10**12)
     surface = workload.gen_accuracy_surface(s, seed=1)
     result = optimizer.brute_force(s, IND, surface, "high")
-    want = max(surface(IND, a) for a in s.assignments())
+    want = surface.scores(IND, [a.pairs for a in s.assignments()]).max()
     assert result.best_score == want
     assert result.feasible_count == 81
 

@@ -1,7 +1,9 @@
 """Work done per window, pinned by call counts rather than timings.
 
 Each seeded quantity is computed once: a window's payload draws its base
-and jump rows once per (sample, modality), a scenario is serialized for
+and jump rows once per (sample, modality), and a decision's probe and its
+window share that draw, a gate trains on the checkpoints a window
+evaluates, each named once, a scenario is serialized for
 its fingerprint once per instance however many windows it serves (and
 its latency profile once, however many scenarios share it), a trace file
 is parsed with one `json.loads` however many lines it has, a committed
@@ -77,6 +79,46 @@ def test_window_payload_builds_at_most_three_streams(monkeypatch, n, stable):
     sample.window_payload(Modality(1, "a", 4), n)
     assert len(streams) == 1
     assert len(subs) <= 5  # the shared stream is not derived again
+
+
+@pytest.mark.parametrize("stable", [True, False])
+@pytest.mark.parametrize("preset, knobs", [("lrw-like", {}), ("random", {"modalities": 3})])
+def test_a_decision_and_its_window_draw_each_row_of_a_sample_once(monkeypatch, preset, knobs, stable):
+    # one `units` call per row drawn: per modality, the shared and private
+    # parts of the base row, and the jump direction of an unstable sample
+    s = workload.gen_scenario(preset, seed=5, **knobs).without_skipping()
+    surface = workload.gen_accuracy_surface(s)
+    warm = workload.gen_samples(s, 1, "easy", seed=0)[0]
+    engine.run(s, s.max_assignment(), warm)  # draws the scenario's head and encoders
+    sample = Sample(
+        id=7, seed=1, difficulty=Difficulty.HARD, ground_truth_label=0, stable=stable, jump_scale=4.0
+    )
+    units = count_calls(monkeypatch, rng.Stream, "units")
+    decision = optimizer.optimizer_step(sample, s, surface, "high")
+    engine.run(s, decision.assignment, sample)
+    assert len(units) == len(s.modalities) * (2 if stable else 3)
+
+
+class NeverGate:
+    """Declines every checkpoint."""
+
+    def probability(self, f_fast, f_slow, fraction):
+        return 0.0
+
+
+def test_a_gate_trains_on_the_checkpoints_a_window_evaluates():
+    # ceil(0.41 N) = ceil(0.42 N) at every lrw-like unit count, so 0.42
+    # names no checkpoint of its own
+    s = workload.gen_scenario("lrw-like", seed=0)
+    s = validate_scenario(dataclasses.replace(s, skip_checkpoints=(0.41, 0.42, 0.7)))
+    sample = workload.gen_samples(s, 1, "hard", seed=0)[0]
+    for assignment in (s.min_assignment(), s.max_assignment()):
+        trace = engine.run(s, assignment, sample, gate=NeverGate())
+        evaluated = [
+            e.payload_dict()["fraction"] for e in trace.events if e.kind is engine.EventKind.CHECKPOINT_EVAL
+        ]
+        trained = [row[2] for row in workload.gate_dataset(s, [sample], [assignment])]
+        assert sorted(evaluated) == sorted(trained) == [0.41, 0.7]
 
 
 def test_two_runs_on_one_scenario_serialize_it_once(monkeypatch):

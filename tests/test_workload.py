@@ -70,24 +70,22 @@ def test_random_preset_level_knobs():
 def test_surface_monotone_with_diminishing_returns():
     s = workload.gen_scenario("lrw-like", seed=0)
     ind = ModalityIndicators(0.4)
+    # per assignment, modality and coordinate below level 1: the levels shifted by 0, 1 and 2
+    steps = []
+    for a in s.assignments():
+        for mid in range(2):
+            for coord in range(2):
+                if a.pairs[mid][coord] + 2 >= 3:
+                    continue
+                for delta in range(3):
+                    levels = np.array(a.pairs)
+                    levels[mid, coord] += delta
+                    steps.append(levels)
     for seed in range(8):
         surface = workload.gen_accuracy_surface(s, seed=seed)
-        for a in s.assignments():
-            for mid in range(2):
-                for coord in range(2):
-                    levels = [a.pairs[mid][coord]]
-                    if levels[0] + 2 >= 3:
-                        continue
-
-                    def shifted(delta):
-                        pairs = list(a.pairs)
-                        s0, m0 = pairs[mid]
-                        pairs[mid] = (s0 + delta, m0) if coord == 0 else (s0, m0 + delta)
-                        return surface(ind, ConfigAssignment(tuple(pairs)))
-
-                    v0, v1, v2 = shifted(0), shifted(1), shifted(2)
-                    assert v1 >= v0 - 1e-12  # monotone
-                    assert v2 - v1 <= v1 - v0 + 1e-12  # diminishing returns
+        v0, v1, v2 = surface.scores(ind, np.array(steps)).reshape(-1, 3).T
+        assert (v1 >= v0 - 1e-12).all()  # monotone
+        assert (v2 - v1 <= v1 - v0 + 1e-12).all()  # diminishing returns
 
 
 def _norm_level(level: int, count: int) -> float:
@@ -119,11 +117,12 @@ def test_surface_matches_its_per_call_normalization_bitwise(scenario):
     # a modality with one model level normalizes to 1.0 (motivation-av has
     # one model level per modality)
     ind = ModalityIndicators(0.3)
+    assignments = list(scenario.assignments())
     for seed in range(3):
         surface = workload.gen_accuracy_surface(scenario, seed=seed)
-        for a in scenario.assignments():
-            got, want = surface(ind, a), reference_surface(surface, scenario, ind, a)
-            assert got.hex() == want.hex()
+        scores = surface.scores(ind, [a.pairs for a in assignments]).tolist()
+        for a, got in zip(assignments, scores):
+            assert got.hex() == reference_surface(surface, scenario, ind, a).hex()
 
 
 def reference_call(surface, ind, assignment) -> float:
@@ -171,16 +170,13 @@ def test_surface_scores_match_the_per_call_formula_bitwise(
 def test_surface_range_and_finiteness():
     s = workload.gen_scenario("lrw-like", seed=0)
     surface = workload.gen_accuracy_surface(s, seed=3)
-    from modalsim import rng
-
     draws = rng.stream(0, "surface-range")
-    assignments = list(s.assignments())
-    values = []
-    for i in range(100_000):
-        cons = draws.unit(2 * i) * 2.0 - 1.0
-        a = assignments[draws.u64(2 * i + 1) % len(assignments)]
-        values.append(surface(ModalityIndicators(cons), a))
-    arr = np.asarray(values)
+    pairs = [a.pairs for a in s.assignments()]
+    count = 100_000
+    cons = draws.units(2 * count)[::2] * 2.0 - 1.0
+    levels = [pairs[draws.u64(2 * i + 1) % len(pairs)] for i in range(count)]
+    # a consistency array gives each row its own, as one call per row would
+    arr = surface.scores(ModalityIndicators(cons), levels)
     assert np.isfinite(arr).all()
     assert arr.min() >= 40.0 and arr.max() <= 97.0
 
@@ -193,9 +189,11 @@ def test_surface_dominance_pair_exists():
     found = False
     for seed in range(10):
         surface = workload.gen_accuracy_surface(s, seed=seed)
+        assignments = list(s.assignments())
+        scores = surface.scores(ind, [a.pairs for a in assignments]).tolist()
         rows = [
-            (a, latency.end_to_end_latency(s, a, "high").total_us, surface(ind, a))
-            for a in s.assignments()
+            (a, latency.end_to_end_latency(s, a, "high").total_us, acc)
+            for a, acc in zip(assignments, scores)
         ]
         for (a1, l1, acc1), (a2, l2, acc2) in itertools.permutations(rows, 2):
             levels1 = sum(x for p in a1.pairs for x in p)
