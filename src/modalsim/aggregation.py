@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng
+from . import nn, rng
 from .core import FeatureMatrix, ModalsimError, memoized
 
 
@@ -173,7 +173,7 @@ def aggregate_vector(
     enc = diff.encoder_matrix(c)
     for s in diff.scales:
         if s < p:
-            d = (rows[s:p, :] - rows[: p - s, :]) @ enc
+            d = nn.dot(rows[s:p, :] - rows[: p - s, :], enc)
             w = position_weights(p - s)
             parts.append((w[:, None] * d).mean(axis=0))
         else:

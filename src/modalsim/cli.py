@@ -60,11 +60,17 @@ def _note(kind: str, **extra) -> None:
     print(json.dumps({"diagnostic": kind, **extra}, sort_keys=True), file=sys.stderr)
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _at_least(low: int, kind=int):
+    """The argparse type of a finite `kind` value of at least `low`."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not low <= value < math.inf:  # also rejects nan
+            raise argparse.ArgumentTypeError(f"must be finite and at least {low}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -84,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--t-max", type=int, help="override latency budget, in ms")
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--samples", type=_positive_int, default=1)
+    run.add_argument("--samples", type=_at_least(1), default=1)
     run.add_argument("--difficulty", default="easy", choices=[d.value for d in Difficulty])
     run.add_argument("--assignment", default="max", help='"min", "max", or "s:m,s:m,..."')
     run.add_argument("--out", required=True)
@@ -109,16 +115,16 @@ def build_parser() -> argparse.ArgumentParser:
     tp = sub.add_parser("train-predictor", help="train the accuracy predictor offline")
     tp.add_argument("--scenario", required=True)
     tp.add_argument("--seed", type=int, default=0)
-    tp.add_argument("--samples", type=_positive_int, default=120)
-    tp.add_argument("--epochs", type=int, default=4000)
-    tp.add_argument("--noise", type=float, default=0.0, help="label noise sigma, percent")
+    tp.add_argument("--samples", type=_at_least(1), default=120)
+    tp.add_argument("--epochs", type=_at_least(0), default=4000)
+    tp.add_argument("--noise", type=_at_least(0, float), default=0.0, help="label noise sigma, percent")
     tp.add_argument("--out", required=True)
 
     tg = sub.add_parser("train-gate", help="train the skip gate offline")
     tg.add_argument("--scenario", required=True)
     tg.add_argument("--seed", type=int, default=0)
-    tg.add_argument("--samples", type=_positive_int, default=60)
-    tg.add_argument("--epochs", type=int, default=3000)
+    tg.add_argument("--samples", type=_at_least(1), default=60)
+    tg.add_argument("--epochs", type=_at_least(0), default=3000)
     tg.add_argument("--out", required=True)
 
     rep = sub.add_parser("report", help="latency breakdown CSV from a trace file")

@@ -488,7 +488,7 @@ def scenario_violations(s: Scenario) -> list[Violation]:
     else:
         last = -1
         for t, level in s.resource_schedule:
-            if t <= last and t != 0:
+            if t <= last:
                 out.append(Violation(BAD_SCHEDULE, f"schedule times not strictly increasing at {t}"))
                 break
             if level not in prof.resource_levels:

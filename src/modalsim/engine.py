@@ -68,7 +68,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import rng
+from . import nn, rng
 from .aggregation import DiffSpec, ShiftSpec, aggregate_output_dim, aggregate_vector
 from .core import (
     ConfigAssignment,
@@ -345,7 +345,7 @@ def fused_label(scenario: Scenario, vectors) -> int:
     """The predicted class of the modality vectors concatenated in modality
     order: the argmax of the prediction head over the fused vector."""
     fused = np.concatenate(vectors)
-    return int(np.argmax(prediction_head(scenario, len(fused)) @ fused))
+    return int(np.argmax(nn.dot(prediction_head(scenario, len(fused)), fused)))
 
 
 def slow_modality(scenario: Scenario, assignment: ConfigAssignment, at_us: int) -> int:

@@ -114,7 +114,7 @@ def gate_train(
         learning_rate=LEARNING_RATE,
         train_accuracy=accuracy(fit.train_idx),
         holdout_accuracy=accuracy(fit.hold_idx or fit.train_idx),
-        loss_tail=tuple(fit.losses[-5:]),
+        loss_tail=tuple(fit.loss_tail),
     )
     return GateModel(fast_dim, slow_dim, fit.mlp, dropout=hyper.dropout, info=info)
 

@@ -5,6 +5,12 @@ its forward pass, its seeded full-batch gradient-descent trainer
 versioned structured-text weight document both models serialize to, with its
 shared weight block.
 
+It is also the one home of the float kernels whose bits depend on the host:
+`dot`, every matrix and vector product of the package, and the exp and log
+of `softplus`, `sigmoid` and the cross-entropy.  A BLAS product sums in the
+order its kernel picks, and numpy runs other SIMD code for exp and log on
+other CPUs, so a fixed order for either is decided here alone.
+
 Weights are written as JSON number literals produced by Python's float repr,
 which round-trips every float64 exactly.
 """
@@ -43,13 +49,21 @@ class WeightFormatError(ModalsimError):
     the wrong type, or has weights whose shapes disagree."""
 
 
-def softplus(x: np.ndarray) -> np.ndarray:
-    # log(1 + e^x) computed stably for large |x|
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The product of matrices or vectors, `a @ b`: every product of the
+    package runs here, so its summation order is decided in one place."""
+    return a @ b
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    e = np.exp(-np.abs(x))  # never overflows: exp of -x for x >= 0, of x below
+def softplus(x: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
+    # log(1 + e^x) computed stably for large |x|; `e` is exp(-|x|) if the caller has it
+    e = np.exp(-np.abs(x)) if e is None else e
+    return np.maximum(x, 0.0) + np.log1p(e)
+
+
+def sigmoid(x: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
+    # `e` is exp(-|x|), which never overflows: exp of -x for x >= 0, of x below
+    e = np.exp(-np.abs(x)) if e is None else e
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
@@ -76,11 +90,12 @@ def loss_and_grads(params, x: np.ndarray, y: np.ndarray, loss: str = "mse", mask
     dropout mask).  Checked against finite differences in the tests.
     """
     w1, b1, w2, b2 = params
-    z = x @ w1 + b1
-    h = softplus(z)
+    z = dot(x, w1) + b1
+    e = np.exp(-np.abs(z))  # shared by softplus(z) and its derivative sigmoid(z)
+    h = softplus(z, e)
     if mask is not None:
         h = h * mask
-    out = h @ w2 + b2
+    out = dot(h, w2) + b2
     n = x.shape[0]
     if loss == "mse":
         err = out - y
@@ -92,13 +107,13 @@ def loss_and_grads(params, x: np.ndarray, y: np.ndarray, loss: str = "mse", mask
         d_out = (p - y) / n
     else:
         raise ValueError(f"unknown loss {loss!r}")
-    g_w2 = h.T @ d_out
+    g_w2 = dot(h.T, d_out)
     g_b2 = float(np.sum(d_out))
     d_h = np.outer(d_out, w2)
     if mask is not None:
         d_h = d_h * mask
-    d_z = d_h * sigmoid(z)  # the derivative of softplus
-    g_w1 = x.T @ d_z
+    d_z = d_h * sigmoid(z, e)  # the derivative of softplus
+    g_w1 = dot(x.T, d_z)
     g_b1 = d_z.sum(axis=0)
     return value, (g_w1, g_b1, g_w2, g_b2)
 
@@ -130,7 +145,7 @@ class MLP:
 
     def output(self, xs: np.ndarray) -> np.ndarray:
         """The forward pass: raw output for standardized inputs `xs`."""
-        return softplus(xs @ self.w1 + self.b1) @ self.w2 + self.b2
+        return dot(softplus(dot(xs, self.w1) + self.b1), self.w2) + self.b2
 
 
 @dataclass(frozen=True)
@@ -139,7 +154,7 @@ class MLPFit:
     y_mean: float  # subtracted from the targets for "mse"; 0.0 for "bce"
     train_idx: list[int]
     hold_idx: list[int]
-    losses: list[float]  # training loss before each epoch's step
+    loss_tail: list[float]  # training loss before each of the last five epochs' steps
     train_loss: float  # training loss after the last step, without dropout
 
 
@@ -184,7 +199,7 @@ def fit_mlp(
     ]
     drop_stream = rng.stream(seed, tag, "dropout")
     mask = None
-    losses = []
+    loss_tail = []
     for epoch in range(epochs):
         if dropout > 0.0:
             keep = drop_stream.sub(epoch).units(HIDDEN) >= dropout
@@ -192,10 +207,10 @@ def fit_mlp(
         value, grads = loss_and_grads(params, xs, ys, loss, mask)
         if not math.isfinite(value):
             raise NonFiniteLoss(f"{tag} loss became non-finite ({value})")
-        losses.append(value)
+        loss_tail = (loss_tail + [value])[-5:]
         params = [p - learning_rate * g for p, g in zip(params, grads)]
     train_loss, _ = loss_and_grads(params, xs, ys, loss)
-    return MLPFit(MLP(*params, x_mean, x_scale), y_mean, train_idx, hold_idx, losses, train_loss)
+    return MLPFit(MLP(*params, x_mean, x_scale), y_mean, train_idx, hold_idx, loss_tail, train_loss)
 
 
 def write_weight_doc(path: str | Path, kind: str, body: dict) -> None:

@@ -47,11 +47,11 @@ def _cosines(vecs: Sequence[np.ndarray]) -> list[float]:
     """Cosine similarity of every pair (a, b), a < b in order, of
     equal-length non-zero float vectors, clipped to [-1, 1]; each vector's
     norm is computed once."""
-    norms = [float(np.linalg.norm(v)) for v in vecs]
+    norms = [float(np.sqrt(nn.dot(v, v))) for v in vecs]
     if 0.0 in norms:
         raise ZeroVector("cosine similarity undefined for a zero vector")
     pairs = itertools.combinations(range(len(vecs)), 2)
-    return [min(max(float(vecs[a] @ vecs[b]) / (norms[a] * norms[b]), -1.0), 1.0) for a, b in pairs]
+    return [min(max(float(nn.dot(vecs[a], vecs[b])) / (norms[a] * norms[b]), -1.0), 1.0) for a, b in pairs]
 
 
 def consistency(f1: np.ndarray, f2: np.ndarray) -> float:

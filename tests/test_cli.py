@@ -10,6 +10,7 @@ import pytest
 from spawn import CLI, run
 
 from modalsim import cli, engine, nn, predictor, scenario_io, traceio, workload
+from modalsim.core import BAD_SCHEDULE, InvalidScenario
 
 
 def invoke(*args, cwd=None):
@@ -470,6 +471,50 @@ def test_unusable_flag_value_exit_code_1(flags, tmp_path):
     errors = _json_lines(res.stderr)
     assert [e["error"] for e in errors] == ["UsageError"]
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["train-predictor", "--epochs", "-1"],
+        ["train-gate", "--epochs", "-3"],  # would be written into the gate document
+        ["train-predictor", "--noise", "nan"],  # would mean no noise
+        ["train-predictor", "--noise", "-5"],
+        ["train-predictor", "--noise", "inf"],  # would train on infinite labels
+    ],
+)
+def test_meaningless_training_flag_exit_code_1(flags, tmp_path):
+    out = tmp_path / "model.json"
+    res = invoke(*flags, "--scenario", "lrw-like", "--out", str(out))
+    assert res.returncode == 1, res.stderr
+    assert [e["error"] for e in _json_lines(res.stderr)] == ["UsageError"]
+    assert "Traceback" not in res.stderr and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train-predictor", "train-gate"])
+def test_zero_epochs_trains_nothing_and_exits_0(command, tmp_path):
+    out = tmp_path / "model.json"
+    res = invoke(command, "--scenario", "lrw-like", "--samples", "5", "--epochs", "0", "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    assert json.loads(out.read_text())["training"]["epochs"] == 0
+
+
+@pytest.mark.parametrize(
+    "schedule",
+    [[[0, "high"], [0, "low"]], [[0, "high"], [500000, "low"], [0, "mid"]]],
+    ids=["zero-twice", "back-to-zero"],
+)
+def test_schedule_that_repeats_time_0_exit_code_2(schedule, tmp_path):
+    doc = scenario_io.to_document(workload.gen_scenario("lrw-like", seed=3))
+    doc["resource_schedule"] = schedule
+    path = tmp_path / "repeat.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InvalidScenario) as err:
+        scenario_io.load(path)
+    assert [v.code for v in err.value.violations] == [BAD_SCHEDULE]
+    res = invoke("run", "--scenario", str(path), "--mode", "blocking", "--out", str(tmp_path / "t.jsonl"))
+    assert res.returncode == 2, res.stderr
+    assert "BadResourceSchedule" in res.stderr
 
 
 def test_gate_for_other_modalities_exit_code_2(tmp_path):

@@ -10,9 +10,12 @@ names.  A trace's events have one form,
 the columns rather than `Event`s.  Only `nn` standardizes an MLP's inputs
 and runs its forward pass; the predictor and the gate each call their
 `nn.MLP`.  Only `optimizer.product_levels` decodes a position in the
-assignment product, and the CLI scores the surface in level arrays.
+assignment product, and the CLI scores the surface in level arrays.  Only
+`nn` runs a float kernel whose bits depend on the host: a matrix or vector
+product (every other module calls `nn.dot`), `np.linalg`, exp or log.
 """
 
+import ast
 import pathlib
 import re
 
@@ -20,6 +23,10 @@ import modalsim
 
 SRC = pathlib.Path(modalsim.__file__).parent
 SOURCES = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+FLOAT_KERNELS = {
+    "dot", "matmul", "einsum", "inner", "vdot", "tensordot", "linalg",
+    "exp", "expm1", "log", "log1p", "log2", "log10",
+}
 FEATURE_MODEL = ("aggregate_output_dim", "DEFAULT_SHIFT", "DEFAULT_DIFF", "prediction_head")
 
 
@@ -74,3 +81,31 @@ def test_checkpoints_and_the_skip_label_are_defined_once():
     assert [name for name in ("engine.py", "workload.py") if "ceil(" in SOURCES[name]] == []
     retired = re.compile(r"\bcheckpoint_indices\b|\bagrees\(")
     assert [name for name, text in SOURCES.items() if retired.search(text)] == []
+
+
+def float_kernels(text: str) -> list[str]:
+    """Each `@` product and each `np.`/`numpy.` float kernel in `text`, by
+    line; a decorator's `@` and an attribute such as `columns.log` are not."""
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(f"{node.lineno}: @")
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr in FLOAT_KERNELS
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("np", "numpy")
+        ):
+            found.append(f"{node.lineno}: {node.value.id}.{node.attr}")
+    return found
+
+
+def test_only_nn_runs_float_kernels():
+    found = {name: float_kernels(text) for name, text in SOURCES.items() if name != "nn.py"}
+    assert {name: kernels for name, kernels in found.items() if kernels} == {}
+    assert float_kernels(SOURCES["nn.py"])  # the scan sees the kernels where they are
+
+
+def test_the_float_kernel_scan_skips_decorators_and_fields():
+    text = "@memoized\ndef f(a, b, c):\n    a @= b\n    return c.log, np.linalg.norm(a @ b), numpy.exp(c)\n"
+    assert sorted(float_kernels(text)) == ["3: @", "4: @", "4: np.linalg", "4: numpy.exp"]

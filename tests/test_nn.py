@@ -1,11 +1,13 @@
-"""The shared MLP: pinned weight-document bytes for both models."""
+"""The shared MLP: pinned weight-document bytes for both models, the shared
+exp of training against the two-exp reference, and the memory of a fit."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from modalsim import rng
+from modalsim import nn, rng
 from modalsim.core import ConfigAssignment
 from modalsim.gating import GateTrainConfig, gate_train, save_gate
 from modalsim.predictor import EncodingSpec, ModalityIndicators, TrainConfig, save_model, train
@@ -78,3 +80,84 @@ def test_weight_document_digest_pinned(case, tmp_path):
     path = tmp_path / "model.json"
     build(path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+# 0, -0, near exp's overflow, past its underflow, and near the smallest normals
+SPECIAL = np.array([0.0, -0.0, 709.8, -709.8, 745.0, -745.0, 1e-300, -1e-300])
+
+
+def two_exp_loss_and_grads(params, x, y, loss, mask):
+    """`nn.loss_and_grads` as it was before softplus and its derivative
+    shared one exp: each computes exp(-|z|) itself."""
+
+    def softplus(v):
+        return np.maximum(v, 0.0) + np.log1p(np.exp(-np.abs(v)))
+
+    def sigmoid(v):
+        e = np.exp(-np.abs(v))
+        return np.where(v >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+    w1, b1, w2, b2 = params
+    z = x @ w1 + b1
+    h = softplus(z) if mask is None else softplus(z) * mask
+    out = h @ w2 + b2
+    if loss == "mse":
+        value = float(np.mean((out - y) ** 2))
+        d_out = 2.0 * (out - y) / x.shape[0]
+    else:
+        p = sigmoid(out)
+        value = float(-np.mean(y * np.log(p + nn.BCE_EPS) + (1.0 - y) * np.log(1.0 - p + nn.BCE_EPS)))
+        d_out = (p - y) / x.shape[0]
+    d_h = np.outer(d_out, w2) if mask is None else np.outer(d_out, w2) * mask
+    d_z = d_h * sigmoid(z)
+    return value, (x.T @ d_z, d_z.sum(axis=0), h.T @ d_out, float(np.sum(d_out)))
+
+
+def bits(values) -> list[bytes]:
+    return [np.asarray(v, dtype=np.float64).tobytes() for v in values]
+
+
+def test_softplus_and_sigmoid_given_the_shared_exp_keep_their_bits():
+    draw = np.random.default_rng(0)
+    x = np.concatenate([SPECIAL, draw.normal(size=500) * 10.0 ** draw.integers(-3, 4, size=500)])
+    e = np.exp(-np.abs(x))
+    assert bits([nn.softplus(x, e), nn.sigmoid(x, e)]) == bits([nn.softplus(x), nn.sigmoid(x)])
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("mask_kind", ["none", "dropout"])
+@pytest.mark.parametrize("loss", ["mse", "bce"])
+def test_loss_and_grads_match_the_two_exp_reference_bitwise(loss, mask_kind, scale):
+    draw = np.random.default_rng([int(scale * 1e3), len(loss), len(mask_kind)])
+    n, dim, hidden = 13, 5, 8 + len(SPECIAL)
+    x = draw.normal(size=(n, dim)) * scale
+    y = draw.normal(size=n) * 3.0
+    if loss == "bce":
+        y = (y > 0.0).astype(np.float64)
+    w1 = draw.normal(size=(dim, hidden))
+    b1 = draw.normal(size=hidden)
+    w1[:, : len(SPECIAL)], b1[: len(SPECIAL)] = 0.0, SPECIAL  # hidden inputs at the special values
+    params = [w1, b1, draw.normal(size=hidden), 0.3]
+    mask = None
+    if mask_kind == "dropout":
+        mask = (draw.uniform(size=hidden) >= 0.3) / 0.7
+    value, grads = nn.loss_and_grads(params, x, y, loss, mask)
+    ref_value, ref_grads = two_exp_loss_and_grads(params, x, y, loss, mask)
+    assert bits([value, *grads]) == bits([ref_value, *ref_grads])
+
+
+def test_a_fit_keeps_only_its_loss_tail():
+    # six rows: 2,000 epochs peak where 200 do, with no loss kept per epoch
+    x = np.arange(18, dtype=np.float64).reshape(6, 3) ** 0.5
+    y = np.array([0.0, 1.0, 1.0, 0.0, 1.0, 0.0])
+    peaks, tails = [], []
+    for epochs in (200, 2000):
+        tracemalloc.start()
+        try:
+            fit = nn.fit_mlp(x, y, loss="bce", tag="tail", seed=0, epochs=epochs, learning_rate=0.1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        tails.append(fit.loss_tail)
+    assert peaks[1] - peaks[0] < 8 * 1024, peaks
+    assert [len(tail) for tail in tails] == [5, 5]

@@ -1,6 +1,7 @@
 """Indicators, predictor training/prediction, gradients, serialization."""
 
 import copy
+import itertools
 import pickle
 
 import numpy as np
@@ -49,6 +50,34 @@ def test_cosine_rejects_zero_vector():
 def test_cosine_rejects_length_mismatch():
     with pytest.raises(ValueError):
         consistency(np.ones(3), np.ones(4))
+
+
+def linalg_cosines(vecs):
+    """`predictor._cosines` with numpy's own norm, `np.linalg.norm`."""
+    norms = [float(np.linalg.norm(v)) for v in vecs]
+    if 0.0 in norms:
+        raise ZeroVector("cosine similarity undefined for a zero vector")
+    pairs = itertools.combinations(range(len(vecs)), 2)
+    return [min(max(float(vecs[a] @ vecs[b]) / (norms[a] * norms[b]), -1.0), 1.0) for a, b in pairs]
+
+
+def outcome(fn, vecs):
+    try:
+        return np.array(fn(vecs)).tobytes()
+    except ZeroVector:
+        return "ZeroVector"
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_cosines_match_the_linalg_norm_formula_bitwise(seed):
+    # exponents from 1e-200 to 1e200, so some squared norms overflow or underflow
+    draw = np.random.default_rng(seed)
+    special = np.array([0.0, -0.0, 709.8, -709.8, 745.0, -745.0, 1e-300, -1e-300])
+    for width in (1, 2, 3, 8, 16, 33, 100):
+        vecs = [draw.normal(size=width) * 10.0 ** draw.uniform(-200, 200, size=width) for _ in range(4)]
+        for case in (vecs, [*vecs, np.resize(special, width)], [np.resize(special, width)[::-1], *vecs]):
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert outcome(predictor._cosines, case) == outcome(linalg_cosines, case)
 
 
 def reference_indicators(features) -> float:
