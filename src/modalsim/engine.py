@@ -312,14 +312,9 @@ class SimTrace:
         return self.log.take(self.log.kind == KINDS.index(kind)).rows()
 
 
-@memoized
-def _schedule_times(scenario: Scenario) -> tuple[int, ...]:
-    return tuple(t for t, _ in scenario.resource_schedule)
-
-
 def apply_resource_schedule(scenario: Scenario, time_us: int) -> str:
     """Resource level whose left-closed interval contains the queried time."""
-    idx = bisect.bisect_right(_schedule_times(scenario), time_us) - 1
+    idx = bisect.bisect_right(scenario.resource_schedule, time_us, key=itemgetter(0)) - 1
     return scenario.resource_schedule[max(idx, 0)][1]
 
 

@@ -6,16 +6,18 @@ for every valid file.
 The reference for the canonical text is
 `json.dumps(to_document(s), sort_keys=True, indent=2) + "\\n"`; with an
 indent, `json` runs its pure-Python encoder.  `serialize` writes the same
-bytes from %-templates instead, in the idiom of `traceio.trace_text`: one
-template per object shape (profile entry, modality, sensing config, model
-config, profile, document), all objects of a shape filled from one
-column of values per key.  A template takes exact ints, exact strs (which
-it writes through `encode_basestring_ascii`) and finite floats (written
-by `float.__repr__`), as `json` writes them.  A scenario with any other
-value (a bool, a numpy or subclassed int, a str subclass, a non-finite
-float, None, a tuple) takes the reference instead; there is no third
-path.  The profile's part of the text is written once per profile
-instance.
+bytes by one walk of the document `_document` builds, in the idiom of
+`traceio.trace_text`: the values at one place in the document are written
+as one column.  Objects are filled from one %-template per key set and
+depth, one column of values per key; the items of all arrays at one place
+are one column a level deeper; a column of leaves is checked and encoded
+in one `_leaves` call.  A leaf may be an exact int, an exact str (written
+through `encode_basestring_ascii`) or a finite float (written by
+`float.__repr__`), as `json` writes them.  A scenario with any other value
+(a bool, a numpy or subclassed int, a str subclass, a non-finite float,
+None, a tuple) takes the reference instead; there is no third path.  The
+profile's part of the text is written once per profile instance and
+spliced into the walk as already-written text.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import functools
 import hashlib
 import json
 import math
-from itertools import islice
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii as _string
 from operator import itemgetter
 from pathlib import Path
@@ -103,16 +105,22 @@ def to_document(s: Scenario) -> dict:
 
 
 class _Inexact(Exception):
-    """A value the templates would not write as `json.dumps` does."""
+    """A value the walk would not write as `json.dumps` does."""
 
 
-def _leaves(values) -> list | tuple:
-    """`values` ready for a template's `%s`: exact ints and finite floats as
-    they are (their str is the repr `json.dumps` writes), exact strs
-    JSON-encoded.  Any other value raises _Inexact."""
-    kinds = set(map(type, values))
-    if not kinds <= {int, float, str}:
-        raise _Inexact
+class _Written(str):
+    """Text already written at its place in the document: a leaf that
+    `_leaves` passes on as it is."""
+
+
+_LEAF_KINDS = frozenset((int, float, str, _Written))
+
+
+def _leaves(values, kinds: set) -> list | tuple:
+    """`values`, of the types `kinds` (a subset of `_LEAF_KINDS`), ready for
+    a template's `%s`: exact ints, finite floats and written text as they
+    are (the str of a number is the repr `json.dumps` writes), exact strs
+    JSON-encoded.  A float that is not finite raises _Inexact."""
     if float in kinds and not all(math.isfinite(v) for v in values if type(v) is float):
         raise _Inexact
     if str not in kinds:
@@ -123,86 +131,55 @@ def _leaves(values) -> list | tuple:
 
 
 @functools.cache
-def _template(keys: tuple[str, ...], depth: int) -> str:
-    """%-template of an object with these sorted keys at nesting `depth`,
-    each value one `%s`, laid out as `json.dumps(indent=2)` lays it out."""
+def _template(keys: tuple[str, ...], depth: int) -> tuple[str, itemgetter]:
+    """%-template of an object with these keys at nesting `depth`, each
+    value one `%s` in sorted key order, laid out as
+    `json.dumps(sort_keys=True, indent=2)` lays it out; and the getter of an
+    object's values in that order."""
+    keys = sorted(keys)
     pad = "\n" + "  " * (depth + 1)
-    return "{" + ",".join(f"{pad}{_string(key)}: %s" for key in keys) + "\n" + "  " * depth + "}"
+    text = "{" + ",".join(f"{pad}{_string(key)}: %s" for key in keys) + "\n" + "  " * depth + "}"
+    return text, itemgetter(*keys)
 
 
-def _object(doc: dict, texts: dict, depth: int) -> str:
-    """The text of the object `doc` with the values in `texts` already
-    written; every other value of `doc` is a leaf."""
-    leaves = [key for key in doc if key not in texts]
-    texts.update(zip(leaves, _leaves([doc[key] for key in leaves])))
-    keys = tuple(sorted(texts))
-    return _template(keys, depth) % itemgetter(*keys)(texts)
-
-
-def _objects(rows: list[dict], depth: int) -> list[str]:
-    """The text of objects of leaves that share their keys (two or more):
-    each key's values checked and encoded as one column, then one template
-    fill per object."""
-    if not rows:
-        return []
-    keys = tuple(sorted(rows[0]))
-    columns = [_leaves(column) for column in zip(*map(itemgetter(*keys), rows))]
-    return [_template(keys, depth) % values for values in zip(*columns)]
-
-
-def _array(items, depth: int) -> str:
-    """A JSON array at nesting `depth` of items written one level deeper
-    (texts, or exact numbers)."""
+def _texts(values, depth: int) -> list | tuple:
+    """What `json.dumps(sort_keys=True, indent=2)` writes for each of
+    `values`, the values at one place of the document at nesting `depth`
+    (a number may stay a number for the caller's `%s`).  Objects, which
+    share the first one's keys (two or more) as every array `_document`
+    builds does, are filled from one template, a column per key; the items
+    of the arrays are written as one column a level deeper; leaves are
+    checked and encoded by one `_leaves` call.  Raises _Inexact on a value
+    it would not write as `json.dumps` does."""
+    kinds = set(map(type, values))
+    if kinds <= _LEAF_KINDS:
+        return _leaves(values, kinds)
+    if kinds == {dict}:
+        template, getter = _template(tuple(values[0]), depth)
+        columns = [_texts(column, depth + 1) for column in zip(*map(getter, values))]
+        return [template % row for row in zip(*columns)]
+    if kinds != {list}:
+        raise _Inexact
+    items = list(chain.from_iterable(values))
     if not items:
-        return "[]"
+        return ["[]"] * len(values)
+    texts = iter(_texts(items, depth + 1))
     pad = "\n" + "  " * (depth + 1)
-    return "[" + pad + ("," + pad).join(map(str, items)) + "\n" + "  " * depth + "]"
-
-
-def _arrays(groups: list[list], items, depth: int) -> list[str]:
-    """One array per group, at nesting `depth`, of the groups' items in order."""
-    items = iter(items)
-    return [_array(list(islice(items, len(group))), depth) for group in groups]
-
-
-def _nested(groups: list[list[dict]], depth: int) -> str:
-    """An array of arrays of objects; the objects are written as one column."""
-    items = _objects([row for group in groups for row in group], depth + 2)
-    return _array(_arrays(groups, items, depth + 1), depth)
+    start, sep, end = "[" + pad, "," + pad, "\n" + "  " * depth + "]"
+    return [start + sep.join(map(str, islice(texts, len(v)))) + end if v else "[]" for v in values]
 
 
 @memoized
-def _profile_text(p: LatencyProfile) -> str:
+def _profile_text(p: LatencyProfile) -> _Written:
     """The profile's part of the canonical text, written once per profile
     instance: most of the text, and shared by every scenario derived with
     `dataclasses.replace`."""
-    doc = _profile_document(p)
-    texts = {
-        "entries": _array(_objects(doc["entries"], 3), 2),
-        "resource_levels": _array(_leaves(doc["resource_levels"]), 2),
-    }
-    return _object(doc, texts, 1)
-
-
-def _canonical_text(s: Scenario) -> str:
-    """The canonical text, from the templates; raises _Inexact on a value
-    they do not take."""
-    doc = _document(s, None)
-    schedule = doc["resource_schedule"]
-    texts = {
-        "latency_profile": _profile_text(s.latency_profile),
-        "modalities": _array(_objects(doc["modalities"], 2), 1),
-        "sensing_configs": _nested(doc["sensing_configs"], 1),
-        "model_configs": _nested(doc["model_configs"], 1),
-        "skip_checkpoints": _array(_leaves(doc["skip_checkpoints"]), 1),
-        "resource_schedule": _array(_arrays(schedule, _leaves([v for pair in schedule for v in pair]), 2), 1),
-    }
-    return _object(doc, texts, 0) + "\n"
+    return _Written(_texts([_profile_document(p)], 1)[0])
 
 
 def serialize(s: Scenario) -> str:
     try:
-        return _canonical_text(s)
+        return _texts([_document(s, _profile_text(s.latency_profile))], 0)[0] + "\n"
     except _Inexact:
         return json.dumps(to_document(s), sort_keys=True, indent=2) + "\n"
 
@@ -213,20 +190,21 @@ def fingerprint(s: Scenario) -> str:
     return hashlib.sha256(serialize(s).encode("utf-8")).hexdigest()
 
 
-def _need(doc: dict, key: str, kind, problems: list[str], default=None):
-    if key not in doc:
-        problems.append(f"missing field {key!r}")
-        return default
-    value = doc[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
-    if not isinstance(value, kind):
-        problems.append(f"field {key!r} should be {kind.__name__}, got {type(value).__name__}")
-        return default
-    return value
+def _exact(value, kind, name: str = "value"):
+    """`value` when it has the JSON type `kind`: an int that is no bool, a
+    str, or for float any number but a bool, as a float."""
+    if type(value) is kind or kind is float and type(value) is int:
+        return kind(value)
+    raise TypeError(f"{name} should be {kind.__name__}, got {type(value).__name__}")
 
 
-# Raised converting a wrongly typed JSON value (a short pair, an infinite number, ...).
+def _record(build, kinds: dict):
+    """A reader of an object whose fields named in `kinds` each have that
+    JSON type: `build` of their values, in the order of `kinds`."""
+    return lambda row: build(*(_exact(row[key], kind, key) for key, kind in kinds.items()))
+
+
+# Raised reading a wrongly typed JSON value (a short pair, an infinite number, ...).
 _MALFORMED = (KeyError, TypeError, ValueError, IndexError, OverflowError)
 
 
@@ -253,25 +231,37 @@ def _levels(doc: dict, key: str, build, problems: list[str]) -> tuple:
     )
 
 
-def _scalar(doc: dict, key: str, convert, default, problems: list[str], prefix: str = ""):
+def _scalar(doc: dict, key: str, kind, default, problems: list[str], prefix: str = ""):
     try:
-        return convert(doc.get(key, default))
+        return _exact(doc.get(key, default), kind)
     except _MALFORMED as exc:
         problems.append(f"{prefix}{key}: {exc}")
-        return None
+        return default
 
 
-def _modality(m) -> Modality:
-    return Modality(id=int(m["id"]), name=str(m["name"]), channels=int(m["channels"]))
+def _need(doc: dict, key: str, kind, problems: list[str], default=None):
+    if key not in doc:
+        problems.append(f"missing field {key!r}")
+        return default
+    return _scalar(doc, key, kind, default, problems)
 
 
-def _sensing_config(c) -> SensingConfig:
-    return SensingConfig(int(c["level"]), int(c["units_per_window"]), int(c["window_us"]))
+_json_str = functools.partial(_exact, kind=str)
+_json_float = functools.partial(_exact, kind=float)
+_modality = _record(Modality, {"id": int, "name": str, "channels": int})
+_sensing_config = _record(SensingConfig, {"level": int, "units_per_window": int, "window_us": int})
+_model_config = _record(ModelConfig, {"level": int, "label": str})
+_profile_entry = _record(  # the entry's key, then the entry
+    lambda *v: (v[:4], ProfileEntry(*v[4:])),
+    {"modality": int, "sensing_level": int, "model_level": int, "resource": str,
+     "unit_encode_us": int, "aggregation_us": int},
+)
 
 
-def _profile_entry(e) -> tuple:
-    key = (int(e["modality"]), int(e["sensing_level"]), int(e["model_level"]), str(e["resource"]))
-    return key, ProfileEntry(int(e["unit_encode_us"]), int(e["aggregation_us"]))
+def _schedule_entry(pair) -> tuple[int, str]:
+    if len(pair) != 2:
+        raise ValueError(f"should be a [time, level] pair, got {len(pair)} items")
+    return _exact(pair[0], int, "time"), _exact(pair[1], str, "level")
 
 
 def from_document(doc: dict) -> Scenario:
@@ -287,20 +277,20 @@ def from_document(doc: dict) -> Scenario:
     if not modalities:
         problems.append("no modalities declared")
     sensing_space = _levels(doc, "sensing_configs", _sensing_config, problems)
-    model_space = _levels(
-        doc, "model_configs", lambda c: ModelConfig(int(c["level"]), str(c["label"])), problems
-    )
+    model_space = _levels(doc, "model_configs", _model_config, problems)
 
     prof_doc = doc.get("latency_profile", {})
     if not isinstance(prof_doc, dict):
         problems.append(f"latency_profile should be an object, got {type(prof_doc).__name__}")
         prof_doc = {}
     where = "latency_profile."
-    levels = _rows(prof_doc.get("resource_levels", []), where + "resource_levels", str, problems)
+    levels = _rows(prof_doc.get("resource_levels", []), where + "resource_levels", _json_str, problems)
     entries = _rows(prof_doc.get("entries", []), where + "entries", _profile_entry, problems)
     fusion_us = _scalar(prof_doc, "fusion_us", int, 0, problems, where)
     profile = LatencyProfile(resource_levels=levels, fusion_us=fusion_us, entries=dict(entries))
 
+    checkpoints = _rows(doc.get("skip_checkpoints", []), "skip_checkpoints", _json_float, problems)
+    schedule = _rows(doc.get("resource_schedule", []), "resource_schedule", _schedule_entry, problems)
     mode_raw = _need(doc, "execution_mode", str, problems, "pipelined")
     try:
         mode = ExecutionMode(mode_raw)
@@ -316,15 +306,10 @@ def from_document(doc: dict) -> Scenario:
         latency_profile=profile,
         t_max_us=_scalar(doc, "t_max_us", int, 0, problems),
         execution_mode=mode,
-        skip_checkpoints=_rows(doc.get("skip_checkpoints", []), "skip_checkpoints", float, problems),
+        skip_checkpoints=checkpoints,
         tau=_scalar(doc, "tau", float, 0.5, problems),
         accuracy_surface_seed=_scalar(doc, "accuracy_surface_seed", int, 0, problems),
-        resource_schedule=_rows(
-            doc.get("resource_schedule", []),
-            "resource_schedule",
-            lambda pair: (int(pair[0]), str(pair[1])),
-            problems,
-        ),
+        resource_schedule=schedule,
     )
     if problems:
         raise ScenarioFormatError(problems)

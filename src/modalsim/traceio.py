@@ -21,7 +21,9 @@ or a bool is refused), the kind, `m`, `u` and the data dict, and laid out in
 bulk by the engine's one rule (`engine.layout`); a row kept whole holds its
 data as payload pairs in key order.  When a record lacks a field or has one of the wrong type, the
 records are checked one by one, and the first bad one raises `CorruptLine`
-with its line number.
+with its line number.  A header and a summary are checked at their own
+lines: their numbers must be ints (the peaks a list of ints, the
+assignment pairs of ints) and the fingerprint a str.
 """
 
 from __future__ import annotations
@@ -200,6 +202,13 @@ _CODES = {kind.value: code for code, kind in enumerate(KINDS)}
 _MALFORMED = (KeyError, TypeError, ValueError, AttributeError, OverflowError)
 
 
+def _typed(value, kind):
+    """`value`, which must be exactly of type `kind` (so an int is no bool)."""
+    if type(value) is not kind:
+        raise TypeError(f"{kind.__name__} expected, got {type(value).__name__}")
+    return value
+
+
 def _payload(data: dict) -> tuple:
     """An event's payload pairs in key order, lists back to tuples."""
     return tuple(sorted((k, _detuple(v)) for k, v in data.items()))
@@ -261,11 +270,13 @@ def read_trace(path: str | Path) -> list[SimTrace]:
                 )
             try:
                 header = {
-                    "fingerprint": rec["fingerprint"],
-                    "sample_id": rec["sample_id"],
+                    "fingerprint": _typed(rec["fingerprint"], str),
+                    "sample_id": _typed(rec["sample_id"], int),
                     "mode": ExecutionMode(rec["mode"]),
-                    "assignment": ConfigAssignment(tuple(tuple(p) for p in rec["assignment"])),
-                    "window_us": rec["window_us"],
+                    "assignment": ConfigAssignment(
+                        tuple((_typed(a, int), _typed(b, int)) for a, b in rec["assignment"])
+                    ),
+                    "window_us": _typed(rec["window_us"], int),
                 }
             except _MALFORMED as exc:
                 raise CorruptLine(i, f"bad header: {type(exc).__name__} {exc}") from None
@@ -275,10 +286,10 @@ def read_trace(path: str | Path) -> list[SimTrace]:
                 raise CorruptLine(i, "summary outside a trace block")
             try:
                 summary = TraceSummary(
-                    reported_latency_us=rec["reported_latency_us"],
-                    waiting_us=rec["waiting_us"],
-                    peak_buffered_units=tuple(rec["peak_buffered_units"]),
-                    skipped_unit_count=rec["skipped_unit_count"],
+                    reported_latency_us=_typed(rec["reported_latency_us"], int),
+                    waiting_us=_typed(rec["waiting_us"], int),
+                    peak_buffered_units=tuple(_typed(n, int) for n in _typed(rec["peak_buffered_units"], list)),
+                    skipped_unit_count=_typed(rec["skipped_unit_count"], int),
                 )
             except _MALFORMED as exc:
                 raise CorruptLine(i, f"bad summary: {type(exc).__name__} {exc}") from None

@@ -544,6 +544,28 @@ def test_wrongly_typed_scenario_field_exit_code_2(tmp_path):
     assert json.loads(res.stderr)["error"] == "ScenarioFormatError"
 
 
+@pytest.mark.parametrize("command", ["profile", "run"])
+def test_scenario_values_of_another_json_type_exit_code_2(command, tmp_path):
+    # each value would convert to a valid one, which the reader must not do
+    doc = scenario_io.to_document(workload.gen_scenario("lrw-like", seed=3))
+    doc["modalities"][0]["channels"] = 16.7
+    doc["modalities"][1]["name"] = 7
+    doc["sensing_configs"][0][0]["units_per_window"] = "10"
+    doc.update(t_max_us="1180000", tau="0.5", skip_checkpoints=["0.5", 0.7])
+    doc["resource_schedule"] = [[0, "high", "ignored"]]
+    bad = tmp_path / "coerced.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / ("table.csv" if command == "profile" else "t.jsonl")
+    res = invoke(command, "--scenario", str(bad), "--out", str(out), *["--mode", "blocking"] * (command == "run"))
+    assert res.returncode == 2, res.stderr
+    assert len(res.stderr.splitlines()) == 1, res.stderr  # one JSON line, no traceback
+    err = json.loads(res.stderr)
+    assert err["error"] == "ScenarioFormatError"
+    typed = [d for d in err["detail"] if "should be" in d]
+    assert len(typed) == 7, err["detail"]  # one problem per wrongly typed value
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("field", ["channels", "units_per_window"])
 def test_oversized_scenario_exit_code_2(field, tmp_path):
     # rejected at load, before anything allocates units x channels floats
@@ -587,6 +609,17 @@ HOSTILE_TRACE_RECORDS = {
     "header-without-fingerprint": _edit_first("header", lambda r: r.pop("fingerprint")),
     "header-bad-mode": _edit_first("header", lambda r: r.update(mode="sideways")),
     "summary-without-latency": _edit_first("summary", lambda r: r.pop("reported_latency_us")),
+    # header and summary fields of the wrong type, which `report` would write into its CSV
+    "summary-latency-str": _edit_first("summary", lambda r: r.update(reported_latency_us="x")),
+    "summary-waiting-float": _edit_first("summary", lambda r: r.update(waiting_us=1.5)),
+    "summary-skipped-list": _edit_first("summary", lambda r: r.update(skipped_unit_count=[3])),
+    "summary-peak-items": _edit_first("summary", lambda r: r.update(peak_buffered_units=["a", None])),
+    "header-sample-list": _edit_first("header", lambda r: r.update(sample_id=[1])),
+    "header-window-str": _edit_first("header", lambda r: r.update(window_us="long")),
+    "header-fingerprint-number": _edit_first("header", lambda r: r.update(fingerprint=7)),
+    "header-assignment-str-levels": _edit_first(
+        "header", lambda r: r.update(assignment=[[str(v) for v in p] for p in r["assignment"]])
+    ),
 }
 
 

@@ -135,6 +135,23 @@ def test_optimizer_step_deterministic_assignment():
     assert d1.score == d2.score
 
 
+def test_greedy_with_no_move_in_budget_stops_at_its_start():
+    # covers `_ascend`'s no-move exit: the budget leaves each modality one
+    # in-budget pair, so the start assignment has no move to score
+    s = workload.gen_scenario("random", seed=32, modalities=3)
+    table = latency.unimodal_table(s, "low")
+    budget = max(row.min() for row in table)
+    assert [int((row <= budget).sum()) for row in table] == [1, 1, 1]
+    s = dataclasses.replace(s, t_max_us=s.latency_profile.fusion_us + int(budget))
+    scorer = Constant(1.0)
+    greedy = optimizer.greedy_search(s, IND, scorer, "low")
+    assert [len(levels) for levels in scorer.scored] == [1]  # the start; no empty batch of moves
+    result = optimizer.brute_force(s, IND, scorer, "low")
+    assert result.feasible_count == 1
+    assert greedy == result.best
+    assert greedy.pairs == tuple(divmod(int(row.argmin()), row.shape[1]) for row in table)
+
+
 def test_tie_break_lexicographic():
     s = dataclasses.replace(lrw(), t_max_us=10**12)
     result = optimizer.brute_force(s, IND, Constant(50.0), "high")

@@ -71,6 +71,22 @@ def _lrw_document():
         (("resource_schedule",), 5, "resource_schedule"),
         (("latency_profile",), [], "latency_profile"),
         (("latency_profile", "fusion_us"), "x", "latency_profile.fusion_us"),
+        # each field takes only its exact JSON type: nothing is converted
+        (("modalities", 0, "channels"), 16.7, "modalities[0]: channels should be int"),
+        (("modalities", 0, "channels"), True, "modalities[0]: channels should be int"),
+        (("modalities", 0, "name"), 7, "modalities[0]: name should be str"),
+        (("t_max_us",), "1180000", "t_max_us: value should be int"),
+        (("tau",), "0.5", "tau: value should be float"),
+        (("tau",), True, "tau: value should be float"),
+        (("accuracy_surface_seed",), 1.0, "accuracy_surface_seed: value should be int"),
+        (("skip_checkpoints",), ["0.5", 0.7], "skip_checkpoints[0]: value should be float"),
+        (("sensing_configs", 0, 0, "units_per_window"), "10", "sensing_configs[0][0]: units_per_window"),
+        (("model_configs", 0, 0, "label"), None, "model_configs[0][0]: label should be str"),
+        (("latency_profile", "resource_levels", 0), 1, "latency_profile.resource_levels[0]: value"),
+        (("latency_profile", "entries", 0, "unit_encode_us"), 9.5, "latency_profile.entries[0]: unit_"),
+        (("resource_schedule", 0), [0, "high", "ignored"], "resource_schedule[0]: should be a [time"),
+        (("resource_schedule", 0), [0.0, "high"], "resource_schedule[0]: time should be int"),
+        (("execution_mode",), 3, "execution_mode: value should be str"),
     ],
 )
 def test_wrongly_typed_field_raises_format_error(path, value, field):
@@ -83,6 +99,14 @@ def test_wrongly_typed_field_raises_format_error(path, value, field):
     with pytest.raises(scenario_io.ScenarioFormatError) as err:
         scenario_io.from_document(doc)
     assert any(p.startswith(field) for p in err.value.problems), err.value.problems
+
+
+def test_an_integer_number_field_reads_as_a_float():
+    doc = _lrw_document()
+    doc["tau"], doc["skip_checkpoints"] = 1, [1]
+    s = scenario_io.from_document(doc)
+    assert (s.tau, s.skip_checkpoints) == (1.0, (1.0,))
+    assert type(s.tau) is float and type(s.skip_checkpoints[0]) is float
 
 
 def _full_dump(s) -> str:

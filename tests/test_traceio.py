@@ -3,6 +3,7 @@ reader against the line-at-a-time reader it replaced."""
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -292,15 +293,44 @@ def _header_the_line_reader_crashes_on(path, line_number) -> bool:
     return False
 
 
+def _field_of_the_wrong_type(path, line_number) -> bool:
+    """True when the record on the line has a field that the line reader
+    takes as it comes, or converts, but that is not of the type the reader
+    requires: an int event time; ints in a header or summary, with a list
+    of ints for the peaks and int pairs for the assignment; and a str
+    fingerprint."""
+    rec = json.loads(Path(path).read_text(encoding="utf-8").splitlines()[line_number - 1])
+    try:
+        if rec["record"] == "event":
+            return type(rec["t"]) is not int
+        if rec["record"] == "header":
+            pairs = [tuple(p) for p in rec["assignment"]]
+            ints = [rec["sample_id"], rec["window_us"], *(v for p in pairs for v in p)]
+            wrong = type(rec["fingerprint"]) is not str or any(len(p) != 2 for p in pairs)
+        elif rec["record"] == "summary":
+            peaks = rec["peak_buffered_units"]
+            ints = [rec["reported_latency_us"], rec["waiting_us"], rec["skipped_unit_count"], *peaks]
+            wrong = type(peaks) is not list
+        else:
+            return False
+    except (KeyError, TypeError):
+        return False
+    return wrong or any(type(v) is not int for v in ints)
+
+
 def assert_same_outcome(path):
     old, new = outcome(line_reader, path), outcome(traceio.read_trace, path)
     if new == old:
         return
     # the intended differences: a record of the wrong shape or type is a
-    # CorruptLine where the line reader crashed, and a header is checked at
-    # its own line rather than when its summary arrives
+    # CorruptLine where the line reader crashed, or took a field of the
+    # wrong type and so failed later or not at all; and a header is checked
+    # at its own line rather than when its summary arrives
     assert new[0] is CorruptLine
-    assert old[0] in LINE_READER_CRASHES or _header_the_line_reader_crashes_on(path, new[1])
+    if _field_of_the_wrong_type(path, new[1]):
+        assert isinstance(old, list) or old[1] is None or old[1] > new[1]
+    else:
+        assert old[0] in LINE_READER_CRASHES or _header_the_line_reader_crashes_on(path, new[1])
 
 
 def _base_lines():
@@ -362,6 +392,34 @@ def mutations():
     broken = body[:k] + [body[k].replace('"resource":"high"', '"resource":"hi\u2028gh"', 1)] + body[k + 1 :]
     broken[k + 5 : k + 7] = [broken[k + 5] + "," + broken[k + 6]]
     yield "split-string-and-joined-records", "\n".join(with_checksum(broken)) + "\n"
+    # the block structure broken, each naming its branch of the reader
+    summaries = [i for i, line in enumerate(body) if '"record":"summary"' in line]
+    first, last = summaries[0], summaries[-1]
+    blocks = {
+        "event-outside-a-block": body[1:],  # the first header dropped
+        "header-before-the-summary": body[:first] + body[first + 1 :],
+        "summary-outside-a-block": body[: first + 1] + [body[first]] + body[first + 1 :],
+        "ends-mid-block": body[:last] + body[last + 1 :],
+    }
+    for name, broken in blocks.items():
+        yield f"{name}-resummed", "\n".join(with_checksum(broken)) + "\n"
+    # an event time written with an exponent reads as a float, which the
+    # line reader converts and the reader refuses
+    k = next(i for i, line in enumerate(body) if '"record":"event"' in line)
+    exponent = body[:k] + [re.sub(r'"t":(\d+)', r'"t":\1e0', body[k], count=1)] + body[k + 1 :]
+    yield "event-time-exponent-resummed", "\n".join(with_checksum(exponent)) + "\n"
+    # an escaped quote inside a string: the exit of `_one_value_per_line`
+    # that sends the file to the line-by-line parse
+    quoted = [line.replace('"resource":"high"', '"resource":"hi\\"gh"') for line in body]
+    yield "escaped-quote-resummed", "\n".join(with_checksum(quoted)) + "\n"
+    # why that exit is needed: an object split over two lines, each line's
+    # brackets balanced by brackets in strings that escaped quotes open
+    k = next(i for i, line in enumerate(body) if '"pairs":[[' in line)
+    cut = body[k].index('"probe_cost_us"')
+    head, tail = body[k][:cut] + '"x":"\\"}}\\""', '"y":"\\"{{\\"",' + body[k][cut:]
+    masked = body[:k] + [head, tail] + body[k + 1 :]
+    masked[k + 5 : k + 7] = [masked[k + 5] + "," + masked[k + 6]]
+    yield "split-object-and-escaped-quotes", "\n".join(with_checksum(masked)) + "\n"
 
 
 MUTATIONS = dict(mutations())
@@ -372,8 +430,39 @@ def test_reader_matches_line_reader_on_mutated_files(name, tmp_path):
     path = tmp_path / "t.jsonl"
     path.write_bytes(MUTATIONS[name].encode("utf-8"))
     assert_same_outcome(path)
-    if name in ("intact", "crlf", "no-trailing-newline"):
+    if name in ("intact", "crlf", "no-trailing-newline", "escaped-quote-resummed"):
         assert isinstance(outcome(traceio.read_trace, path), list)
+
+
+@pytest.mark.parametrize(
+    "name, error, branch",
+    [
+        ("event-outside-a-block", CorruptLine, "line 1: event outside a trace block"),
+        ("header-before-the-summary", CorruptLine, "header before previous trace's summary"),
+        ("summary-outside-a-block", CorruptLine, "summary outside a trace block"),
+        ("ends-mid-block", SchemaVersionMismatch, "trace file ends mid-block"),
+    ],
+)
+def test_a_broken_block_structure_raises_from_its_branch(name, error, branch, tmp_path):
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(MUTATIONS[f"{name}-resummed"].encode("utf-8"))
+    with pytest.raises(error) as err:
+        traceio.read_trace(path)
+    assert type(err.value) is error
+    assert str(err.value).endswith(branch)
+
+
+def test_an_escaped_quote_takes_the_line_by_line_parse(monkeypatch, tmp_path):
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(MUTATIONS["escaped-quote-resummed"].encode("utf-8"))
+    exits = []
+    real = traceio._one_value_per_line
+    monkeypatch.setattr(traceio, "_one_value_per_line", lambda *a: exits.append(real(*a)) or exits[-1])
+    traces = traceio.read_trace(path)
+    assert exits == [False]
+    assert len(traces) == 2
+    resources = {dict(row[-1]).get("resource") for trace in traces for row in trace.log.rows()}
+    assert 'hi"gh' in resources
 
 
 SHAPE_CHARS = '{}[]",:\\ \r\n\u20281aetx'
@@ -453,6 +542,18 @@ HOSTILE_RECORDS = {
     "header-assignment-number": _set("header", "assignment", 5),
     "summary-without-latency": _drop("summary", "reported_latency_us"),
     "summary-peak-number": _set("summary", "peak_buffered_units", 5),
+    # header and summary fields of the wrong type, which `report` would write into its CSV
+    "summary-latency-str": _set("summary", "reported_latency_us", "x"),
+    "summary-waiting-float": _set("summary", "waiting_us", 1.5),
+    "summary-waiting-bool": _set("summary", "waiting_us", True),
+    "summary-skipped-list": _set("summary", "skipped_unit_count", [3]),
+    "summary-peak-items": _set("summary", "peak_buffered_units", ["a", None]),
+    "summary-peak-str": _set("summary", "peak_buffered_units", "12"),
+    "header-sample-list": _set("header", "sample_id", [1]),
+    "header-window-str": _set("header", "window_us", "long"),
+    "header-fingerprint-number": _set("header", "fingerprint", 7),
+    "header-assignment-str-levels": _set("header", "assignment", [["1", "1"], ["1", "1"]]),
+    "header-assignment-triple": _set("header", "assignment", [[1, 1, 1], [1, 1, 1]]),
 }
 
 
