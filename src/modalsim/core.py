@@ -7,10 +7,12 @@ after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import functools
 import itertools
 import math
+import typing
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -84,6 +86,72 @@ SIZE_LIMIT = "SizeLimit"
 # keep a scenario document from asking for more memory than a device has.
 MAX_CHANNELS = 4096
 MAX_UNITS_PER_WINDOW = 1024
+# The bound of every duration a scenario gives (window, unit encode,
+# aggregation, fusion): a window's times, sums of at most
+# MAX_UNITS_PER_WINDOW of these, then stay far inside the engine's int64.
+MAX_DURATION_US = 2**40
+
+
+# ---------------------------------------------------------------------------
+# Reading JSON documents
+
+
+class JSONTypeError(TypeError):
+    """Values of the wrong JSON type: `args` holds one problem per value,
+    each naming its value.  Each document reader turns it into its own
+    error."""
+
+    def __str__(self) -> str:
+        return "; ".join(self.args)
+
+
+def json_value(value, kind: type, name: str = "value"):
+    """`value` read as the JSON type `kind`: the one type rule of every
+    document the package reads.  An int is an int that is no bool; a str, a
+    list and a dict are exactly those; a float is a float, or an int (no
+    bool) read as a float, unless it is too large for one.  Raises
+    JSONTypeError naming `name` otherwise."""
+    if type(value) is kind:
+        return value
+    if kind is float and type(value) is int:
+        with contextlib.suppress(OverflowError):
+            return float(value)
+    raise JSONTypeError(f"{name} should be {kind.__name__}, got {type(value).__name__}")
+
+
+@functools.cache
+def _record_fields(build) -> tuple[tuple[str, type, type | None, str], ...]:
+    """Each annotated name of `build` (a dataclass's fields, a function's
+    parameters), the JSON type its value is read as, and for a
+    `tuple[k, ...]` hint, read from a list, k and the name of an item.
+    Hints are resolved once per class or function."""
+    return tuple(
+        (key, list, typing.get_args(hint)[0], f"{key} item") if typing.get_origin(hint) is tuple
+        else (key, hint, None, key)
+        for key, hint in typing.get_type_hints(build).items() if key != "return"
+    )
+
+
+def read_record(obj, build, name: str = ""):
+    """The JSON object `obj` read as `build`, a dataclass or a function
+    whose parameters are all annotated: `build` called with each of its
+    fields read from `obj` by its type hint, by `json_value`, and a
+    `tuple[k, ...]` field from a list of k.  Keys `build` does not name are
+    ignored.  Raises JSONTypeError with one problem per missing or wrongly
+    typed field, which it names `name.field` (`field` without a name)."""
+    obj = json_value(obj, dict, name or "value")
+    values, problems = [], []
+    for key, kind, item, item_name in _record_fields(build):
+        try:
+            value = json_value(obj[key], kind, key)
+            values.append(tuple([json_value(v, item, item_name) for v in value]) if item else value)
+        except KeyError:
+            problems.append(f"{key} is missing")
+        except JSONTypeError as exc:
+            problems += exc.args
+    if problems:
+        raise JSONTypeError(*(f"{name}.{p}" if name else p for p in problems))
+    return build(*values)
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +533,10 @@ def scenario_violations(s: Scenario) -> list[Violation]:
                     out.append(Violation(BAD_DURATION, f"unit_encode_us <= 0 at ({i},{j},{k},{r!r})"))
                 if entry.aggregation_us < 0:
                     out.append(Violation(BAD_DURATION, f"aggregation_us < 0 at ({i},{j},{k},{r!r})"))
+    costs = ((e.unit_encode_us, e.aggregation_us) for e in prof.entries.values())
+    longest = max([prof.fusion_us, *windows, *itertools.chain.from_iterable(costs)])
+    if longest > MAX_DURATION_US:
+        out.append(Violation(SIZE_LIMIT, f"a duration of {longest}µs > {MAX_DURATION_US}µs"))
 
     if s.t_max_us <= 0:
         out.append(Violation(BAD_DURATION, f"t_max_us={s.t_max_us} <= 0"))

@@ -167,8 +167,10 @@ def save_gate(model: GateModel, path: str | Path) -> None:
 def load_gate(path: str | Path) -> GateModel:
     """Read a gate document; nn.WeightFormatError if it is malformed."""
     doc = nn.read_weight_doc(path, "skip_gate")
-    fast_dim, slow_dim = nn.fields(doc, "layout", fast_dim="a count", slow_dim="a count")
-    (dropout,) = nn.fields(doc, None, dropout="a number")
-    info = None if doc.get("training") is None else nn.read_record(doc, "training", GateTrainingInfo)
+    fast_dim, slow_dim = (nn.read_field(doc, f"layout.{key}", int) for key in ("fast_dim", "slow_dim"))
+    if min(fast_dim, slow_dim) < 0:
+        raise nn.WeightFormatError(f"layout dims ({fast_dim}, {slow_dim}) should not be negative")
+    dropout = nn.read_field(doc, "dropout", float)
+    info = None if doc.get("training") is None else nn.read_field(doc, "training", GateTrainingInfo)
     mlp = nn.read_weight_block(doc, fast_dim + slow_dim + 1)
-    return GateModel(fast_dim, slow_dim, mlp, dropout=float(dropout), info=info)
+    return GateModel(fast_dim, slow_dim, mlp, dropout=dropout, info=info)

@@ -12,7 +12,8 @@ order its kernel picks, and numpy runs other SIMD code for exp and log on
 other CPUs, so a fixed order for either is decided here alone.
 
 Weights are written as JSON number literals produced by Python's float repr,
-which round-trips every float64 exactly.
+which round-trips every float64 exactly.  A document's fields other than
+the weight arrays are read by `core`'s one JSON type rule (`read_field`).
 """
 
 from __future__ import annotations
@@ -20,14 +21,13 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import typing
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import rng
-from .core import ModalsimError
+from .core import JSONTypeError, ModalsimError, json_value, read_record
 
 WEIGHT_DOC_VERSION = 1
 WEIGHT_KEYS = ("w1", "b1", "w2", "b2", "x_mean", "x_scale")
@@ -223,42 +223,18 @@ def weight_block(mlp: MLP) -> dict:
     return {k: np.asarray(getattr(mlp, k), dtype=np.float64).tolist() for k in WEIGHT_KEYS}
 
 
-def _is_number(v) -> bool:
-    # an int beyond the float range would overflow on conversion
-    return type(v) is float or (type(v) is int and abs(v) < 2**1023)
-
-
-_KINDS = {
-    "an object": lambda v: type(v) is dict,
-    "an integer": lambda v: type(v) is int,
-    "a count": lambda v: type(v) is int and v >= 0,
-    "a number": _is_number,
-    "a list of numbers": lambda v: type(v) is list and all(map(_is_number, v)),
-    "a list of positive counts": lambda v: type(v) is list
-    and all(type(c) is int and c > 0 for c in v),
-}
-
-
-def fields(doc: dict, section: str | None, **kinds: str) -> list:
-    """Values of the named keys of `doc[section]` (of `doc` itself when
-    `section` is None), each checked against its kind in `_KINDS`."""
-    where = doc if section is None else fields(doc, None, **{section: "an object"})[0]
-    values = []
-    for key, kind in kinds.items():
-        if key not in where or not _KINDS[kind](where[key]):
-            name = f"{section}.{key}" if section else key
-            raise WeightFormatError(f"{name} is missing or not {kind}")
-        values.append(where[key])
-    return values
-
-
-def read_record(doc: dict, section: str, cls):
-    """`cls`, a dataclass of int, float and tuple[float, ...] fields, built
-    from `doc[section]` with each value checked against its field's type."""
-    kinds = {int: "an integer", float: "a number", tuple[float, ...]: "a list of numbers"}
-    hints = typing.get_type_hints(cls)
-    values = fields(doc, section, **{f.name: kinds[hints[f.name]] for f in dataclasses.fields(cls)})
-    return cls(*(tuple(v) if type(v) is list else v for v in values))
+def read_field(doc: dict, path: str, kind):
+    """The value at `path` of a weight document, a key or `section.key`,
+    read as `kind`: a JSON type by `core.json_value`, a dataclass by
+    `core.read_record`.  Raises WeightFormatError naming each missing or
+    wrongly typed field."""
+    section, _, key = path.rpartition(".")
+    try:
+        where = json_value(doc.get(section), dict, section) if section else doc
+        read = read_record if dataclasses.is_dataclass(kind) else json_value
+        return read(where.get(key), kind, path)
+    except JSONTypeError as exc:
+        raise WeightFormatError(str(exc)) from None
 
 
 def read_weight_doc(path: str | Path, kind: str) -> dict:
@@ -279,7 +255,7 @@ def read_weight_block(doc: dict, input_dim: int) -> MLP:
     """The MLP of `doc["weights"]`, float64 arrays (b2 a float) checked to
     be finite, with no zero in `x_scale`, and to form an MLP over
     `input_dim` inputs."""
-    (weights,) = fields(doc, None, weights="an object")
+    weights = read_field(doc, "weights", dict)
     block = {}
     for key in WEIGHT_KEYS:
         try:

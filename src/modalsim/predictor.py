@@ -244,11 +244,10 @@ def save_model(model: PredictorModel, path: str | Path) -> None:
 def load_model(path: str | Path) -> PredictorModel:
     """Read a predictor document; nn.WeightFormatError if it is malformed."""
     doc = nn.read_weight_doc(path, "accuracy_predictor")
-    counts = "a list of positive counts"
-    sensing, models = nn.fields(doc, "encoding", sensing_counts=counts, model_counts=counts)
-    if len(sensing) != len(models):
-        raise nn.WeightFormatError("encoding.sensing_counts and model_counts differ in length")
-    enc = EncodingSpec(sensing_counts=tuple(sensing), model_counts=tuple(models))
-    (y_mean,) = nn.fields(doc, "weights", y_mean="a number")
+    enc = nn.read_field(doc, "encoding", EncodingSpec)
+    counts = enc.sensing_counts + enc.model_counts
+    if len(enc.sensing_counts) != len(enc.model_counts) or min(counts, default=1) < 1:
+        raise nn.WeightFormatError("encoding counts should be positive, as many sensing as model counts")
+    y_mean = nn.read_field(doc, "weights.y_mean", float)
     mlp = nn.read_weight_block(doc, enc.dim)
-    return PredictorModel(enc, mlp, float(y_mean), nn.read_record(doc, "training", TrainingInfo))
+    return PredictorModel(enc, mlp, y_mean, nn.read_field(doc, "training", TrainingInfo))

@@ -18,6 +18,10 @@ through `encode_basestring_ascii`) or a finite float (written by
 None, a tuple) takes the reference instead; there is no third path.  The
 profile's part of the text is written once per profile instance and
 spliced into the walk as already-written text.
+
+A document is read by `core`'s one JSON type rule (`json_value`,
+`read_record`); each wrongly typed or missing field is its own
+`ScenarioFormatError` problem.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from pathlib import Path
 
 from .core import (
     ExecutionMode,
+    JSONTypeError,
     LatencyProfile,
     ModalsimError,
     Modality,
@@ -40,7 +45,9 @@ from .core import (
     ProfileEntry,
     Scenario,
     SensingConfig,
+    json_value,
     memoized,
+    read_record,
     validate_scenario,
 )
 
@@ -190,78 +197,48 @@ def fingerprint(s: Scenario) -> str:
     return hashlib.sha256(serialize(s).encode("utf-8")).hexdigest()
 
 
-def _exact(value, kind, name: str = "value"):
-    """`value` when it has the JSON type `kind`: an int that is no bool, a
-    str, or for float any number but a bool, as a float."""
-    if type(value) is kind or kind is float and type(value) is int:
-        return kind(value)
-    raise TypeError(f"{name} should be {kind.__name__}, got {type(value).__name__}")
-
-
-def _record(build, kinds: dict):
-    """A reader of an object whose fields named in `kinds` each have that
-    JSON type: `build` of their values, in the order of `kinds`."""
-    return lambda row: build(*(_exact(row[key], kind, key) for key, kind in kinds.items()))
-
-
-# Raised reading a wrongly typed JSON value (a short pair, an infinite number, ...).
-_MALFORMED = (KeyError, TypeError, ValueError, IndexError, OverflowError)
-
-
-def _rows(value, where: str, build, problems: list[str]) -> tuple:
-    """build(item) for each item of the JSON array `value`; a non-array value
-    and each item that does not convert are recorded as problems."""
+def _rows(value, where: str, problems: list[str], read, *kind) -> tuple:
+    """read(item, *kind) for each item of the JSON array `value`; a
+    non-array value and each problem of an item are recorded as problems."""
     if not isinstance(value, list):
         problems.append(f"{where} should be a list, got {type(value).__name__}")
         return ()
     rows = []
     for i, item in enumerate(value):
         try:
-            rows.append(build(item))
-        except _MALFORMED as exc:
-            problems.append(f"{where}[{i}]: {exc}")
+            rows.append(read(item, *kind))
+        except JSONTypeError as exc:
+            problems += (f"{where}[{i}]: {p}" for p in exc.args)
     return tuple(rows)
 
 
-def _levels(doc: dict, key: str, build, problems: list[str]) -> tuple:
-    """One tuple of configs per modality from an array of arrays."""
+def _levels(doc: dict, key: str, cls, problems: list[str]) -> tuple:
+    """One tuple of `cls` configs per modality from an array of arrays."""
     return tuple(
-        _rows(levels, f"{key}[{i}]", build, problems)
-        for i, levels in enumerate(_rows(doc.get(key, []), key, lambda row: row, problems))
+        _rows(levels, f"{key}[{i}]", problems, read_record, cls)
+        for i, levels in enumerate(_rows(doc.get(key, []), key, problems, json_value, list))
     )
 
 
 def _scalar(doc: dict, key: str, kind, default, problems: list[str], prefix: str = ""):
     try:
-        return _exact(doc.get(key, default), kind)
-    except _MALFORMED as exc:
+        return json_value(doc.get(key, default), kind)
+    except JSONTypeError as exc:
         problems.append(f"{prefix}{key}: {exc}")
         return default
 
 
-def _need(doc: dict, key: str, kind, problems: list[str], default=None):
-    if key not in doc:
-        problems.append(f"missing field {key!r}")
-        return default
-    return _scalar(doc, key, kind, default, problems)
-
-
-_json_str = functools.partial(_exact, kind=str)
-_json_float = functools.partial(_exact, kind=float)
-_modality = _record(Modality, {"id": int, "name": str, "channels": int})
-_sensing_config = _record(SensingConfig, {"level": int, "units_per_window": int, "window_us": int})
-_model_config = _record(ModelConfig, {"level": int, "label": str})
-_profile_entry = _record(  # the entry's key, then the entry
-    lambda *v: (v[:4], ProfileEntry(*v[4:])),
-    {"modality": int, "sensing_level": int, "model_level": int, "resource": str,
-     "unit_encode_us": int, "aggregation_us": int},
-)
+def _profile_entry(
+    modality: int, sensing_level: int, model_level: int, resource: str, unit_encode_us: int, aggregation_us: int
+) -> tuple[tuple, ProfileEntry]:
+    """A latency profile entry's key and entry, from the fields of its object."""
+    return (modality, sensing_level, model_level, resource), ProfileEntry(unit_encode_us, aggregation_us)
 
 
 def _schedule_entry(pair) -> tuple[int, str]:
-    if len(pair) != 2:
-        raise ValueError(f"should be a [time, level] pair, got {len(pair)} items")
-    return _exact(pair[0], int, "time"), _exact(pair[1], str, "level")
+    if len(json_value(pair, list)) != 2:
+        raise JSONTypeError(f"should be a [time, level] pair, got {len(pair)} items")
+    return json_value(pair[0], int, "time"), json_value(pair[1], str, "level")
 
 
 def from_document(doc: dict) -> Scenario:
@@ -272,26 +249,24 @@ def from_document(doc: dict) -> Scenario:
     if version != SCENARIO_SCHEMA_VERSION:
         raise ScenarioFormatError([f"unsupported schema_version {version!r}"])
 
-    name = _need(doc, "name", str, problems, "unnamed")
-    modalities = _rows(doc.get("modalities", []), "modalities", _modality, problems)
+    problems += [f"missing field {key!r}" for key in ("name", "execution_mode") if key not in doc]
+    name = _scalar(doc, "name", str, "unnamed", problems)
+    modalities = _rows(doc.get("modalities", []), "modalities", problems, read_record, Modality)
     if not modalities:
         problems.append("no modalities declared")
-    sensing_space = _levels(doc, "sensing_configs", _sensing_config, problems)
-    model_space = _levels(doc, "model_configs", _model_config, problems)
+    sensing_space = _levels(doc, "sensing_configs", SensingConfig, problems)
+    model_space = _levels(doc, "model_configs", ModelConfig, problems)
 
-    prof_doc = doc.get("latency_profile", {})
-    if not isinstance(prof_doc, dict):
-        problems.append(f"latency_profile should be an object, got {type(prof_doc).__name__}")
-        prof_doc = {}
+    prof_doc = _scalar(doc, "latency_profile", dict, {}, problems)
     where = "latency_profile."
-    levels = _rows(prof_doc.get("resource_levels", []), where + "resource_levels", _json_str, problems)
-    entries = _rows(prof_doc.get("entries", []), where + "entries", _profile_entry, problems)
+    levels = _rows(prof_doc.get("resource_levels", []), where + "resource_levels", problems, json_value, str)
+    entries = _rows(prof_doc.get("entries", []), where + "entries", problems, read_record, _profile_entry)
     fusion_us = _scalar(prof_doc, "fusion_us", int, 0, problems, where)
     profile = LatencyProfile(resource_levels=levels, fusion_us=fusion_us, entries=dict(entries))
 
-    checkpoints = _rows(doc.get("skip_checkpoints", []), "skip_checkpoints", _json_float, problems)
-    schedule = _rows(doc.get("resource_schedule", []), "resource_schedule", _schedule_entry, problems)
-    mode_raw = _need(doc, "execution_mode", str, problems, "pipelined")
+    checkpoints = _rows(doc.get("skip_checkpoints", []), "skip_checkpoints", problems, json_value, float)
+    schedule = _rows(doc.get("resource_schedule", []), "resource_schedule", problems, _schedule_entry)
+    mode_raw = _scalar(doc, "execution_mode", str, "pipelined", problems)
     try:
         mode = ExecutionMode(mode_raw)
     except ValueError:

@@ -21,9 +21,8 @@ or a bool is refused), the kind, `m`, `u` and the data dict, and laid out in
 bulk by the engine's one rule (`engine.layout`); a row kept whole holds its
 data as payload pairs in key order.  When a record lacks a field or has one of the wrong type, the
 records are checked one by one, and the first bad one raises `CorruptLine`
-with its line number.  A header and a summary are checked at their own
-lines: their numbers must be ints (the peaks a list of ints, the
-assignment pairs of ints) and the fingerprint a str.
+with its line number.  A header and a summary are read at their own
+lines by `core`'s one JSON type rule (`json_value`, `read_record`).
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import ConfigAssignment, ExecutionMode, ModalsimError
+from .core import ConfigAssignment, ExecutionMode, ModalsimError, json_value, read_record
 from .engine import KINDS, LAYOUT, EventColumns, SimTrace, TraceSummary, layout, object_column
 
 TRACE_SCHEMA_VERSION = 1
@@ -202,13 +201,6 @@ _CODES = {kind.value: code for code, kind in enumerate(KINDS)}
 _MALFORMED = (KeyError, TypeError, ValueError, AttributeError, OverflowError)
 
 
-def _typed(value, kind):
-    """`value`, which must be exactly of type `kind` (so an int is no bool)."""
-    if type(value) is not kind:
-        raise TypeError(f"{kind.__name__} expected, got {type(value).__name__}")
-    return value
-
-
 def _payload(data: dict) -> tuple:
     """An event's payload pairs in key order, lists back to tuples."""
     return tuple(sorted((k, _detuple(v)) for k, v in data.items()))
@@ -269,14 +261,13 @@ def read_trace(path: str | Path) -> list[SimTrace]:
                     f"unsupported trace schema version {rec.get('schema_version')!r}"
                 )
             try:
+                pairs = tuple((json_value(a, int), json_value(b, int)) for a, b in rec["assignment"])
                 header = {
-                    "fingerprint": _typed(rec["fingerprint"], str),
-                    "sample_id": _typed(rec["sample_id"], int),
+                    "fingerprint": json_value(rec["fingerprint"], str, "fingerprint"),
+                    "sample_id": json_value(rec["sample_id"], int, "sample_id"),
                     "mode": ExecutionMode(rec["mode"]),
-                    "assignment": ConfigAssignment(
-                        tuple((_typed(a, int), _typed(b, int)) for a, b in rec["assignment"])
-                    ),
-                    "window_us": _typed(rec["window_us"], int),
+                    "assignment": ConfigAssignment(pairs),
+                    "window_us": json_value(rec["window_us"], int, "window_us"),
                 }
             except _MALFORMED as exc:
                 raise CorruptLine(i, f"bad header: {type(exc).__name__} {exc}") from None
@@ -285,12 +276,7 @@ def read_trace(path: str | Path) -> list[SimTrace]:
             if header is None:
                 raise CorruptLine(i, "summary outside a trace block")
             try:
-                summary = TraceSummary(
-                    reported_latency_us=_typed(rec["reported_latency_us"], int),
-                    waiting_us=_typed(rec["waiting_us"], int),
-                    peak_buffered_units=tuple(_typed(n, int) for n in _typed(rec["peak_buffered_units"], list)),
-                    skipped_unit_count=_typed(rec["skipped_unit_count"], int),
-                )
+                summary = read_record(rec, TraceSummary)
             except _MALFORMED as exc:
                 raise CorruptLine(i, f"bad summary: {type(exc).__name__} {exc}") from None
             if columns is not None:  # else an event record further on is bad

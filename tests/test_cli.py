@@ -409,6 +409,24 @@ OPTIMIZE = "optimize --scenario {scenario} --predictor {bad}"
 GATE = "run --scenario {scenario} --gate {bad} --out {out}"
 NOT_UTF8 = b"\xff\xfe{}"
 
+def _lrw_bytes(edit) -> bytes:
+    """The lrw-like scenario document after `edit`, as file bytes."""
+    doc = scenario_io.to_document(workload.gen_scenario("lrw-like", seed=3))
+    edit(doc)
+    return json.dumps(doc).encode()
+
+
+def _slow_encodes(doc):
+    doc["t_max_us"] = 2**80
+    for entry in doc["latency_profile"]["entries"]:
+        entry["unit_encode_us"] = 2**62
+
+
+BLOCKING = RUN + " --mode blocking"
+# each a valid document but for a duration whose engine times leave int64
+LONG_FUSION = _lrw_bytes(lambda doc: doc["latency_profile"].update(fusion_us=2**63))
+LONG_ENCODES = _lrw_bytes(_slow_encodes)
+
 # arguments, with {bad} the hostile file; its bytes or an edit of the trained
 # predictor (of the trained gate for a --gate run); exit; error
 HOSTILE_INPUTS = {
@@ -422,6 +440,8 @@ HOSTILE_INPUTS = {
     "optimize-extreme-mean": (OPTIMIZE, _extreme_mean, 3, "NonFiniteScore"),
     "oracle-extreme-mean": (OPTIMIZE + " --oracle", _extreme_mean, 3, "NonFiniteScore"),
     "gate-extreme-mean": (GATE, _extreme_mean, 3, "NonFiniteProbability"),
+    "run-fusion-beyond-int64": (BLOCKING, LONG_FUSION, 2, "InvalidScenario"),
+    "run-encodes-beyond-int64": (BLOCKING, LONG_ENCODES, 2, "InvalidScenario"),
 }
 
 

@@ -335,6 +335,12 @@ def test_apply_resource_schedule_boundaries():
     assert apply_resource_schedule(s, 10**9) == "low"
 
 
+def test_apply_resource_schedule_clamps_a_time_before_0_to_the_first_level():
+    # unclamped, bisect's index -1 would name the last level
+    s = scenario_2mod(schedule=((0, "high"), (500_000, "low")))
+    assert apply_resource_schedule(s, -1) == "high"
+
+
 def test_encode_jobs_pin_resource_at_start():
     # job starting just before the switch keeps the fast level to completion
     s = scenario_2mod(

@@ -12,7 +12,8 @@ and runs its forward pass; the predictor and the gate each call their
 `nn.MLP`.  Only `optimizer.product_levels` decodes a position in the
 assignment product, and the CLI scores the surface in level arrays.  Only
 `nn` runs a float kernel whose bits depend on the host: a matrix or vector
-product (every other module calls `nn.dot`), `np.linalg`, exp or log.
+product (every other module calls `nn.dot`), `np.linalg`, exp or log.  Only
+`core` states the JSON type rule that every document reader applies.
 """
 
 import ast
@@ -80,6 +81,15 @@ def test_checkpoints_and_the_skip_label_are_defined_once():
     # `OracleGate.label` the one label of a prefix
     assert [name for name in ("engine.py", "workload.py") if "ceil(" in SOURCES[name]] == []
     retired = re.compile(r"\bcheckpoint_indices\b|\bagrees\(")
+    assert [name for name, text in SOURCES.items() if retired.search(text)] == []
+
+
+def test_one_module_defines_the_json_type_rule():
+    # `core.json_value` checks a value's JSON type and `core.read_record`
+    # reads a record by its type hints; the readers' own rules are gone
+    defining = re.compile(r"^def (json_value|read_record)\b|\bget_type_hints\b", re.M)
+    assert [name for name, text in SOURCES.items() if defining.search(text)] == ["core.py"]
+    retired = re.compile(r"\b(_is_number|_KINDS|_exact|_record|_json_str|_json_float|_typed)\b|\bnn\.fields\(")
     assert [name for name, text in SOURCES.items() if retired.search(text)] == []
 
 

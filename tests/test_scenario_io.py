@@ -101,6 +101,19 @@ def test_wrongly_typed_field_raises_format_error(path, value, field):
     assert any(p.startswith(field) for p in err.value.problems), err.value.problems
 
 
+def test_every_wrongly_typed_field_of_a_row_is_its_own_problem():
+    doc = _lrw_document()
+    doc["modalities"][0].update(channels=16.7, name=7)
+    del doc["latency_profile"]["entries"][0]["resource"]
+    with pytest.raises(scenario_io.ScenarioFormatError) as err:
+        scenario_io.from_document(doc)
+    assert err.value.problems == [
+        "modalities[0]: name should be str, got int",
+        "modalities[0]: channels should be int, got float",
+        "latency_profile.entries[0]: resource is missing",
+    ]
+
+
 def test_an_integer_number_field_reads_as_a_float():
     doc = _lrw_document()
     doc["tau"], doc["skip_checkpoints"] = 1, [1]
