@@ -12,8 +12,9 @@ order its kernel picks, and numpy runs other SIMD code for exp and log on
 other CPUs, so a fixed order for either is decided here alone.
 
 Weights are written as JSON number literals produced by Python's float repr,
-which round-trips every float64 exactly.  A document's fields other than
-the weight arrays are read by `core`'s one JSON type rule (`read_field`).
+which round-trips every float64 exactly.  A document's fields, and each
+number of its weight arrays, are read by `core`'s one JSON type rule
+(`read_field`, `read_weight_block`).
 """
 
 from __future__ import annotations
@@ -251,20 +252,28 @@ def read_weight_doc(path: str | Path, kind: str) -> dict:
     return doc
 
 
+def _floats(value, name: str, depth: int = 2):
+    # a weight array's lists, at most a matrix deep, each number in them read
+    # as a float and named `name item`
+    if depth and type(value) is list:
+        return [_floats(v, name, depth - 1) for v in value]
+    return json_value(value, float, name if depth == 2 else f"{name} item")
+
+
 def read_weight_block(doc: dict, input_dim: int) -> MLP:
-    """The MLP of `doc["weights"]`, float64 arrays (b2 a float) checked to
-    be finite, with no zero in `x_scale`, and to form an MLP over
-    `input_dim` inputs."""
+    """The MLP of `doc["weights"]`: float64 arrays (b2 a float) whose every
+    number is read by `core.json_value`, checked to be rectangular and
+    finite, with no zero in `x_scale`, and to form an MLP over `input_dim`
+    inputs."""
     weights = read_field(doc, "weights", dict)
     block = {}
     for key in WEIGHT_KEYS:
         try:
-            arr = np.asarray(weights[key])
-        except (KeyError, ValueError):  # missing, or ragged nesting
-            arr = None
-        if arr is None or arr.dtype.kind not in "if" or not np.all(np.isfinite(arr)):
-            raise WeightFormatError(f"weights.{key} is missing or not finite numbers")
-        block[key] = arr.astype(np.float64)
+            block[key] = np.asarray_chkfinite(_floats(weights.get(key), f"weights.{key}"), np.float64)
+        except JSONTypeError as exc:  # missing, or not a number
+            raise WeightFormatError(str(exc)) from None
+        except ValueError:  # rows of unequal length, or a number that is not finite
+            raise WeightFormatError(f"weights.{key} is not a rectangular array of finite numbers") from None
     hidden = block["b1"].size
     shapes = {"w1": (input_dim, hidden), "b1": (hidden,), "w2": (hidden,), "b2": ()}
     shapes.update(x_mean=(input_dim,), x_scale=(input_dim,))

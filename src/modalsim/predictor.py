@@ -231,10 +231,7 @@ def save_model(model: PredictorModel, path: str | Path) -> None:
         path,
         "accuracy_predictor",
         {
-            "encoding": {
-                "sensing_counts": list(model.encoding.sensing_counts),
-                "model_counts": list(model.encoding.model_counts),
-            },
+            "encoding": dataclasses.asdict(model.encoding),
             "weights": {**nn.weight_block(model.mlp), "y_mean": model.y_mean},
             "training": dataclasses.asdict(model.info),
         },

@@ -235,10 +235,15 @@ def _profile_entry(
     return (modality, sensing_level, model_level, resource), ProfileEntry(unit_encode_us, aggregation_us)
 
 
+def _schedule_pair(time: int, level: str) -> tuple[int, str]:
+    return time, level
+
+
 def _schedule_entry(pair) -> tuple[int, str]:
+    """A resource schedule's [time, level] pair, each bad item its own problem."""
     if len(json_value(pair, list)) != 2:
         raise JSONTypeError(f"should be a [time, level] pair, got {len(pair)} items")
-    return json_value(pair[0], int, "time"), json_value(pair[1], str, "level")
+    return read_record(dict(zip(("time", "level"), pair)), _schedule_pair)
 
 
 def from_document(doc: dict) -> Scenario:

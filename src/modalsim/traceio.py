@@ -22,11 +22,15 @@ bulk by the engine's one rule (`engine.layout`); a row kept whole holds its
 data as payload pairs in key order.  When a record lacks a field or has one of the wrong type, the
 records are checked one by one, and the first bad one raises `CorruptLine`
 with its line number.  A header and a summary are read at their own
-lines by `core`'s one JSON type rule (`json_value`, `read_record`).
+lines by `core`'s one JSON type rule (`json_value`, `read_record`); a
+summary is written as its `TraceSummary`'s fields, so that dataclass names
+them once for writer and reader.  A file that is not UTF-8 fails with
+`CorruptLine` at the line of its first undecodable byte.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from itertools import islice
@@ -86,14 +90,7 @@ def _event_record(t, kind, m, u, payload) -> dict:
 
 
 def _summary_record(trace: SimTrace) -> dict:
-    s = trace.summary
-    return {
-        "record": "summary",
-        "reported_latency_us": s.reported_latency_us,
-        "waiting_us": s.waiting_us,
-        "peak_buffered_units": list(s.peak_buffered_units),
-        "skipped_unit_count": s.skipped_unit_count,
-    }
+    return {"record": "summary", **dataclasses.asdict(trace.summary)}
 
 
 def _trace_records(trace: SimTrace) -> Iterable[dict]:
@@ -221,8 +218,12 @@ def _columns(recs: list[dict]) -> EventColumns:
 
 
 def read_trace(path: str | Path) -> list[SimTrace]:
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
+    raw = Path(path).read_bytes()
+    try:
+        lines = raw.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        # the first bad byte's line: the last of the text before it and a stand-in for it
+        raise CorruptLine(len((raw[: exc.start].decode() + ".").splitlines()), "not UTF-8") from None
     if not lines:
         raise SchemaVersionMismatch("empty trace file")
 

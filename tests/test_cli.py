@@ -374,11 +374,21 @@ def _grow_encoding(doc):
     doc["encoding"]["sensing_counts"][0] += 1
 
 
+def _true_in_b1(doc):
+    doc["weights"]["b1"][0] = True
+
+
+def _ragged_w1(doc):
+    doc["weights"]["w1"][0].pop()
+
+
 MALFORMED_PREDICTORS = {
     "encoding-vs-w1-rows": _grow_encoding,
     "y_mean-not-number": _set("weights", "y_mean", "70"),
     "training-not-object": _set(None, "training", None),
     "zero-x_scale": _zero_scale,
+    "true-in-b1": _true_in_b1,
+    "ragged-w1-row": _ragged_w1,
 }
 
 
@@ -435,6 +445,7 @@ HOSTILE_INPUTS = {
     "run-nested-scenario": (RUN, NESTED_JSON, 2, "ScenarioFormatError"),
     "profile-non-utf8-scenario": (PROFILE, NOT_UTF8, 2, "ScenarioFormatError"),
     "run-non-utf8-scenario": (RUN, NOT_UTF8, 2, "ScenarioFormatError"),
+    "report-non-utf8-trace": ("report --trace {bad}", NOT_UTF8 + b"\n", 3, "CorruptLine"),
     "optimize-subnormal-scale": (OPTIMIZE, _subnormal_scale, 3, "NonFiniteScore"),
     "oracle-subnormal-scale": (OPTIMIZE + " --oracle", _subnormal_scale, 3, "NonFiniteScore"),
     "optimize-extreme-mean": (OPTIMIZE, _extreme_mean, 3, "NonFiniteScore"),

@@ -4,7 +4,8 @@ A value in an int field, or in a float field, of a scenario file, a weight
 document and a trace record is taken or refused alike by each reader, each
 with its own error: `ScenarioFormatError`, `WeightFormatError` or
 `CorruptLine`.  Trace records hold no float field, so the float column is
-read by the scenario and weight-document readers.
+read by the scenario and weight-document readers, and by the weight arrays,
+which refuse NaN as not finite.
 """
 
 import json
@@ -59,6 +60,10 @@ def _weight_document(tmp_path, field, value):
     path = tmp_path / f"{field}.json"
     predictor.save_model(predictor.PredictorModel(spec, mlp, 50.0, info), path)
     doc = json.loads(path.read_text())
+    if field == "array":
+        doc["weights"]["b1"][0] = value
+        path.write_text(json.dumps(doc))
+        return lambda: float(predictor.load_model(path).mlp.b1[0])
     key = "seed" if field == "int" else "train_mse"
     doc["training"][key] = value
     path.write_text(json.dumps(doc))
@@ -91,9 +96,12 @@ def test_every_reader_takes_or_refuses_a_value_alike(case, tmp_path):
     float_readers = {
         "scenario": _scenario("float", value),
         "weight document": _weight_document(tmp_path, "float", value),
+        "weight array": _weight_document(tmp_path, "array", value),
     }
-    expected = f"float {float(value)!r}" if as_float else "refused"
-    assert {name: _seen(read) for name, read in float_readers.items()} == dict.fromkeys(float_readers, expected)
+    expected = dict.fromkeys(float_readers, f"float {float(value)!r}" if as_float else "refused")
+    if case == "nan":
+        expected["weight array"] = "refused"  # not finite
+    assert {name: _seen(read) for name, read in float_readers.items()} == expected
 
 
 def test_a_float_field_takes_every_int_a_float_can_hold():

@@ -13,14 +13,19 @@ and runs its forward pass; the predictor and the gate each call their
 assignment product, and the CLI scores the surface in level arrays.  Only
 `nn` runs a float kernel whose bits depend on the host: a matrix or vector
 product (every other module calls `nn.dot`), `np.linalg`, exp or log.  Only
-`core` states the JSON type rule that every document reader applies.
+`core` states the JSON type rule that every document reader applies, to
+each number of a weight array too, and a trace summary and a predictor's
+encoding are written from the dataclasses they are read as.
 """
 
 import ast
+import dataclasses
 import pathlib
 import re
 
 import modalsim
+from modalsim.engine import TraceSummary
+from modalsim.predictor import EncodingSpec
 
 SRC = pathlib.Path(modalsim.__file__).parent
 SOURCES = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
@@ -91,6 +96,21 @@ def test_one_module_defines_the_json_type_rule():
     assert [name for name, text in SOURCES.items() if defining.search(text)] == ["core.py"]
     retired = re.compile(r"\b(_is_number|_KINDS|_exact|_record|_json_str|_json_float|_typed)\b|\bnn\.fields\(")
     assert [name for name, text in SOURCES.items() if retired.search(text)] == []
+
+
+def string_literals(text: str) -> set[str]:
+    nodes = ast.walk(ast.parse(text))
+    return {node.value for node in nodes if isinstance(node, ast.Constant) and type(node.value) is str}
+
+
+def test_weight_arrays_and_written_records_follow_their_one_statement():
+    # each weight-array number is read by `core.json_value`, not by its
+    # numpy dtype, and a trace summary and a predictor's encoding are written
+    # from their dataclasses, which name their fields once for writer and reader
+    assert "dtype.kind" not in SOURCES["nn.py"]
+    for module, cls in (("traceio.py", TraceSummary), ("predictor.py", EncodingSpec)):
+        fields = {field.name for field in dataclasses.fields(cls)}
+        assert fields & string_literals(SOURCES[module]) == set(), module
 
 
 def float_kernels(text: str) -> list[str]:

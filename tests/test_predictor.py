@@ -2,7 +2,9 @@
 
 import copy
 import itertools
+import json
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -354,6 +356,49 @@ def test_model_serialization_round_trip(tmp_path):
     # write -> read -> write is byte stable
     save_model(back, tmp_path / "again.json")
     assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+
+def _edited_model_file(tmp_path, edits):
+    """A small saved predictor document with each value of `edits` put at
+    its place, a path of keys and indices, in its weights."""
+    spec = EncodingSpec(sensing_counts=(2,), model_counts=(2,))
+    mlp = nn.MLP(np.zeros((spec.dim, 2)), np.zeros(2), np.zeros(2), 0.0, np.zeros(spec.dim), np.ones(spec.dim))
+    path = tmp_path / "predictor.json"
+    save_model(PredictorModel(spec, mlp, 50.0, predictor.TrainingInfo(0, 1, 0.1, 0.0, 0.0, 0.0)), path)
+    doc = json.loads(path.read_text())
+    for (*outer, last), value in edits.items():
+        target = doc["weights"]
+        for part in outer:
+            target = target[part]
+        target[last] = value
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize(
+    "where, value, problem",
+    [
+        (("b1", 0), True, "weights.b1 item should be float, got bool"),
+        (("w1", 0, 1), "1", "weights.w1 item should be float, got str"),
+        (("w1", 0, 1), [0.0], "weights.w1 item should be float, got list"),
+        (("b2",), 2**1024, "weights.b2 should be float, got int"),
+        (("w2",), "abc", "weights.w2 should be float, got str"),
+        (("x_mean",), None, "weights.x_mean should be float, got NoneType"),
+        (("w1", 0), [0.0], "weights.w1 is not a rectangular array of finite numbers"),
+        (("w2", 0), float("inf"), "weights.w2 is not a rectangular array of finite numbers"),
+    ],
+    ids=["true-in-b1", "str-in-w1", "list-in-w1", "b2-beyond-float", "w2-str", "x_mean-null", "ragged-w1", "inf-in-w2"],
+)
+def test_each_weight_array_number_is_read_by_the_json_type_rule(tmp_path, where, value, problem):
+    with pytest.raises(nn.WeightFormatError, match=f"^{re.escape(problem)}$"):
+        load_model(_edited_model_file(tmp_path, {where: value}))
+
+
+def test_a_weight_array_reads_an_int_as_a_float_like_every_float_field(tmp_path):
+    edits = {("b2",): 2**63, ("y_mean",): 2**63, ("b1", 0): 2**64}
+    back = load_model(_edited_model_file(tmp_path, edits))
+    assert (back.mlp.b2, back.y_mean, back.mlp.b1[0]) == (2.0**63, 2.0**63, 2.0**64)
+    assert type(back.mlp.b2) is type(back.y_mean) is float
 
 
 def test_fit_floors_on_noisy_surface():

@@ -114,6 +114,17 @@ def test_every_wrongly_typed_field_of_a_row_is_its_own_problem():
     ]
 
 
+def test_each_bad_item_of_a_schedule_pair_is_its_own_problem():
+    doc = _lrw_document()
+    doc["resource_schedule"][0] = [0.5, 7]
+    with pytest.raises(scenario_io.ScenarioFormatError) as err:
+        scenario_io.from_document(doc)
+    assert err.value.problems == [
+        "resource_schedule[0]: time should be int, got float",
+        "resource_schedule[0]: level should be str, got int",
+    ]
+
+
 def test_an_integer_number_field_reads_as_a_float():
     doc = _lrw_document()
     doc["tau"], doc["skip_checkpoints"] = 1, [1]

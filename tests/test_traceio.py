@@ -153,6 +153,18 @@ def test_corrupt_line_reports_line_number(tmp_path):
     assert err.value.line_number == 3
 
 
+@pytest.mark.parametrize("end", [b"\n", b"\r\n"])
+def test_a_byte_that_is_not_utf8_is_named_at_its_line(tmp_path, end):
+    path = tmp_path / "t.jsonl"
+    traceio.write_trace(real_trace(), path)
+    lines = path.read_bytes().splitlines()
+    lines[2] = lines[2].replace(b'"record"', b'"rec\xffrd"')
+    path.write_bytes(end.join(lines) + end)
+    with pytest.raises(CorruptLine, match="^line 3: not UTF-8$") as err:
+        traceio.read_trace(path)
+    assert err.value.line_number == 3
+
+
 def test_schema_version_mismatch(tmp_path):
     trace = real_trace()
     path = tmp_path / "t.jsonl"
