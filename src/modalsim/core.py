@@ -36,10 +36,6 @@ class IncompleteTrace(ModalsimError):
     pass
 
 
-class MalformedTrace(ModalsimError):
-    """A trace event's modality, or a value the report reads, is not an int."""
-
-
 class GateRequiredButMissing(ModalsimError):
     pass
 
@@ -105,17 +101,23 @@ class JSONTypeError(TypeError):
         return "; ".join(self.args)
 
 
+MISSING = object()  # the value of a key a JSON object lacks: `obj.get(key, MISSING)`
+
+
 def json_value(value, kind: type, name: str = "value"):
     """`value` read as the JSON type `kind`: the one type rule of every
     document the package reads.  An int is an int that is no bool; a str, a
     list and a dict are exactly those; a float is a float, or an int (no
     bool) read as a float, unless it is too large for one.  Raises
-    JSONTypeError naming `name` otherwise."""
+    JSONTypeError naming `name` otherwise, saying it is missing when
+    `value` is MISSING, not of the wrong type as a null is."""
     if type(value) is kind:
         return value
     if kind is float and type(value) is int:
         with contextlib.suppress(OverflowError):
             return float(value)
+    if value is MISSING:
+        raise JSONTypeError(f"{name} is missing")
     raise JSONTypeError(f"{name} should be {kind.__name__}, got {type(value).__name__}")
 
 
@@ -143,10 +145,8 @@ def read_record(obj, build, name: str = ""):
     values, problems = [], []
     for key, kind, item, item_name in _record_fields(build):
         try:
-            value = json_value(obj[key], kind, key)
+            value = json_value(obj.get(key, MISSING), kind, key)
             values.append(tuple([json_value(v, item, item_name) for v in value]) if item else value)
-        except KeyError:
-            problems.append(f"{key} is missing")
         except JSONTypeError as exc:
             problems += exc.args
     if problems:

@@ -24,15 +24,17 @@ the closed-form latency model to the microsecond.
   _emit        the unit and aggregation events, truncated at a skip commit
                or (non-blocking) at fusion, and the peak buffer count.
 
-A window writes about three events per unit, so every trace keeps its
-events as `EventColumns`, the one form from the engine to the report:
-int64 columns for time, kind, modality, unit and the int payload values,
-an object column for strings, and one for the few events kept whole as
-plain tuples.  `_emit` fills a modality's rows with array operations, and
-one stable `np.lexsort` on (time, modality, unit, kind) puts the window in
-trace order.  A trace file's events are laid out by one rule, `layout`.
-An `Event`, a plain `NamedTuple` record equal to a tuple of its five
-fields, is built only when `SimTrace.events` is first read.
+Every event the engine writes has one layout in one table, `LAYOUTS`,
+which its kind and payload key set pick out: the one event schema, which
+the trace writer, the reader and the report share.  A window writes about
+three events per unit, so every trace keeps its events as `EventColumns`,
+the one form from the engine to the report: a row's layout code, int64
+columns for time, modality and unit, and typed columns for the payload
+values its layout names.  `_emit` fills a modality's rows with array
+operations, and one stable `np.lexsort` on (time, modality, unit, the
+kind's rank) puts the window in trace order.  An `Event`, a plain
+`NamedTuple` record equal to a tuple of its five fields, is built only
+when `SimTrace.events` is first read.
 
 The window-feature model lives here alone, and every other module goes
 through it: `feature_vector` (one modality's temporal aggregate),
@@ -62,8 +64,7 @@ from __future__ import annotations
 import bisect
 import enum
 from dataclasses import dataclass
-from itertools import compress, repeat
-from operator import eq, itemgetter
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -89,7 +90,6 @@ DEFAULT_SHIFT = ShiftSpec(n_groups=3, shift_distance=1)
 DEFAULT_DIFF = DiffSpec(scales=(1, 2), encoder_width=8)
 
 NULL = 1 << 31  # the m or u column of an event without a modality or unit; sorts after any id
-_ABORTED = (("aborted", True),)  # payload of an encode cut before it finished
 _NEVER = np.iinfo(np.int64).max  # the cut of a modality without a skip commit
 
 
@@ -106,19 +106,32 @@ class EventKind(enum.Enum):
     RESOURCE_CHANGE = "resource_change"
 
 
-KINDS = tuple(EventKind)  # a kind's code in the `kind` column: its declaration index, its sort rank
+KINDS = tuple(EventKind)  # a kind's declaration index is its sort rank
 
-# The kinds whose rows keep their payload in columns: how many of (modality,
-# unit) such a row has, and its payload keys in key order, each with its
-# column (`a`, `b`: int; `s`: str).  Any other row is kept whole (see `layout`).
-LAYOUT = {
-    EventKind.UNIT_SENSED: (2, (("sense_end_us", "a"),)),
-    EventKind.ENCODE_START: (2, (("encode_cost_us", "a"), ("resource", "s"))),
-    EventKind.ENCODE_END: (2, ()),
-    EventKind.AGGREGATION_DONE: (1, (("prefix", "a"), ("started_us", "b"))),
-    EventKind.FUSION_START: (0, ()),
-    EventKind.PREDICTION_EMITTED: (0, (("label", "a"),)),
-    EventKind.RESOURCE_CHANGE: (0, (("level", "s"),)),
+# The one event schema: each layout of an event the engine writes, a row's
+# `code` being its index here.  A layout is a kind, how many of (modality,
+# unit) the event has, and its payload keys in key order, each with the
+# column that holds its value (`COLUMNS`): `a`, `b` int; `x`, `y` finite
+# float; `c` bool; `s` str; `p` (int, int) pairs.
+LAYOUTS = (
+    (EventKind.UNIT_SENSED, 2, {"sense_end_us": "a"}),
+    (EventKind.ENCODE_START, 2, {"encode_cost_us": "a", "resource": "s"}),
+    (EventKind.ENCODE_END, 2, {}),
+    (EventKind.ENCODE_END, 2, {"aborted": "c"}),
+    (EventKind.CHECKPOINT_EVAL, 1, {"already_completed": "c", "fraction": "x"}),
+    (EventKind.CHECKPOINT_EVAL, 1, {"committed": "c", "fraction": "x", "probability": "y"}),
+    (EventKind.SKIP_COMMITTED, 1, {"fraction": "x", "prefix": "a", "probability": "y", "units_skipped": "b"}),
+    (EventKind.AGGREGATION_DONE, 1, {"prefix": "a", "started_us": "b"}),
+    (EventKind.FUSION_START, 0, {}),
+    (EventKind.PREDICTION_EMITTED, 0, {"label": "a"}),
+    (EventKind.CONFIG_SWITCH, 0, {"pairs": "p", "probe_cost_us": "a"}),
+    (EventKind.RESOURCE_CHANGE, 0, {"level": "s"}),
+)
+_CODES = {(kind, frozenset(cols)): code for code, (kind, _, cols) in enumerate(LAYOUTS)}
+_RANK = np.array([KINDS.index(kind) for kind, _, _ in LAYOUTS])
+COLUMNS = {  # each `EventColumns` column's dtype
+    "t": np.int64, "code": np.int64, "m": np.int64, "u": np.int64, "a": np.int64, "b": np.int64,
+    "x": np.float64, "y": np.float64, "c": bool, "s": object, "p": object,
 }
 
 
@@ -145,26 +158,26 @@ class Event(NamedTuple):
 class EventColumns:
     """A trace's events as columns, one row per event in trace order.
 
-    `t`, `kind` (an index into `KINDS`), `m` and `u` are int64, with NULL for
-    no modality or unit.  A row `layout` lays out keeps its payload in the
-    int64 columns `a` and `b` and the object column `s`, and None in `whole`.
-    Any other row keeps its event whole in `whole`, as the plain tuple
-    (t, kind, m, u, payload), and 0, 0 and None in `a`, `b` and `s`; its `t`,
-    `m` and `u` columns hold the values that fit them, and NULL for any
-    other.
+    `code` is a row's layout (an index into `LAYOUTS`); `t`, `m` and `u`
+    are int64, with NULL for no modality or unit.  A row keeps each payload
+    value in the column its layout names, and 0 of their type in the other
+    payload columns (`COLUMNS`).
     """
 
     t: np.ndarray
-    kind: np.ndarray
+    code: np.ndarray
     m: np.ndarray
     u: np.ndarray
     a: np.ndarray
     b: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    c: np.ndarray
     s: np.ndarray
-    whole: np.ndarray
+    p: np.ndarray
 
     def columns(self) -> list[np.ndarray]:
-        return [self.t, self.kind, self.m, self.u, self.a, self.b, self.s, self.whole]
+        return [getattr(self, name) for name in COLUMNS]
 
     def take(self, index) -> EventColumns:
         """The rows a slice or an array of row numbers selects."""
@@ -172,15 +185,14 @@ class EventColumns:
 
     def rows(self) -> list[tuple]:
         """The rows in order, each as the plain tuple of its `Event`'s fields."""
-        rows, laid = self.whole.tolist(), np.equal(self.whole, None)
-        for kind, (ids, keys) in LAYOUT.items():
-            at = np.flatnonzero(laid & (self.kind == KINDS.index(kind)))
+        rows = [None] * len(self.t)
+        for code, (kind, ids, cols) in enumerate(LAYOUTS):
+            at = np.flatnonzero(self.code == code)
             m = self.m[at].tolist() if ids > 0 else [None] * len(at)
             u = self.u[at].tolist() if ids > 1 else [None] * len(at)
-            values = zip(*(getattr(self, col)[at].tolist() for _, col in keys)) if keys else [()] * len(at)
-            names = [key for key, _ in keys]
+            values = zip(*(getattr(self, c)[at].tolist() for c in cols.values())) if cols else [()] * len(at)
             for i, t, mi, ui, v in zip(at.tolist(), self.t[at].tolist(), m, u, values):
-                rows[i] = (t, kind, mi, ui, tuple(zip(names, v)))
+                rows[i] = (t, kind, mi, ui, tuple(zip(cols, v)))
         return rows
 
     def __eq__(self, other):  # the same rows in the same columns
@@ -195,91 +207,30 @@ class EventColumns:
         return tuple(Event(*row) for row in self.rows())
 
 
-def object_column(values) -> np.ndarray:
-    """A 1-d object array of `values`, tuples and strings kept whole."""
-    return np.fromiter(values, object, len(values))
+def column(values, dtype) -> np.ndarray:
+    """A 1-d array of `values`; an object column keeps tuples whole."""
+    return np.fromiter(values, object, len(values)) if dtype is object else np.asarray(values, dtype)
 
 
-_HIGH = 1 << 63  # int64 holds [-_HIGH, _HIGH)
-_IDS = np.array([LAYOUT[kind][0] if kind in LAYOUT else -1 for kind in KINDS])
+def _row(t, kind, m=None, u=None, **payload) -> tuple:
+    """One event's row of `EventColumns` values: its kind and payload keys
+    name its layout, which puts each payload value in its column."""
+    code = _CODES[kind, frozenset(payload)]
+    values = dict.fromkeys(list(COLUMNS)[4:], 0) | {col: payload[k] for k, col in LAYOUTS[code][2].items()}
+    return t, code, NULL if m is None else m, NULL if u is None else u, *values.values()
 
 
-def _int_column(values: list, ids: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """`values` as an int64 column, and where each fits it: an exact int in
-    int64, or for a modality or unit (`ids`) None (NULL in the column) or an
-    exact int below NULL.  A value that does not fit is NULL in the column."""
-    if set(map(type, values)) <= {int, type(None) if ids else int}:
-        try:
-            col = np.array([NULL if v is None else v for v in values] if ids else values, np.int64)
-            if not ids or np.count_nonzero(col >= NULL) == values.count(None):
-                return col, np.ones(len(values), bool)
-        except OverflowError:
-            pass
-    top = NULL if ids else _HIGH
-    fits = [(ids and v is None) or (type(v) is int and -_HIGH <= v < top) for v in values]
-    col = [v if f and v is not None else NULL for v, f in zip(values, fits)]
-    return np.array(col, np.int64), np.array(fits, bool)
-
-
-def _laid(dicts: list[dict], keys) -> tuple[np.ndarray, list[list]]:
-    """Which payload dicts have exactly the layout's `keys`, with values that
-    fit their columns; and those values, a list per key."""
-    names = [key for key, _ in keys]
-    ok = np.fromiter(map(eq, map(dict.keys, dicts), repeat(set(names))), bool, len(dicts))
-    group = list(compress(dicts, ok))
-    values = [list(map(itemgetter(key), group)) for key in names]
-    fits = np.ones(len(group), bool)
-    for v, (_, col) in zip(values, keys):
-        fits &= np.fromiter(map(type, v), object, len(v)) == str if col == "s" else _int_column(v)[1]
-    ok[ok] = fits
-    return ok, [list(compress(v, fits)) for v in values]
-
-
-def layout(t: list, kind: list[int], m: list, u: list, data: list[dict], payload) -> EventColumns:
-    """Events as columns by the one layout rule.
-
-    Each list holds a value per row: its time, kind code, modality and unit,
-    and its payload as a dict; `payload(i)` gives row i's payload pairs in
-    key order.  A row is laid out when its time is an int in int64, its
-    modality and unit ints below NULL or None as its kind's LAYOUT has them,
-    and its payload that layout's keys with values of their columns' types,
-    int in int64 or str; any other row is kept whole, and only then is its
-    `payload` called.
-    """
-    n = len(t)
-    code = np.array(kind, np.int64)
-    (tc, t_fits), (mc, m_fits), (uc, u_fits) = _int_column(t), _int_column(m, True), _int_column(u, True)
-    ids = _IDS[code]
-    laid = t_fits & m_fits & u_fits & ((mc != NULL) == (ids > 0)) & ((uc != NULL) == (ids > 1)) & (ids >= 0)
-    cols = {"a": np.zeros(n, np.int64), "b": np.zeros(n, np.int64), "s": object_column([None] * n)}
-    for k, (_, keys) in LAYOUT.items():
-        rows = np.flatnonzero(laid & (code == KINDS.index(k)))
-        ok, values = _laid(list(map(data.__getitem__, rows.tolist())), keys)
-        laid[rows[~ok]] = False
-        for (_, col), v in zip(keys, values):
-            cols[col][rows[ok]] = object_column(v) if col == "s" else v
-    whole = object_column([None] * n)
-    for i in np.flatnonzero(~laid).tolist():
-        whole[i] = (t[i], KINDS[kind[i]], m[i], u[i], payload(i))
-    return EventColumns(tc, code, mc, uc, cols["a"], cols["b"], cols["s"], whole)
-
-
-def _row(t, kind, m=None, a=0, b=0, s=None, payload=None) -> tuple:
-    """One event's row of `EventColumns` values, kept whole when it has a
-    payload."""
-    whole = None if payload is None else (t, kind, m, None, payload)
-    return t, KINDS.index(kind), NULL if m is None else m, NULL, a, b, s, whole
-
-
-def _sorted(rows: list[tuple], blocks: list[tuple]) -> EventColumns:
-    """Single rows and column blocks in trace order, by one stable sort on
-    (t, m, u, kind).  Only events of one kind from one source can tie (two
-    checkpoint evaluations at one time), and they keep their order here."""
-    blocks = [[list(c) for c in zip(*rows)], *blocks]
-    ints = [np.concatenate([np.asarray(blk[j], np.int64) for blk in blocks]) for j in range(6)]
-    objs = [np.concatenate([object_column(blocks[0][j]), *(blk[j] for blk in blocks[1:])]) for j in (6, 7)]
-    t, kind, m, u = ints[:4]
-    return EventColumns(*ints, *objs).take(np.lexsort((kind, u, m, t)))
+def _sorted(rows: list[tuple], blocks: list[dict]) -> EventColumns:
+    """Single rows, and column blocks that leave out payload columns they
+    have no values in, in trace order: one stable sort on (t, m, u, kind's
+    rank).  Only events of one kind from one source can tie (two checkpoint
+    evaluations at one time), and they keep their order here."""
+    blocks = [{key: column(c, dtype) for (key, dtype), c in zip(COLUMNS.items(), zip(*rows))}, *blocks]
+    log = EventColumns(*(
+        np.concatenate([b[key] if key in b else np.zeros(len(b["t"]), dtype) for b in blocks])
+        for key, dtype in COLUMNS.items()
+    ))
+    return log.take(np.lexsort((_RANK[log.code], log.u, log.m, log.t)))
 
 
 @dataclass(frozen=True)
@@ -309,7 +260,7 @@ class SimTrace:
     def of_kind(self, kind: EventKind) -> list[tuple]:
         """The events of one kind as tuples of `Event` fields, without
         building an `Event`."""
-        return self.log.take(self.log.kind == KINDS.index(kind)).rows()
+        return self.log.take(_RANK[self.log.code] == KINDS.index(kind)).rows()
 
 
 def apply_resource_schedule(scenario: Scenario, time_us: int) -> str:
@@ -411,8 +362,8 @@ def run(
     window_start = 0
     if config_decision is not None:
         window_start = config_decision.probe_cost_us
-        payload = (("pairs", tuple(assignment.pairs)), ("probe_cost_us", window_start))
-        rows.append(_row(0, EventKind.CONFIG_SWITCH, payload=payload))
+        switch = dict(pairs=tuple(assignment.pairs), probe_cost_us=window_start)
+        rows.append(_row(0, EventKind.CONFIG_SWITCH, **switch))
 
     skipping = mode is ExecutionMode.PIPELINED and bool(scenario.skip_checkpoints)
     if skipping and gate is None:
@@ -431,13 +382,13 @@ def run(
     # resource changes up to the fusion point
     for t, level in scenario.resource_schedule:
         if t <= fusion_start:
-            rows.append(_row(t, EventKind.RESOURCE_CHANGE, s=level))
+            rows.append(_row(t, EventKind.RESOURCE_CHANGE, level=level))
 
     label = fused_label(scenario, [p.fused for p in plans])
 
     rows.append(_row(fusion_start, EventKind.FUSION_START))
     prediction_time = fusion_start + scenario.latency_profile.fusion_us
-    rows.append(_row(prediction_time, EventKind.PREDICTION_EMITTED, a=label))
+    rows.append(_row(prediction_time, EventKind.PREDICTION_EMITTED, label=label))
 
     summary = TraceSummary(
         reported_latency_us=(prediction_time - window_start) - t_w,
@@ -497,34 +448,27 @@ def _apply_skip(scenario, assignment, plans, gate, window_start, rows) -> None:
 
     for prefix, fraction in checkpoints(scenario.skip_checkpoints, slow.n):
         t_eval = max(slow.enc_end[prefix - 1], fast_done)
+        evaluated = t_eval, EventKind.CHECKPOINT_EVAL, slow_id
         if t_eval >= slow.enc_end[-1]:
             # nothing left to skip: the modality beat the checkpoint
-            payload = (("already_completed", True), ("fraction", fraction))
-            rows.append(_row(t_eval, EventKind.CHECKPOINT_EVAL, slow_id, payload=payload))
+            rows.append(_row(*evaluated, already_completed=True, fraction=fraction))
             continue
         f_slow = feature_vector(slow.rows[:prefix])
         decision = gate_eval(gate, f_fast, f_slow, fraction, scenario.tau)
         committed, p = decision.committed, decision.probability
-        payload = (("committed", committed), ("fraction", fraction), ("probability", p))
-        rows.append(_row(t_eval, EventKind.CHECKPOINT_EVAL, slow_id, payload=payload))
+        rows.append(_row(*evaluated, committed=committed, fraction=fraction, probability=p))
         if not committed:
             continue
         slow.aggregate_at(t_eval, prefix)
         slow.fused = f_slow
         slow.cut = t_eval
-        payload = (
-            ("fraction", fraction),
-            ("prefix", prefix),
-            ("probability", p),
-            ("units_skipped", slow.n - prefix),
-        )
-        rows.append(_row(t_eval, EventKind.SKIP_COMMITTED, slow_id, payload=payload))
+        skip = dict(fraction=fraction, prefix=prefix, probability=p, units_skipped=slow.n - prefix)
+        rows.append(_row(t_eval, EventKind.SKIP_COMMITTED, slow_id, **skip))
         return
 
 
-_UNIT_KINDS = [
-    KINDS.index(kind) for kind in (EventKind.UNIT_SENSED, EventKind.ENCODE_START, EventKind.ENCODE_END)
-]
+_UNIT_CODES = [0, 1, 2]  # the first three layouts: unit_sensed, encode_start and an unaborted encode_end
+_ABORTED = _CODES[EventKind.ENCODE_END, frozenset({"aborted"})]
 
 
 def _emit(plan, fusion_start, rows, blocks) -> int:
@@ -547,7 +491,8 @@ def _emit(plan, fusion_start, rows, blocks) -> int:
     if plan.agg_done > fusion_start:
         plan.fused = feature_vector(np.where(ends[:, None] <= fusion_start, plan.rows, 0.0))
     else:
-        rows.append(_row(plan.agg_done, EventKind.AGGREGATION_DONE, mid, a=plan.agg_prefix, b=plan.agg_start))
+        agg = dict(prefix=plan.agg_prefix, started_us=plan.agg_start)
+        rows.append(_row(plan.agg_done, EventKind.AGGREGATION_DONE, mid, **agg))
         if plan.fused is None:
             plan.fused = feature_vector(plan.rows)
 
@@ -556,21 +501,22 @@ def _emit(plan, fusion_start, rows, blocks) -> int:
     starts = np.concatenate(([plan.first], ends))[:n]
     e = max(int(np.searchsorted(ends, cut, "right")), int(np.searchsorted(starts, cut)))
     sensed, leaves, units = sensed[:k], np.minimum(ends[:k], cut), np.arange(e)
-    resource, whole = np.full((2, k + 2 * e), None, object)
-    resource[k : k + e] = object_column(plan.enc_resource[:e])
+    rows_n = k + 2 * e
+    code, aborted = np.repeat(_UNIT_CODES, (k, e, e)), np.zeros(rows_n, bool)
+    resource = np.zeros(rows_n, object)
+    resource[k : k + e] = column(plan.enc_resource[:e], object)
     costs = np.array([plan.costs[level] for level in plan.enc_resource[:e]], np.int64)
     if e and ends[e - 1] > cut:
-        whole[-1] = (cut, EventKind.ENCODE_END, mid, e - 1, _ABORTED)
-    blocks.append((
-        np.concatenate([sensed, starts[:e], leaves[:e]]),
-        np.repeat(_UNIT_KINDS, (k, e, e)),
-        np.full(k + 2 * e, mid),
-        np.concatenate([np.arange(k), units, units]),
-        np.concatenate([sensed + plan.interval, costs, np.zeros(e, np.int64)]),
-        np.zeros(k + 2 * e, np.int64),
-        resource,
-        whole,
-    ))
+        code[-1], aborted[-1] = _ABORTED, True
+    blocks.append({
+        "t": np.concatenate([sensed, starts[:e], leaves[:e]]),
+        "code": code,
+        "m": np.full(rows_n, mid),
+        "u": np.concatenate([np.arange(k), units, units]),
+        "a": np.concatenate([sensed + plan.interval, costs, np.zeros(e, np.int64)]),
+        "c": aborted,
+        "s": resource,
+    })
     return _peak_occupancy(sensed, leaves)
 
 

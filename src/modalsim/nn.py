@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rng
-from .core import JSONTypeError, ModalsimError, json_value, read_record
+from .core import MISSING, JSONTypeError, ModalsimError, json_value, read_record
 
 WEIGHT_DOC_VERSION = 1
 WEIGHT_KEYS = ("w1", "b1", "w2", "b2", "x_mean", "x_scale")
@@ -231,9 +231,9 @@ def read_field(doc: dict, path: str, kind):
     wrongly typed field."""
     section, _, key = path.rpartition(".")
     try:
-        where = json_value(doc.get(section), dict, section) if section else doc
+        where = json_value(doc.get(section, MISSING), dict, section) if section else doc
         read = read_record if dataclasses.is_dataclass(kind) else json_value
-        return read(where.get(key), kind, path)
+        return read(where.get(key, MISSING), kind, path)
     except JSONTypeError as exc:
         raise WeightFormatError(str(exc)) from None
 
@@ -269,7 +269,7 @@ def read_weight_block(doc: dict, input_dim: int) -> MLP:
     block = {}
     for key in WEIGHT_KEYS:
         try:
-            block[key] = np.asarray_chkfinite(_floats(weights.get(key), f"weights.{key}"), np.float64)
+            block[key] = np.asarray_chkfinite(_floats(weights.get(key, MISSING), f"weights.{key}"), np.float64)
         except JSONTypeError as exc:  # missing, or not a number
             raise WeightFormatError(str(exc)) from None
         except ValueError:  # rows of unequal length, or a number that is not finite

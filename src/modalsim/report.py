@@ -4,11 +4,10 @@ Per (sample, modality): pure encode compute, sensing-bound stall inside the
 pipeline, barrier waiting, and the skip saving versus the no-skip projection;
 plus a per-sample total row carrying the window-level numbers.  Everything is
 recomputed from raw events so an independent script can check each cell.
-The events are read from the trace's columns, and the rare rows kept whole
-from their tuples.  An event without a payload key the breakdown reads
-raises IncompleteTrace; an event whose modality is not an int or None, or
-whose time or payload value the breakdown reads is not an int, raises
-MalformedTrace.
+The events are read from the trace's columns, each kind the breakdown
+reads from the columns of its one layout in the event schema
+(`engine.LAYOUTS`), so every time and value it reads is an int: the trace
+reader refuses an event off that schema.
 """
 
 from __future__ import annotations
@@ -19,8 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import IncompleteTrace, MalformedTrace
-from .engine import KINDS, LAYOUT, NULL, EventKind, SimTrace
+from .engine import LAYOUTS, NULL, EventKind, SimTrace
 
 CSV_COLUMNS = [
     "sample_id",
@@ -82,38 +80,19 @@ def _new_modality() -> dict:
 
 def _read(trace: SimTrace, kind: EventKind, keys=()) -> list[tuple]:
     """(modality, time, the payload values under `keys`) of each event of
-    `kind` in trace order, but those without a modality when `keys` are
-    read: a laid-out row's from its columns, a row kept whole from its
-    tuple."""
-    c, where = trace.log, f"sample {trace.sample_id}: {kind.value} event"
-    at = np.flatnonzero(c.kind == KINDS.index(kind))
-    cols = dict(LAYOUT.get(kind, (0, ()))[1])  # a kind without a layout has only whole rows
-    values = (getattr(c, cols.get(key, "a"))[at].tolist() for key in keys)
-    rows = list(zip(c.m[at].tolist(), c.t[at].tolist(), *values))
-    for j in np.flatnonzero(np.not_equal(c.whole, None)[at]).tolist():
-        t, _, m, _, payload = c.whole[at[j]]
-        if m is None and keys:  # no modality's facts read it
-            rows[j] = None
-            continue
-        data = dict(payload)
-        if missing := [key for key in keys if key not in data]:
-            raise IncompleteTrace(f"{where} lacks payload key {missing[0]!r}")
-        rows[j] = (m, t, *(data[key] for key in keys))
-        if set(map(type, rows[j][1:])) - {int}:
-            raise MalformedTrace(f"{where} has {rows[j][1:]!r} where the report reads ints")
-    return [row for row in rows if row is not None]
+    `kind` in trace order, from the columns of its one layout."""
+    ((code, cols),) = [(code, cols) for code, (k, _, cols) in enumerate(LAYOUTS) if k is kind]
+    c = trace.log
+    at = np.flatnonzero(c.code == code)
+    values = (getattr(c, cols[key])[at].tolist() for key in keys)
+    return list(zip(c.m[at].tolist(), c.t[at].tolist(), *values))
 
 
 def _facts(trace: SimTrace):
     """Per modality the trace facts the rows are computed from, the fusion
     start and the prediction time."""
     c = trace.log
-    whole = [row for row in c.whole.tolist() if row is not None]
-    for _, kind, m, _, _ in whole:
-        if m is not None and type(m) is not int:
-            raise MalformedTrace(f"sample {trace.sample_id}: {kind.value} event has modality {m!r}")
-    ids = set(c.m[np.equal(c.whole, None) & (c.m != NULL)].tolist()) | {row[2] for row in whole}
-    per = {mid: _new_modality() for mid in ids - {None}}
+    per = {mid: _new_modality() for mid in set(c.m[c.m != NULL].tolist())}
     for mid, t, end in reversed(_read(trace, EventKind.UNIT_SENSED, ("sense_end_us",))):
         per[mid]["interval_us"] = end - t  # read backwards, the first unit's stays
     for mid, t, cost in _read(trace, EventKind.ENCODE_START, ("encode_cost_us",)):

@@ -7,19 +7,26 @@ repr-round-trip floats, so write -> read -> write is byte-stable.
 
 Every line is the compact, sorted-key `json.dumps` of its record: `_dump`
 over `_trace_records` is the reference for the file's bytes.  A trace's
-events are `EventColumns`, written a kind at a time: a row laid out in
-columns (`engine.LAYOUT`) through its kind's %-template, whose keys are
+events are `EventColumns`, written a layout at a time (`engine.LAYOUTS`,
+the one event schema) through the layout's %-template, whose keys are
 fixed in the reference order `data, kind, m, record, t, u` with the
-payload's keys in sorted order, and a row kept whole through `_dump`.
+payload's keys in sorted order.  Each payload value is written as
+`json.dumps` writes it: an int by `%d`, a finite float by
+`float.__repr__`, a bool as `true` or `false`, a str escaped, and int
+pairs as nested lists.
 
 The reader verifies the checksum once over the joined lines and parses the
 whole file with one `json.loads` of its lines as a JSON array.  When that
 parse fails, or cannot be shown to have taken exactly one value from each
 line, the lines are parsed one by one, so an error names the first bad line.
-The event records are read as their time, which must be an int (a float
-or a bool is refused), the kind, `m`, `u` and the data dict, and laid out in
-bulk by the engine's one rule (`engine.layout`); a row kept whole holds its
-data as payload pairs in key order.  When a record lacks a field or has one of the wrong type, the
+The event records are read as their time, which must be an int in int64 (a
+float or a bool is refused), the kind, `m`, `u` and the data dict, and laid
+out in bulk by the schema: a record's kind and payload key set name its
+layout, and each payload value is read by `core`'s one JSON type rule
+(`json_value`) as its column's type.  The reader refuses what the engine
+never writes: a kind and key set without a layout, a modality or unit the
+layout does not have, or a value its column cannot hold, such as a float
+that is not finite.  When a record lacks a field or is refused, the
 records are checked one by one, and the first bad one raises `CorruptLine`
 with its line number.  A header and a summary are read at their own
 lines by `core`'s one JSON type rule (`json_value`, `read_record`); a
@@ -30,9 +37,9 @@ them once for writer and reader.  A file that is not UTF-8 fails with
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
+from dataclasses import fields
 from itertools import islice
 from json.encoder import encode_basestring_ascii as _string
 from operator import itemgetter
@@ -41,8 +48,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import ConfigAssignment, ExecutionMode, ModalsimError, json_value, read_record
-from .engine import KINDS, LAYOUT, EventColumns, SimTrace, TraceSummary, layout, object_column
+from .core import ConfigAssignment, ExecutionMode, JSONTypeError, ModalsimError, json_value, read_record
+from .engine import COLUMNS, LAYOUTS, NULL, EventColumns, SimTrace, TraceSummary, column
 
 TRACE_SCHEMA_VERSION = 1
 
@@ -90,7 +97,7 @@ def _event_record(t, kind, m, u, payload) -> dict:
 
 
 def _summary_record(trace: SimTrace) -> dict:
-    return {"record": "summary", **dataclasses.asdict(trace.summary)}
+    return {"record": "summary", **{f.name: getattr(trace.summary, f.name) for f in fields(TraceSummary)}}
 
 
 def _trace_records(trace: SimTrace) -> Iterable[dict]:
@@ -101,29 +108,37 @@ def _trace_records(trace: SimTrace) -> Iterable[dict]:
     yield _summary_record(trace)
 
 
-def _template(kind, ids: int, keys) -> tuple[str, list[str]]:
-    """The line of a laid-out row of `kind` as a %-template, and the columns
+# each payload column but an int one (`%d`) by the function that writes its
+# values as `json.dumps` does; a float column holds only finite floats
+_TEXT = {
+    "x": float.__repr__,
+    "y": float.__repr__,
+    "c": ("false", "true").__getitem__,
+    "s": _string,
+    "p": lambda pairs: "[%s]" % ",".join("[%d,%d]" % pair for pair in pairs),
+}
+
+
+def _template(kind, ids: int, cols: dict) -> tuple[str, list[str]]:
+    """The line of an event of one layout as a %-template, and the columns
     that fill it, in order."""
-    data = ",".join(f"{_string(key)}:%{'s' if col == 's' else 'd'}" for key, col in keys)
+    data = ",".join(f"{_string(key)}:%{'s' if col in _TEXT else 'd'}" for key, col in cols.items())
     m, u = ("%d" if ids > 0 else "null"), ("%d" if ids > 1 else "null")
     line = f'{{"data":{{{data}}},"kind":{_string(kind.value)},"m":{m},"record":"event","t":%d,"u":{u}}}'
-    return line, [col for _, col in keys] + ["m"] * (ids > 0) + ["t"] + ["u"] * (ids > 1)
+    return line, [*cols.values()] + ["m"] * (ids > 0) + ["t"] + ["u"] * (ids > 1)
 
 
-_TEMPLATES = {KINDS.index(kind): _template(kind, *spec) for kind, spec in LAYOUT.items()}
+_TEMPLATES = [_template(*layout) for layout in LAYOUTS]
 
 
 def _column_lines(c: EventColumns) -> list[str]:
     """The event lines of a columnar trace, each `_dump` of its event's record."""
     lines = np.empty(len(c.t), object)
-    laid = np.equal(c.whole, None)
-    for code, (template, cols) in _TEMPLATES.items():
-        rows = np.flatnonzero(laid & (c.kind == code))
+    for code, (template, cols) in enumerate(_TEMPLATES):
+        rows = np.flatnonzero(c.code == code)
         args = [getattr(c, col)[rows].tolist() for col in cols]
-        args = [list(map(_string, a)) if col == "s" else a for a, col in zip(args, cols)]
-        lines[rows] = object_column([template % x for x in zip(*args)])
-    for i in np.flatnonzero(~laid).tolist():
-        lines[i] = _dump(_event_record(*c.whole[i]))
+        args = [list(map(_TEXT[col], a)) if col in _TEXT else a for a, col in zip(args, cols)]
+        lines[rows] = column([template % x for x in zip(*args)], object)
     return lines.tolist()
 
 
@@ -193,28 +208,65 @@ def _parse(lines: list[str], data: bytes) -> list[dict]:
     return records
 
 
-_CODES = {kind.value: code for code, kind in enumerate(KINDS)}
+_CODE = {(kind.value, frozenset(keys)): code for code, (kind, _, keys) in enumerate(LAYOUTS)}
+_IDS = np.array([ids for _, ids, _ in LAYOUTS])
+_JSON = {"a": int, "b": int, "x": float, "y": float, "c": bool, "s": str}  # a payload column's JSON type
 # raised by a record field of the wrong shape or type
 _MALFORMED = (KeyError, TypeError, ValueError, AttributeError, OverflowError)
 
 
-def _payload(data: dict) -> tuple:
-    """An event's payload pairs in key order, lists back to tuples."""
-    return tuple(sorted((k, _detuple(v)) for k, v in data.items()))
+def _json_values(values: list, kind: type, name: str) -> list:
+    """`values`, each read by `json_value` as the JSON type `kind`."""
+    return values if set(map(type, values)) == {kind} else [json_value(v, kind, name) for v in values]
+
+
+def _ids(values: list, name: str) -> np.ndarray:
+    """Modalities or units, each an int below NULL or null, as an int64
+    column with NULL for null."""
+    col = np.array(_json_values([NULL if v is None else v for v in values], int, name), np.int64)
+    if np.count_nonzero(col >= NULL) != values.count(None):
+        raise ValueError(f"an event's {name} is not below {NULL}")
+    return col
+
+
+def _pairs(value, name: str) -> tuple:
+    """A list of [int, int] lists, read back by `_detuple` as the tuple of
+    int pairs an assignment holds."""
+    seqs = (list, tuple)  # a JSON array, or the tuple an assignment holds
+    if type(value) not in seqs or any(type(p) not in seqs or [*map(type, p)] != [int, int] for p in value):
+        raise JSONTypeError(f"{name} should be a list of [int, int] pairs")
+    return _detuple(value)
 
 
 def _columns(recs: list[dict]) -> EventColumns:
-    """The event records laid out by the one layout rule; raises for a list
-    of records when, and only when, it raises for one of them alone.
-    `read_trace` lays out a file's records in bulk and, only when that
-    raises, each record alone to name the first bad one.  Data that is not
-    an object fails in `layout`: a row it lays out reads the data's keys,
-    and any other row gets its payload from `_payload`."""
-    t, m, u, data = (list(map(itemgetter(key), recs)) for key in ("t", "m", "u", "data"))
-    if set(map(type, t)) - {int}:
-        raise TypeError("an event time is not an integer")
-    kind = list(map(_CODES.__getitem__, map(itemgetter("kind"), recs)))
-    return layout(t, kind, m, u, data, lambda i: _payload(data[i]))
+    """The event records laid out by the one event schema (`engine.LAYOUTS`);
+    raises for a list of records when, and only when, it raises for one of
+    them alone.  `read_trace` lays out a file's records in bulk and, only
+    when that raises, each record alone to name the first bad one.  A record
+    whose kind and payload key set have no layout raises, as does one whose
+    time is not an int in int64, whose modality and unit are not those its
+    layout has, or whose payload value does not fit its column."""
+    t, kind, m, u, data = (list(map(itemgetter(key), recs)) for key in ("t", "kind", "m", "u", "data"))
+    codes = list(map(_CODE.get, zip(kind, map(frozenset, map(dict.keys, data)))))
+    if None in codes:
+        i = codes.index(None)
+        raise ValueError(f"no layout for a {kind[i]!r} event with payload keys {sorted(data[i])}")
+    cols = {key: np.zeros(len(recs), dtype) for key, dtype in COLUMNS.items()}
+    cols.update(t=np.array(_json_values(t, int, "t"), np.int64), code=np.array(codes, np.int64))
+    cols.update(m=_ids(m, "m"), u=_ids(u, "u"))
+    ids = _IDS[cols["code"]]
+    if np.any(((cols["m"] != NULL) != (ids > 0)) | ((cols["u"] != NULL) != (ids > 1))):
+        raise ValueError("an event's modality or unit is not the one its layout has")
+    for code, (_, _, keys) in enumerate(LAYOUTS):
+        rows = np.flatnonzero(cols["code"] == code)
+        group = list(map(data.__getitem__, rows.tolist()))
+        for key, col in keys.items():
+            values = list(map(itemgetter(key), group))
+            values = [_pairs(v, key) for v in values] if col == "p" else _json_values(values, _JSON[col], key)
+            cols[col][rows] = column(values, COLUMNS[col])
+    if not (np.isfinite(cols["x"]).all() and np.isfinite(cols["y"]).all()):
+        raise ValueError("an event's float payload value is not finite")
+    return EventColumns(**cols)
 
 
 def read_trace(path: str | Path) -> list[SimTrace]:
@@ -262,12 +314,11 @@ def read_trace(path: str | Path) -> list[SimTrace]:
                     f"unsupported trace schema version {rec.get('schema_version')!r}"
                 )
             try:
-                pairs = tuple((json_value(a, int), json_value(b, int)) for a, b in rec["assignment"])
                 header = {
                     "fingerprint": json_value(rec["fingerprint"], str, "fingerprint"),
                     "sample_id": json_value(rec["sample_id"], int, "sample_id"),
                     "mode": ExecutionMode(rec["mode"]),
-                    "assignment": ConfigAssignment(pairs),
+                    "assignment": ConfigAssignment(_pairs(rec["assignment"], "assignment")),
                     "window_us": json_value(rec["window_us"], int, "window_us"),
                 }
             except _MALFORMED as exc:

@@ -1,31 +1,18 @@
-"""Test-only builders: a trace from a list of events, laid out by the rule
-`read_trace` uses (`engine.layout`), the label a trace predicts, and a gate
-that never commits."""
+"""Test-only builders: a trace from a list of events on the event schema,
+laid out by the rule `read_trace` uses (`traceio._columns`), the label a
+trace predicts, and a gate that never commits."""
 
 import numpy as np
 
-from modalsim import engine, nn
-from modalsim.engine import KINDS, EventColumns, EventKind, SimTrace
+from modalsim import nn, traceio
+from modalsim.engine import EventColumns, EventKind, SimTrace
 from modalsim.gating import GateModel
-
-_ODD = {None: None}  # a payload no kind lays out
-
-
-def _as_dict(pairs) -> dict:
-    """Payload `pairs` as a dict when they are a tuple of (key, value) tuples
-    in strictly increasing key order, the order a payload keeps; else `_ODD`."""
-    try:
-        d = dict(pairs)
-        return d if type(pairs) is tuple and tuple(sorted(d.items())) == pairs else _ODD
-    except (TypeError, ValueError):
-        return _ODD
 
 
 def event_log(events) -> EventColumns:
-    """`events`, `Event`s or plain tuples of their fields, as `EventColumns`."""
-    t, kind, m, u, payloads = [list(c) for c in zip(*events)] or [[]] * 5
-    data = list(map(_as_dict, payloads))
-    return engine.layout(t, list(map(KINDS.index, kind)), m, u, data, payloads.__getitem__)
+    """`events`, `Event`s or plain tuples of their fields, each on the
+    engine's event schema, as `EventColumns`."""
+    return traceio._columns([traceio._event_record(*ev) for ev in events])
 
 
 def sim_trace(*, events, **fields) -> SimTrace:

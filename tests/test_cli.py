@@ -689,16 +689,18 @@ def test_trace_event_without_payload_key_exit_code_3(key, tmp_path):
     good = tmp_path / "t.jsonl"
     traceio.write_trace(engine.run(s, s.max_assignment(), sample, gate=CommitAtOnce()), good)
     records = [json.loads(line) for line in good.read_text().splitlines()[:-1]]
-    event = next(r for r in records if r["record"] == "event" and key in r["data"])
+    line, event = next((i, r) for i, r in enumerate(records, 1) if r["record"] == "event" and key in r["data"])
     del event["data"][key]
     bad = tmp_path / "bad.jsonl"
     bad.write_text(_resummed([json.dumps(r, sort_keys=True, separators=(",", ":")) for r in records]))
     res = invoke("report", "--trace", str(bad))
     assert res.returncode == 3, res.stderr
+    assert res.stdout == ""
     assert len(res.stderr.splitlines()) == 1, res.stderr  # one JSON line, no traceback
     err = json.loads(res.stderr)
-    assert err["error"] == "IncompleteTrace"
-    assert err["message"] == f"sample {sample.id}: {event['kind']} event lacks payload key {key!r}"
+    assert err["error"] == "CorruptLine"
+    detail = f"no layout for a {event['kind']!r} event with payload keys {sorted(event['data'])}"
+    assert err["message"] == f"line {line}: bad event: ValueError {detail}"
 
 
 def test_report_on_a_non_integer_modality_exit_code_3(motivation_file, tmp_path):
@@ -707,7 +709,9 @@ def test_report_on_a_non_integer_modality_exit_code_3(motivation_file, tmp_path)
     res = invoke("run", "--scenario", motivation_file, "--out", str(good))
     assert res.returncode == 0, res.stderr
     records = [json.loads(line) for line in good.read_text().splitlines()[:-1]]
-    event = next(r for r in records if r["record"] == "event" and r["kind"] == "encode_start")
+    line, event = next(
+        (i, r) for i, r in enumerate(records, 1) if r["record"] == "event" and r["kind"] == "encode_start"
+    )
     event["m"] = "x"
     bad = tmp_path / "bad.jsonl"
     bad.write_text(_resummed([json.dumps(r, sort_keys=True, separators=(",", ":")) for r in records]))
@@ -716,8 +720,8 @@ def test_report_on_a_non_integer_modality_exit_code_3(motivation_file, tmp_path)
     assert res.stdout == ""
     assert len(res.stderr.splitlines()) == 1, res.stderr  # one JSON line, no traceback
     err = json.loads(res.stderr)
-    assert err["error"] == "MalformedTrace"
-    assert err["message"] == "sample 0: encode_start event has modality 'x'"
+    assert err["error"] == "CorruptLine"
+    assert err["message"] == f"line {line}: bad event: JSONTypeError m should be int, got str"
 
 
 def test_sweep_over_its_limit_exit_code_1(tmp_path):

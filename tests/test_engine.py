@@ -237,33 +237,42 @@ def test_events_sorted_and_causal():
 
 
 def test_events_tied_on_time_modality_unit_and_kind_keep_their_insertion_order():
-    # checkpoint evaluations of one modality can fall at one time: the
-    # window's one sort must keep them in the order they were evaluated
-    payloads = [(("already_completed", True), ("fraction", (40 - i) / 41)) for i in range(40)]
-    rows = [engine._row(900, EventKind.PREDICTION_EMITTED, a=3)]
-    rows += [engine._row(400, EventKind.CHECKPOINT_EVAL, 1, payload=p) for p in payloads]
+    # checkpoint evaluations of one modality can fall at one time, in either
+    # of their layouts: the window's one sort, on the kind's rank and not on
+    # the layout, must keep them in the order they were evaluated
+    evals = [
+        dict(already_completed=True, fraction=(40 - i) / 41) if i % 2
+        else dict(committed=False, fraction=(40 - i) / 41, probability=0.25)
+        for i in range(40)
+    ]
+    rows = [engine._row(900, EventKind.PREDICTION_EMITTED, label=3)]
+    rows += [engine._row(400, EventKind.CHECKPOINT_EVAL, 1, **e) for e in evals]
     rows.append(engine._row(400, EventKind.FUSION_START))
-    rows.append(engine._row(400, EventKind.CHECKPOINT_EVAL, 0, payload=payloads[0]))
+    rows.append(engine._row(400, EventKind.CHECKPOINT_EVAL, 0, **evals[0]))
     assert engine._sorted(rows, []).events() == (
-        (400, EventKind.CHECKPOINT_EVAL, 0, None, payloads[0]),
-        *((400, EventKind.CHECKPOINT_EVAL, 1, None, p) for p in payloads),
+        (400, EventKind.CHECKPOINT_EVAL, 0, None, tuple(evals[0].items())),
+        *((400, EventKind.CHECKPOINT_EVAL, 1, None, tuple(e.items())) for e in evals),
         (400, EventKind.FUSION_START, None, None, ()),
         (900, EventKind.PREDICTION_EMITTED, None, None, (("label", 3),)),
     )
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(test_trace_bytes.events, max_size=6))
-@example([engine.Event(5, EventKind.ENCODE_START, 0, 1, (("resource", "high"), ("encode_cost_us", 7)))])
-@example([engine.Event(5, EventKind.UNIT_SENSED, 0, 1, (("sense_end_us", 6), ("sense_end_us", 7)))])
-@example([engine.Event(5, EventKind.PREDICTION_EMITTED, payload=(["label", 3],))])
+@given(st.lists(test_trace_bytes.schema_events(), max_size=6))
+@example([engine.Event(5, EventKind.ENCODE_END, 0, 1, (("aborted", True),))])
+@example([engine.Event(5, EventKind.CHECKPOINT_EVAL, 0, payload=(("already_completed", False), ("fraction", -0.0)))])
+@example([engine.Event(-(2**63), EventKind.SKIP_COMMITTED, 2**31 - 1, payload=(
+    ("fraction", 5e-324), ("prefix", 2**63 - 1), ("probability", 1e308), ("units_skipped", -1)
+))])
 def test_events_given_to_a_trace_are_laid_out_once_and_come_back_as_given(evs):
-    # odd payloads, bools, numpy scalars and ids the int64 columns cannot
-    # hold are kept whole as plain tuples, never as `Event`s
+    # each layout's columns keep its values as given, to their type: ints
+    # to the ends of int64, signed zeros, subnormals, bools, escaped strings
+    # and int pairs; a row is a plain tuple, never an `Event`
     trace = test_trace_bytes.make_trace(evs)
     assert type(trace.log) is engine.EventColumns
-    assert all(type(row) is tuple for row in trace.log.whole if row is not None)
+    assert all(type(row) is tuple for row in trace.log.rows())
     assert trace.events == tuple(evs)
+    assert list(map(repr, trace.events)) == [repr(engine.Event(*ev)) for ev in evs]
 
 
 def test_encode_pairing_and_one_prediction():
@@ -591,6 +600,27 @@ def test_engine_payload_keys_are_exact_strs_in_increasing_order(monkeypatch):
         ("fusion_start", None),
         ("prediction_emitted", "label", None),
     }
+
+
+def test_every_layout_is_written_by_the_engine(monkeypatch):
+    # a layout of the event schema that no engine run writes would be dead
+    real = engine.run
+    written = set()
+
+    def recorded(*args, **kwargs):
+        trace = real(*args, **kwargs)
+        written.update(trace.log.code.tolist())
+        return trace
+
+    monkeypatch.setattr(engine, "run", recorded)
+    for name in test_window_pins._scenarios():
+        test_window_pins._trace_digest(name)
+    s = workload.gen_scenario("lrw-like", seed=3)
+    sample = workload.gen_samples(s, 1, "hard", seed=0)[0]
+    a = ConfigAssignment(((1, 1), (1, 1)))
+    decision = optimizer.OptimizerDecision(a, score=0.0, decision_latency_us=0)
+    recorded(s, a, sample, gate=OracleGate(s, sample, a), config_decision=decision)
+    assert written == set(range(len(engine.LAYOUTS)))
 
 
 def _peak_by_sorted_deltas(intervals):

@@ -7,9 +7,10 @@ width, its default specs or the prediction head, and `workload` applies the
 skip label rule in its oracle gate alone, at the prefixes `gating.checkpoints`
 names.  A trace's events have one form,
 `EventColumns`, so no module asks which form it holds, and the report reads
-the columns rather than `Event`s.  Only `nn` standardizes an MLP's inputs
-and runs its forward pass; the predictor and the gate each call their
-`nn.MLP`.  Only `optimizer.product_levels` decodes a position in the
+the columns rather than `Event`s; and one schema, so no module keeps an
+event whole and the writer writes no event line by `json.dumps`.  Only `nn`
+standardizes an MLP's inputs and runs its forward pass; the predictor and
+the gate each call their `nn.MLP`.  Only `optimizer.product_levels` decodes a position in the
 assignment product, and the CLI scores the surface in level arrays.  Only
 `nn` runs a float kernel whose bits depend on the host: a matrix or vector
 product (every other module calls `nn.dot`), `np.linalg`, exp or log.  Only
@@ -63,6 +64,28 @@ def test_workload_picks_the_slow_modality_and_compares_labels_once():
 def test_no_module_asks_whether_events_are_columns():
     asking = re.compile(r"isinstance\([^)]*\bEventColumns\b")
     assert [name for name, text in SOURCES.items() if asking.search(text)] == []
+
+
+def identifiers(tree: ast.AST) -> set[str]:
+    """Every name, attribute, argument and definition named in `tree`."""
+    found = set()
+    for node in ast.walk(tree):
+        for field in ("id", "attr", "arg", "name"):
+            if type(getattr(node, field, None)) is str:
+                found.add(getattr(node, field))
+    return found
+
+
+def test_no_module_keeps_a_second_event_path():
+    # every event has a layout in the one schema: no module keeps an event
+    # whole, and the writer writes each event line from its layout's
+    # template; `_dump` of `_event_record` is the reference, in `_trace_records` alone
+    assert [name for name, text in SOURCES.items() if "whole" in identifiers(ast.parse(text))] == []
+    tree = ast.parse(SOURCES["traceio.py"])
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    callers = {name for name, node in functions.items() if "_event_record" in identifiers(node)}
+    assert callers - {"_event_record"} == {"_trace_records"}
+    assert not {"_dump", "dumps", "json"} & identifiers(functions["_column_lines"])
 
 
 def test_report_does_not_read_events():

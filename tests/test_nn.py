@@ -1,5 +1,6 @@
 """The shared MLP: pinned weight-document bytes for both models, the shared
-exp of training against the two-exp reference, and the memory of a fit."""
+exp of training against the two-exp reference, the memory of a fit, and a
+weight document's missing fields told from its nulls."""
 
 import hashlib
 import tracemalloc
@@ -161,3 +162,35 @@ def test_a_fit_keeps_only_its_loss_tail():
         tails.append(fit.loss_tail)
     assert peaks[1] - peaks[0] < 8 * 1024, peaks
     assert [len(tail) for tail in tails] == [5, 5]
+
+
+def _mlp_doc():
+    """A document with a weight block over two inputs, an empty section and a null field."""
+    mlp = nn.MLP(np.zeros((2, 2)), np.zeros(2), np.zeros(2), 0.0, np.zeros(2), np.ones(2))
+    return {"weights": nn.weight_block(mlp), "layout": {}, "dropout": None}
+
+
+@pytest.mark.parametrize(
+    "path, kind, problem",
+    [
+        ("training", float, "training is missing"),
+        ("dropout", float, "dropout should be float, got NoneType"),
+        ("layout.fast_dim", int, "layout.fast_dim is missing"),
+        ("section.fast_dim", int, "section is missing"),
+        ("training", GateTrainConfig, "training is missing"),
+    ],
+)
+def test_a_weight_document_field_that_is_absent_is_missing_and_a_null_is_of_the_wrong_type(path, kind, problem):
+    # as `core.read_record` reads a record: an absent key is missing, not null
+    with pytest.raises(nn.WeightFormatError, match=f"^{problem}$"):
+        nn.read_field(_mlp_doc(), path, kind)
+
+
+def test_a_weight_array_that_is_absent_is_missing():
+    doc = _mlp_doc()
+    del doc["weights"]["x_mean"]
+    with pytest.raises(nn.WeightFormatError, match="^weights.x_mean is missing$"):
+        nn.read_weight_block(doc, 2)
+    doc["weights"]["x_mean"] = None
+    with pytest.raises(nn.WeightFormatError, match="^weights.x_mean should be float, got NoneType$"):
+        nn.read_weight_block(doc, 2)

@@ -89,21 +89,21 @@ def test_large_fuzzed_trace_round_trips(tmp_path):
     from modalsim import rng
 
     s = rng.stream(0, "fuzz")
-    kinds = list(EventKind)
+    draw = {
+        int: lambda i: int(s.u64(i) % 7) - 3,
+        float: lambda i: s.unit(i),
+        bool: lambda i: bool(s.u64(i) % 2),
+        str: lambda i: f"r{s.u64(i) % 5}",
+        "pairs": lambda i: ((1, 2),) * (1 + i % 4),
+    }
     events = []
     t = 0
     for i in range(100_000):
         t += s.u64(3 * i) % 50
-        kind = kinds[s.u64(3 * i + 1) % len(kinds)]
-        events.append(
-            Event(
-                time_us=t,
-                kind=kind,
-                modality=int(s.u64(3 * i + 2) % 3),
-                unit=i % 40,
-                payload=(("p", s.unit(i)), ("q", int(s.u64(i) % 7))),
-            )
-        )
+        kind, ids, types = test_trace_bytes.SCHEMA[s.u64(3 * i + 1) % len(test_trace_bytes.SCHEMA)]
+        m, u = int(s.u64(3 * i + 2) % 3), i % 40
+        payload = tuple((key, draw[value_type](i)) for key, value_type in types.items())
+        events.append(Event(t, EventKind(kind), m if ids > 0 else None, u if ids > 1 else None, payload))
     trace = sim_trace(
         fingerprint="f" * 64,
         sample_id=7,
@@ -113,6 +113,7 @@ def test_large_fuzzed_trace_round_trips(tmp_path):
         events=tuple(events),
         summary=TraceSummary(123, 45, (6, 7), 8),
     )
+    assert trace.events == tuple(events)
     path = tmp_path / "big.jsonl"
     traceio.write_trace(trace, path)
     assert traceio.read_trace(path) == [trace]
@@ -330,16 +331,24 @@ def _field_of_the_wrong_type(path, line_number) -> bool:
     return wrong or any(type(v) is not int for v in ints)
 
 
+def _off_the_schema(path, line_number) -> bool:
+    """True when the record on the line is an event the engine never
+    writes, by the schema `test_trace_bytes.SCHEMA` writes out."""
+    rec = json.loads(Path(path).read_text(encoding="utf-8").splitlines()[line_number - 1])
+    return type(rec) is dict and rec["record"] == "event" and not test_trace_bytes.on_schema(rec)
+
+
 def assert_same_outcome(path):
     old, new = outcome(line_reader, path), outcome(traceio.read_trace, path)
     if new == old:
         return
     # the intended differences: a record of the wrong shape or type is a
     # CorruptLine where the line reader crashed, or took a field of the
-    # wrong type and so failed later or not at all; and a header is checked
-    # at its own line rather than when its summary arrives
+    # wrong type and so failed later or not at all; a header is checked at
+    # its own line rather than when its summary arrives; and an event off
+    # the engine's schema is a CorruptLine at its line
     assert new[0] is CorruptLine
-    if _field_of_the_wrong_type(path, new[1]):
+    if _field_of_the_wrong_type(path, new[1]) or _off_the_schema(path, new[1]):
         assert isinstance(old, list) or old[1] is None or old[1] > new[1]
     else:
         assert old[0] in LINE_READER_CRASHES or _header_the_line_reader_crashes_on(path, new[1])
@@ -663,7 +672,8 @@ PER_RECORD_EDITS = {
     "kind-list": _edit_event("unit_sensed", _put("kind", ["unit_sensed"])),
     "data-list": _edit_event("unit_sensed", _put("data", [])),
     "data-keys-out-of-order": _edit_event("encode_start", _reverse_data),
-    "whole-payload-keys-out-of-order": _edit_event("checkpoint_eval", _reverse_data),
+    "checkpoint-keys-out-of-order": _edit_event("checkpoint_eval", _reverse_data),
+    "record-with-an-extra-key": _edit_event("encode_end", _put("zz", 1)),
     "laid-out-value-float": _edit_event("unit_sensed", lambda rec: rec["data"].update(sense_end_us=1.5)),
     "laid-out-value-bool": _edit_event("aggregation_done", lambda rec: rec["data"].update(prefix=True)),
     "laid-out-value-too-large": _edit_event(
@@ -686,35 +696,42 @@ def test_hand_edited_files_with_a_valid_checksum_take_the_per_record_path(case, 
         assert all(type(t.log) is EventColumns for t in traces)
 
 
-KEPT_WHOLE_EDITS = {
+def _set_data(key, value):
+    return lambda rec: rec["data"].update({key: value})
+
+
+# events the engine never writes, each a CorruptLine at its line
+OFF_SCHEMA_EDITS = {
     "laid-out-kind-missing-a-key": _edit_event("encode_start", lambda rec: rec["data"].pop("resource")),
-    "laid-out-kind-with-an-extra-key": _edit_event(
-        "unit_sensed", lambda rec: rec["data"].update(z=[1, [2]])
-    ),
+    "laid-out-kind-with-an-extra-key": _edit_event("unit_sensed", _set_data("z", [1, [2]])),
     "laid-out-kind-without-its-unit": _edit_event("unit_sensed", _put("u", None)),
     "laid-out-kind-with-a-modality": _edit_event("fusion_start", _put("m", 1)),
-    "record-with-an-extra-key": _edit_event("encode_end", _put("zz", 1)),
+    "aborted-unit-sensed": _edit_event("unit_sensed", _set_data("aborted", True)),
+    "checkpoint-with-both-key-sets": _edit_event("checkpoint_eval", _set_data("already_completed", True)),
+    "committed-a-number": _edit_event("checkpoint_eval", _set_data("committed", 1)),
+    "fraction-not-finite": _edit_event("checkpoint_eval", _set_data("fraction", float("nan"))),
+    "probability-a-string": _edit_event("skip_committed", _set_data("probability", "0.5")),
+    "units-skipped-a-float": _edit_event("skip_committed", _set_data("units_skipped", 2.0)),
+    "pairs-a-triple": _edit_event("config_switch", _set_data("pairs", [[1, 1, 1], [1, 1]])),
+    "pairs-of-bools": _edit_event("config_switch", _set_data("pairs", [[True, False]])),
+    "pairs-a-number": _edit_event("config_switch", _set_data("pairs", 5)),
+    "config-switch-with-a-unit": _edit_event("config_switch", _put("u", 0)),
 }
 
 
-@pytest.mark.parametrize("case", sorted(KEPT_WHOLE_EDITS))
-def test_odd_rows_of_a_columnar_file_keep_their_payload_and_read_back_alike(case, tmp_path, monkeypatch):
-    path = _hand_edited(tmp_path, KEPT_WHOLE_EDITS[case])
-    results = spy_columns(monkeypatch)
-    traces = traceio.read_trace(path)
-    assert isinstance(results[0], EventColumns)
-    assert traces == line_reader(path)
-    rewritten = tmp_path / "again.jsonl"
-    traceio.write_trace(traces, rewritten)
-    expected = [json.loads(line) for line in path.read_text().splitlines()[:-1]]
-    for rec in expected:
-        rec.pop("zz", None)  # a record key the reader does not keep
-    assert [json.loads(line) for line in rewritten.read_text().splitlines()[:-1]] == expected
+@pytest.mark.parametrize("case", sorted(OFF_SCHEMA_EDITS))
+def test_an_event_off_the_schema_is_refused_at_its_line(case, tmp_path):
+    path, line_number = _resummed_file(tmp_path, OFF_SCHEMA_EDITS[case])
+    assert _off_the_schema(path, line_number)
+    with pytest.raises(CorruptLine, match=f"^line {line_number}: bad event: ") as err:
+        traceio.read_trace(path)
+    assert err.value.line_number == line_number
+    assert_same_outcome(path)
 
 
-@pytest.mark.parametrize("case", sorted(PER_RECORD_EDITS) + sorted(KEPT_WHOLE_EDITS))
+@pytest.mark.parametrize("case", sorted(PER_RECORD_EDITS))
 def test_hand_edited_files_read_back_write_their_reference_bytes(case, tmp_path):
-    path = _hand_edited(tmp_path, {**PER_RECORD_EDITS, **KEPT_WHOLE_EDITS}[case])
+    path = _hand_edited(tmp_path, PER_RECORD_EDITS[case])
     traces = outcome(traceio.read_trace, path)
     if isinstance(traces, list):
         test_trace_bytes.assert_reference_bytes(traces)
