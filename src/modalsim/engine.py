@@ -127,12 +127,18 @@ LAYOUTS = (
     (EventKind.CONFIG_SWITCH, 0, {"pairs": "p", "probe_cost_us": "a"}),
     (EventKind.RESOURCE_CHANGE, 0, {"level": "s"}),
 )
-_CODES = {(kind, frozenset(cols)): code for code, (kind, _, cols) in enumerate(LAYOUTS)}
 _RANK = np.array([KINDS.index(kind) for kind, _, _ in LAYOUTS])
 COLUMNS = {  # each `EventColumns` column's dtype
     "t": np.int64, "code": np.int64, "m": np.int64, "u": np.int64, "a": np.int64, "b": np.int64,
     "x": np.float64, "y": np.float64, "c": bool, "s": object, "p": object,
 }
+# a layout's code and the slot in a row of each of its payload values, by
+# its kind and payload keys in key order
+_SLOTS = {
+    (kind, *cols): (code, [list(COLUMNS).index(col) for col in cols.values()])
+    for code, (kind, _, cols) in enumerate(LAYOUTS)
+}
+_NO_PAYLOAD = [0] * (len(COLUMNS) - 4)  # a row's payload columns before its values go in
 
 
 class Event(NamedTuple):
@@ -212,15 +218,18 @@ def column(values, dtype) -> np.ndarray:
     return np.fromiter(values, object, len(values)) if dtype is object else np.asarray(values, dtype)
 
 
-def _row(t, kind, m=None, u=None, **payload) -> tuple:
-    """One event's row of `EventColumns` values: its kind and payload keys
-    name its layout, which puts each payload value in its column."""
-    code = _CODES[kind, frozenset(payload)]
-    values = dict.fromkeys(list(COLUMNS)[4:], 0) | {col: payload[k] for k, col in LAYOUTS[code][2].items()}
-    return t, code, NULL if m is None else m, NULL if u is None else u, *values.values()
+def _row(t, kind, m=None, u=None, **payload) -> list:
+    """One event's row of `EventColumns` values: its kind and payload keys,
+    given in key order, name its layout, which puts each payload value in
+    its column and 0 in the others."""
+    code, slots = _SLOTS[(kind, *payload)]
+    row = [t, code, NULL if m is None else m, NULL if u is None else u, *_NO_PAYLOAD]
+    for slot, value in zip(slots, payload.values()):
+        row[slot] = value
+    return row
 
 
-def _sorted(rows: list[tuple], blocks: list[dict]) -> EventColumns:
+def _sorted(rows: list[list], blocks: list[dict]) -> EventColumns:
     """Single rows, and column blocks that leave out payload columns they
     have no values in, in trace order: one stable sort on (t, m, u, kind's
     rank).  Only events of one kind from one source can tie (two checkpoint
@@ -468,7 +477,7 @@ def _apply_skip(scenario, assignment, plans, gate, window_start, rows) -> None:
 
 
 _UNIT_CODES = [0, 1, 2]  # the first three layouts: unit_sensed, encode_start and an unaborted encode_end
-_ABORTED = _CODES[EventKind.ENCODE_END, frozenset({"aborted"})]
+_ABORTED = _SLOTS[EventKind.ENCODE_END, "aborted"][0]
 
 
 def _emit(plan, fusion_start, rows, blocks) -> int:

@@ -15,24 +15,37 @@ payload's keys in sorted order.  Each payload value is written as
 `float.__repr__`, a bool as `true` or `false`, a str escaped, and int
 pairs as nested lists.
 
-The reader verifies the checksum once over the joined lines and parses the
-whole file with one `json.loads` of its lines as a JSON array.  When that
-parse fails, or cannot be shown to have taken exactly one value from each
-line, the lines are parsed one by one, so an error names the first bad line.
-The event records are read as their time, which must be an int in int64 (a
-float or a bool is refused), the kind, `m`, `u` and the data dict, and laid
-out in bulk by the schema: a record's kind and payload key set name its
-layout, and each payload value is read by `core`'s one JSON type rule
-(`json_value`) as its column's type.  The reader refuses what the engine
-never writes: a kind and key set without a layout, a modality or unit the
-layout does not have, or a value its column cannot hold, such as a float
-that is not finite.  When a record lacks a field or is refused, the
-records are checked one by one, and the first bad one raises `CorruptLine`
-with its line number.  A header and a summary are read at their own
-lines by `core`'s one JSON type rule (`json_value`, `read_record`); a
-summary is written as its `TraceSummary`'s fields, so that dataclass names
-them once for writer and reader.  A file that is not UTF-8 fails with
-`CorruptLine` at the line of its first undecodable byte.
+Both ends work a trace at a time, so what they hold beyond the traces is
+about one trace block's (header to summary), however many the file holds.
+The writer lays out and writes each trace in turn, the checksum a running
+SHA-256 over the bytes written.  The reader decodes whole lines a chunk at
+a time, as `str.splitlines` splits them, and takes them in runs, each
+ending at a line that holds `"summary"`: one run per block in a file the
+writer wrote.  It parses a run with one `json.loads` of its lines as a JSON
+array; when that fails, or cannot be shown to have taken exactly one value
+from each line, the lines are parsed one by one, so an error names the
+first bad line.  The checksum is a running SHA-256 of the lines.  A bad
+file fails as it would if it were read whole, at its first fault in this
+order: a byte that is not UTF-8 anywhere (`CorruptLine` at its line), the
+first line that is not JSON or not a record, the checksum, and then the
+first fault of the block structure; a fault of the last three kinds is kept
+until the whole file is read.
+
+The records are walked as they are parsed, and a block's records are
+dropped once it is a `SimTrace`.  Its event records are read as their
+time, which must be an int in int64 (a float or a bool is refused), the
+kind, `m`, `u` and the data dict, and laid out in bulk by the schema at
+its summary: a record's kind and payload key set name its layout, and each
+payload value is read by `core`'s one JSON type rule (`json_value`) as its
+column's type.  The reader refuses what the engine never writes: a kind
+and key set without a layout, a modality or unit the layout does not
+have, or a value its column cannot hold, such as a float that is not
+finite.  When a record lacks a field or is refused, the block's records
+are checked one by one, and the first bad one raises `CorruptLine` with
+its line number, before any later fault.  A header and a summary are read
+at their own lines by `core`'s one JSON type rule (`json_value`,
+`read_record`); a summary is written as its `TraceSummary`'s fields, so
+that dataclass names them once for writer and reader.
 """
 
 from __future__ import annotations
@@ -40,11 +53,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import fields
-from itertools import islice
 from json.encoder import encode_basestring_ascii as _string
-from operator import itemgetter
+from itertools import compress, repeat
+from operator import itemgetter, ne
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -134,7 +147,8 @@ _TEMPLATES = [_template(*layout) for layout in LAYOUTS]
 def _column_lines(c: EventColumns) -> list[str]:
     """The event lines of a columnar trace, each `_dump` of its event's record."""
     lines = np.empty(len(c.t), object)
-    for code, (template, cols) in enumerate(_TEMPLATES):
+    for code in np.flatnonzero(np.bincount(c.code, minlength=len(_TEMPLATES))).tolist():
+        template, cols = _TEMPLATES[code]
         rows = np.flatnonzero(c.code == code)
         args = [getattr(c, col)[rows].tolist() for col in cols]
         args = [list(map(_TEXT[col], a)) if col in _TEXT else a for a, col in zip(args, cols)]
@@ -142,23 +156,29 @@ def _column_lines(c: EventColumns) -> list[str]:
     return lines.tolist()
 
 
-def trace_text(traces: Sequence[SimTrace] | SimTrace) -> str:
+def _pieces(traces: Iterable[SimTrace] | SimTrace) -> Iterator[bytes]:
+    """The file's bytes a trace at a time, then its checksum line: the lines
+    joined by line ends, and the checksum over every line before its own."""
     if isinstance(traces, SimTrace):
         traces = [traces]
-    logs = [trace.log.columns() for trace in traces]
-    event_lines = iter(_column_lines(EventColumns(*map(np.concatenate, zip(*logs)))) if logs else ())
-    lines = []
+    digest = hashlib.sha256()
+    end = b""  # the line end before a trace's first line
     for trace in traces:
-        lines.append(_dump(_header_record(trace)))
-        lines += islice(event_lines, len(trace.log.t))
-        lines.append(_dump(_summary_record(trace)))
-    body = "\n".join(lines)
-    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
-    return body + "\n" + _dump({"record": "checksum", "sha256": digest}) + "\n"
+        lines = [_dump(_header_record(trace)), *_column_lines(trace.log), _dump(_summary_record(trace))]
+        piece = end + "\n".join(lines).encode("utf-8")
+        digest.update(piece)
+        yield piece
+        end = b"\n"
+    yield b"\n" + _dump({"record": "checksum", "sha256": digest.hexdigest()}).encode("utf-8") + b"\n"
 
 
-def write_trace(traces: Sequence[SimTrace] | SimTrace, path: str | Path) -> None:
-    Path(path).write_text(trace_text(traces), encoding="utf-8")
+def trace_text(traces: Iterable[SimTrace] | SimTrace) -> str:
+    return b"".join(_pieces(traces)).decode("utf-8")
+
+
+def write_trace(traces: Iterable[SimTrace] | SimTrace, path: str | Path) -> None:
+    with open(path, "wb") as f:
+        f.writelines(_pieces(traces))
 
 
 # every byte but the ones that delimit strings, nest values and end lines
@@ -186,18 +206,21 @@ def _one_value_per_line(data: bytes, count: int) -> bool:
         shape = inner
 
 
-def _parse(lines: list[str], data: bytes) -> list[dict]:
+def _parse(lines: list[str], data: bytes, first: int) -> list[dict]:
+    """The records of `lines`, the file's lines from line `first` on, joined
+    by line ends in `data`; the first that is not JSON or not a record
+    raises `CorruptLine` at its line."""
     try:
         records = json.loads("[" + ",".join(lines) + "]")
     except (ValueError, RecursionError):
         records = None
     if records is not None and len(records) == len(lines) and _one_value_per_line(data, len(lines)):
-        for i, rec in enumerate(records, start=1):
+        for i, rec in enumerate(records, start=first):
             if type(rec) is not dict or "record" not in rec:
                 raise CorruptLine(i, "not a trace record")
         return records
     records = []
-    for i, line in enumerate(lines, start=1):
+    for i, line in enumerate(lines, start=first):
         try:
             rec = json.loads(line)
         except (json.JSONDecodeError, RecursionError) as exc:  # a RecursionError has no msg
@@ -257,10 +280,10 @@ def _columns(recs: list[dict]) -> EventColumns:
     ids = _IDS[cols["code"]]
     if np.any(((cols["m"] != NULL) != (ids > 0)) | ((cols["u"] != NULL) != (ids > 1))):
         raise ValueError("an event's modality or unit is not the one its layout has")
-    for code, (_, _, keys) in enumerate(LAYOUTS):
+    for code in set(codes):
         rows = np.flatnonzero(cols["code"] == code)
         group = list(map(data.__getitem__, rows.tolist()))
-        for key, col in keys.items():
+        for key, col in LAYOUTS[code][2].items():
             values = list(map(itemgetter(key), group))
             values = [_pairs(v, key) for v in values] if col == "p" else _json_values(values, _JSON[col], key)
             cols[col][rows] = column(values, COLUMNS[col])
@@ -269,73 +292,169 @@ def _columns(recs: list[dict]) -> EventColumns:
     return EventColumns(**cols)
 
 
-def read_trace(path: str | Path) -> list[SimTrace]:
-    raw = Path(path).read_bytes()
-    try:
-        lines = raw.decode("utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        # the first bad byte's line: the last of the text before it and a stand-in for it
-        raise CorruptLine(len((raw[: exc.start].decode() + ".").splitlines()), "not UTF-8") from None
-    if not lines:
-        raise SchemaVersionMismatch("empty trace file")
+_CHUNK = 1 << 14  # bytes of whole lines decoded at a time
+_SUMMARY = '"summary"'  # in every summary line, which ends its trace block
 
-    data = "\n".join(lines).encode("utf-8")
-    records = _parse(lines, data)
-    if records[-1]["record"] != "checksum":
-        raise TraceIntegrityError("missing checksum record")
-    body = data[: max(len(data) - len(lines[-1].encode("utf-8")) - 1, 0)]  # all lines before the checksum
-    if records[-1].get("sha256") != hashlib.sha256(body).hexdigest():
-        raise TraceIntegrityError("trace file contents do not match their checksum")
 
-    records = records[:-1]
-    try:
-        columns = _columns([rec for rec in records if rec["record"] == "event"])
-    except _MALFORMED + (RecursionError,):
-        columns = None  # checking each record below names the first bad one
-    traces: list[SimTrace] = []
-    header = None
-    row = 0  # the event records so far
-    for i, rec in enumerate(records, start=1):
-        kind = rec["record"]
-        if kind == "event":
-            if header is None:
-                raise CorruptLine(i, "event outside a trace block")
-            if columns is None:
+def _runs(f) -> Iterator[list[str]]:
+    """The lines of the binary file `f`, as `str.splitlines` splits its
+    UTF-8 text, in runs that each end at the first line end after a
+    `_SUMMARY`, or at the end of the file: one trace block per run in a file
+    the writer wrote, and its checksum line alone in the last.  A byte that
+    is not UTF-8 raises `CorruptLine` at its line.  The file is decoded
+    whole `\\n`-ended lines at a time, so a cut after a `\\n` splits no line."""
+    count, text = 0, ""  # the lines yielded, and the text decoded after them
+    while chunk := f.readlines(_CHUNK):
+        data = b"".join(chunk)
+        try:
+            text += data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # the first bad byte's line: the last of the text before it and a stand-in for it
+            head = text + data[: exc.start].decode() + "."
+            raise CorruptLine(count + len(head.splitlines()), "not UTF-8") from None
+        start = 0
+        while (mark := text.find(_SUMMARY, start)) >= 0:
+            end = text.find("\n", mark) + 1 or len(text)
+            run = text[start:end].splitlines()
+            count += len(run)
+            yield run
+            start = end
+        text = text[start:]
+    if text:
+        yield text.splitlines()
+
+
+class _Reader:
+    """A trace file's records, taken a run of lines at a time in file order.
+
+    A file's first fault decides its outcome, in this order: a byte that is
+    not UTF-8 anywhere in the file (raised by `_runs`), then the first line
+    that is not JSON or not a record, then the checksum, then the first
+    fault of its block structure.  So a fault of the latter three kinds is
+    kept, and the rest of the file still read, until the end of the file.
+    The records are walked as they are parsed: each block, header to
+    summary, becomes a `SimTrace` at its summary, its events laid out in
+    bulk by the schema and checked one by one only when that raises, and
+    its records are then dropped."""
+
+    def __init__(self):
+        self.count = 0  # lines so far
+        self.digest = hashlib.sha256()  # of every line before the checksum, joined by line ends
+        self.bad_line: CorruptLine | None = None  # the first line that is not JSON or not a record
+        self.fault: ModalsimError | None = None  # the first fault of the block structure
+        self.checksum: dict = {}  # the last record
+        self.traces: list[SimTrace] = []
+        self.header: dict | None = None  # the open block's header fields
+        self.events: list[dict] = []  # the open block's event records
+        self.first = 0  # the line of the open block's first event record
+
+    def take(self, lines: list[str], last: bool) -> None:
+        """Parse and walk the next run of lines; `last` when it ends the file."""
+        first, self.count = self.count + 1, self.count + len(lines)
+        if self.bad_line is not None:
+            return
+        data = "\n".join(lines).encode("utf-8")
+        try:
+            records = _parse(lines, data, first)
+        except CorruptLine as exc:
+            self.bad_line = exc
+            return
+        if last:
+            self.checksum = records.pop()
+            data = data[: max(len(data) - len(lines[-1].encode("utf-8")) - 1, 0)]  # the lines before it
+        if records:
+            self.digest.update(b"\n" + data if first > 1 else data)
+        if self.fault is None:
+            try:
+                self._walk(records, first)
+            except ModalsimError as exc:  # raised once the rest of the file is read
+                self.fault = exc
+
+    def result(self) -> list[SimTrace]:
+        if self.count == 0:
+            raise SchemaVersionMismatch("empty trace file")
+        if self.bad_line is not None:
+            raise self.bad_line
+        if self.checksum["record"] != "checksum":
+            raise TraceIntegrityError("missing checksum record")
+        if self.checksum.get("sha256") != self.digest.hexdigest():
+            raise TraceIntegrityError("trace file contents do not match their checksum")
+        if self.fault is not None:
+            raise self.fault
+        if self.header is not None:
+            self._layout()  # a bad event of the open block comes first
+            raise SchemaVersionMismatch("trace file ends mid-block")
+        return self.traces
+
+    def _walk(self, records: list[dict], first: int) -> None:
+        """Walk `records`, the file's from line `first` on; the event
+        records between two others are taken as one slice."""
+        kinds = list(map(itemgetter("record"), records))
+        at = 0  # the next record to walk
+        for j in [*compress(range(len(kinds)), map(ne, kinds, repeat("event"))), len(kinds)]:
+            if at < j:
+                if self.header is None:
+                    raise CorruptLine(first + at, "event outside a trace block")
+                if not self.events:
+                    self.first = first + at
+                self.events += records[at:j]
+            if j == len(kinds):
+                return
+            at, i, rec, kind = j + 1, first + j, records[j], kinds[j]
+            if kind == "header":
+                if self.header is not None:
+                    self._layout()
+                    raise CorruptLine(i, "header before previous trace's summary")
+                if rec.get("schema_version") != TRACE_SCHEMA_VERSION:
+                    raise SchemaVersionMismatch(
+                        f"unsupported trace schema version {rec.get('schema_version')!r}"
+                    )
+                try:
+                    self.header = {
+                        "fingerprint": json_value(rec["fingerprint"], str, "fingerprint"),
+                        "sample_id": json_value(rec["sample_id"], int, "sample_id"),
+                        "mode": ExecutionMode(rec["mode"]),
+                        "assignment": ConfigAssignment(_pairs(rec["assignment"], "assignment")),
+                        "window_us": json_value(rec["window_us"], int, "window_us"),
+                    }
+                except _MALFORMED as exc:
+                    raise CorruptLine(i, f"bad header: {type(exc).__name__} {exc}") from None
+            elif kind == "summary":
+                if self.header is None:
+                    raise CorruptLine(i, "summary outside a trace block")
+                log = self._layout()
+                try:
+                    summary = read_record(rec, TraceSummary)
+                except _MALFORMED as exc:
+                    raise CorruptLine(i, f"bad summary: {type(exc).__name__} {exc}") from None
+                self.traces.append(SimTrace(log=log, summary=summary, **self.header))
+                self.header, self.events = None, []
+            else:
+                self._layout()
+                raise CorruptLine(i, f"unknown record type {kind!r}")
+
+    def _layout(self) -> EventColumns:
+        """The open block's events laid out; the first bad one raises
+        `CorruptLine` at its line."""
+        try:
+            return _columns(self.events)
+        except _MALFORMED + (RecursionError,):
+            for i, rec in enumerate(self.events, start=self.first):
                 try:
                     _columns([rec])
                 except _MALFORMED as exc:
                     raise CorruptLine(i, f"bad event: {type(exc).__name__} {exc}") from None
-            row += 1
-        elif kind == "header":
-            if header is not None:
-                raise CorruptLine(i, "header before previous trace's summary")
-            if rec.get("schema_version") != TRACE_SCHEMA_VERSION:
-                raise SchemaVersionMismatch(
-                    f"unsupported trace schema version {rec.get('schema_version')!r}"
-                )
-            try:
-                header = {
-                    "fingerprint": json_value(rec["fingerprint"], str, "fingerprint"),
-                    "sample_id": json_value(rec["sample_id"], int, "sample_id"),
-                    "mode": ExecutionMode(rec["mode"]),
-                    "assignment": ConfigAssignment(_pairs(rec["assignment"], "assignment")),
-                    "window_us": json_value(rec["window_us"], int, "window_us"),
-                }
-            except _MALFORMED as exc:
-                raise CorruptLine(i, f"bad header: {type(exc).__name__} {exc}") from None
-            first = row
-        elif kind == "summary":
-            if header is None:
-                raise CorruptLine(i, "summary outside a trace block")
-            try:
-                summary = read_record(rec, TraceSummary)
-            except _MALFORMED as exc:
-                raise CorruptLine(i, f"bad summary: {type(exc).__name__} {exc}") from None
-            if columns is not None:  # else an event record further on is bad
-                traces.append(SimTrace(log=columns.take(slice(first, row)), summary=summary, **header))
-            header = None
-        else:
-            raise CorruptLine(i, f"unknown record type {kind!r}")
-    if header is not None:
-        raise SchemaVersionMismatch("trace file ends mid-block")
-    return traces
+            raise
+
+
+def read_trace(path: str | Path) -> list[SimTrace]:
+    reader = _Reader()
+    with open(path, "rb") as f:
+        runs = _runs(f)
+        run = next(runs, None)
+        for after in runs:
+            reader.take(run, last=False)
+            run = after
+        if run is not None:
+            reader.take(run, last=True)
+    return reader.result()

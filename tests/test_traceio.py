@@ -1,9 +1,11 @@
 """Trace file round-trips, integrity checks, corruption reporting, and the
 reader against the line-at-a-time reader it replaced."""
 
+import gc
 import hashlib
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -14,7 +16,7 @@ import test_trace_bytes
 from builders import sim_trace
 from modalsim import engine, traceio, workload
 from modalsim.core import ConfigAssignment, ExecutionMode
-from modalsim.engine import Event, EventColumns, EventKind, TraceSummary
+from modalsim.engine import Event, EventColumns, EventKind, SimTrace, TraceSummary
 from modalsim.optimizer import OptimizerDecision
 from modalsim.traceio import CorruptLine, SchemaVersionMismatch, TraceIntegrityError
 from modalsim.workload import OracleGate
@@ -213,9 +215,19 @@ def test_missing_checksum_detected(tmp_path):
 
 # --- the reader against the line-at-a-time reader it replaced --------------
 
+def reference_log(events) -> EventColumns:
+    """`events` laid out a row at a time by the engine's own row writer
+    (`engine._row`, `engine.column`), and not by `traceio._columns`, the
+    reader's layout under test."""
+    rows = [engine._row(t, kind, m, u, **dict(payload)) for t, kind, m, u, payload in events]
+    columns = zip(*rows) if rows else [()] * len(engine.COLUMNS)
+    return EventColumns(*(engine.column(c, dtype) for c, dtype in zip(columns, engine.COLUMNS.values())))
+
+
 def line_reader(path):
     """The reader before the one-parse rewrite, kept as a reference: one
-    `json.loads` per line, header fields read when the summary arrives."""
+    `json.loads` per line, header fields read when the summary arrives, and
+    each trace's events laid out by `reference_log`."""
     text = Path(path).read_text(encoding="utf-8")
     lines = text.splitlines()
     if not lines:
@@ -261,13 +273,13 @@ def line_reader(path):
             if header is None:
                 raise CorruptLine(i, "summary outside a trace block")
             traces.append(
-                sim_trace(
+                SimTrace(
                     fingerprint=header["fingerprint"],
                     sample_id=header["sample_id"],
                     mode=ExecutionMode(header["mode"]),
                     assignment=ConfigAssignment(tuple(tuple(p) for p in header["assignment"])),
                     window_us=header["window_us"],
-                    events=tuple(events),
+                    log=reference_log(events),
                     summary=TraceSummary(
                         reported_latency_us=rec["reported_latency_us"],
                         waiting_us=rec["waiting_us"],
@@ -455,6 +467,151 @@ def test_reader_matches_line_reader_on_mutated_files(name, tmp_path):
         assert isinstance(outcome(traceio.read_trace, path), list)
 
 
+def block_edges():
+    """Files at the edges of the reader's runs of lines, each run a trace
+    block when the writer wrote the file: `"summary"` marks a run's end."""
+    body = BASE_LINES[:-1]
+    summaries = [i for i, line in enumerate(body) if '"record":"summary"' in line]
+    one = traceio.trace_text(real_trace(seed=2)).splitlines()
+    yield "one-trace", "\n".join(one) + "\n"
+    yield "one-trace-crlf", "\r\n".join(one) + "\r\n"
+    yield "one-trace-no-trailing-newline", "\n".join(one)
+    yield "crlf-no-trailing-newline", "\r\n".join(BASE_LINES)
+    # no canonical prefix marks a block's end
+    reordered = list(body)
+    for i in summaries:
+        reordered[i] = json.dumps(dict(reversed(json.loads(body[i]).items())), separators=(",", ":"))
+    yield "summary-keys-reordered", "\n".join(with_checksum(reordered)) + "\n"
+    yield "summary-keys-reordered-crlf", "\r\n".join(with_checksum(reordered)) + "\r\n"
+    # no line holds the mark, so the file is one run; or an event's string
+    # holds it, so a run ends inside a block
+    escaped = [line.replace('"record":"summary"', '"record":"\\u0073ummary"') for line in body]
+    yield "summary-escaped", "\n".join(with_checksum(escaped)) + "\n"
+    marked = [line.replace('"resource":"high"', '"resource":"summary"') for line in body]
+    yield "summary-in-an-event-string", "\n".join(with_checksum(marked)) + "\n"
+    # runs over many decoded chunks, with line ends that only `str.splitlines` splits on
+    many = [line.replace('"resource":"high"', '"resource":"hi\u2028gh"') for line in body * 4]
+    yield "many-chunks", "\n".join(with_checksum(body * 4)) + "\n"
+    yield "many-chunks-crlf", "\r\n".join(with_checksum(body * 4)) + "\r\n"
+    yield "many-chunks-raw-separators", "\n".join(with_checksum(many)) + "\n"
+    # a later fault of an earlier kind still wins over a structural one
+    headless = body[1:]  # the first block's events are outside a block
+    k = summaries[-1] - 3  # an event line of the second block, one line up
+    yield "json-error-after-a-structural-fault", "\n".join(
+        with_checksum(headless[:k] + ["{not json"] + headless[k + 1 :])
+    ) + "\n"
+    yield "not-a-record-after-a-structural-fault", "\n".join(
+        with_checksum(headless[:k] + ["[1, 2]"] + headless[k + 1 :])
+    ) + "\n"
+    yield "checksum-after-a-structural-fault", "\n".join(headless + [BASE_LINES[-1]]) + "\n"
+    yield "checksum-after-a-bad-event", "\n".join(
+        [re.sub(r'"t":\d+', '"t":[]', line, count=1) for line in body] + [BASE_LINES[-1]]
+    ) + "\n"
+    # a structural fault after a bad event of an open block: the bad event comes first
+    bad_event = [re.sub(r'"t":\d+', '"t":[]', line, count=1) if i == 2 else line for i, line in enumerate(body)]
+    yield "bad-event-then-header-before-the-summary", "\n".join(
+        with_checksum(bad_event[: summaries[0]] + bad_event[summaries[0] + 1 :])
+    ) + "\n"
+    yield "bad-event-then-ends-mid-block", "\n".join(with_checksum(bad_event[: summaries[0]])) + "\n"
+
+
+BLOCK_EDGES = dict(block_edges())
+# what each edge reads as: some traces, the traces of the intact file, or an
+# error and a part of its message
+INTACT = "reads like the intact file"
+BLOCK_EDGE_OUTCOMES = {
+    "one-trace": "reads",
+    "one-trace-crlf": "reads",
+    "one-trace-no-trailing-newline": "reads",
+    "crlf-no-trailing-newline": INTACT,
+    "summary-keys-reordered": INTACT,
+    "summary-keys-reordered-crlf": INTACT,
+    "summary-escaped": INTACT,
+    "summary-in-an-event-string": "reads",
+    "many-chunks": "reads",
+    "many-chunks-crlf": "reads",
+    "many-chunks-raw-separators": (CorruptLine, None),
+    "json-error-after-a-structural-fault": (CorruptLine, "invalid JSON"),
+    "not-a-record-after-a-structural-fault": (CorruptLine, "not a trace record"),
+    "checksum-after-a-structural-fault": (TraceIntegrityError, "do not match their checksum"),
+    "checksum-after-a-bad-event": (TraceIntegrityError, "do not match their checksum"),
+    "bad-event-then-header-before-the-summary": (CorruptLine, "line 3: bad event"),
+    "bad-event-then-ends-mid-block": (CorruptLine, "line 3: bad event"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_EDGES))
+def test_block_edges_read_as_the_line_reader_reads_them(name, tmp_path):
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(BLOCK_EDGES[name].encode("utf-8"))
+    assert_same_outcome(path)
+    expected = BLOCK_EDGE_OUTCOMES[name]
+    if expected == INTACT:
+        intact = tmp_path / "intact.jsonl"
+        intact.write_bytes(MUTATIONS["intact"].encode("utf-8"))
+        assert traceio.read_trace(path) == traceio.read_trace(intact)
+    elif expected == "reads":
+        assert isinstance(outcome(traceio.read_trace, path), list)
+    else:
+        error, message = expected
+        with pytest.raises(error) as err:
+            traceio.read_trace(path)
+        assert type(err.value) is error
+        assert message is None or message in str(err.value)
+
+
+def test_a_byte_that_is_not_utf8_wins_over_an_earlier_bad_line(tmp_path):
+    # a file's bytes are all decoded before any line counts as not JSON;
+    # the bad byte's line counts every line end `str.splitlines` knows, over
+    # many decoded chunks
+    body = [line.replace('"resource":"high"', '"resource":"hi\u2028gh"') for line in BASE_LINES[:-1] * 4]
+    body[3] = "{not json"
+    raw = "\n".join(with_checksum(body)).encode("utf-8") + b"\n"
+    at = raw.index(b'"record"', len(raw) * 3 // 4)
+    raw = raw[:at] + b"\xff" + raw[at + 1 :]
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(raw)
+    line = len((raw[:at].decode("utf-8") + ".").splitlines())
+    assert line > len(BASE_LINES) * 3
+    with pytest.raises(CorruptLine, match=f"^line {line}: not UTF-8$"):
+        traceio.read_trace(path)
+
+
+def _peak_above_result(call) -> int:
+    """The most memory `call` held at once, by tracemalloc in this process,
+    beyond what it still holds when it returns (what it returns)."""
+    gc.collect()
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        result = call()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        if started:
+            tracemalloc.stop()
+    del result
+    return peak - held
+
+
+@pytest.mark.parametrize("preset", ["lrw-like", "uav-like"])
+def test_trace_io_memory_stays_flat_in_the_number_of_traces(preset, tmp_path):
+    # a file is written and read a trace at a time: the most either end
+    # holds at once, beyond the traces it reads back, is about one trace's,
+    # however many traces the file holds
+    s = workload.gen_scenario(preset, seed=0).without_skipping()
+    traces = [engine.run(s, s.max_assignment(), x) for x in workload.gen_samples(s, 36, "hard", seed=1)]
+    peaks = {}
+    for n in (3, 36):
+        path = tmp_path / f"{n}.jsonl"
+        write = _peak_above_result(lambda: traceio.write_trace(traces[:n], path))
+        read = _peak_above_result(lambda: traceio.read_trace(path))
+        peaks[n] = write, read
+    assert peaks[36][0] <= 1.5 * peaks[3][0], peaks
+    assert peaks[36][1] <= 1.5 * peaks[3][1], peaks
+
+
 @pytest.mark.parametrize(
     "name, error, branch",
     [
@@ -480,7 +637,7 @@ def test_an_escaped_quote_takes_the_line_by_line_parse(monkeypatch, tmp_path):
     real = traceio._one_value_per_line
     monkeypatch.setattr(traceio, "_one_value_per_line", lambda *a: exits.append(real(*a)) or exits[-1])
     traces = traceio.read_trace(path)
-    assert exits == [False]
+    assert exits == [False, False, True]  # each trace block, then the checksum line alone
     assert len(traces) == 2
     resources = {dict(row[-1]).get("resource") for trace in traces for row in trace.log.rows()}
     assert 'hi"gh' in resources
@@ -641,7 +798,8 @@ def test_files_the_writer_produced_take_the_column_path(name, tmp_path, monkeypa
     path.write_bytes(MUTATIONS[name].encode("utf-8"))
     results = spy_columns(monkeypatch)
     traces = traceio.read_trace(path)
-    assert len(results) == 1 and isinstance(results[0], EventColumns)
+    assert len(results) == len(traces) == 2  # one bulk layout per trace block
+    assert all(isinstance(result, EventColumns) for result in results)
     assert all(isinstance(t.log, EventColumns) for t in traces)
     assert traces == line_reader(path)
 

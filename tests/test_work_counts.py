@@ -182,14 +182,17 @@ def test_fingerprinting_an_exact_scenario_never_runs_the_json_encoder(monkeypatc
     assert len(fingerprints) == 2 * len(workload.PRESETS)
 
 
-def test_reading_a_trace_file_parses_it_once(monkeypatch, tmp_path):
+def test_reading_a_trace_file_parses_each_trace_block_once(monkeypatch, tmp_path):
     s = workload.gen_scenario("lrw-like", seed=0).without_skipping()
     traces = [engine.run(s, s.max_assignment(), x) for x in workload.gen_samples(s, 12, "hard", seed=1)]
     path = tmp_path / "t.jsonl"
     traceio.write_trace(traces, path)
     parsed = count_calls(monkeypatch, json, "loads")
     assert traceio.read_trace(path) == traces
-    assert len(parsed) == 1  # one per file, not one per line
+    # one per trace block, header to summary, and one for the checksum line; never one per line
+    blocks = [(text.count('"record":"header"'), text.count('"record":"summary"')) for (text,) in parsed]
+    assert blocks == [(1, 1)] * len(traces) + [(0, 0)]
+    assert '"record":"checksum"' in parsed[-1][0]
 
 
 def test_a_window_goes_to_file_and_back_without_building_an_event(monkeypatch, tmp_path):
