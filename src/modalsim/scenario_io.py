@@ -7,7 +7,7 @@ The reference for the canonical text is
 `json.dumps(to_document(s), sort_keys=True, indent=2) + "\\n"`; with an
 indent, `json` runs its pure-Python encoder.  `serialize` writes the same
 bytes by one walk of the document `_document` builds, in the idiom of
-`traceio.trace_text`: the values at one place in the document are written
+`traceio._column_lines`: the values at one place in the document are written
 as one column.  Objects are filled from one %-template per key set and
 depth, one column of values per key; the items of all arrays at one place
 are one column a level deeper; a column of leaves is checked and encoded

@@ -15,21 +15,21 @@ payload's keys in sorted order.  Each payload value is written as
 `float.__repr__`, a bool as `true` or `false`, a str escaped, and int
 pairs as nested lists.
 
-Both ends work a trace at a time, so what they hold beyond the traces is
-about one trace block's (header to summary), however many the file holds.
-The writer lays out and writes each trace in turn, the checksum a running
-SHA-256 over the bytes written.  The reader decodes whole lines a chunk at
-a time, as `str.splitlines` splits them, and takes them in runs, each
-ending at a line that holds `"summary"`: one run per block in a file the
-writer wrote.  It parses a run with one `json.loads` of its lines as a JSON
-array; when that fails, or cannot be shown to have taken exactly one value
-from each line, the lines are parsed one by one, so an error names the
-first bad line.  The checksum is a running SHA-256 of the lines.  A bad
-file fails as it would if it were read whole, at its first fault in this
-order: a byte that is not UTF-8 anywhere (`CorruptLine` at its line), the
-first line that is not JSON or not a record, the checksum, and then the
-first fault of the block structure; a fault of the last three kinds is kept
-until the whole file is read.
+What either end holds beyond the traces stays flat however many traces
+the file holds.  The writer lays out and writes each trace in turn, the
+checksum a running SHA-256 over the bytes written.  The reader decodes
+whole lines a 16 KiB chunk (`_CHUNK`) at a time, as `str.splitlines`
+splits them, and takes each chunk as a run of lines, so it holds one run
+and the open trace block (header to summary); a block may span runs and a
+run may hold many blocks.  It parses a run with one `json.loads` of its
+lines as a JSON array; when that fails, or cannot be shown to have taken
+exactly one value from each line, the lines are parsed one by one, so an
+error names the first bad line.  The checksum is a running SHA-256 of the
+lines.  A bad file fails as it would if it were read whole, at its first
+fault in this order: a byte that is not UTF-8 anywhere (`CorruptLine` at
+its line), the first line that is not JSON or not a record, the checksum,
+and then the first fault of the block structure; a fault of the last three
+kinds is kept until the whole file is read.
 
 The records are walked as they are parsed, and a block's records are
 dropped once it is a `SimTrace`.  Its event records are read as their
@@ -43,9 +43,10 @@ have, or a value its column cannot hold, such as a float that is not
 finite.  When a record lacks a field or is refused, the block's records
 are checked one by one, and the first bad one raises `CorruptLine` with
 its line number, before any later fault.  A header and a summary are read
-at their own lines by `core`'s one JSON type rule (`json_value`,
-`read_record`); a summary is written as its `TraceSummary`'s fields, so
-that dataclass names them once for writer and reader.
+at their own lines by `core`'s one JSON type rule (`read_record`), which
+names every missing or wrongly typed field; a summary is written as its
+`TraceSummary`'s fields, so that dataclass names them once for writer and
+reader.
 """
 
 from __future__ import annotations
@@ -162,14 +163,14 @@ def _pieces(traces: Iterable[SimTrace] | SimTrace) -> Iterator[bytes]:
     if isinstance(traces, SimTrace):
         traces = [traces]
     digest = hashlib.sha256()
-    end = b""  # the line end before a trace's first line
+    end = b""  # the line end before the next line, none before the first
     for trace in traces:
         lines = [_dump(_header_record(trace)), *_column_lines(trace.log), _dump(_summary_record(trace))]
         piece = end + "\n".join(lines).encode("utf-8")
         digest.update(piece)
         yield piece
         end = b"\n"
-    yield b"\n" + _dump({"record": "checksum", "sha256": digest.hexdigest()}).encode("utf-8") + b"\n"
+    yield end + _dump({"record": "checksum", "sha256": digest.hexdigest()}).encode("utf-8") + b"\n"
 
 
 def trace_text(traces: Iterable[SimTrace] | SimTrace) -> str:
@@ -293,39 +294,39 @@ def _columns(recs: list[dict]) -> EventColumns:
 
 
 _CHUNK = 1 << 14  # bytes of whole lines decoded at a time
-_SUMMARY = '"summary"'  # in every summary line, which ends its trace block
 
 
 def _runs(f) -> Iterator[list[str]]:
     """The lines of the binary file `f`, as `str.splitlines` splits its
-    UTF-8 text, in runs that each end at the first line end after a
-    `_SUMMARY`, or at the end of the file: one trace block per run in a file
-    the writer wrote, and its checksum line alone in the last.  A byte that
-    is not UTF-8 raises `CorruptLine` at its line.  The file is decoded
-    whole `\\n`-ended lines at a time, so a cut after a `\\n` splits no line."""
-    count, text = 0, ""  # the lines yielded, and the text decoded after them
+    UTF-8 text, a run per `f.readlines(_CHUNK)` chunk.  A chunk is whole
+    `\\n`-ended lines, so no UTF-8 sequence and no `\\r\\n` spans two runs,
+    and the runs split the file's text as one `str.splitlines` would.  A
+    byte that is not UTF-8 raises `CorruptLine` at its line."""
+    count = 0  # the lines yielded
     while chunk := f.readlines(_CHUNK):
         data = b"".join(chunk)
         try:
-            text += data.decode("utf-8")
+            run = data.decode("utf-8").splitlines()
         except UnicodeDecodeError as exc:
             # the first bad byte's line: the last of the text before it and a stand-in for it
-            head = text + data[: exc.start].decode() + "."
+            head = data[: exc.start].decode() + "."
             raise CorruptLine(count + len(head.splitlines()), "not UTF-8") from None
-        start = 0
-        while (mark := text.find(_SUMMARY, start)) >= 0:
-            end = text.find("\n", mark) + 1 or len(text)
-            run = text[start:end].splitlines()
-            count += len(run)
-            yield run
-            start = end
-        text = text[start:]
-    if text:
-        yield text.splitlines()
+        count += len(run)
+        yield run
+
+
+def _header(fingerprint: str, sample_id: int, mode: str, assignment: list, window_us: int) -> dict:
+    """A trace's fields but its log and summary, from those of its header record."""
+    return dict(
+        fingerprint=fingerprint, sample_id=sample_id, mode=ExecutionMode(mode),
+        assignment=ConfigAssignment(_pairs(assignment, "assignment")), window_us=window_us,
+    )
 
 
 class _Reader:
-    """A trace file's records, taken a run of lines at a time in file order.
+    """A trace file's records, taken a run of lines (a chunk from `_runs`)
+    at a time in file order; an open block carries over from one run to the
+    next.
 
     A file's first fault decides its outcome, in this order: a byte that is
     not UTF-8 anywhere in the file (raised by `_runs`), then the first line
@@ -410,13 +411,7 @@ class _Reader:
                         f"unsupported trace schema version {rec.get('schema_version')!r}"
                     )
                 try:
-                    self.header = {
-                        "fingerprint": json_value(rec["fingerprint"], str, "fingerprint"),
-                        "sample_id": json_value(rec["sample_id"], int, "sample_id"),
-                        "mode": ExecutionMode(rec["mode"]),
-                        "assignment": ConfigAssignment(_pairs(rec["assignment"], "assignment")),
-                        "window_us": json_value(rec["window_us"], int, "window_us"),
-                    }
+                    self.header = read_record(rec, _header)
                 except _MALFORMED as exc:
                     raise CorruptLine(i, f"bad header: {type(exc).__name__} {exc}") from None
             elif kind == "summary":
@@ -450,11 +445,6 @@ class _Reader:
 def read_trace(path: str | Path) -> list[SimTrace]:
     reader = _Reader()
     with open(path, "rb") as f:
-        runs = _runs(f)
-        run = next(runs, None)
-        for after in runs:
-            reader.take(run, last=False)
-            run = after
-        if run is not None:
-            reader.take(run, last=True)
+        for run in _runs(f):
+            reader.take(run, last=not f.peek(1))
     return reader.result()

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from spawn import CLI, run
 
-from modalsim import cli, engine, nn, predictor, scenario_io, traceio, workload
+from modalsim import cli, engine, nn, predictor, report, scenario_io, traceio, workload
 from modalsim.core import BAD_SCHEDULE, InvalidScenario
 
 
@@ -288,6 +288,15 @@ def test_report_to_file_matches_stdout(motivation_file, tmp_path):
     r2 = invoke("report", "--trace", str(trace))
     assert r1.returncode == 0 and r2.returncode == 0
     assert to_file.read_text() == r2.stdout
+
+
+def test_report_on_a_file_of_no_traces_writes_the_csv_header(tmp_path):
+    trace = tmp_path / "t.jsonl"
+    traceio.write_trace([], trace)
+    assert traceio.read_trace(trace) == []
+    res = invoke("report", "--trace", str(trace))
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == ",".join(report.CSV_COLUMNS) + "\n"
 
 
 def test_trained_model_files_deterministic(scenario_file, tmp_path):

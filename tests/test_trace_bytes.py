@@ -216,6 +216,7 @@ def assert_round_trip(blocks, path):
 
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(blocks=st.lists(st.lists(schema_events(), max_size=6), min_size=1, max_size=3))
+@example(blocks=[])
 @example(blocks=[[Event(0, EventKind.CONFIG_SWITCH, payload=(("pairs", ((1, 2),)), ("probe_cost_us", 0)))]])
 @example(blocks=[[Event(-1, EventKind.CONFIG_SWITCH, payload=(("pairs", FOUR_PAIRS), ("probe_cost_us", 2**63 - 1)))]])
 def test_schema_events_round_trip_to_their_reference_bytes(blocks, tmp_path):

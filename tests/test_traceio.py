@@ -3,6 +3,7 @@ reader against the line-at-a-time reader it replaced."""
 
 import gc
 import hashlib
+import io
 import json
 import re
 import tracemalloc
@@ -467,9 +468,17 @@ def test_reader_matches_line_reader_on_mutated_files(name, tmp_path):
         assert isinstance(outcome(traceio.read_trace, path), list)
 
 
+# the first line of the intact file's second `readlines(_CHUNK)` chunk
+SECOND_CHUNK = len(io.BytesIO(MUTATIONS["intact"].encode("utf-8")).readlines(traceio._CHUNK))
+
+
 def block_edges():
-    """Files at the edges of the reader's runs of lines, each run a trace
-    block when the writer wrote the file: `"summary"` marks a run's end."""
+    """Files at the edges of the reader's runs of lines, each run a chunk of
+    whole lines (`readlines(_CHUNK)`), so a trace block may span runs and a
+    run may hold many blocks: blocks over chunk edges, line ends that only
+    `str.splitlines` splits on, and faults of each kind on either side of
+    another.  Some cases keep the edges of the block-at-a-time runs the
+    reader once took, each ending at a line that held `"summary"`."""
     body = BASE_LINES[:-1]
     summaries = [i for i, line in enumerate(body) if '"record":"summary"' in line]
     one = traceio.trace_text(real_trace(seed=2)).splitlines()
@@ -513,6 +522,12 @@ def block_edges():
         with_checksum(bad_event[: summaries[0]] + bad_event[summaries[0] + 1 :])
     ) + "\n"
     yield "bad-event-then-ends-mid-block", "\n".join(with_checksum(bad_event[: summaries[0]])) + "\n"
+    # a block over two chunks: a bad event in its second chunk is named at its line
+    k = SECOND_CHUNK
+    assert summaries[0] < k < summaries[1] and '"record":"event"' in body[k]
+    yield "bad-event-in-a-block-over-two-chunks", "\n".join(
+        with_checksum(body[:k] + [re.sub(r'"t":\d+', '"t":[]', body[k], count=1)] + body[k + 1 :])
+    ) + "\n"
 
 
 BLOCK_EDGES = dict(block_edges())
@@ -537,6 +552,7 @@ BLOCK_EDGE_OUTCOMES = {
     "checksum-after-a-bad-event": (TraceIntegrityError, "do not match their checksum"),
     "bad-event-then-header-before-the-summary": (CorruptLine, "line 3: bad event"),
     "bad-event-then-ends-mid-block": (CorruptLine, "line 3: bad event"),
+    "bad-event-in-a-block-over-two-chunks": (CorruptLine, f"line {SECOND_CHUNK + 1}: bad event"),
 }
 
 
@@ -637,7 +653,9 @@ def test_an_escaped_quote_takes_the_line_by_line_parse(monkeypatch, tmp_path):
     real = traceio._one_value_per_line
     monkeypatch.setattr(traceio, "_one_value_per_line", lambda *a: exits.append(real(*a)) or exits[-1])
     traces = traceio.read_trace(path)
-    assert exits == [False, False, True]  # each trace block, then the checksum line alone
+    with open(path, "rb") as f:
+        chunks = len(list(iter(lambda: f.readlines(traceio._CHUNK), [])))
+    assert chunks == 2 and exits == [False] * chunks  # one per chunk of lines, each with an escaped quote
     assert len(traces) == 2
     resources = {dict(row[-1]).get("resource") for trace in traces for row in trace.log.rows()}
     assert 'hi"gh' in resources
@@ -741,6 +759,21 @@ def test_hostile_record_raises_corrupt_line(case, tmp_path):
     with pytest.raises(CorruptLine) as err:
         traceio.read_trace(path)
     assert err.value.line_number == line_number
+
+
+def test_a_bad_header_names_every_problem(tmp_path):
+    def two_bad_fields(records):
+        _set("header", "sample_id", [1])(records)
+        return _set("header", "window_us", "long")(records)
+
+    for edit, problems in [
+        (_drop("header", "fingerprint"), "fingerprint is missing"),
+        (two_bad_fields, "sample_id should be int, got list; window_us should be int, got str"),
+    ]:
+        path, line_number = _resummed_file(tmp_path, edit)
+        with pytest.raises(CorruptLine) as err:
+            traceio.read_trace(path)
+        assert str(err.value) == f"line {line_number}: bad header: JSONTypeError {problems}"
 
 
 def test_a_bad_event_in_a_later_trace_names_its_line(tmp_path):

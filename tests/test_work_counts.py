@@ -182,17 +182,18 @@ def test_fingerprinting_an_exact_scenario_never_runs_the_json_encoder(monkeypatc
     assert len(fingerprints) == 2 * len(workload.PRESETS)
 
 
-def test_reading_a_trace_file_parses_each_trace_block_once(monkeypatch, tmp_path):
+def test_reading_a_trace_file_parses_each_chunk_of_lines_once(monkeypatch, tmp_path):
     s = workload.gen_scenario("lrw-like", seed=0).without_skipping()
     traces = [engine.run(s, s.max_assignment(), x) for x in workload.gen_samples(s, 12, "hard", seed=1)]
     path = tmp_path / "t.jsonl"
     traceio.write_trace(traces, path)
+    with open(path, "rb") as f:
+        chunks = [b"".join(chunk).decode() for chunk in iter(lambda: f.readlines(traceio._CHUNK), [])]
     parsed = count_calls(monkeypatch, json, "loads")
     assert traceio.read_trace(path) == traces
-    # one per trace block, header to summary, and one for the checksum line; never one per line
-    blocks = [(text.count('"record":"header"'), text.count('"record":"summary"')) for (text,) in parsed]
-    assert blocks == [(1, 1)] * len(traces) + [(0, 0)]
-    assert '"record":"checksum"' in parsed[-1][0]
+    # one per chunk of whole lines, read as an array of its lines; never one per line
+    assert len(chunks) > 1
+    assert [text for (text,) in parsed] == ["[" + ",".join(chunk.splitlines()) + "]" for chunk in chunks]
 
 
 def test_a_window_goes_to_file_and_back_without_building_an_event(monkeypatch, tmp_path):

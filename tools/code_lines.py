@@ -3,9 +3,13 @@
 A code line is a non-blank line that holds something other than a comment
 or a docstring; a multi-line statement or string counts every line it
 spans.  A docstring is the string that opens a module, class or function
-body.  Prints each module's count in `src/modalsim` and the total:
+body.  Prints each module's count in a source directory, `src/modalsim`
+unless one is given, and the total:
 
-    python tools/code_lines.py
+    python tools/code_lines.py [SOURCE_DIR]
+
+Given the package of another checkout, say a `git worktree` of the parent
+commit, it counts that one, so two runs give a change's line delta.
 """
 
 from __future__ import annotations
@@ -46,8 +50,8 @@ def code_lines(path: Path) -> int:
     return len(lines - _docstring_lines(ast.parse(source)))
 
 
-def main() -> int:
-    root = Path(__file__).resolve().parent.parent / "src" / "modalsim"
+def main(argv: list[str]) -> int:
+    root = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src" / "modalsim"
     counts = {p.name: code_lines(p) for p in sorted(root.glob("*.py"))}
     width = max(map(len, counts), default=0)
     for name, n in counts.items():
@@ -57,4 +61,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
