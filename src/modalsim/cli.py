@@ -138,10 +138,10 @@ def _load_scenario(spec: str, mode: str | None = None, t_max_ms: int | None = No
     """Load a scenario file, or build a preset given `name` / `name@seed`."""
     import dataclasses
 
-    name, _, seed_text = spec.partition("@")
+    name, at, seed_text = spec.partition("@")
     if name in workload.PRESETS:
         try:
-            seed = int(seed_text or 0)
+            seed = int(seed_text) if at else 0
         except ValueError:
             raise UsageError(f"--scenario {spec!r}: preset seed must be an integer") from None
         scenario = workload.gen_scenario(name, seed=seed)
@@ -193,26 +193,28 @@ def _cmd_run(args) -> int:
     scorer = model
     if args.optimize and model is None:
         scorer = workload.gen_accuracy_surface(scenario)
-    traces = []
-    for sample in samples:
-        decision = None
-        if args.optimize:
-            decision = optimizer.optimizer_step(
-                sample, scenario, scorer, engine.apply_resource_schedule(scenario, 0)
-            )
-            _note(
-                "DecisionLatency",
-                sample_id=sample.id,
-                decision_latency_us=decision.decision_latency_us,
-            )
-            assignment = decision.assignment
-        else:
-            assignment = _parse_assignment(args.assignment, scenario)
-        traces.append(
-            engine.run(scenario, assignment, sample, gate=gate, config_decision=decision)
-        )
-    traceio.write_trace(traces, args.out)
-    print(f"wrote {len(traces)} trace(s) to {args.out}")
+
+    def windows():
+        samples.reverse()
+        while samples:  # a sample, and the payload rows it memoizes, is dropped once its window is written
+            sample = samples.pop()
+            decision = None
+            if args.optimize:
+                decision = optimizer.optimizer_step(
+                    sample, scenario, scorer, engine.apply_resource_schedule(scenario, 0)
+                )
+                _note(
+                    "DecisionLatency",
+                    sample_id=sample.id,
+                    decision_latency_us=decision.decision_latency_us,
+                )
+                assignment = decision.assignment
+            else:
+                assignment = _parse_assignment(args.assignment, scenario)
+            yield engine.run(scenario, assignment, sample, gate=gate, config_decision=decision)
+
+    traceio.write_trace(windows(), args.out)
+    print(f"wrote {args.samples} trace(s) to {args.out}")
     return 0
 
 
@@ -321,8 +323,9 @@ def _cmd_train_gate(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    traces = traceio.read_trace(args.trace)
-    csv_text = report.to_csv(report.breakdown(traces))
+    # each trace's rows are added as it is read; the CSV is good, and written, once the last is read
+    traces = traceio.iter_traces(args.trace)
+    csv_text = report.to_csv(row for trace in traces for row in report.breakdown(trace))
     if args.out:
         Path(args.out).write_text(csv_text, encoding="utf-8")
         print(f"wrote report to {args.out}")

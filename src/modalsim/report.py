@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import io
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -109,7 +109,7 @@ def _facts(trace: SimTrace):
     return per, fusion[-1][1] if fusion else None, prediction[-1][1] if prediction else None
 
 
-def to_csv(rows: list[dict]) -> str:
+def to_csv(rows: Iterable[dict]) -> str:
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
     writer.writeheader()

@@ -15,21 +15,27 @@ payload's keys in sorted order.  Each payload value is written as
 `float.__repr__`, a bool as `true` or `false`, a str escaped, and int
 pairs as nested lists.
 
-What either end holds beyond the traces stays flat however many traces
-the file holds.  The writer lays out and writes each trace in turn, the
-checksum a running SHA-256 over the bytes written.  The reader decodes
-whole lines a 16 KiB chunk (`_CHUNK`) at a time, as `str.splitlines`
-splits them, and takes each chunk as a run of lines, so it holds one run
-and the open trace block (header to summary); a block may span runs and a
-run may hold many blocks.  It parses a run with one `json.loads` of its
-lines as a JSON array; when that fails, or cannot be shown to have taken
-exactly one value from each line, the lines are parsed one by one, so an
-error names the first bad line.  The checksum is a running SHA-256 of the
-lines.  A bad file fails as it would if it were read whole, at its first
-fault in this order: a byte that is not UTF-8 anywhere (`CorruptLine` at
-its line), the first line that is not JSON or not a record, the checksum,
-and then the first fault of the block structure; a fault of the last three
-kinds is kept until the whole file is read.
+Both ends stream: what either holds stays flat however many traces the
+file holds.  The writer takes the traces from any iterable, a generator
+included, and lays out and writes each in turn, the checksum a running
+SHA-256 over the bytes written.  A file is written whole or not at all:
+to a `.partial` sibling, moved over the path once its checksum line is in.
+The reader, `iter_traces`, is a generator that yields each trace as its
+block (header to summary) closes; `read_trace` lists it.  It decodes whole
+lines a 16 KiB chunk (`_CHUNK`) at a time, as `str.splitlines` splits
+them, and takes each chunk as a run of lines, so it holds one run and the
+open block; a block may span runs and a run may hold many blocks.  It
+parses a run with one `json.loads` of its lines as a JSON array; when that
+fails, or cannot be shown to have taken exactly one value from each line,
+the lines are parsed one by one, so an error names the first bad line.
+The checksum is a running SHA-256 of the lines.  A bad file fails as it
+would if it were read whole, at its first fault in this order: a byte
+that is not UTF-8 anywhere (`CorruptLine` at its line), the first line
+that is not JSON or not a record, the checksum, and then the first fault
+of the block structure; a fault of the last three kinds is kept until the
+whole file is read, and raised after the last good trace is yielded.  So
+a trace yielded, and whatever a caller builds from it, is good only once
+the iteration ends.
 
 The records are walked as they are parsed, and a block's records are
 dropped once it is a `SimTrace`.  Its event records are read as their
@@ -178,8 +184,18 @@ def trace_text(traces: Iterable[SimTrace] | SimTrace) -> str:
 
 
 def write_trace(traces: Iterable[SimTrace] | SimTrace, path: str | Path) -> None:
-    with open(path, "wb") as f:
-        f.writelines(_pieces(traces))
+    """Write the file whole or not at all: its bytes go to a `.partial`
+    sibling of `path`, moved over `path` once the checksum line is in and
+    removed when the traces, or the writing, raise."""
+    partial = Path(f"{path}.partial")
+    f = open(partial, "wb")  # before the try: a file it cannot open is not removed
+    try:
+        with f:
+            f.writelines(_pieces(traces))
+        partial.replace(path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 # every byte but the ones that delimit strings, nest values and end lines
@@ -296,13 +312,14 @@ def _columns(recs: list[dict]) -> EventColumns:
 _CHUNK = 1 << 14  # bytes of whole lines decoded at a time
 
 
-def _runs(f) -> Iterator[list[str]]:
+def _runs(f) -> Iterator[tuple[int, list[str]]]:
     """The lines of the binary file `f`, as `str.splitlines` splits its
-    UTF-8 text, a run per `f.readlines(_CHUNK)` chunk.  A chunk is whole
-    `\\n`-ended lines, so no UTF-8 sequence and no `\\r\\n` spans two runs,
-    and the runs split the file's text as one `str.splitlines` would.  A
-    byte that is not UTF-8 raises `CorruptLine` at its line."""
-    count = 0  # the lines yielded
+    UTF-8 text, a run per `f.readlines(_CHUNK)` chunk, each with the number
+    of its first line.  A chunk is whole `\\n`-ended lines, so no UTF-8
+    sequence and no `\\r\\n` spans two runs, and the runs split the file's
+    text as one `str.splitlines` would.  A byte that is not UTF-8 raises
+    `CorruptLine` at its line."""
+    first = 1
     while chunk := f.readlines(_CHUNK):
         data = b"".join(chunk)
         try:
@@ -310,9 +327,9 @@ def _runs(f) -> Iterator[list[str]]:
         except UnicodeDecodeError as exc:
             # the first bad byte's line: the last of the text before it and a stand-in for it
             head = data[: exc.start].decode() + "."
-            raise CorruptLine(count + len(head.splitlines()), "not UTF-8") from None
-        count += len(run)
-        yield run
+            raise CorruptLine(first - 1 + len(head.splitlines()), "not UTF-8") from None
+        yield first, run
+        first += len(run)
 
 
 def _header(fingerprint: str, sample_id: int, mode: str, assignment: list, window_us: int) -> dict:
@@ -323,72 +340,19 @@ def _header(fingerprint: str, sample_id: int, mode: str, assignment: list, windo
     )
 
 
-class _Reader:
-    """A trace file's records, taken a run of lines (a chunk from `_runs`)
-    at a time in file order; an open block carries over from one run to the
-    next.
-
-    A file's first fault decides its outcome, in this order: a byte that is
-    not UTF-8 anywhere in the file (raised by `_runs`), then the first line
-    that is not JSON or not a record, then the checksum, then the first
-    fault of its block structure.  So a fault of the latter three kinds is
-    kept, and the rest of the file still read, until the end of the file.
-    The records are walked as they are parsed: each block, header to
-    summary, becomes a `SimTrace` at its summary, its events laid out in
-    bulk by the schema and checked one by one only when that raises, and
-    its records are then dropped."""
+class _Block:
+    """The open trace block (header to summary) of a file being walked in
+    order: its header fields, its event records and the line of the first."""
 
     def __init__(self):
-        self.count = 0  # lines so far
-        self.digest = hashlib.sha256()  # of every line before the checksum, joined by line ends
-        self.bad_line: CorruptLine | None = None  # the first line that is not JSON or not a record
-        self.fault: ModalsimError | None = None  # the first fault of the block structure
-        self.checksum: dict = {}  # the last record
-        self.traces: list[SimTrace] = []
         self.header: dict | None = None  # the open block's header fields
         self.events: list[dict] = []  # the open block's event records
         self.first = 0  # the line of the open block's first event record
 
-    def take(self, lines: list[str], last: bool) -> None:
-        """Parse and walk the next run of lines; `last` when it ends the file."""
-        first, self.count = self.count + 1, self.count + len(lines)
-        if self.bad_line is not None:
-            return
-        data = "\n".join(lines).encode("utf-8")
-        try:
-            records = _parse(lines, data, first)
-        except CorruptLine as exc:
-            self.bad_line = exc
-            return
-        if last:
-            self.checksum = records.pop()
-            data = data[: max(len(data) - len(lines[-1].encode("utf-8")) - 1, 0)]  # the lines before it
-        if records:
-            self.digest.update(b"\n" + data if first > 1 else data)
-        if self.fault is None:
-            try:
-                self._walk(records, first)
-            except ModalsimError as exc:  # raised once the rest of the file is read
-                self.fault = exc
-
-    def result(self) -> list[SimTrace]:
-        if self.count == 0:
-            raise SchemaVersionMismatch("empty trace file")
-        if self.bad_line is not None:
-            raise self.bad_line
-        if self.checksum["record"] != "checksum":
-            raise TraceIntegrityError("missing checksum record")
-        if self.checksum.get("sha256") != self.digest.hexdigest():
-            raise TraceIntegrityError("trace file contents do not match their checksum")
-        if self.fault is not None:
-            raise self.fault
-        if self.header is not None:
-            self._layout()  # a bad event of the open block comes first
-            raise SchemaVersionMismatch("trace file ends mid-block")
-        return self.traces
-
-    def _walk(self, records: list[dict], first: int) -> None:
-        """Walk `records`, the file's from line `first` on; the event
+    def walk(self, records: list[dict], first: int) -> Iterator[SimTrace]:
+        """Walk `records`, the file's from line `first` on, and yield each
+        block they close as a `SimTrace`, its events laid out in bulk by the
+        schema and checked one by one only when that raises; the event
         records between two others are taken as one slice."""
         kinds = list(map(itemgetter("record"), records))
         at = 0  # the next record to walk
@@ -404,7 +368,7 @@ class _Reader:
             at, i, rec, kind = j + 1, first + j, records[j], kinds[j]
             if kind == "header":
                 if self.header is not None:
-                    self._layout()
+                    self.layout()
                     raise CorruptLine(i, "header before previous trace's summary")
                 if rec.get("schema_version") != TRACE_SCHEMA_VERSION:
                     raise SchemaVersionMismatch(
@@ -417,18 +381,18 @@ class _Reader:
             elif kind == "summary":
                 if self.header is None:
                     raise CorruptLine(i, "summary outside a trace block")
-                log = self._layout()
+                log = self.layout()
                 try:
                     summary = read_record(rec, TraceSummary)
                 except _MALFORMED as exc:
                     raise CorruptLine(i, f"bad summary: {type(exc).__name__} {exc}") from None
-                self.traces.append(SimTrace(log=log, summary=summary, **self.header))
-                self.header, self.events = None, []
+                header, self.header, self.events = self.header, None, []
+                yield SimTrace(log=log, summary=summary, **header)
             else:
-                self._layout()
+                self.layout()
                 raise CorruptLine(i, f"unknown record type {kind!r}")
 
-    def _layout(self) -> EventColumns:
+    def layout(self) -> EventColumns:
         """The open block's events laid out; the first bad one raises
         `CorruptLine` at its line."""
         try:
@@ -442,9 +406,53 @@ class _Reader:
             raise
 
 
-def read_trace(path: str | Path) -> list[SimTrace]:
-    reader = _Reader()
+def iter_traces(path: str | Path) -> Iterator[SimTrace]:
+    """The traces of a trace file in file order, each yielded as its block
+    closes, so only a run of lines and the open block are held at once.
+
+    A file's first fault decides its outcome, in this order: a byte that is
+    not UTF-8 anywhere in the file (raised by `_runs`), then the first line
+    that is not JSON or not a record, then the checksum, then the first
+    fault of its block structure.  A fault of the latter three kinds is kept
+    until the whole file is read, and raised after the last good trace has
+    been yielded.  So the traces, and whatever a caller builds from them,
+    are good only once the iteration ends without raising."""
+    digest = hashlib.sha256()  # of every line before the checksum, joined by line ends
+    fault: ModalsimError | None = None  # the first fault of the block structure
+    checksum: dict | None = None  # the last record; None only when the file is empty
+    block = _Block()
     with open(path, "rb") as f:
-        for run in _runs(f):
-            reader.take(run, last=not f.peek(1))
-    return reader.result()
+        runs = _runs(f)
+        for first, lines in runs:
+            data = "\n".join(lines).encode("utf-8")
+            try:
+                records = _parse(lines, data, first)
+            except CorruptLine:  # the first bad line, raised once the rest of the file is decoded
+                for _ in runs:
+                    pass
+                raise
+            if not f.peek(1):
+                checksum = records.pop()
+                data = data[: max(len(data) - len(lines[-1].encode("utf-8")) - 1, 0)]  # the lines before it
+            if records:
+                digest.update(b"\n" + data if first > 1 else data)
+            if fault is None:
+                try:
+                    yield from block.walk(records, first)
+                except ModalsimError as exc:  # raised once the rest of the file is read
+                    fault = exc
+    if checksum is None:
+        raise SchemaVersionMismatch("empty trace file")
+    if checksum["record"] != "checksum":
+        raise TraceIntegrityError("missing checksum record")
+    if checksum.get("sha256") != digest.hexdigest():
+        raise TraceIntegrityError("trace file contents do not match their checksum")
+    if fault is not None:
+        raise fault
+    if block.header is not None:
+        block.layout()  # a bad event of the open block comes first
+        raise SchemaVersionMismatch("trace file ends mid-block")
+
+
+def read_trace(path: str | Path) -> list[SimTrace]:
+    return list(iter_traces(path))

@@ -299,6 +299,42 @@ def test_report_on_a_file_of_no_traces_writes_the_csv_header(tmp_path):
     assert res.stdout == ",".join(report.CSV_COLUMNS) + "\n"
 
 
+@pytest.mark.parametrize("to_file", [True, False])
+def test_report_on_a_tampered_file_exit_code_3_and_writes_nothing(to_file, motivation_file, tmp_path):
+    trace = tmp_path / "t.jsonl"
+    assert invoke("run", "--scenario", motivation_file, "--samples", "3", "--out", str(trace)).returncode == 0
+    text = trace.read_text()
+    trace.write_text(text.replace('"sha256":"', '"sha256":"0', 1))
+    out = tmp_path / "report.csv"
+    res = invoke("report", "--trace", str(trace), *(["--out", str(out)] if to_file else []))
+    assert res.returncode == 3, res.stderr
+    assert [e["error"] for e in _json_lines(res.stderr)] == ["TraceIntegrityError"]
+    assert res.stdout == "" and not out.exists()
+
+
+def _peak(argv) -> int:
+    """The most memory `cli.main(argv)` held at once, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_run_and_report_memory_stays_flat_in_the_number_of_samples(tmp_path, capsys):
+    # run writes each window as it is made and report adds each trace's rows
+    # as it is read, so neither holds a batch of traces: what grows with the
+    # samples is the corpus and the CSV, well under 2 KB a sample
+    peaks = {}
+    for n in (1, 30, 300):  # the first run only imports and warms what every run uses
+        trace, csv = tmp_path / f"{n}.jsonl", tmp_path / f"{n}.csv"
+        run = ["run", "--scenario", "uav-like", "--mode", "non_blocking", "--samples", str(n), "--out", str(trace)]
+        peaks[n] = _peak(run), _peak(["report", "--trace", str(trace), "--out", str(csv)])
+    for end in (0, 1):
+        assert (peaks[300][end] - peaks[30][end]) / 270 < 2048, peaks
+
+
 def test_trained_model_files_deterministic(scenario_file, tmp_path):
     p1, p2 = tmp_path / "m1.json", tmp_path / "m2.json"
     for p in (p1, p2):
@@ -503,6 +539,7 @@ def test_directory_as_input_file_exit_code_2(flag, tmp_path):
         ["--assignment", "5:0,0:0"],  # sensing level out of range
         ["--samples", "0"],
         ["--scenario", "lrw-like@x"],  # preset seed is not an integer
+        ["--scenario", "lrw-like@"],  # preset seed is empty
     ],
 )
 def test_unusable_flag_value_exit_code_1(flags, tmp_path):

@@ -628,6 +628,56 @@ def test_trace_io_memory_stays_flat_in_the_number_of_traces(preset, tmp_path):
     assert peaks[36][1] <= 1.5 * peaks[3][1], peaks
 
 
+def _three_trace_lines() -> list[str]:
+    return traceio.trace_text([real_trace(seed=k) for k in range(3)]).splitlines()
+
+
+def _tampered_checksum(lines):
+    return lines[:-1] + [lines[-1].replace('"sha256":"', '"sha256":"0', 1)], TraceIntegrityError, 3, None
+
+
+def _bad_event_in_block_3(lines):
+    body = lines[:-1]
+    i = [k for k, line in enumerate(body) if '"record":"header"' in line][2] + 1  # block 3's first event
+    body[i] = re.sub(r'"t":\d+', '"t":[]', body[i], count=1)
+    return with_checksum(body), CorruptLine, 2, i + 1
+
+
+@pytest.mark.parametrize("edit", [_tampered_checksum, _bad_event_in_block_3])
+def test_the_stream_yields_every_good_trace_then_raises_the_fault(edit, tmp_path):
+    # a fault is raised once the whole file is read, after the last good
+    # trace is yielded; read_trace, which lists the stream, raises the same
+    lines, error, good, line_number = edit(_three_trace_lines())
+    path = tmp_path / "t.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    yielded = []
+    with pytest.raises(error) as streamed:
+        for trace in traceio.iter_traces(path):
+            yielded.append(trace)
+    assert len(yielded) == good
+    assert getattr(streamed.value, "line_number", None) == line_number
+    with pytest.raises(error) as listed:
+        traceio.read_trace(path)
+    assert (type(listed.value), str(listed.value)) == (type(streamed.value), str(streamed.value))
+
+
+@pytest.mark.parametrize("old", [None, b"old bytes\n"])
+def test_a_write_the_traces_break_leaves_the_path_as_it_was(old, tmp_path):
+    path = tmp_path / "t.jsonl"
+    if old is not None:
+        path.write_bytes(old)
+
+    def traces():
+        yield real_trace(seed=0)
+        yield real_trace(seed=1)
+        raise ValueError("a window failed")
+
+    with pytest.raises(ValueError, match="a window failed"):
+        traceio.write_trace(traces(), path)
+    assert (path.read_bytes() if path.exists() else None) == old
+    assert [p.name for p in tmp_path.iterdir()] == ([path.name] if old is not None else [])
+
+
 @pytest.mark.parametrize(
     "name, error, branch",
     [
