@@ -188,16 +188,14 @@ def _cmd_run(args) -> int:
     if gate is not None:
         _check_gate(gate, scenario)
     model = predictor.load_model(args.predictor) if args.predictor else None
-    samples = workload.gen_samples(scenario, args.samples, args.difficulty, seed=args.seed)
+    samples = workload.iter_samples(scenario, args.samples, args.difficulty, seed=args.seed)
 
     scorer = model
     if args.optimize and model is None:
         scorer = workload.gen_accuracy_surface(scenario)
 
     def windows():
-        samples.reverse()
-        while samples:  # a sample, and the payload rows it memoizes, is dropped once its window is written
-            sample = samples.pop()
+        for sample in samples:  # made as its window is, and dropped once the window is written
             decision = None
             if args.optimize:
                 decision = optimizer.optimizer_step(

@@ -325,7 +325,8 @@ class Sample:
     all units equal for `stable` samples and a late feature jump (from
     `jump_fraction` of the window onward, scaled by `jump_scale`) for
     unstable ones.  A window's payload is therefore built from one base row
-    and at most one jump row, each drawn once per (sample, modality).
+    and at most one jump row per (sample, modality), which `rows` draws
+    once, for every modality of a tuple in one pass.
     """
 
     id: int
@@ -339,37 +340,49 @@ class Sample:
     jump_nonce: int = 0
 
     @memoized
-    def _streams(self) -> tuple[rng.Stream, rng.Stream]:
-        """The stream of ("sample", id), folded once per sample, and its
-        "shared" sub-stream.  Every payload stream is a `.sub` of the first,
-        and labels fold left to right, so each key is the one the full label
-        path gives."""
+    def _draw_state(self) -> tuple[rng.Stream, rng.Stream, dict]:
+        """The stream of ("sample", id), folded once per sample, its
+        "shared" sub-stream, and the rows `rows` has drawn, by modality.
+        Every payload stream is a `.sub` of the first, and labels fold left
+        to right, so each key is the one the full label path gives."""
         prefix = rng.stream(self.seed, "sample", self.id)
-        return prefix, prefix.sub("shared")
+        return prefix, prefix.sub("shared"), {}
 
-    @memoized
-    def _rows(self, modality: Modality) -> tuple[np.ndarray, np.ndarray]:
-        """The modality's base row and its row from the jump on (the base
-        row again for a stable sample), each drawn once."""
-        prefix, shared = self._streams()
-        private = prefix.sub("private", modality.id).symmetric(modality.channels)
-        a = self.consistency_weight
-        base = a * shared.symmetric(modality.channels) + (1.0 - a) * private
-        if self.stable:
-            return base, base
-        direction = prefix.sub("jump", self.jump_nonce, modality.id).symmetric(modality.channels)
-        return base, base + self.jump_scale * direction
+    def rows(self, modalities: tuple[Modality, ...]) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Each modality's base row and its row from the jump on (the base
+        row again for a stable sample), read-only.  The modalities not drawn
+        before are drawn in one pass: the shared row once, at the largest
+        width (a narrower modality's shared row is its prefix), and every
+        private and jump row, all through one `rng.concat_units` call.  The
+        rest is elementwise, so a row has the same bits whichever modalities
+        share its pass; one modality is a pass of one."""
+        prefix, shared, drawn = self._draw_state()
+        new = [m for m in modalities if m not in drawn]
+        if new:
+            widths = [m.channels for m in new]
+            streams = [shared, *(prefix.sub("private", m.id) for m in new)]
+            streams += [prefix.sub("jump", self.jump_nonce, m.id) for m in new if not self.stable]
+            top, total = max(widths), sum(widths)
+            units = rng.concat_units(streams, [top] + widths * (1 if self.stable else 2)) * 2.0 - 1.0
+            a = self.consistency_weight
+            base = a * np.concatenate([units[:w] for w in widths]) + (1.0 - a) * units[top : top + total]
+            jumped = base if self.stable else base + self.jump_scale * units[top + total :]
+            for array in (base, jumped):
+                array.setflags(write=False)
+            ends = list(itertools.accumulate(widths))
+            drawn.update((m, (base[e - w : e], jumped[e - w : e])) for m, w, e in zip(new, widths, ends))
+        return [drawn[m] for m in modalities]
 
     def jump_start(self, units_per_window: int) -> int:
         return max(math.ceil(self.jump_fraction * units_per_window), 0)
 
     def unit_payload(self, modality: Modality, unit: int, units_per_window: int) -> np.ndarray:
-        base, jumped = self._rows(modality)
+        ((base, jumped),) = self.rows((modality,))
         return (jumped if unit >= self.jump_start(units_per_window) else base).copy()
 
     def window_payload(self, modality: Modality, units_per_window: int) -> np.ndarray:
         """All N unit payloads; row u equals unit_payload(modality, u, N) bitwise."""
-        base, jumped = self._rows(modality)
+        ((base, jumped),) = self.rows((modality,))
         rows = np.repeat(base[None, :], units_per_window, axis=0)
         rows[self.jump_start(units_per_window) :] = jumped
         return rows

@@ -379,6 +379,7 @@ def run(
         raise GateRequiredButMissing("scenario configures skip checkpoints; pipelined runs need a gate")
 
     plans = [_schedule(scenario, assignment, m, window_start) for m in scenario.modalities]
+    sample.rows(scenario.modalities)  # every modality's rows, in one draw pass
     for p in plans:
         p.rows = sample.window_payload(p.modality, p.n)
     if skipping:

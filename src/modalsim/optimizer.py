@@ -16,17 +16,23 @@ Both searches build assignments as (n, modalities, 2) integer arrays of
 k-th assignment of a product, for brute force, `sweep` and the predictor's
 training picks alike.  A `scores` object scores the levels themselves; a
 predictor scores rows of the assignments' encodings, standardized
-(`_scorer`).  Greedy search builds and
-standardizes one table per decision, a row per in-budget option, and after
-each step patches only the moved modality's columns; every product it runs
-multiplies the same rows, in the same order, as encoding each step's moves
-afresh would, so its scores, and with them its choices, keep every bit.
+(`_scorer`).  Greedy search scores each step's moves in one product from a
+candidate table, a row per in-budget option, and after each step patches
+only the moved modality's columns.  A predictor's table is encoded and
+standardized once per (scenario instance, resource, model) and kept while
+both live (`_candidates`); only its two indicator columns depend on the
+sample, so each decision copies it and refills them.  Every product greedy
+search runs multiplies the same rows, in the same order, as encoding each
+step's moves afresh would, so its scores, and with them its choices, keep
+every bit.  A decision's probe reads the sample's one draw pass
+(`Sample.rows`), which its window then shares.
 """
 
 from __future__ import annotations
 
 import math
 import time
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,16 +114,18 @@ def _scorer(model, ind: ModalityIndicators, modalities: int, row_per_product: bo
     raise TypeError(f"cannot score assignments with {type(model)!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _Options:
     """Every in-budget (sensing, model) option of every modality, by modality
-    and then in lexicographic order, as read-only arrays."""
+    and then in lexicographic order, as read-only arrays.  Equal only to
+    itself, so a predictor's tables can be kept by it (`_tables`)."""
 
     modality: np.ndarray  # (k,) modality of each option
     levels: np.ndarray  # (k, 2) its sensing and model level
     latency: np.ndarray  # (k,) its unimodal latency
     bounds: tuple[int, ...]  # modality i's options are [bounds[i], bounds[i + 1])
     fastest: np.ndarray  # per modality, its fastest option, the lowest levels on ties
+    start: np.ndarray  # (k, modalities, 2) the fastest assignment with option k's modality set to it
 
 
 @memoized
@@ -133,16 +141,41 @@ def _options(scenario: Scenario, resource: str) -> _Options:
         )
     latency = [row[w] for row, w in zip(table, within)]
     bounds = np.cumsum([0] + [len(lat) for lat in latency])
-    options = _Options(
-        modality=np.repeat(np.arange(len(table)), np.diff(bounds)),
-        levels=np.concatenate([np.argwhere(w) for w in within]),
-        latency=np.concatenate(latency),
-        bounds=tuple(bounds.tolist()),
-        fastest=bounds[:-1] + [int(np.argmin(lat)) for lat in latency],
-    )
-    for array in (options.modality, options.levels, options.latency, options.fastest):
+    modality = np.repeat(np.arange(len(table)), np.diff(bounds))
+    levels = np.concatenate([np.argwhere(w) for w in within])
+    fastest = bounds[:-1] + [int(np.argmin(lat)) for lat in latency]
+    start = levels[fastest][None].repeat(len(levels), axis=0)
+    start[np.arange(len(levels)), modality] = levels
+    options = _Options(modality, levels, np.concatenate(latency), tuple(bounds.tolist()), fastest, start)
+    for array in (options.modality, options.levels, options.latency, options.fastest, options.start):
         array.setflags(write=False)
     return options
+
+
+@memoized
+def _tables(model: PredictorModel) -> weakref.WeakKeyDictionary:
+    """The predictor's candidate tables, `_scorer` rows of `options.start`,
+    by `_Options`: each is kept while its scenario's options and the model
+    both live."""
+    return weakref.WeakKeyDictionary()
+
+
+def _candidates(model, options: _Options, rows, fill: int) -> np.ndarray:
+    """A decision's candidate table, `rows(options.start)`, as a new array.
+    A predictor's rows are encoded and standardized once per `_tables`
+    entry; a later decision copies them and sets the first `fill` columns,
+    the only ones the sample sets, from `rows` of one row.  Standardizing
+    is elementwise, so the table has the bits of encoding it afresh."""
+    if not isinstance(model, PredictorModel):
+        return rows(options.start).copy()
+    tables = _tables(model)
+    if options in tables:
+        table = tables[options].copy()
+        table[:, :fill] = rows(options.start[:1])[0, :fill]
+        return table
+    tables[options] = rows(options.start)
+    tables[options].setflags(write=False)
+    return tables[options].copy()
 
 
 def brute_force(
@@ -204,8 +237,8 @@ def greedy_search(
     Each step scores all its moves in one call, in a fixed order: by
     modality, then by (sensing, model) level.  Ties on (ratio, gain) go to
     the first move in that order, which has the lowest modality and then the
-    lowest levels.  The rows come from a table that `_ascend` builds once
-    per decision and patches after each step.
+    lowest levels.  The rows come from the decision's candidate table
+    (`_candidates`), which `_ascend` patches after each step.
     """
     return _ascend(scenario, ind, model, resource)[0]
 
@@ -214,47 +247,44 @@ def _ascend(scenario: Scenario, ind: ModalityIndicators, model, resource: str):
     """`greedy_search`'s ascent.  Returns the chosen assignment, its row of
     the candidate table as a 1-row array, and the scorer of such rows.
 
-    The candidate table has one row per in-budget option k: the current
-    assignment with option k's modality set to option k, so the rows of the
-    chosen options are the current assignment and the other rows are its
-    moves.  It is encoded and standardized once per decision; when modality
-    i moves to option k, row k's columns for modality i are copied into
-    every row outside modality i's options.  A matrix product's rounding
-    depends only on the rows it multiplies, so scoring `table[moves]` in one
-    product gives the bits that encoding the same rows afresh, in the same
-    order, would give.
+    The candidate table (`_candidates`) has one row per in-budget option k:
+    the current assignment with option k's modality set to option k, so the
+    rows of the chosen options are the current assignment and the other
+    rows are its moves.  When modality i moves to option k, row k's columns
+    for modality i are copied into every row outside modality i's options.
+    A matrix product's rounding depends only on the rows it multiplies, so
+    scoring `table[moves]` in one product gives the bits that encoding the
+    same rows afresh, in the same order, would give.
     """
     rows, columns, score = _scorer(model, ind, len(scenario.modalities))
     options = _options(scenario, resource)
-    chosen = options.fastest.copy()  # each modality's current option
-    is_move = np.ones(len(options.modality), dtype=bool)
+    table = _candidates(model, options, rows, columns[0])
+    modality, latency = options.modality.tolist(), options.latency.tolist()
+    chosen = options.fastest.tolist()  # each modality's current option
+    is_move = np.ones(len(modality), dtype=bool)
     is_move[chosen] = False
-    levels = options.levels[chosen][None].repeat(len(is_move), axis=0)
-    levels[np.arange(len(is_move)), options.modality] = options.levels
-    table = rows(levels)
     current_score = float(score(table[chosen[:1]])[0])
 
     while True:
         moves = is_move.nonzero()[0]
         if not len(moves):
             break
-        mids = options.modality[moves]
-
-        # fusion cancels in a move's added latency: max(its own, the slowest other's) - peak
-        unimodal = options.latency[chosen].tolist()
-        others = [max(unimodal[:i] + unimodal[i + 1 :], default=0) for i in range(len(unimodal))]
-        added = np.maximum(options.latency[moves], np.array(others)[mids]) - max(unimodal)
         gains = np.asarray(score(table[moves]), dtype=np.float64) - current_score
-        ratios = gains / np.maximum(added, 1)
+        # a move adds max(its own, the slowest other's) - peak; fusion cancels.
+        # The slowest other is at most the peak, so it matters only where the
+        # added latency is at most 0, and a ratio divides by at least 1 µs
+        lift = np.maximum(options.latency[moves] - max(latency[c] for c in chosen), 1)
+        ratios = np.where(gains > 0.0, gains / lift, -np.inf)
 
         # the best (ratio, gain); the first such move has the lowest modality and levels
-        best = gains > 0.0
-        if not best.any():
+        k = int(ratios.argmax())
+        if ratios[k] == -np.inf:  # no move gains
             break
-        best &= ratios == ratios.max(where=best, initial=-np.inf)
-        best &= gains == gains.max(where=best, initial=-np.inf)
-        k = int(best.argmax())
-        mid, new = mids[k], moves[k]
+        ties = (ratios == ratios[k]).nonzero()[0]
+        if len(ties) > 1:
+            k = int(ties[gains[ties].argmax()])
+        new = int(moves[k])
+        mid = modality[new]
         is_move[chosen[mid]], is_move[new] = True, False
         chosen[mid] = new
         cols = slice(columns[mid], columns[mid + 1])
@@ -265,9 +295,10 @@ def _ascend(scenario: Scenario, ind: ModalityIndicators, model, resource: str):
 
 
 def probe_indicators(scenario: Scenario, sample: Sample) -> ModalityIndicators:
-    """Indicators from a minimal-config probe encode of unit 0 of each modality."""
-    firsts = [sample.unit_payload(m, 0, 1) for m in scenario.modalities]
-    return indicators(firsts)
+    """Indicators from a minimal-config probe encode of unit 0 of each
+    modality, whose rows are drawn in one pass, which the window shares."""
+    sample.rows(scenario.modalities)
+    return indicators([sample.unit_payload(m, 0, 1) for m in scenario.modalities])
 
 
 def optimizer_step(

@@ -102,10 +102,10 @@ class EncodingSpec:
         starts = 2 + np.concatenate(([0], np.cumsum(counts)[:-1]))
         return starts.reshape(counts.shape), counts
 
-    def blocks(self) -> np.ndarray:
+    def blocks(self) -> tuple[int, ...]:
         """Modality i's pair sets only the columns [blocks[i], blocks[i + 1]):
         its sensing one-hot block, then its model one-hot block."""
-        return np.append(self._layout()[0][:, 0], self.dim)
+        return (*self._layout()[0][:, 0].tolist(), self.dim)
 
     def encode(self, ind: ModalityIndicators, assignment: ConfigAssignment) -> np.ndarray:
         return self.encode_batch(ind, [assignment.pairs])[0]
@@ -222,8 +222,12 @@ def score_standardized(model: PredictorModel, xs: np.ndarray) -> np.ndarray:
     `model.mlp.standardize`, clamped to [0, 100].  A row's rounding may
     depend on how many rows share its matrix product, so a caller that must
     reproduce a score bitwise scores the same rows, in the same order, in
-    one product again; where the rows came from does not matter."""
-    return np.clip(model.mlp.output(xs) + model.y_mean, 0.0, 100.0)
+    one product again; where the rows came from does not matter.
+
+    The clamp has `np.clip`'s bits, NaN, -0.0 and infinities included,
+    without its Python wrapper: each bound comes first, so where a score
+    equals it (0.0 against -0.0) the score is kept."""
+    return np.minimum(100.0, np.maximum(0.0, model.mlp.output(xs) + model.y_mean))
 
 
 def save_model(model: PredictorModel, path: str | Path) -> None:

@@ -11,10 +11,15 @@ finalizer applied to a counter advanced by the golden-ratio increment.
 Only 64-bit integer arithmetic and IEEE-754 multiplies/adds are used, so
 outputs are reproducible across interpreters and architectures.  Bulk draws
 (`Stream.units` and everything built on it) run the same SplitMix64 over a
-numpy uint64 counter vector and are byte-identical to the scalar `unit`.
+numpy uint64 counter vector and are byte-identical to the scalar `unit`;
+`concat_units` is that pass, over the counters of one stream or of several
+at once.
 """
 
 from __future__ import annotations
+
+import itertools
+from typing import Sequence
 
 import numpy as np
 
@@ -70,13 +75,7 @@ class Stream:
 
     def units(self, count: int, offset: int = 0) -> np.ndarray:
         """unit(offset), ..., unit(offset + count - 1) as one float64 vector."""
-        start = np.uint64((self.key + (offset + 1) * GOLDEN) & MASK64)
-        # uint64 array multiplies wrap mod 2**64; numpy flags no array overflow
-        x = start + np.arange(count, dtype=np.uint64) * _GOLDEN_U64 + _GOLDEN_U64
-        x = (x ^ (x >> np.uint64(30))) * _MUL1_U64
-        x = (x ^ (x >> np.uint64(27))) * _MUL2_U64
-        x ^= x >> np.uint64(31)
-        return (x >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        return concat_units([Stream(self.key + offset * GOLDEN)], [count])
 
     def symmetric(self, count: int) -> np.ndarray:
         """Uniform float64 in [-1, 1)."""
@@ -84,6 +83,22 @@ class Stream:
 
     def sub(self, *labels) -> "Stream":
         return Stream(_fold_labels(self.key, labels))
+
+
+def concat_units(streams: Sequence[Stream], counts: Sequence[int]) -> np.ndarray:
+    """streams[0].units(counts[0]), streams[1].units(counts[1]), ... as one
+    vector, from one SplitMix64 pass over all their counters.  The counters
+    are integers, so each stream's values have the bits of drawing it alone.
+    uint64 array multiplies wrap mod 2**64; numpy flags no array overflow."""
+    # value i of a stream whose values start at position p of the vector
+    # finalizes key + (i + 2) * GOLDEN = (key + (2 - p) * GOLDEN) + position * GOLDEN
+    starts = [0, *itertools.accumulate(counts)]
+    firsts = np.array([(s.key + (2 - p) * GOLDEN) & MASK64 for s, p in zip(streams, starts)], dtype=np.uint64)
+    x = np.repeat(firsts, counts) + np.arange(starts[-1], dtype=np.uint64) * _GOLDEN_U64
+    x = (x ^ (x >> np.uint64(30))) * _MUL1_U64
+    x = (x ^ (x >> np.uint64(27))) * _MUL2_U64
+    x ^= x >> np.uint64(31)
+    return (x >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
 def _fold_labels(key: int, labels) -> int:

@@ -186,7 +186,10 @@ def trace_text(traces: Iterable[SimTrace] | SimTrace) -> str:
 def write_trace(traces: Iterable[SimTrace] | SimTrace, path: str | Path) -> None:
     """Write the file whole or not at all: its bytes go to a `.partial`
     sibling of `path`, moved over `path` once the checksum line is in and
-    removed when the traces, or the writing, raise."""
+    removed when the traces, or the writing, raise.  A `path` that is a
+    directory raises IsADirectoryError before any trace is drawn."""
+    if Path(path).is_dir():
+        raise IsADirectoryError(f"Is a directory: {str(path)!r}")
     partial = Path(f"{path}.partial")
     f = open(partial, "wb")  # before the try: a file it cannot open is not removed
     try:

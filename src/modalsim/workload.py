@@ -11,7 +11,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -334,14 +334,20 @@ def gen_accuracy_surface(
 # Sample corpora
 
 
-def gen_samples(
+def gen_samples(*args, **kwargs) -> list[Sample]:
+    """The corpus of `iter_samples`, which takes the same arguments, as a list."""
+    return list(iter_samples(*args, **kwargs))
+
+
+def iter_samples(
     scenario: Scenario,
     count: int,
     mix: dict | Difficulty | str = Difficulty.EASY,
     seed: int = 0,
     base_rates: dict | None = None,
-) -> list[Sample]:
-    """Deterministic sample corpus.
+) -> Iterator[Sample]:
+    """Deterministic sample corpus, made one sample at a time as it is
+    iterated (and its arguments checked as the first is made).
 
     `mix` is a single difficulty or a {difficulty: weight} dict.  Stability
     (whether a prefix prediction provably matches the full-window prediction
@@ -357,7 +363,6 @@ def gen_samples(
         rates.update({_as_difficulty(k): v for k, v in base_rates.items()})
 
     assignment = scenario.max_assignment()
-    samples = []
     for i in range(count):
         s = rng.stream(seed, "corpus", i)
         difficulty = _draw_difficulty(weights, s.unit(0))
@@ -372,10 +377,7 @@ def gen_samples(
             stable=stable,
             consistency_weight=float(cw),
         )
-        if not stable:
-            sample = _calibrate_jump(scenario, sample, assignment)
-        samples.append(sample)
-    return samples
+        yield sample if stable else _calibrate_jump(scenario, sample, assignment)
 
 
 def _calibrate_jump(scenario, sample, assignment) -> Sample:
@@ -435,6 +437,7 @@ class OracleGate:
     def __init__(self, scenario: Scenario, sample: Sample, assignment: ConfigAssignment):
         self.scenario = scenario
         self.slow_id = engine.slow_modality(scenario, assignment, 0)
+        sample.rows(scenario.modalities)  # every modality's rows, in one draw pass
         rows = [
             sample.window_payload(m, scenario.sensing(m.id, level).units_per_window)
             for m, (level, _) in zip(scenario.modalities, assignment.pairs)

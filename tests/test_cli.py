@@ -1,6 +1,8 @@
 """End-to-end CLI coverage: every subcommand, exit codes, determinism."""
 
+import gc
 import hashlib
+import itertools
 import json
 import pathlib
 import tracemalloc
@@ -333,6 +335,45 @@ def test_run_and_report_memory_stays_flat_in_the_number_of_samples(tmp_path, cap
         peaks[n] = _peak(run), _peak(["report", "--trace", str(trace), "--out", str(csv)])
     for end in (0, 1):
         assert (peaks[300][end] - peaks[30][end]) / 270 < 2048, peaks
+
+
+def test_run_makes_each_sample_as_its_window_is_made(tmp_path, capsys, monkeypatch):
+    # the corpus is streamed, so all run holds per sample is memory a full
+    # collection frees; that grows by about 0.3 KB a window until the
+    # interpreter's next full collection, and would hide a held corpus of
+    # about 0.25 KB a sample
+    real, windows = engine.run, itertools.count()
+
+    def collected(*args, **kwargs):
+        if next(windows) % 10 == 0:
+            gc.collect()
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "run", collected)
+    peaks = {}
+    for n in (1, 30, 300):  # the first run only imports and warms what every run uses
+        trace = tmp_path / f"{n}.jsonl"
+        peaks[n] = _peak(["run", "--scenario", "uav-like", "--mode", "non_blocking", "--samples", str(n), "--out", str(trace)])
+    assert (peaks[300] - peaks[30]) / 270 < 64, peaks
+
+
+def test_run_out_a_directory_fails_before_the_first_window(tmp_path, capsys, monkeypatch):
+    real, windows = engine.run, []
+
+    def counted(*args, **kwargs):
+        windows.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "run", counted)
+    out = tmp_path / "outdir"
+    out.mkdir()
+    argv = ["run", "--scenario", "uav-like", "--mode", "blocking", "--samples", "30", "--out", str(out)]
+    assert cli.main(argv) == 2
+    (error,) = _json_lines(capsys.readouterr().err)
+    assert error["error"] == "IsADirectoryError"
+    assert str(out) in error["message"] and ".partial" not in error["message"]
+    assert windows == []
+    assert [p.name for p in tmp_path.iterdir()] == ["outdir"] and list(out.iterdir()) == []
 
 
 def test_trained_model_files_deterministic(scenario_file, tmp_path):

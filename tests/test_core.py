@@ -256,6 +256,48 @@ def test_payload_matches_the_per_stream_reference(
                 assert s.unit_payload(m, u, n).tobytes() == expected[u].tobytes()
 
 
+@settings(max_examples=120, deadline=None)
+@given(
+    stable=st.booleans(),
+    seed=st.integers(0, 2**64 - 1),
+    weight=st.floats(0.0, 1.0),
+    jump_fraction=st.sampled_from([0.0, 0.5, 0.8]),
+    jump_scale=st.floats(-10.0, 10.0),
+    modalities=st.lists(
+        st.tuples(st.integers(0, 5), st.integers(1, 40)), min_size=1, max_size=5, unique=True
+    ),
+)
+def test_one_pass_rows_equal_each_modality_drawn_alone(
+    stable, seed, weight, jump_fraction, jump_scale, modalities
+):
+    # one pass draws the shared row once, at the largest width, and slices
+    # it; drawn alone, each modality draws the shared row at its own width
+    fields = dict(
+        id=3,
+        seed=seed,
+        difficulty=Difficulty.HARD,
+        ground_truth_label=0,
+        stable=stable,
+        consistency_weight=weight,
+        jump_fraction=jump_fraction,
+        jump_scale=jump_scale,
+    )
+    together, alone = Sample(**fields), Sample(**fields)
+    mods = tuple(Modality(m_id, "v", channels) for m_id, channels in modalities)
+    rows = together.rows(mods)
+    for m, (base, jumped) in zip(mods, rows):
+        ((base_alone, jumped_alone),) = alone.rows((m,))
+        assert base.tobytes() == base_alone.tobytes()
+        assert jumped.tobytes() == jumped_alone.tobytes()
+        assert not base.flags.writeable and not jumped.flags.writeable
+        # a 1-unit probe reads the jumped row when the jump starts at unit 0
+        probe = together.unit_payload(m, 0, 1)
+        assert probe.tobytes() == (jumped if together.jump_start(1) == 0 else base).tobytes()
+        assert together.window_payload(m, 7).tobytes() == reference_window_payload(alone, m, 7).tobytes()
+    again = together.rows(mods)  # drawn once: the same arrays again
+    assert all(a is b for pair, pair_again in zip(rows, again) for a, b in zip(pair, pair_again))
+
+
 def test_scenario_round_trip_canonical():
     for preset in ("motivation-av", "lrw-like", "uav-like"):
         s = workload.gen_scenario(preset, seed=5)

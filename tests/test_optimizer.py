@@ -1,6 +1,7 @@
 """Brute-force oracle and greedy search properties."""
 
 import dataclasses
+import gc
 import itertools
 import math
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modalsim import latency, optimizer, workload
+from modalsim import latency, optimizer, predictor, workload
 from modalsim.core import ModalsimError, NoFeasibleAssignment
 from modalsim.predictor import ModalityIndicators
 
@@ -295,3 +296,38 @@ def test_brute_force_selection_matches_the_strict_loop(seed, weights, unconstrai
     except ModalsimError as exc:
         want = type(exc).__name__
     assert _selection(s, model) == want
+
+
+def test_a_kept_candidate_table_gives_a_fresh_tables_bits():
+    # a predictor's table is encoded once per (scenario instance, resource,
+    # model); a later decision refills only its indicator columns, and the
+    # table goes with its scenario
+    s = workload.gen_scenario("random", 3, modalities=3)
+    samples = workload.gen_samples(s, 6, {"easy": 1.0, "hard": 1.0}, seed=3)
+    rows = workload.predictor_dataset(s, workload.gen_accuracy_surface(s), samples, seed=3, noise_pct=1.0)
+    model = predictor.train(rows, predictor.EncodingSpec.for_scenario(s), predictor.TrainConfig(seed=3, epochs=150))
+    assert len({optimizer.probe_indicators(s, x) for x in samples}) == len(samples)
+    kept = [optimizer.optimizer_step(x, s, model, "high") for x in samples]
+    fresh = [optimizer.optimizer_step(x, dataclasses.replace(s), model, "high") for x in samples]
+    assert [(d.assignment, d.score.hex()) for d in kept] == [(d.assignment, d.score.hex()) for d in fresh]
+    gc.collect()
+    assert len(optimizer._tables(model)) == 1  # the fresh scenarios' tables went with them
+
+
+@pytest.mark.parametrize("seed", [3, 7])
+def test_a_ratio_tie_goes_to_the_larger_gain(seed):
+    # an assignment scores its peak unimodal latency, so every move that
+    # raises the peak gains exactly its added latency: all such moves tie
+    # on ratio 1.0, and the larger gain, the slower option, must win; at
+    # these seeds both modalities have options above the starting peak, and
+    # the slowest is the last such option (3) or not (7)
+    s = workload.gen_scenario("random", seed)
+    s = dataclasses.replace(s, t_max_us=10**12)
+    tables = latency.unimodal_table(s, "high")
+    scorer = Table(s, [float(max(tables[i][p] for i, p in enumerate(a.pairs))) for a in s.assignments()])
+    greedy = optimizer.greedy_search(s, IND, scorer, "high")
+    slowest = max(range(len(tables)), key=lambda i: tables[i].max())
+    options = optimizer._options(s, "high")
+    want = [tuple(options.levels[k].tolist()) for k in options.fastest]
+    want[slowest] = np.unravel_index(tables[slowest].argmax(), tables[slowest].shape)
+    assert greedy.pairs == tuple(tuple(map(int, p)) for p in want)

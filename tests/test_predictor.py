@@ -19,6 +19,7 @@ from modalsim.predictor import (
     PredictorModel,
     SingleModality,
     TrainConfig,
+    TrainingInfo,
     UnknownConfig,
     ZeroVector,
     consistency,
@@ -247,6 +248,32 @@ def test_prediction_clamped():
     )
     ind, a, _ = rows[0]
     assert predict(bumped, ind, a) == 100.0
+
+
+class FixedOutput:
+    """An MLP stand-in whose forward pass returns the given values."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def output(self, xs):
+        return self.values.copy()
+
+
+def test_score_clamp_keeps_the_bits_of_np_clip():
+    eps = np.finfo(np.float64).tiny * np.finfo(np.float64).eps  # the smallest subnormal
+    values = np.array([
+        np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, eps, -eps, 1e-300, -1e-300,
+        np.nextafter(0.0, -1.0), 50.0, 100.0, np.nextafter(100.0, 0.0), np.nextafter(100.0, 200.0),
+        -1e308, 1e308,
+    ])
+    spec = EncodingSpec(sensing_counts=(1,), model_counts=(1,))
+    info = TrainingInfo(0, 0, 0.0, 0.0, 0.0, 0.0)
+    for y_mean in (0.0, -0.0):
+        model = PredictorModel(spec, FixedOutput(values), y_mean, info)
+        got = predictor.score_standardized(model, np.zeros((len(values), spec.dim)))
+        assert got.tobytes() == np.clip(values + y_mean, 0.0, 100.0).tobytes()
+    assert np.signbit(got[3]) and np.signbit(got[1])  # -0.0 and the sign of -nan are kept
 
 
 def test_empty_dataset_rejected():

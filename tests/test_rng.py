@@ -63,6 +63,13 @@ def test_labels_reject_unsupported_types():
     raise AssertionError("float labels should be rejected")
 
 
+def test_concat_units_equals_each_stream_drawn_alone():
+    streams = [rng.stream(9, "concat", i) for i in range(4)] + [rng.Stream(2**64 - 1)]
+    counts = [5, 1, 0, 33, 8]
+    joined = rng.concat_units(streams, counts)
+    assert joined.tobytes() == np.concatenate([s.units(n) for s, n in zip(streams, counts)]).tobytes()
+
+
 @pytest.mark.parametrize("offset", [0, 3, 2**40, 2**63 - 2000])
 @pytest.mark.parametrize("count", [0, 1, 7, 16, 257])
 def test_bulk_units_match_scalar_unit_bitwise(count, offset):

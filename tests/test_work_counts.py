@@ -1,8 +1,8 @@
 """Work done per window, pinned by call counts rather than timings.
 
-Each seeded quantity is computed once: a window's payload draws its base
-and jump rows once per (sample, modality), and a decision's probe and its
-window share that draw, a gate trains on the checkpoints a window
+Each seeded quantity is computed once: a sample's base and jump rows are
+drawn once, for all its modalities in one pass, which a decision's probe
+and its window share, a gate trains on the checkpoints a window
 evaluates, each named once, a scenario is serialized for
 its fingerprint once per instance however many windows it serves (and
 its latency profile once, however many scenarios share it), a trace file
@@ -84,8 +84,9 @@ def test_window_payload_builds_at_most_three_streams(monkeypatch, n, stable):
 @pytest.mark.parametrize("stable", [True, False])
 @pytest.mark.parametrize("preset, knobs", [("lrw-like", {}), ("random", {"modalities": 3})])
 def test_a_decision_and_its_window_draw_each_row_of_a_sample_once(monkeypatch, preset, knobs, stable):
-    # one `units` call per row drawn: per modality, the shared and private
-    # parts of the base row, and the jump direction of an unstable sample
+    # one draw pass per sample, which the decision's probe and its window
+    # share: the shared row once, at the largest width, then per modality
+    # the private row and the jump direction of an unstable sample
     s = workload.gen_scenario(preset, seed=5, **knobs).without_skipping()
     surface = workload.gen_accuracy_surface(s)
     warm = workload.gen_samples(s, 1, "easy", seed=0)[0]
@@ -94,9 +95,25 @@ def test_a_decision_and_its_window_draw_each_row_of_a_sample_once(monkeypatch, p
         id=7, seed=1, difficulty=Difficulty.HARD, ground_truth_label=0, stable=stable, jump_scale=4.0
     )
     units = count_calls(monkeypatch, rng.Stream, "units")
+    passes = count_calls(monkeypatch, rng, "concat_units")
     decision = optimizer.optimizer_step(sample, s, surface, "high")
     engine.run(s, decision.assignment, sample)
-    assert len(units) == len(s.modalities) * (2 if stable else 3)
+    widths = [m.channels for m in s.modalities]
+    assert len(units) == 0
+    assert [counts for _, counts in passes] == [[max(widths)] + widths * (1 if stable else 2)]
+
+
+@pytest.mark.parametrize("stable", [True, False])
+def test_a_window_and_an_oracle_gate_draw_a_sample_in_one_pass(monkeypatch, stable):
+    # with no decision before it, a window draws its sample's rows for every
+    # modality in one pass, and so does the oracle gate of a fresh sample
+    s = workload.gen_scenario("random", seed=5, modalities=3).without_skipping()
+    engine.run(s, s.max_assignment(), workload.gen_samples(s, 1, "easy", seed=0)[0])
+    passes = count_calls(monkeypatch, rng, "concat_units")
+    fields = dict(difficulty=Difficulty.HARD, ground_truth_label=0, stable=stable, jump_scale=4.0)
+    engine.run(s, s.max_assignment(), Sample(id=7, seed=1, **fields))
+    workload.OracleGate(s, Sample(id=8, seed=1, **fields), s.max_assignment())
+    assert len(passes) == 2
 
 
 class NeverGate:
