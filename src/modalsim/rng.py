@@ -12,8 +12,7 @@ Only 64-bit integer arithmetic and IEEE-754 multiplies/adds are used, so
 outputs are reproducible across interpreters and architectures.  Bulk draws
 (`Stream.units` and everything built on it) run the same SplitMix64 over a
 numpy uint64 counter vector and are byte-identical to the scalar `unit`;
-`concat_units` is that pass, over the counters of one stream or of several
-at once.
+`concat_units` runs the counters of several streams through one such pass.
 """
 
 from __future__ import annotations
@@ -75,7 +74,8 @@ class Stream:
 
     def units(self, count: int, offset: int = 0) -> np.ndarray:
         """unit(offset), ..., unit(offset + count - 1) as one float64 vector."""
-        return concat_units([Stream(self.key + offset * GOLDEN)], [count])
+        start = np.uint64((self.key + (offset + 1) * GOLDEN) & MASK64)
+        return _finalized_units(start + np.arange(count, dtype=np.uint64) * _GOLDEN_U64 + _GOLDEN_U64)
 
     def symmetric(self, count: int) -> np.ndarray:
         """Uniform float64 in [-1, 1)."""
@@ -88,13 +88,18 @@ class Stream:
 def concat_units(streams: Sequence[Stream], counts: Sequence[int]) -> np.ndarray:
     """streams[0].units(counts[0]), streams[1].units(counts[1]), ... as one
     vector, from one SplitMix64 pass over all their counters.  The counters
-    are integers, so each stream's values have the bits of drawing it alone.
-    uint64 array multiplies wrap mod 2**64; numpy flags no array overflow."""
+    are integers, so each stream's values have the bits of drawing it alone."""
     # value i of a stream whose values start at position p of the vector
     # finalizes key + (i + 2) * GOLDEN = (key + (2 - p) * GOLDEN) + position * GOLDEN
     starts = [0, *itertools.accumulate(counts)]
     firsts = np.array([(s.key + (2 - p) * GOLDEN) & MASK64 for s, p in zip(streams, starts)], dtype=np.uint64)
-    x = np.repeat(firsts, counts) + np.arange(starts[-1], dtype=np.uint64) * _GOLDEN_U64
+    return _finalized_units(np.repeat(firsts, counts) + np.arange(starts[-1], dtype=np.uint64) * _GOLDEN_U64)
+
+
+def _finalized_units(x: np.ndarray) -> np.ndarray:
+    """SplitMix64's finalizer on uint64 counters already advanced by GOLDEN,
+    as floats in [0, 1).  uint64 array multiplies wrap mod 2**64; numpy
+    flags no array overflow."""
     x = (x ^ (x >> np.uint64(30))) * _MUL1_U64
     x = (x ^ (x >> np.uint64(27))) * _MUL2_U64
     x ^= x >> np.uint64(31)
