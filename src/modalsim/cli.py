@@ -10,6 +10,10 @@ is not a finite number).  Failures print one machine-readable JSON line on
 stderr.  Wall-clock measurements (optimizer decision latency) also go to
 stderr so every file and stdout byte is a pure function of the flags and
 seeds.
+
+Every `--out` file is written whole or not at all (`core.write_whole`), as
+its pieces are made: a command that fails leaves its `--out` as it was.  An
+`--out` that is a directory fails (exit 2) before any command does work.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import engine, gating, optimizer, predictor, report, scenario_io, traceio, workload
+from . import core, engine, gating, optimizer, predictor, report, scenario_io, traceio, workload
 from .core import (
     ConfigAssignment,
     Difficulty,
@@ -257,13 +261,15 @@ def _cmd_sweep(args) -> int:
     row = ";".join(["%d:%d"] * len(options)) + ",%d,%r\n"
     chunk = optimizer.BRUTE_FORCE_CHUNK
 
-    with open(args.out, "w", encoding="utf-8") as out:  # one chunk at a time, as it is made
-        out.write("assignment,latency_us,accuracy_pct\n")
+    def chunks():  # one chunk at a time, as it is made
+        yield b"assignment,latency_us,accuracy_pct\n"
         for start in range(0, count, chunk):
             levels = optimizer.product_levels(options, np.arange(start, min(start + chunk, count)))
             lat = np.max([t[tuple(levels[:, i].T)] for i, t in enumerate(tables)], axis=0) + fusion_us
             ints = np.column_stack((levels.reshape(len(levels), -1), lat)).tolist()  # levels, latency
-            out.write("".join(row % (*r, a) for r, a in zip(ints, surface.scores(ind, levels).tolist())))
+            yield "".join(row % (*r, a) for r, a in zip(ints, surface.scores(ind, levels).tolist())).encode()
+
+    core.write_whole(args.out, chunks())
     print(f"wrote {count} rows to {args.out}")
     return 0
 
@@ -271,7 +277,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_profile(args) -> int:
     scenario = _load_scenario(args.scenario)
     doc = scenario_io.to_document(scenario)["latency_profile"]
-    Path(args.out).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    core.write_whole(args.out, [(json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()])
     print(f"wrote profile ({len(doc['entries'])} entries) to {args.out}")
     return 0
 
@@ -321,14 +327,14 @@ def _cmd_train_gate(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    # each trace's rows are added as it is read; the CSV is good, and written, once the last is read
+    # each trace's lines are made as it is read; a file is kept once the last is read good
     traces = traceio.iter_traces(args.trace)
-    csv_text = report.to_csv(row for trace in traces for row in report.breakdown(trace))
+    lines = report.csv_lines(row for trace in traces for row in report.breakdown(trace))
     if args.out:
-        Path(args.out).write_text(csv_text, encoding="utf-8")
+        core.write_whole(args.out, (line.encode() for line in lines))
         print(f"wrote report to {args.out}")
     else:
-        sys.stdout.write(csv_text)
+        sys.stdout.write("".join(lines))  # stdout cannot be taken back: held until the last is read good
     return 0
 
 
@@ -350,6 +356,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if getattr(args, "out", None) and Path(args.out).is_dir():  # every command but optimize has --out
+            raise IsADirectoryError(f"Is a directory: {args.out!r}")
         return _COMMANDS[args.command](args)
     except (InvalidScenario, ScenarioFormatError, WeightFormatError) as exc:
         detail = getattr(exc, "violations", None) or getattr(exc, "problems", None)

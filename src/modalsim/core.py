@@ -2,7 +2,9 @@
 
 All durations are integer microseconds of virtual time; there is no
 floating-point time anywhere in the package.  Every type here is immutable
-after construction and safe to share across threads.
+after construction and safe to share across threads.  The package's one
+JSON type rule (`json_value`, `read_record`) and its one file writer
+(`write_whole`) live here too.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import itertools
 import math
 import typing
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -152,6 +155,29 @@ def read_record(obj, build, name: str = ""):
     if problems:
         raise JSONTypeError(*(f"{name}.{p}" if name else p for p in problems))
     return build(*values)
+
+
+# ---------------------------------------------------------------------------
+# Writing files
+
+
+def write_whole(path: str | Path, pieces: typing.Iterable[bytes]) -> None:
+    """Write the bytes of `pieces` to `path` whole or not at all; every file
+    the package writes goes through here.  `<path>.partial` is opened before
+    the first piece is drawn, each piece is written as it is drawn, and the
+    file is moved over `path` after the last.  When drawing or writing a
+    piece, or the move, raises, the `.partial` file is removed and `path` is
+    left as it was: so is a `path` that is a directory, on which the move
+    fails."""
+    partial = Path(f"{path}.partial")
+    f = open(partial, "wb")  # before the try: a file it cannot open is not removed
+    try:
+        with f:
+            f.writelines(pieces)
+        partial.replace(path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ skip gate: `MLP`, a one-hidden-layer softplus MLP over standardized inputs,
 its forward pass, its seeded full-batch gradient-descent trainer
 (mean-squared error or binary cross-entropy) with the holdout split, and the
 versioned structured-text weight document both models serialize to, with its
-shared weight block.
+shared weight block, written whole or not at all (`core.write_whole`).
 
 It is also the one home of the float kernels whose bits depend on the host:
 `dot`, every matrix and vector product of the package, and the exp and log
@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rng
-from .core import MISSING, JSONTypeError, ModalsimError, json_value, read_record
+from .core import MISSING, JSONTypeError, ModalsimError, json_value, read_record, write_whole
 
 WEIGHT_DOC_VERSION = 1
 WEIGHT_KEYS = ("w1", "b1", "w2", "b2", "x_mean", "x_scale")
@@ -216,7 +216,7 @@ def fit_mlp(
 
 def write_weight_doc(path: str | Path, kind: str, body: dict) -> None:
     doc = {"format_version": WEIGHT_DOC_VERSION, "kind": kind, **body}
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    write_whole(path, [(json.dumps(doc, sort_keys=True, indent=1) + "\n").encode()])
 
 
 def weight_block(mlp: MLP) -> dict:

@@ -18,14 +18,16 @@ training picks alike.  A `scores` object scores the levels themselves; a
 predictor scores rows of the assignments' encodings, standardized
 (`_scorer`).  Greedy search scores each step's moves in one product from a
 candidate table, a row per in-budget option, and after each step patches
-only the moved modality's columns.  A predictor's table is encoded and
-standardized once per (scenario instance, resource, model) and kept while
-both live (`_candidates`); only its two indicator columns depend on the
-sample, so each decision copies it and refills them.  Every product greedy
-search runs multiplies the same rows, in the same order, as encoding each
-step's moves afresh would, so its scores, and with them its choices, keep
-every bit.  A decision's probe reads the sample's one draw pass
-(`Sample.rows`), which its window then shares.
+only the moved modality's columns.  A scorer's table is made once per
+(scenario instance, resource, scorer) and kept while both live
+(`_candidates`): a predictor's rows are encoded and standardized, of which
+only the two indicator columns depend on the sample, and a surface's are
+the levels, of which none do; each decision copies the table and refills
+those columns.  Every product greedy search runs multiplies the same rows,
+in the same order, as encoding each step's moves afresh would, so its
+scores, and with them its choices, keep every bit.  A decision's probe
+reads the sample's one draw pass (`Sample.rows`), which its window then
+shares.
 """
 
 from __future__ import annotations
@@ -153,21 +155,19 @@ def _options(scenario: Scenario, resource: str) -> _Options:
 
 
 @memoized
-def _tables(model: PredictorModel) -> weakref.WeakKeyDictionary:
-    """The predictor's candidate tables, `_scorer` rows of `options.start`,
-    by `_Options`: each is kept while its scenario's options and the model
+def _tables(model) -> weakref.WeakKeyDictionary:
+    """The scorer's candidate tables, `_scorer` rows of `options.start`, by
+    `_Options`: each is kept while its scenario's options and the scorer
     both live."""
     return weakref.WeakKeyDictionary()
 
 
 def _candidates(model, options: _Options, rows, fill: int) -> np.ndarray:
     """A decision's candidate table, `rows(options.start)`, as a new array.
-    A predictor's rows are encoded and standardized once per `_tables`
-    entry; a later decision copies them and sets the first `fill` columns,
-    the only ones the sample sets, from `rows` of one row.  Standardizing
-    is elementwise, so the table has the bits of encoding it afresh."""
-    if not isinstance(model, PredictorModel):
-        return rows(options.start).copy()
+    The rows are made once per `_tables` entry; a later decision copies
+    them and sets the first `fill` columns, the only ones the sample sets,
+    from `rows` of one row (a surface sets none).  A predictor standardizes
+    elementwise, so the table has the bits of encoding it afresh."""
     tables = _tables(model)
     if options in tables:
         table = tables[options].copy()

@@ -7,14 +7,13 @@ recomputed from raw events so an independent script can check each cell.
 The events are read from the trace's columns, each kind the breakdown
 reads from the columns of its one layout in the event schema
 (`engine.LAYOUTS`), so every time and value it reads is an int: the trace
-reader refuses an event off that schema.
+reader refuses an event off that schema.  The CSV is made a line at a time
+(`csv_lines`), so a caller can write each line as its trace is read.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -109,9 +108,14 @@ def _facts(trace: SimTrace):
     return per, fusion[-1][1] if fusion else None, prediction[-1][1] if prediction else None
 
 
+def csv_lines(rows: Iterable[dict]) -> Iterator[str]:
+    """The CSV's header line, then one line per row as it is drawn.  Every
+    value is an int, a fixed ASCII word or empty, so `str` writes each as
+    `csv.DictWriter` would, and none needs quoting."""
+    yield ",".join(CSV_COLUMNS) + "\n"
+    for row in rows:
+        yield ",".join([str(row[column]) for column in CSV_COLUMNS]) + "\n"
+
+
 def to_csv(rows: Iterable[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-    return buf.getvalue()
+    return "".join(csv_lines(rows))

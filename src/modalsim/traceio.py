@@ -18,8 +18,9 @@ pairs as nested lists.
 Both ends stream: what either holds stays flat however many traces the
 file holds.  The writer takes the traces from any iterable, a generator
 included, and lays out and writes each in turn, the checksum a running
-SHA-256 over the bytes written.  A file is written whole or not at all:
-to a `.partial` sibling, moved over the path once its checksum line is in.
+SHA-256 over the bytes written.  A file is written whole or not at all,
+by the package's one file writer (`core.write_whole`), which moves it over
+the path once its checksum line is in.
 The reader, `iter_traces`, is a generator that yields each trace as its
 block (header to summary) closes; `read_trace` lists it.  It decodes whole
 lines a 16 KiB chunk (`_CHUNK`) at a time, as `str.splitlines` splits
@@ -69,6 +70,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .core import ConfigAssignment, ExecutionMode, JSONTypeError, ModalsimError, json_value, read_record
+from .core import write_whole
 from .engine import COLUMNS, LAYOUTS, NULL, EventColumns, SimTrace, TraceSummary, column
 
 TRACE_SCHEMA_VERSION = 1
@@ -184,21 +186,10 @@ def trace_text(traces: Iterable[SimTrace] | SimTrace) -> str:
 
 
 def write_trace(traces: Iterable[SimTrace] | SimTrace, path: str | Path) -> None:
-    """Write the file whole or not at all: its bytes go to a `.partial`
-    sibling of `path`, moved over `path` once the checksum line is in and
-    removed when the traces, or the writing, raise.  A `path` that is a
-    directory raises IsADirectoryError before any trace is drawn."""
-    if Path(path).is_dir():
-        raise IsADirectoryError(f"Is a directory: {str(path)!r}")
-    partial = Path(f"{path}.partial")
-    f = open(partial, "wb")  # before the try: a file it cannot open is not removed
-    try:
-        with f:
-            f.writelines(_pieces(traces))
-        partial.replace(path)
-    except BaseException:
-        partial.unlink(missing_ok=True)
-        raise
+    """Write the file whole or not at all (`core.write_whole`): a trace at
+    a time as each is drawn, then the checksum line.  When the traces, or
+    the writing, raise, `path` is left as it was."""
+    write_whole(path, _pieces(traces))
 
 
 # every byte but the ones that delimit strings, nest values and end lines

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from spawn import CLI, run
 
-from modalsim import cli, engine, nn, predictor, report, scenario_io, traceio, workload
+from modalsim import cli, engine, gating, nn, predictor, report, scenario_io, traceio, workload
 from modalsim.core import BAD_SCHEDULE, InvalidScenario
 
 
@@ -325,9 +325,10 @@ def _peak(argv) -> int:
 
 
 def test_run_and_report_memory_stays_flat_in_the_number_of_samples(tmp_path, capsys):
-    # run writes each window as it is made and report adds each trace's rows
-    # as it is read, so neither holds a batch of traces: what grows with the
-    # samples is the corpus and the CSV, well under 2 KB a sample
+    # run writes each window as it is made and report writes each trace's
+    # lines as it is read, so neither holds a batch of traces, the corpus or
+    # the CSV: what grows with the samples is memory a full collection frees,
+    # well under 2 KB a sample
     peaks = {}
     for n in (1, 30, 300):  # the first run only imports and warms what every run uses
         trace, csv = tmp_path / f"{n}.jsonl", tmp_path / f"{n}.csv"
@@ -357,6 +358,28 @@ def test_run_makes_each_sample_as_its_window_is_made(tmp_path, capsys, monkeypat
     assert (peaks[300] - peaks[30]) / 270 < 64, peaks
 
 
+def test_report_out_holds_no_line_of_the_csv(tmp_path, capsys, monkeypatch):
+    # report --out writes each trace's lines as the trace is read, so all it
+    # holds per sample is memory a full collection frees; a held CSV text
+    # would add about 0.2 KB a sample
+    real, traces = report.breakdown, itertools.count()
+
+    def collected(*args, **kwargs):
+        if next(traces) % 10 == 0:
+            gc.collect()
+        return real(*args, **kwargs)
+
+    peaks = {}
+    for n in (1, 30, 300):  # the first report only imports and warms what every report uses
+        trace, csv = tmp_path / f"{n}.jsonl", tmp_path / f"{n}.csv"
+        run = ["run", "--scenario", "uav-like", "--mode", "non_blocking", "--samples", str(n), "--out", str(trace)]
+        assert cli.main(run) == 0
+        with monkeypatch.context() as patched:
+            patched.setattr(report, "breakdown", collected)
+            peaks[n] = _peak(["report", "--trace", str(trace), "--out", str(csv)])
+    assert (peaks[300] - peaks[30]) / 270 < 128, peaks
+
+
 def test_run_out_a_directory_fails_before_the_first_window(tmp_path, capsys, monkeypatch):
     real, windows = engine.run, []
 
@@ -374,6 +397,62 @@ def test_run_out_a_directory_fails_before_the_first_window(tmp_path, capsys, mon
     assert str(out) in error["message"] and ".partial" not in error["message"]
     assert windows == []
     assert [p.name for p in tmp_path.iterdir()] == ["outdir"] and list(out.iterdir()) == []
+
+
+# the work each command does before it writes --out, and the call that does it
+WORK = [
+    (engine, "run"),
+    (report, "breakdown"),
+    (predictor, "train"),
+    (gating, "gate_train"),
+    (workload.AccuracySurface, "scores"),
+]
+OUT_COMMANDS = {
+    "run": ["--scenario", "uav-like", "--mode", "non_blocking", "--samples", "3"],
+    "report": ["--trace", "TRACE"],
+    "sweep": ["--scenario", "lrw-like"],
+    "profile": ["--scenario", "lrw-like"],
+    "train-predictor": ["--scenario", "lrw-like", "--samples", "5", "--epochs", "10"],
+    "train-gate": ["--scenario", "lrw-like", "--samples", "5", "--epochs", "10"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(OUT_COMMANDS))
+def test_out_a_directory_fails_before_any_work(command, tmp_path, capsys, monkeypatch):
+    trace = tmp_path / "t.jsonl"
+    assert cli.main(["run", *OUT_COMMANDS["run"], "--out", str(trace)]) == 0
+    called = []
+    for owner, name in WORK:
+        monkeypatch.setattr(owner, name, lambda *args, name=name, **kwargs: called.append(name))
+    out = tmp_path / "outdir"
+    out.mkdir()
+    capsys.readouterr()
+    argv = [command, *(str(trace) if a == "TRACE" else a for a in OUT_COMMANDS[command]), "--out", str(out)]
+    assert cli.main(argv) == 2
+    (error,) = _json_lines(capsys.readouterr().err)
+    assert error["error"] == "IsADirectoryError"
+    assert error["message"] == f"Is a directory: {str(out)!r}"
+    assert called == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["outdir", "t.jsonl"] and list(out.iterdir()) == []
+
+
+def test_a_sweep_that_fails_part_way_leaves_its_out_as_it_was(tmp_path, capsys, monkeypatch):
+    # 729 assignments, three chunks: the second chunk's scores raise
+    path, out = _random_file(tmp_path, 3), tmp_path / "sweep.csv"
+    out.write_bytes(b"old bytes\n")
+    real, chunks = workload.AccuracySurface.scores, itertools.count()
+
+    def failing(self, ind, levels):
+        if next(chunks) == 1:
+            raise ValueError("a chunk failed")
+        return real(self, ind, levels)
+
+    monkeypatch.setattr(workload.AccuracySurface, "scores", failing)
+    assert cli.main(["sweep", "--scenario", path, "--out", str(out)]) == 3
+    assert [e["error"] for e in _json_lines(capsys.readouterr().err)] == ["ValueError"]
+    assert next(chunks) == 2
+    assert out.read_bytes() == b"old bytes\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [pathlib.Path(path).name, "sweep.csv"]
 
 
 def test_trained_model_files_deterministic(scenario_file, tmp_path):

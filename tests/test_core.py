@@ -363,3 +363,35 @@ def test_memoized_arrays_stay_read_only_in_a_copy(clone):
     # the original's memo is untouched by the copy's
     assert engine.prediction_head(s, 10) is head
     assert latency.unimodal_table(s, "high") is table
+
+
+@pytest.mark.parametrize("old", [None, b"old bytes\n"])
+def test_a_write_whose_pieces_raise_leaves_the_path_as_it_was(old, tmp_path):
+    path = tmp_path / "out.csv"
+    if old is not None:
+        path.write_bytes(old)
+    drawn = []
+
+    def pieces():
+        drawn.append(sorted(p.name for p in tmp_path.iterdir()))  # the .partial file is open already
+        yield b"a,b\n"
+        yield b"1,2\n"
+        raise ValueError("a piece failed")
+
+    with pytest.raises(ValueError, match="a piece failed"):
+        core.write_whole(path, pieces())
+    assert drawn == [sorted([path.name] * (old is not None) + ["out.csv.partial"])]
+    assert (path.read_bytes() if path.exists() else None) == old
+    assert [p.name for p in tmp_path.iterdir()] == ([path.name] if old is not None else [])
+
+
+def test_a_write_is_moved_over_a_file_but_not_over_a_directory(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_bytes(b"old bytes\n")
+    core.write_whole(path, iter([b"a,b\n", b"", b"1,2\n"]))
+    assert path.read_bytes() == b"a,b\n1,2\n"
+    directory = tmp_path / "outdir"
+    directory.mkdir()
+    with pytest.raises(IsADirectoryError):
+        core.write_whole(directory, [b"a,b\n"])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv", "outdir"] and list(directory.iterdir()) == []

@@ -16,7 +16,8 @@ assignment product, and the CLI scores the surface in level arrays.  Only
 product (every other module calls `nn.dot`), `np.linalg`, exp or log.  Only
 `core` states the JSON type rule that every document reader applies, to
 each number of a weight array too, and a trace summary and a predictor's
-encoding are written from the dataclasses they are read as.
+encoding are written from the dataclasses they are read as.  Only `core`
+writes a file: every output goes through its one writer, `write_whole`.
 """
 
 import ast
@@ -162,3 +163,37 @@ def test_only_nn_runs_float_kernels():
 def test_the_float_kernel_scan_skips_decorators_and_fields():
     text = "@memoized\ndef f(a, b, c):\n    a @= b\n    return c.log, np.linalg.norm(a @ b), numpy.exp(c)\n"
     assert sorted(float_kernels(text)) == ["3: @", "4: @", "4: np.linalg", "4: numpy.exp"]
+
+
+def file_writes(text: str) -> list[str]:
+    """Each call in `text` that writes a file, by line: `write_text`,
+    `write_bytes`, and an `open` whose mode writes, appends, creates or
+    updates, or is not a literal."""
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+        if name in ("write_text", "write_bytes"):
+            found.append(f"{node.lineno}: {name}")
+        elif name == "open":
+            at = 1 if isinstance(node.func, ast.Name) else 0  # open(path, mode), path.open(mode)
+            modes = [k.value for k in node.keywords if k.arg == "mode"] + node.args[at : at + 1]
+            mode = modes[0] if modes else ast.Constant("r")
+            if not (isinstance(mode, ast.Constant) and type(mode.value) is str) or set(mode.value) & set("wax+"):
+                found.append(f"{node.lineno}: open")
+    return found
+
+
+def test_only_core_writes_files():
+    found = {name: file_writes(text) for name, text in SOURCES.items() if name != "core.py"}
+    assert {name: writes for name, writes in found.items() if writes} == {}
+    assert len(file_writes(SOURCES["core.py"])) == 1  # the scan sees `write_whole`'s one open
+
+
+def test_the_file_write_scan_skips_reads():
+    text = (
+        "open(p)\nopen(p, 'rb')\nPath(p).open()\nPath(p).read_text()\nopen(p, mode='r')\n"
+        "open(p, 'ab')\nPath(p).open('w')\nopen(p, mode=m)\nio.open(p, 'r+')\np.write_text(t)\np.write_bytes(b)\n"
+    )
+    assert file_writes(text) == ["6: open", "7: open", "8: open", "9: open", "10: write_text", "11: write_bytes"]

@@ -314,6 +314,20 @@ def test_a_kept_candidate_table_gives_a_fresh_tables_bits():
     assert len(optimizer._tables(model)) == 1  # the fresh scenarios' tables went with them
 
 
+def test_a_kept_surface_table_gives_a_fresh_tables_bits():
+    # the surface case of the test above: a surface's table, its levels, is
+    # kept like a predictor's and refilled in no column
+    s = workload.gen_scenario("random", 3, modalities=3)
+    samples = workload.gen_samples(s, 6, {"easy": 1.0, "hard": 1.0}, seed=3)
+    surface = workload.gen_accuracy_surface(s)
+    kept = [optimizer.optimizer_step(x, s, surface, "high") for x in samples]
+    fresh = [optimizer.optimizer_step(x, dataclasses.replace(s), surface, "high") for x in samples]
+    assert [(d.assignment, d.score.hex()) for d in kept] == [(d.assignment, d.score.hex()) for d in fresh]
+    gc.collect()
+    (table,) = optimizer._tables(surface).values()  # the fresh scenarios' tables went with them
+    assert table is optimizer._options(s, "high").start
+
+
 @pytest.mark.parametrize("seed", [3, 7])
 def test_a_ratio_tie_goes_to_the_larger_gain(seed):
     # an assignment scores its peak unimodal latency, so every move that

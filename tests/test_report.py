@@ -161,6 +161,26 @@ def test_breakdown_matches_the_event_by_event_reference(tmp_path, monkeypatch):
         assert report.to_csv(report.breakdown(batch)) == reference_csv(batch, monkeypatch)
 
 
+def dictwriter_csv(rows) -> str:
+    """The CSV as `csv.DictWriter` writes it: the reference for `report.csv_lines`."""
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=report.CSV_COLUMNS, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def test_csv_lines_are_what_dictwriter_writes():
+    # every mode, skip savings, and the empty cells of both row kinds
+    rows = report.breakdown(corpus())
+    assert {r["mode"] for r in rows} == {m.value for m in ExecutionMode}
+    assert any(r["skip_savings_us"] for r in rows)
+    assert {r["sensing_bound_us"] == "" for r in rows} == {r["reported_latency_us"] == "" for r in rows} == {True, False}
+    lines = list(report.csv_lines(iter(rows)))
+    assert len(lines) == 1 + len(rows) and all(line.find("\n") == len(line) - 1 for line in lines)
+    assert "".join(lines) == report.to_csv(rows) == dictwriter_csv(rows)
+
+
 # the kinds the breakdown reads, each with the payload keys it reads from an
 # event with a modality
 READS = {
